@@ -104,6 +104,21 @@ def _positive_int(value, name: str) -> int:
     return number
 
 
+def _number(value, name: str, kind=float):
+    """``kind(value)``, or a usage error naming the flag."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise _UsageError(f"{name} must be a number, got {value!r}") from None
+
+
+def _layout(opts) -> str:
+    layout = opts["layout"]
+    if layout not in ("wide", "long"):
+        raise _UsageError(f"--layout must be wide or long, got {layout!r}")
+    return layout
+
+
 def _parse_L(value) -> int | None:
     if value in (None, "auto"):
         return None
@@ -121,9 +136,9 @@ def _parse_p(value) -> int | tuple[int, ...]:
     if value == "grid":
         return pipeline.P_GRID_DEFAULT
     text = str(value)
-    if "," in text:
-        return tuple(int(tok) for tok in text.split(","))
     try:
+        if "," in text:
+            return tuple(int(tok) for tok in text.split(","))
         return int(text)
     except ValueError:
         raise _UsageError(f"--p must be an integer, a comma list, or 'grid'; got {value!r}") from None
@@ -162,7 +177,7 @@ def _int_list(value, name: str) -> list[int]:
 
 def _cmd_synth(ns: argparse.Namespace) -> int:
     opts = _resolve(ns, "synth")
-    seed = int(opts["seed"])
+    seed = _number(opts["seed"], "--seed", int)
     preset = opts["preset"]
 
     def dim(key: str, preset_default: int) -> int:
@@ -171,7 +186,7 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
 
     if preset == "fig2":
         spec = synth.estimation_spec(
-            lambda_star=float(opts["lambda_star"]),
+            lambda_star=_number(opts["lambda_star"], "--lambda-star"),
             n_series=dim("n", 10),
             length=dim("t", 10_000),
             seed=seed,
@@ -183,18 +198,20 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
             seed=seed,
         )
     elif preset is None:
-        alpha = None
+        alpha = lambda_star = None
         if opts["alpha"] is not None:
             alpha = tuple(_float_list(opts["alpha"], "--alpha"))
+        else:
+            lambda_star = _number(opts["lambda_star"], "--lambda-star")
         spec = synth.GeneratorSpec(
             kind=opts["kind"],
             n_series=dim("n", 10),
             length=dim("t", 10_000),
             n_fundamentals=_positive_int(opts["r"], "--r"),
             ar_order=_positive_int(opts["p"], "--p"),
-            lambda_star=None if alpha is not None else float(opts["lambda_star"]),
+            lambda_star=lambda_star,
             alpha=alpha,
-            sigma2=float(opts["sigma2"]),
+            sigma2=_number(opts["sigma2"], "--sigma2"),
             seed=seed,
         )
     else:
@@ -219,7 +236,7 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
 
 def _cmd_decompose(ns: argparse.Namespace) -> int:
     opts = _resolve(ns, "decompose")
-    panel = load_csv(opts["input"], layout=opts["layout"])
+    panel = load_csv(opts["input"], layout=_layout(opts))
     L = _parse_L(opts["L"])
     if L is None:
         L = default_L(panel.n_series, panel.length, ratio=_positive_int(opts["ratio"], "--ratio"))
@@ -249,7 +266,7 @@ def _cmd_decompose(ns: argparse.Namespace) -> int:
 def _cmd_fit(ns: argparse.Namespace) -> int:
     opts = _resolve(ns, "fit")
     _pipeline_config(opts)  # flag validation before any file IO
-    panel = load_csv(opts["input"], layout=opts["layout"])
+    panel = load_csv(opts["input"], layout=_layout(opts))
     config = _pipeline_config(opts, panel_length=panel.length)
     _log(f"fitting on {panel.n_series} series x {panel.length} steps")
     model = pipeline.fit(panel, config)
@@ -275,7 +292,7 @@ def _cmd_forecast(ns: argparse.Namespace) -> int:
 def _cmd_observe_forecast(ns: argparse.Namespace) -> int:
     opts = _resolve(ns, "observe-forecast")
     model = pipeline.load_model(opts["model"])
-    test = load_csv(opts["test"], layout=opts["layout"])
+    test = load_csv(opts["test"], layout=_layout(opts))
     _log(f"rolling over {test.length} steps x {test.n_series} series")
     y_hat = np.empty((test.n_series, test.length))
     f_hat = np.empty_like(y_hat)
@@ -325,7 +342,8 @@ def _write_report(report: evaluation.MetricReport, names, out_dir: str) -> None:
 
 def _cmd_eval(ns: argparse.Namespace) -> int:
     opts = _resolve(ns, "eval")
-    panel = load_csv(opts["input"], layout=opts["layout"])
+    min_r2 = None if opts["min_r2"] is None else _number(opts["min_r2"], "--min-r2")
+    panel = load_csv(opts["input"], layout=_layout(opts))
     spec = SplitSpec(
         train_end=_positive_int(opts["train_end"], "--train-end"),
         valid_end=_positive_int(opts["valid_end"], "--valid-end"),
@@ -355,7 +373,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     )
     _write_report(report, panel.series_names, opts["out"])
     _log(f"mean R^2 = {report.mean_r2:.4f}")
-    if opts["min_r2"] is not None and report.mean_r2 < float(opts["min_r2"]):
+    if min_r2 is not None and report.mean_r2 < min_r2:
         _fail_line("AssertionFailure", f"mean R^2 {report.mean_r2:.4f} < required {opts['min_r2']}")
         return EXIT_ASSERT
     return EXIT_OK
@@ -363,7 +381,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
 
 def _cmd_grid(ns: argparse.Namespace) -> int:
     opts = _resolve(ns, "grid")
-    panel = load_csv(opts["input"], layout=opts["layout"])
+    panel = load_csv(opts["input"], layout=_layout(opts))
     train_end = _positive_int(opts["train_end"], "--train-end")
     valid_end = _positive_int(opts["valid_end"], "--valid-end")
     if not train_end < valid_end <= panel.length:
@@ -411,8 +429,8 @@ def _cmd_fig2(ns: argparse.Namespace) -> int:
         n_series=_positive_int(opts["n"], "--n"),
         rank=_parse_rank(opts["rank"]),
         p=_positive_int(opts["p"], "--p"),
-        sigma2=float(opts["sigma2"]),
-        base_seed=int(opts["seed"]),
+        sigma2=_number(opts["sigma2"], "--sigma2"),
+        base_seed=_number(opts["seed"], "--seed", int),
         threads=threads,
     )
     out = opts["out"]

@@ -17,12 +17,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ar import fit_ar
-from .errors import MetricError, SearchError, ShapeError, StateError
+from .errors import MetricError, SamossaError, SearchError, ShapeError, StateError
 from .lowrank import RankRule
 from .pagemat import default_L
 from .panel import TimePanel
 from .pipeline import SamossaConfig, SamossaModel, fit, forecast_step, observe
-from .ssa_estimator import decompose, est_err
+from .ssa_estimator import Stage1, decompose, est_err
 from .synth import GeneratorSpec, estimation_spec, forecasting_spec, generate
 
 __all__ = [
@@ -155,35 +155,83 @@ class GridEntry:
     k_hat: int
 
 
+# What makes one grid configuration fail without stopping the search; any
+# other exception is a bug and propagates.
+_CONFIG_ERRORS = (SamossaError, np.linalg.LinAlgError)
+
+
+def _by_resolved_L(panel: TimePanel, configs) -> list[int]:
+    """Indices of ``configs`` with equal resolved L adjacent, in first-seen order of L."""
+    groups: dict[int | None, list[int]] = {}
+    for idx, config in enumerate(configs):
+        try:
+            L = config.resolved_L(panel.n_series, panel.length)
+        except SamossaError:
+            L = None  # fails again, and is recorded, when it is fitted
+        groups.setdefault(L, []).append(idx)
+    return [idx for members in groups.values() for idx in members]
+
+
+def _score_each(panel: TimePanel, configs, window: TimePanel,
+                catch=()) -> list:
+    """Fit every config on ``panel`` and score it by a rolling pass over ``window``.
+
+    Returns, in input order, one GridEntry per config, or the exception in
+    ``catch`` that stopped it. Configs are visited grouped by resolved L
+    with a single live Stage1, which is dropped before the next L's is built.
+    """
+    results: list = [None] * len(configs)
+    stage = None
+    for idx in _by_resolved_L(panel, configs):
+        config = configs[idx]
+        try:
+            L = config.resolved_L(panel.n_series, panel.length)
+            if stage is None or stage.L != L:
+                stage = None
+                stage = Stage1(panel, L)
+            model = fit(panel, config, stage1=stage)
+            report = rolling_eval(model, window)
+        except catch as exc:
+            results[idx] = exc
+            continue
+        results[idx] = GridEntry(config=config, mean_r2=report.mean_r2, k_hat=model.k_hat)
+    return results
+
+
+def _best(entries: list[GridEntry]) -> SamossaConfig:
+    """The winning config among ``entries``, which are in grid order."""
+    def key(item):
+        position, entry = item
+        p = entry.config.p
+        p_key = p if isinstance(p, int) else min(p)
+        return (-entry.mean_r2, entry.k_hat, p_key, entry.config.shape_ratio, position)
+
+    return min(enumerate(entries), key=key)[1].config
+
+
 def grid_search(train: TimePanel, valid: TimePanel,
                 grid) -> tuple[SamossaConfig, list[GridEntry]]:
     """Exhaustive config search scored by mean rolling R^2 on validation.
 
-    Returns the winning config and the per-config scores. Exact score ties
-    break toward smaller k_hat, then smaller p, then smaller shape ratio,
-    then input order. Raises SearchError (with per-config failures attached)
-    if no config finishes.
+    Returns the winning config and the per-config scores, in grid order.
+    Exact score ties break toward smaller k_hat, then smaller p, then
+    smaller shape ratio, then input order. A config fails, and is left out
+    of the scores, when it raises a SamossaError or a LinAlgError; any other
+    exception propagates. Raises SearchError (with per-config failures
+    attached) if no config finishes.
+
+    Stage 1 is computed once per resolved L, not once per config: configs
+    are fitted grouped by L, and every rank rule and AR order at that L
+    shares one Stage1 on ``train``. Only one is alive at a time.
     """
     grid = list(grid)
     if not grid:
         raise SearchError("empty grid")
-    entries: list[GridEntry] = []
-    keyed = []
-    failures = []
-    for idx, config in enumerate(grid):
-        try:
-            model = fit(train, config)
-            report = rolling_eval(model, valid)
-        except Exception as exc:  # noqa: BLE001 - collected and re-raised
-            failures.append((config, exc))
-            continue
-        p_key = config.p if isinstance(config.p, int) else min(config.p)
-        entries.append(GridEntry(config=config, mean_r2=report.mean_r2, k_hat=model.k_hat))
-        keyed.append((-report.mean_r2, model.k_hat, p_key, config.shape_ratio, idx, config))
+    results = _score_each(train, grid, valid, catch=_CONFIG_ERRORS)
+    entries = [r for r in results if isinstance(r, GridEntry)]
     if not entries:
-        raise SearchError("every grid configuration failed", failures=failures)
-    keyed.sort(key=lambda row: row[:5])
-    return keyed[0][5], entries
+        raise SearchError("every grid configuration failed", failures=list(zip(grid, results)))
+    return _best(entries), entries
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +371,11 @@ def forecast_benchmark_run(seed: int, n_series: int = 25, train_len: int = 10_00
     fit_window = TimePanel(names, values[:, :train_len + valid_len], t0=1)
     test = TimePanel(names, values[:, train_len + valid_len:], t0=train_len + valid_len + 1)
 
-    best, _ = grid_search(train, valid, grid)
-    ablation_grid = [c for c in grid if c.p == 0]
-    best_ablation, _ = grid_search(train, valid, ablation_grid)
-
-    scores = []
-    for config in (best, best_ablation):
-        model = fit(fit_window, config)
-        scores.append(rolling_eval(model, test).mean_r2)
-    return scores[0], scores[1]
+    best, entries = grid_search(train, valid, grid)
+    # The ablation's configs were all scored by the search above; rank them
+    # with the same key instead of searching again.
+    ablation = [e for e in entries if e.config.p == 0]
+    if not ablation:
+        raise SearchError("no order-0 configuration in the grid finished")
+    full, order0 = _score_each(fit_window, [best, _best(ablation)], test)
+    return full.mean_r2, order0.mean_r2

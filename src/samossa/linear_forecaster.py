@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, ShapeError
-from .lowrank import RankRule, select_rank, svd
-from .pagemat import stack
+from .lowrank import RankRule, SvdResult
 from .panel import TimePanel
 
-__all__ = ["BetaModel", "fit_beta", "forecast_f"]
+__all__ = ["BetaModel", "fit_beta", "solve_beta", "forecast_f"]
 
 # Relative singular value cutoff for the minimum-norm regression solve; the
 # design matrix has rank <= k_hat < L-1 by construction, so the normal
@@ -59,23 +58,27 @@ def fit_beta(panel: TimePanel, L: int, rule: RankRule, k_hat: int | None = None)
     last-row entries. ``k_hat`` overrides rank selection when the caller has
     already chosen a rank on the full matrix; otherwise the rule is applied
     to the full matrix's spectrum here. The regression is solved in the
-    minimum-norm sense.
+    minimum-norm sense. Callers that also decompose the panel should share a
+    :class:`~samossa.ssa_estimator.Stage1` instead, which stacks once.
     """
-    if L < 2:
-        raise ShapeError(f"need L >= 2 to regress the last row on the rest, got L={L}")
-    page = stack(panel, L)
-    if k_hat is None:
-        full = svd(page.data)
-        k_hat = select_rank(full.singular_values, rule, shape=page.data.shape)
+    from .ssa_estimator import Stage1  # ssa_estimator imports this module
 
-    sub = page.data[: L - 1, :]
-    k_sub = min(k_hat, *sub.shape)
-    sub_svd = svd(sub)
-    if sub_svd.singular_values[0] <= 0.0:
+    stage = Stage1(panel, L)
+    return stage.beta(stage.rank(rule) if k_hat is None else k_hat)
+
+
+def solve_beta(page: np.ndarray, sub: SvdResult, k_hat: int) -> BetaModel:
+    """Regress the raw last row of an L-row Page matrix on its top rows.
+
+    ``sub`` is the SVD of ``page[:L-1]``; the features are its rank-k_hat
+    truncation (capped at the sub-matrix's size).
+    """
+    L = page.shape[0]
+    if sub.singular_values[0] <= 0.0:
         raise FitError("all-zero feature matrix")
-    features = sub_svd.truncate(k_sub)
+    features = sub.truncate(min(k_hat, L - 1, page.shape[1]))
 
-    targets = page.data[L - 1, :]
+    targets = page[L - 1, :]
     coef, _, _, _ = np.linalg.lstsq(features.T, targets, rcond=_LSTSQ_RCOND)
     fitted = features.T @ coef
     rms = float(np.sqrt(np.mean((fitted - targets) ** 2)))

@@ -2,12 +2,14 @@
 
 Fitting runs the two stages in order: low-rank decomposition of the stacked
 Page matrix, then a lag regression for the smooth component and one AR fit
-per series on the residuals. The fitted model carries ring buffers of the
-last L-1 observations and the last residuals per series, so forecasting
-advances one step at a time: ``forecast_step`` (pure) produces the
-prediction for the next time index, ``observe`` feeds back the realized
-value, updates the buffers with the after-the-fact residual estimate, and
-advances the clock.
+per series on the residuals. Stage 1 (the decomposition and the lag
+regression) depends only on the panel and L, so it is computed once per
+(panel, L) and shared by every candidate AR order. The fitted model carries
+ring buffers of the last L-1 observations and the last residuals per
+series, so forecasting advances one step at a time: ``forecast_step``
+(pure) produces the prediction for the next time index, ``observe`` feeds
+back the realized value, updates the buffers with the after-the-fact
+residual estimate, and advances the clock.
 
 Persistence is a versioned JSON document; floats survive round-trips
 bit-exactly (shortest round-trip decimal encoding).
@@ -16,17 +18,18 @@ bit-exactly (shortest round-trip decimal encoding).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ar import ArModel, fit_ar, forecast_ar
-from .errors import ConfigError, ParseError, PersistError, StateError
-from .linear_forecaster import BetaModel, fit_beta, forecast_f
+from .errors import ConfigError, IngestError, ParseError, PersistError, StateError
+from .linear_forecaster import BetaModel, forecast_f
 from .lowrank import RankRule
 from .pagemat import default_L
 from .panel import TimePanel
-from .ssa_estimator import Decomposition, decompose
+from .ssa_estimator import Decomposition, Stage1
 
 __all__ = [
     "SamossaConfig",
@@ -109,10 +112,9 @@ def _init_state(panel: TimePanel, decomp: Decomposition, L: int,
     return _State(obs_lags=obs_lags, resid_lags=resid_lags, next_t=next_t)
 
 
-def _fit_fixed_p(panel: TimePanel, config: SamossaConfig, p: int) -> SamossaModel:
-    L = config.resolved_L(panel.n_series, panel.length)
-    decomp = decompose(panel, L, config.rank)
-    beta_model = fit_beta(panel, L, config.rank, k_hat=decomp.k_hat)
+def _fit_fixed_p(panel: TimePanel, config: SamossaConfig, p: int, stage: Stage1) -> SamossaModel:
+    decomp = stage.decompose(config.rank)
+    beta_model = stage.beta(decomp.k_hat)
     ar_models = []
     for n in range(panel.n_series):
         if p == 0:
@@ -124,11 +126,11 @@ def _fit_fixed_p(panel: TimePanel, config: SamossaConfig, p: int) -> SamossaMode
         beta_model=beta_model,
         ar_models=tuple(ar_models),
         config=config,
-        L=L,
+        L=stage.L,
         k_hat=decomp.k_hat,
         p_used=p_used,
         series_names=panel.series_names,
-        state=_init_state(panel, decomp, L, p_used),
+        state=_init_state(panel, decomp, stage.L, p_used),
     )
 
 
@@ -154,35 +156,48 @@ def _mean_r2_on_window(model: SamossaModel, window: TimePanel) -> float:
     return float(np.mean(scores))
 
 
-def fit(panel: TimePanel, config: SamossaConfig | None = None) -> SamossaModel:
+def _select_p(panel: TimePanel, config: SamossaConfig, grid: tuple[int, ...]) -> int:
+    # Every candidate is fitted on the head with one shared stage 1 and
+    # scored on the trailing valid_len observations; ties go to the smaller
+    # order. The head's stage 1 is released on return.
+    if config.valid_len is None:
+        raise ConfigError("p grid requires a validation split (set valid_len)")
+    v = config.valid_len
+    if not 2 <= v < panel.length:
+        raise ConfigError(f"valid_len={v} unusable for panel of length {panel.length}")
+    head = TimePanel(panel.series_names, panel.values[:, :-v], t0=panel.t0)
+    tail = TimePanel(panel.series_names, panel.values[:, -v:], t0=panel.t0 + panel.length - v)
+    stage = Stage1(head, config.resolved_L(head.n_series, head.length))
+    scored: list[tuple[float, int]] = []
+    for p in grid:
+        candidate = _fit_fixed_p(head, config, p, stage)
+        scored.append((_mean_r2_on_window(candidate, tail), p))
+    return max(scored, key=lambda sp: (sp[0], -sp[1]))[1]
+
+
+def fit(panel: TimePanel, config: SamossaConfig | None = None, *,
+        stage1: Stage1 | None = None) -> SamossaModel:
     """Fit the full pipeline on a training panel.
 
     With a grid-valued ``config.p``, candidate orders are scored by mean
     one-step rolling R^2 over the trailing ``config.valid_len`` observations
     (ties go to the smaller order) and the winner is refit on the entire
     panel. Requires ``valid_len`` in that mode.
+
+    Stage 1 is computed once per (panel, L): one :class:`Stage1` on the head
+    serves every candidate order (only the AR fits and the validation roll
+    run per order), and one more on the whole panel serves the final fit.
+    ``stage1`` lets a caller that fits several configurations on the same
+    panel share that last one; it must have been built on this very
+    ``panel`` at the configuration's resolved L.
     """
     config = config or SamossaConfig()
-    if isinstance(config.p, int):
-        return _fit_fixed_p(panel, config, config.p)
-
-    grid = tuple(config.p)
-    if len(grid) == 1:
-        return _fit_fixed_p(panel, config, grid[0])
-    if config.valid_len is None:
-        raise ConfigError("p grid requires a validation split (set valid_len)")
-    v = config.valid_len
-    if not 2 <= v < panel.length:
-        raise ConfigError(f"valid_len={v} unusable for panel of length {panel.length}")
-
-    head = TimePanel(panel.series_names, panel.values[:, :-v], t0=panel.t0)
-    tail = TimePanel(panel.series_names, panel.values[:, -v:], t0=panel.t0 + panel.length - v)
-    scored: list[tuple[float, int]] = []
-    for p in grid:
-        candidate = _fit_fixed_p(head, config, p)
-        scored.append((_mean_r2_on_window(candidate, tail), p))
-    best_p = max(scored, key=lambda sp: (sp[0], -sp[1]))[1]
-    return _fit_fixed_p(panel, config, best_p)
+    L = config.resolved_L(panel.n_series, panel.length)
+    if stage1 is not None and (stage1.panel is not panel or stage1.L != L):
+        raise ConfigError(f"stage 1 was built for another panel or L (L={stage1.L}, need {L})")
+    grid = (config.p,) if isinstance(config.p, int) else tuple(config.p)
+    p = grid[0] if len(grid) == 1 else _select_p(panel, config, grid)
+    return _fit_fixed_p(panel, config, p, stage1 or Stage1(panel, L))
 
 
 def forecast_step(model: SamossaModel, n: int) -> tuple[float, float, float]:
@@ -210,7 +225,9 @@ def observe(model: SamossaModel, n: int, y: float) -> SamossaModel:
     Pushes y into the observation lags, pushes the after-observation
     residual y - f_hat (with f_hat from the pending forecast) into the
     residual lags, and advances the series clock. Raises StateError unless a
-    ``forecast_step`` for this series is pending.
+    ``forecast_step`` for this series is pending, and IngestError if y is
+    not finite; either way the state, pending forecast included, is left
+    untouched.
     """
     state = model.state
     if not 0 <= n < model.n_series:
@@ -219,6 +236,8 @@ def observe(model: SamossaModel, n: int, y: float) -> SamossaModel:
         raise StateError(
             f"observe for series {n} at t={state.next_t[n]} has no pending forecast"
         )
+    if not math.isfinite(y):
+        raise IngestError(f"non-finite observation {y!r} for series {n} at t={state.next_t[n]}")
     f_hat = state.pending_f.pop(n)
     state.obs_lags[n] = np.concatenate(([y], state.obs_lags[n][:-1]))
     p = model.p_used[n]

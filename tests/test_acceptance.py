@@ -70,6 +70,7 @@ def fig2_sweep():
 class TestCriterion2EstimationSweep:
     REFERENCE = {300: 3.6e-2, 6000: 1.04e-2, 180_000: 1.4e-3, 3_000_000: 3.4e-4}
 
+    @pytest.mark.slow
     def test_band_and_slope(self, fig2_sweep):
         started = time.perf_counter()
         med = fig2_sweep.median_est_err(0.3)
@@ -87,6 +88,7 @@ class TestCriterion2EstimationSweep:
 
 
 class TestCriterion3ArIdentification:
+    @pytest.mark.slow
     def test_alpha_error_and_clean_rate(self, fig2_sweep):
         started = time.perf_counter()
         med_alpha = fig2_sweep.median_alpha_err(0.3)[3_000_000]
@@ -105,6 +107,7 @@ class TestCriterion3ArIdentification:
 
 
 class TestCriterion4ForecastBenchmark:
+    @pytest.mark.slow
     def test_r2_and_ablation_gap(self):
         started = time.perf_counter()
         scores, gaps = [], []

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,19 @@ from samossa.cli import OPTION_DEFAULTS, main
 from samossa.panel import load_csv
 
 
+GOLDEN = Path(__file__).parent / "data" / "cli_golden"
+
+
 def run(*argv):
     return main(list(argv))
+
+
+def assert_usage_error(capsys, *argv):
+    """The command exits with EXIT_USAGE and one ``UsageError`` line, no traceback."""
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("samossa: error: UsageError: "), err
 
 
 @pytest.fixture()
@@ -169,6 +181,64 @@ class TestEvalAndGrid:
         assert (out / "best.json").exists()
         lines = (out / "grid.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 configs
+
+
+class TestGoldenOutputs:
+    # Files written by the release before stage 1 was shared across configs
+    # (synth --preset forecast --n 3 --t 430 --seed 6): the shared path must
+    # reproduce them byte for byte.
+    def test_grid_files(self, tmp_path):
+        out = tmp_path / "grid"
+        assert run("grid", "--input", str(GOLDEN / "y.csv"), "--train-end", "400",
+                   "--valid-end", "430", "-o", str(out)) == 0
+        for name in ("grid.csv", "best.json"):
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_fit_p_grid_model(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        assert run("fit", "--input", str(GOLDEN / "y.csv"), "--p", "grid",
+                   "-o", str(model_path)) == 0
+        assert model_path.read_bytes() == (GOLDEN / "model.json").read_bytes()
+
+
+class TestBadInputs:
+    def test_p_comma_list_with_junk(self, capsys, synth_dir, tmp_path):
+        assert_usage_error(capsys, "fit", "--input", str(synth_dir / "y.csv"),
+                           "--p", "1,x", "-o", str(tmp_path / "m.json"))
+
+    def test_synth_lambda_star(self, capsys, tmp_path):
+        assert_usage_error(capsys, "synth", "--preset", "fig2", "--lambda-star", "abc",
+                           "-o", str(tmp_path / "d"))
+
+    def test_synth_sigma2(self, capsys, tmp_path):
+        assert_usage_error(capsys, "synth", "--kind", "pure_ar", "--alpha", "0.5",
+                           "--sigma2", "abc", "-o", str(tmp_path / "d"))
+
+    def test_synth_seed(self, capsys, tmp_path):
+        assert_usage_error(capsys, "synth", "--preset", "fig2", "--seed", "abc",
+                           "-o", str(tmp_path / "d"))
+
+    def test_fig2_sigma2(self, capsys, tmp_path):
+        assert_usage_error(capsys, "fig2", "--nt", "3000", "--seeds", "1",
+                           "--sigma2", "abc", "-o", str(tmp_path / "f"))
+
+    def test_layout(self, capsys, synth_dir, tmp_path):
+        assert_usage_error(capsys, "fit", "--input", str(synth_dir / "y.csv"),
+                           "--layout", "foo", "--p", "1", "-o", str(tmp_path / "m.json"))
+
+    def test_observe_forecast_nan_in_test_csv(self, capsys, synth_dir, tmp_path):
+        model_path = tmp_path / "model.json"
+        assert run("fit", "--input", str(synth_dir / "y.csv"), "--p", "1",
+                   "-o", str(model_path)) == 0
+        header = (synth_dir / "y.csv").read_text().splitlines()[0]
+        width = len(header.split(","))
+        test_csv = tmp_path / "test.csv"
+        test_csv.write_text(header + "\n" + ",".join(["nan"] + ["0.5"] * (width - 1)) + "\n")
+        capsys.readouterr()
+        assert run("observe-forecast", "--model", str(model_path), "--test", str(test_csv),
+                   "-o", str(tmp_path / "rolled")) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("samossa: error: IngestError: "), err
 
 
 class TestFig2:

@@ -167,11 +167,25 @@ class TestGridSearch:
             grid_search(train, test, [bad])
         assert len(excinfo.value.failures) == 1
 
+    def test_programming_error_propagates(self, monkeypatch):
+        # Only SamossaError and LinAlgError mark a config as failed; a bug
+        # such as a TypeError stops the search instead of being recorded.
+        import samossa.pipeline
+
+        def broken_fit_ar(residuals, p):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(samossa.pipeline, "fit_ar", broken_fit_ar)
+        res, train, test = small_benchmark(seed=8)
+        with pytest.raises(TypeError):
+            grid_search(train, test, [SamossaConfig(rank=RankRule.fixed(5), p=1)])
+
     def test_default_grid_size(self):
         assert len(default_grid()) == 3 * 3 * 4
 
 
 class TestFigure2Driver:
+    @pytest.mark.slow
     def test_high_persistence_level(self):
         # Strongly autocorrelated noise at the largest sweep size: the error
         # level shifts with the second-root placement, so the assertion is

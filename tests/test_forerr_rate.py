@@ -10,6 +10,7 @@ forecast/observe protocol is asserted at the smallest size.
 import dataclasses
 
 import numpy as np
+import pytest
 
 from samossa import RankRule, SamossaConfig, TimePanel
 from samossa.evaluation import GeneratorTruth, rolling_eval
@@ -94,6 +95,7 @@ class TestForErrRate:
         ))
         assert fe == pytest_approx(report.for_err)
 
+    @pytest.mark.slow
     def test_forerr_decays_over_three_decades(self):
         nts = (1000, 10_000, 100_000, 1_000_000)
         medians = []
@@ -106,6 +108,4 @@ class TestForErrRate:
 
 
 def pytest_approx(value):
-    import pytest
-
     return pytest.approx(value, rel=1e-9)

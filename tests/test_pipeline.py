@@ -3,6 +3,7 @@ import pytest
 
 from samossa import (
     ConfigError,
+    IngestError,
     ParseError,
     PersistError,
     RankRule,
@@ -148,6 +149,20 @@ class TestForecastProtocol:
         observe(model, 0, 1.0)
         with pytest.raises(StateError):
             observe(model, 0, 2.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_observe_rejects_non_finite(self, model, bad):
+        pending = forecast_step(model, 0)
+        before = (model.state.obs_lags[0].copy(), model.state.resid_lags[0].copy())
+        with pytest.raises(IngestError):
+            observe(model, 0, bad)
+        assert np.array_equal(model.state.obs_lags[0], before[0])
+        assert np.array_equal(model.state.resid_lags[0], before[1])
+        assert model.state.next_t[0] == 401
+        # The pending forecast survives: the step can still be observed.
+        observe(model, 0, 1.0)
+        assert model.state.resid_lags[0][0] == 1.0 - pending[1]
+        assert model.state.next_t[0] == 402
 
     def test_ring_buffer_order(self):
         # After observing 1, 2, 3, 4 the lag window reads most-recent-first.
