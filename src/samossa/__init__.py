@@ -57,6 +57,7 @@ from .pipeline import (
     forecast_step,
     load_model,
     observe,
+    roll,
     save_model,
 )
 from .ssa_estimator import Decomposition, decompose, est_err

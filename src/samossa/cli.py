@@ -71,7 +71,13 @@ def _add(sub: argparse.ArgumentParser, command: str, *names, default=None,
         sub.add_argument(*names, dest=dest, default=None, required=required, **kwargs)
 
 
-def _resolve(ns: argparse.Namespace, command: str) -> dict:
+class _Options(dict):
+    """Resolved option values; ``given`` names those set by a flag or the config file."""
+
+    given: frozenset = frozenset()
+
+
+def _resolve(ns: argparse.Namespace, command: str) -> _Options:
     """Layer precedence: explicit flag > config file entry > default."""
     file_values = {}
     if getattr(ns, "config", None):
@@ -82,15 +88,19 @@ def _resolve(ns: argparse.Namespace, command: str) -> dict:
             raise _UsageError(f"cannot read config file {ns.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise _UsageError(f"config file {ns.config} must hold a JSON object")
-    out = {}
+    out = _Options()
+    given = set()
     for dest, default in OPTION_DEFAULTS[command].items():
         cli_value = getattr(ns, dest, None)
         if cli_value is not None:
             out[dest] = cli_value
+            given.add(dest)
         elif dest in file_values:
             out[dest] = file_values[dest]
+            given.add(dest)
         else:
             out[dest] = default
+    out.given = frozenset(given)
     return out
 
 
@@ -175,10 +185,21 @@ def _int_list(value, name: str) -> list[int]:
 # Subcommands
 
 
+# Generator options each preset fixes itself; giving one is a usage error.
+_PRESET_FIXED = {
+    "fig2": ("kind", "r", "p", "alpha", "sigma2"),
+    "forecast": ("kind", "r", "p", "alpha", "sigma2", "lambda_star"),
+}
+
+
 def _cmd_synth(ns: argparse.Namespace) -> int:
     opts = _resolve(ns, "synth")
     seed = _number(opts["seed"], "--seed", int)
     preset = opts["preset"]
+    ignored = [key for key in _PRESET_FIXED.get(preset, ()) if key in opts.given]
+    if ignored:
+        flags = ", ".join("--" + key.replace("_", "-") for key in ignored)
+        raise _UsageError(f"--preset {preset} fixes {flags}; drop them or the preset")
 
     def dim(key: str, preset_default: int) -> int:
         value = opts[key] if opts[key] is not None else preset_default
@@ -294,14 +315,7 @@ def _cmd_observe_forecast(ns: argparse.Namespace) -> int:
     model = pipeline.load_model(opts["model"])
     test = load_csv(opts["test"], layout=_layout(opts))
     _log(f"rolling over {test.length} steps x {test.n_series} series")
-    y_hat = np.empty((test.n_series, test.length))
-    f_hat = np.empty_like(y_hat)
-    x_hat = np.empty_like(y_hat)
-    for j in range(test.length):
-        for n in range(test.n_series):
-            y_hat[n, j], f_hat[n, j], x_hat[n, j] = pipeline.forecast_step(model, n)
-        for n in range(test.n_series):
-            pipeline.observe(model, n, float(test.values[n, j]))
+    y_hat, f_hat, x_hat = pipeline.roll(model, test.values)
     out = opts["out"]
     os.makedirs(out, exist_ok=True)
     for name, data in (("y_hat", y_hat), ("f_hat", f_hat), ("x_hat", x_hat)):

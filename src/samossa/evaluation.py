@@ -21,7 +21,7 @@ from .errors import MetricError, SamossaError, SearchError, ShapeError, StateErr
 from .lowrank import RankRule
 from .pagemat import default_L
 from .panel import TimePanel
-from .pipeline import SamossaConfig, SamossaModel, fit, forecast_step, observe
+from .pipeline import SamossaConfig, SamossaModel, fit, roll
 from .ssa_estimator import Stage1, decompose, est_err
 from .synth import GeneratorSpec, estimation_spec, forecasting_spec, generate
 
@@ -118,13 +118,7 @@ def rolling_eval(model: SamossaModel, test: TimePanel,
             f"model clock {model.state.next_t} not aligned with test window start {test.t0}"
         )
     started = time.perf_counter()
-    preds = np.empty((test.n_series, test.length))
-    for j in range(test.length):
-        for n in range(test.n_series):
-            y_hat, _, _ = forecast_step(model, n)
-            preds[n, j] = y_hat
-        for n in range(test.n_series):
-            observe(model, n, float(test.values[n, j]))
+    preds = roll(model, test.values)[0]
     scores = tuple(r_squared(preds[n], test.values[n]) for n in range(test.n_series))
     fe = for_err(preds, test, truth) if truth is not None else None
     return MetricReport(

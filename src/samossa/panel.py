@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IngestError, ParseError, ShapeError, SplitError
+from .errors import ConfigError, IngestError, ParseError, ShapeError, SplitError
 
 __all__ = ["TimePanel", "SplitSpec", "load_csv", "save_csv", "split"]
 
@@ -195,31 +195,38 @@ def load_csv(path, layout: str = "wide") -> TimePanel:
 
     ``layout`` is ``"wide"`` (one column per series, column order preserved)
     or ``"long"`` ((series, t, value) triples; every series must cover the
-    full time range; gaps are rejected, imputation is out of scope).
+    full time range; gaps are rejected, imputation is out of scope). Any
+    other layout raises ConfigError.
     """
+    _check_layout(layout)
     rows = _read_rows(path)
     if layout == "wide":
         return _load_wide(rows)
-    if layout == "long":
-        return _load_long(rows)
-    raise ValueError(f"unknown layout {layout!r}")
+    return _load_long(rows)
+
+
+def _check_layout(layout: str) -> None:
+    if layout not in ("wide", "long"):
+        raise ConfigError(f"unknown layout {layout!r} (choose wide or long)")
 
 
 def save_csv(panel: TimePanel, path, layout: str = "wide") -> None:
-    """Write a panel to CSV. Floats use shortest round-trip formatting."""
+    """Write a panel to CSV. Floats use shortest round-trip formatting.
+
+    An unknown ``layout`` raises ConfigError before the file is opened.
+    """
+    _check_layout(layout)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if layout == "wide":
             writer.writerow(panel.series_names)
             for j in range(panel.length):
                 writer.writerow([repr(float(v)) for v in panel.values[:, j]])
-        elif layout == "long":
+        else:
             writer.writerow(["series", "t", "value"])
             for n, name in enumerate(panel.series_names):
                 for j in range(panel.length):
                     writer.writerow([name, panel.t0 + j, repr(float(panel.values[n, j]))])
-        else:
-            raise ValueError(f"unknown layout {layout!r}")
 
 
 def split(panel: TimePanel, spec: SplitSpec) -> tuple[TimePanel, TimePanel, TimePanel]:

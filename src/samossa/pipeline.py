@@ -11,6 +11,17 @@ series, so forecasting advances one step at a time: ``forecast_step``
 back the realized value, updates the buffers with the after-the-fact
 residual estimate, and advances the clock.
 
+``roll`` runs that protocol over a whole window of realized values for
+every series at once. With the realized values fed back, every forecast in
+the window depends only on known data, so the window takes a few numpy
+calls instead of one Python round per series and step. Each forecast is the
+same dot product over the same most-recent-first lags (``np.vecdot`` on
+contiguous rows, the kernel ``forecast_step`` uses), so ``roll`` is
+bit-identical to H rounds of ``forecast_step`` then ``observe``: the
+outputs and the state it leaves behind. Every rolling loop in the package
+(order selection, ``rolling_eval``, the CLI's ``observe-forecast`` and
+``forecast_recursive``) goes through it.
+
 Persistence is a versioned JSON document; floats survive round-trips
 bit-exactly (shortest round-trip decimal encoding).
 """
@@ -22,9 +33,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .ar import ArModel, fit_ar, forecast_ar
-from .errors import ConfigError, IngestError, ParseError, PersistError, StateError
+from .errors import (
+    ConfigError,
+    IngestError,
+    ParseError,
+    PersistError,
+    SamossaError,
+    ShapeError,
+    StateError,
+)
 from .linear_forecaster import BetaModel, forecast_f
 from .lowrank import RankRule
 from .pagemat import default_L
@@ -37,6 +57,7 @@ __all__ = [
     "fit",
     "forecast_step",
     "observe",
+    "roll",
     "forecast_recursive",
     "save_model",
     "load_model",
@@ -137,12 +158,7 @@ def _fit_fixed_p(panel: TimePanel, config: SamossaConfig, p: int, stage: Stage1)
 def _mean_r2_on_window(model: SamossaModel, window: TimePanel) -> float:
     # Local rolling score used only for order selection; the full metric
     # machinery lives in the evaluation module.
-    preds = np.empty((window.n_series, window.length))
-    for j in range(window.length):
-        for n in range(window.n_series):
-            y_hat, _, _ = forecast_step(model, n)
-            preds[n, j] = y_hat
-            observe(model, n, float(window.values[n, j]))
+    preds = roll(model, window.values)[0]
     scores = []
     for n in range(window.n_series):
         actual = window.values[n]
@@ -248,21 +264,111 @@ def observe(model: SamossaModel, n: int, y: float) -> SamossaModel:
     return model
 
 
+def _lagged_dots(history: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """``coef`` dotted with every window of ``w`` consecutive lags in ``history``.
+
+    ``history`` holds each row's values newest-first, ``H - 1 + w`` of them
+    for ``w`` coefficients and H steps; column j of the (rows x H) result
+    uses ``history[:, H-1-j : H-1-j+w]``, so the columns run oldest step to
+    newest. ``coef`` is one vector, or one per row (rows x w).
+    Every window is a contiguous most-recent-first row, so ``np.vecdot``
+    reduces it exactly as the scalar ``coef @ lags`` of ``forecast_step``
+    does (a matrix-vector product would not).
+    """
+    windows = sliding_window_view(history, coef.shape[-1], axis=1)[:, ::-1]
+    if coef.ndim == 2:
+        coef = coef[:, None, :]
+    return np.vecdot(windows, coef)
+
+
+def _ar_groups(model: SamossaModel) -> list[tuple[list[int], np.ndarray]]:
+    """Series indices sharing each nonzero AR order, with their stacked alphas."""
+    by_p: dict[int, list[int]] = {}
+    for n, p in enumerate(model.p_used):
+        if p > 0:
+            by_p.setdefault(p, []).append(n)
+    return [(rows, np.array([model.ar_models[n].alpha for n in rows])) for rows in by_p.values()]
+
+
+def _check_state(model: SamossaModel) -> None:
+    state = model.state
+    if any(lags.shape != (model.L - 1,) for lags in state.obs_lags):
+        raise StateError("forecast state not initialized")
+    if any(lags.shape != (p,) for lags, p in zip(state.resid_lags, model.p_used)):
+        raise StateError("residual lags do not match the AR orders")
+
+
+def roll(model: SamossaModel, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rolling one-step forecasts over a window of realized values.
+
+    ``values`` is N x H: column j holds every series' value at its next
+    time index plus j. Returns (y_hat, f_hat, x_hat), each N x H, and
+    advances the model exactly as H rounds of ``forecast_step`` then
+    ``observe`` on every series would, bit for bit, with no forecast left
+    pending. Fails closed: ShapeError for a wrong number of series,
+    StateError for uninitialized state, and IngestError naming the first
+    non-finite value's series and time; the model is untouched on error.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    state = model.state
+    if values.ndim != 2 or values.shape[0] != model.n_series:
+        raise ShapeError(f"values of shape {values.shape} for a {model.n_series}-series model")
+    _check_state(model)
+    bad = np.argwhere(~np.isfinite(values.T))
+    if bad.size:
+        j, n = bad[0]
+        raise IngestError(
+            f"non-finite observation {values[n, j]!r} for series {n} at t={state.next_t[n] + j}"
+        )
+    H = values.shape[1]
+    if H == 0:
+        return values.copy(), values.copy(), values.copy()
+
+    # Newest-first histories: the window reversed, then the lag buffers.
+    z = np.concatenate([values[:, ::-1], np.array(state.obs_lags)], axis=1)
+    f_hat = _lagged_dots(z[:, 1:], model.beta_model.beta)
+    x_tilde = values - f_hat
+    x_hat = np.zeros_like(f_hat)
+    resid_heads = list(state.resid_lags)
+    for rows, alphas in _ar_groups(model):
+        zx = np.concatenate([x_tilde[rows, ::-1], np.array([state.resid_lags[n] for n in rows])],
+                            axis=1)
+        x_hat[rows] = _lagged_dots(zx[:, 1:], alphas)
+        heads = zx[:, :alphas.shape[1]].copy()
+        for i, n in enumerate(rows):
+            resid_heads[n] = heads[i]
+
+    state.obs_lags = list(z[:, :model.L - 1].copy())
+    state.resid_lags = resid_heads
+    state.next_t = [t + H for t in state.next_t]
+    state.pending_f = {}
+    return f_hat + x_hat, f_hat, x_hat
+
+
 def forecast_recursive(model: SamossaModel, steps: int) -> np.ndarray:
     """Multi-step forecast feeding predictions back as observations.
 
     Returns an N x steps array. Operates on a deep copy of the state; the
     model is left untouched. This is the flagged alternative to the default
     rolling one-step protocol and is excluded from the acceptance checks.
+    Each prediction depends on the one before, so the panel advances one
+    step at a time: the step's forecasts are read off ``roll``'s lag dots on
+    the current buffers, then rolled back in as the realized values.
     """
+    _check_state(model)
     snapshot = _snapshot_state(model.state)
     out = np.empty((model.n_series, steps))
+    groups = _ar_groups(model)
     try:
         for j in range(steps):
-            for n in range(model.n_series):
-                y_hat, _, _ = forecast_step(model, n)
-                out[n, j] = y_hat
-                observe(model, n, y_hat)
+            state = model.state
+            f_hat = _lagged_dots(np.array(state.obs_lags), model.beta_model.beta)
+            x_hat = np.zeros_like(f_hat)
+            for rows, alphas in groups:
+                resid = np.array([state.resid_lags[n] for n in rows])
+                x_hat[rows] = _lagged_dots(resid, alphas)
+            out[:, j:j + 1] = f_hat + x_hat
+            roll(model, out[:, j:j + 1])
     finally:
         _restore_state(model.state, snapshot)
     return out
@@ -336,16 +442,106 @@ def save_model(model: SamossaModel, path) -> None:
         fh.write("\n")
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token}")
+
+
+def _integer(value, what: str, low: int | None = None) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def _real(value, what: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _entries(value, length: int, what: str) -> list:
+    if not isinstance(value, list) or len(value) != length:
+        size = len(value) if isinstance(value, list) else type(value).__name__
+        raise ValueError(f"{what} must be a list of {length} entries, got {size}")
+    return value
+
+
+def _vector(value, length: int, what: str) -> np.ndarray:
+    """A list of exactly ``length`` finite numbers, as a float64 array."""
+    for i, v in enumerate(_entries(value, length, what)):
+        _real(v, f"{what}[{i}]")
+    return np.array(value, dtype=np.float64)
+
+
+def _model_from_doc(doc: dict) -> SamossaModel:
+    # Every count and length is checked against N (the number of series)
+    # and L, so that ragged or short state never reaches the forecasters.
+    L = _integer(doc["L"], "L", 2)
+    names = doc["series_names"]
+    if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+        raise ValueError("series_names must be a list of strings")
+    N = len(names)
+    p_used = tuple(_integer(p, "p_used entry", 0) for p in _entries(doc["p_used"], N, "p_used"))
+    ar_models = []
+    for n, m in enumerate(_entries(doc["ar"], N, "ar")):
+        if _integer(m["p"], f"ar[{n}].p", 0) != p_used[n]:
+            raise ValueError(f"ar[{n}].p = {m['p']} but p_used[{n}] = {p_used[n]}")
+        rank_deficient = m.get("rank_deficient", False)
+        if not isinstance(rank_deficient, bool):
+            raise ValueError(f"ar[{n}].rank_deficient must be true or false")
+        ar_models.append(ArModel(
+            alpha=_vector(m["alpha"], p_used[n], f"ar[{n}].alpha"),
+            p=p_used[n],
+            noise_var_hat=_real(m["noise_var"], f"ar[{n}].noise_var"),
+            rank_deficient=rank_deficient,
+        ))
+    k_hat = _integer(doc["k_hat"], "k_hat", 0)
+    beta_model = BetaModel(
+        beta=_vector(doc["beta"], L - 1, "beta"),
+        L=L,
+        k_hat=k_hat,
+        resid_rms=_real(doc["beta_resid_rms"], "beta_resid_rms"),
+    )
+    state_doc = doc["state"]
+    pending_f = {}
+    for key, value in state_doc["pending_f"].items():
+        n = int(key)
+        if not 0 <= n < N:
+            raise ValueError(f"pending forecast for series {n} of {N}")
+        pending_f[n] = _real(value, f"pending_f[{key}]")
+    state = _State(
+        obs_lags=[_vector(a, L - 1, f"obs_lags[{n}]")
+                  for n, a in enumerate(_entries(state_doc["obs_lags"], N, "obs_lags"))],
+        resid_lags=[_vector(a, p_used[n], f"resid_lags[{n}]")
+                    for n, a in enumerate(_entries(state_doc["resid_lags"], N, "resid_lags"))],
+        next_t=[_integer(t, "next_t entry") for t in _entries(state_doc["next_t"], N, "next_t")],
+        pending_f=pending_f,
+    )
+    return SamossaModel(
+        beta_model=beta_model,
+        ar_models=tuple(ar_models),
+        config=_config_from_json(doc["config"]),
+        L=L,
+        k_hat=k_hat,
+        p_used=p_used,
+        series_names=tuple(names),
+        state=state,
+    )
+
+
 def load_model(path) -> SamossaModel:
     """Load a model saved by :func:`save_model`.
 
     Raises PersistError for an unsupported version and ParseError for a
-    malformed or truncated file.
+    malformed, truncated or inconsistent file: a missing field, a
+    non-finite number (``NaN``/``Infinity`` tokens included), a list with
+    the wrong number of series, or a lag buffer whose length is not L-1
+    (observations) or the series' AR order (residuals).
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            doc = json.load(fh, parse_constant=_reject_constant)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, NaN/Infinity
         raise ParseError(f"malformed model file {path}: {exc}") from exc
     except OSError as exc:
         raise ParseError(f"cannot read model file {path}: {exc}") from exc
@@ -357,37 +553,8 @@ def load_model(path) -> SamossaModel:
             f"(this build reads version {FORMAT_VERSION})"
         )
     try:
-        beta_model = BetaModel(
-            beta=np.array(doc["beta"], dtype=np.float64),
-            L=doc["L"],
-            k_hat=doc["k_hat"],
-            resid_rms=doc["beta_resid_rms"],
-        )
-        ar_models = tuple(
-            ArModel(
-                alpha=np.array(m["alpha"], dtype=np.float64),
-                p=m["p"],
-                noise_var_hat=m["noise_var"],
-                rank_deficient=m.get("rank_deficient", False),
-            )
-            for m in doc["ar"]
-        )
-        state_doc = doc["state"]
-        state = _State(
-            obs_lags=[np.array(a, dtype=np.float64) for a in state_doc["obs_lags"]],
-            resid_lags=[np.array(a, dtype=np.float64) for a in state_doc["resid_lags"]],
-            next_t=list(state_doc["next_t"]),
-            pending_f={int(k): v for k, v in state_doc["pending_f"].items()},
-        )
-        return SamossaModel(
-            beta_model=beta_model,
-            ar_models=ar_models,
-            config=_config_from_json(doc["config"]),
-            L=doc["L"],
-            k_hat=doc["k_hat"],
-            p_used=tuple(doc["p_used"]),
-            series_names=tuple(doc["series_names"]),
-            state=state,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"model file {path} is missing fields: {exc}") from exc
+        return _model_from_doc(doc)
+    except KeyError as exc:
+        raise ParseError(f"model file {path} is missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError, OverflowError, SamossaError) as exc:
+        raise ParseError(f"model file {path} is invalid: {exc}") from exc

@@ -64,6 +64,29 @@ class TestSynth:
     def test_bad_preset(self, tmp_path):
         assert run("synth", "--preset", "nope", "-o", str(tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize("preset, flags", [
+        ("fig2", ["--sigma2", "0.04"]),
+        ("fig2", ["--kind", "pure_ar", "--r", "2"]),
+        ("fig2", ["--p", "1"]),
+        ("fig2", ["--alpha", "0.5"]),
+        ("forecast", ["--lambda-star", "0.3"]),
+        ("forecast", ["--sigma2", "0.04", "--p", "3"]),
+    ])
+    def test_preset_rejects_flags_it_fixes(self, capsys, tmp_path, preset, flags):
+        out = tmp_path / "d"
+        assert_usage_error(capsys, "synth", "--preset", preset, "--t", "50", *flags,
+                           "-o", str(out))
+        assert not out.exists()
+
+    def test_preset_rejects_fixed_keys_from_config(self, capsys, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"sigma2": 0.04}))
+        assert_usage_error(capsys, "synth", "--preset", "fig2", "--t", "50",
+                           "--config", str(conf), "-o", str(tmp_path / "d"))
+        capsys.readouterr()
+        assert run("synth", "--kind", "pure_ar", "--alpha", "0.5", "--n", "1", "--t", "50",
+                   "--config", str(conf), "-o", str(tmp_path / "custom")) == 0
+
 
 class TestFitForecast:
     def test_fit_writes_model(self, synth_dir, tmp_path):
@@ -143,6 +166,25 @@ class TestObserveForecast:
             assert (out / name).exists()
         y_hat = load_csv(out / "y_hat.csv")
         assert y_hat.values.shape == (10, 30)
+
+    def test_matches_library_roll_exactly(self, tmp_path):
+        from samossa import load_model, rolling_eval
+        from samossa.panel import TimePanel, save_csv
+
+        test = load_csv(GOLDEN / "y.csv")
+        model_path = GOLDEN / "model.json"
+        out, advanced = tmp_path / "rolled", tmp_path / "advanced.json"
+        test_csv = tmp_path / "test.csv"
+        # Roll the golden model on the last 30 steps of its own panel, relabelled
+        # to start at the model's next time index.
+        model = load_model(model_path)
+        window = TimePanel(test.series_names, test.values[:, -30:], t0=model.state.next_t[0])
+        save_csv(window, test_csv)
+        assert run("observe-forecast", "--model", str(model_path), "--test", str(test_csv),
+                   "-o", str(out), "--save-model", str(advanced)) == 0
+        report = rolling_eval(model, window)
+        assert np.array_equal(load_csv(out / "y_hat.csv").values, report.predictions)
+        assert load_model(advanced).state.next_t == model.state.next_t
 
 
 class TestEvalAndGrid:

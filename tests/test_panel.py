@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samossa import IngestError, ParseError, ShapeError, SplitError, SplitSpec, TimePanel
+from samossa import ConfigError, IngestError, ParseError, ShapeError, SplitError, SplitSpec, TimePanel
 from samossa.panel import load_csv, save_csv, split
 
 
@@ -106,6 +106,16 @@ class TestRoundTrip:
         back = load_csv(path, layout="long")
         assert back.t0 == 7
         np.testing.assert_array_equal(back.values, panel.values)
+
+    def test_unknown_layout_is_config_error(self, tmp_path):
+        panel = TimePanel(("a",), np.array([[1.0, 2.0]]))
+        path = tmp_path / "p.csv"
+        with pytest.raises(ConfigError, match="unknown layout 'tall'"):
+            save_csv(panel, path, layout="tall")
+        assert not path.exists()
+        save_csv(panel, path)
+        with pytest.raises(ConfigError, match="unknown layout 'tall'"):
+            load_csv(path, layout="tall")
 
 
 class TestSplit:
