@@ -47,7 +47,7 @@ from .evaluation import (
 )
 from .linear_forecaster import BetaModel, fit_beta, forecast_f
 from .lowrank import RankRule, SvdResult, hsvt, select_rank, svd
-from .pagemat import PageShape, StackedPage, cell_of, default_L, page_matrix, stack, time_of
+from .pagemat import PageShape, StackedPage, default_L, stack, unstack
 from .panel import SplitSpec, TimePanel, load_csv, save_csv, split
 from .pipeline import (
     SamossaConfig,

@@ -25,7 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import evaluation, pipeline, synth
-from .errors import SamossaError
+from .errors import SamossaError, ShapeError, StateError
 from .lowrank import RankRule
 from .pagemat import default_L
 from .panel import SplitSpec, TimePanel, load_csv, save_csv, split
@@ -312,8 +312,19 @@ def _cmd_forecast(ns: argparse.Namespace) -> int:
 
 def _cmd_observe_forecast(ns: argparse.Namespace) -> int:
     opts = _resolve(ns, "observe-forecast")
+    layout = _layout(opts)
     model = pipeline.load_model(opts["model"])
-    test = load_csv(opts["test"], layout=_layout(opts))
+    test = load_csv(opts["test"], layout=layout)
+    if test.series_names != model.series_names:
+        raise ShapeError(
+            f"test series {list(test.series_names)} do not match the model's "
+            f"{list(model.series_names)}"
+        )
+    # Only long rows carry t; a wide file's columns start wherever the model is.
+    if layout == "long" and any(t != test.t0 for t in model.state.next_t):
+        raise StateError(
+            f"model clock {model.state.next_t} not aligned with test window start {test.t0}"
+        )
     _log(f"rolling over {test.length} steps x {test.n_series} series")
     y_hat, f_hat, x_hat = pipeline.roll(model, test.values)
     out = opts["out"]
@@ -335,19 +346,20 @@ def _load_truth(truth_dir: str) -> evaluation.GeneratorTruth:
     return evaluation.GeneratorTruth(f=f_panel, x=x_panel, alphas=alphas)
 
 
-def _write_report(report: evaluation.MetricReport, names, out_dir: str) -> None:
+def _write_report(report: evaluation.MetricReport, config: dict, names, out_dir: str) -> None:
+    # A series with no variance has no R^2: an empty cell, null in JSON.
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["series", "r2"])
         for name, score in zip(names, report.per_series_r2):
-            writer.writerow([name, repr(score)])
+            writer.writerow([name, "" if score is None else repr(score)])
     summary = {
         "mean_r2": report.mean_r2,
         "per_series_r2": list(report.per_series_r2),
         "for_err": report.for_err,
         "runtime_seconds": report.runtime,
-        "config": report.config,
+        "config": config,
     }
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=1)
@@ -375,17 +387,9 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     model = pipeline.fit(fit_window, config)
     truth = _load_truth(opts["truth_dir"]) if opts["truth_dir"] else None
     report = evaluation.rolling_eval(model, test, truth=truth)
-    report = evaluation.MetricReport(
-        per_series_r2=report.per_series_r2,
-        mean_r2=report.mean_r2,
-        est_err=report.est_err,
-        for_err=report.for_err,
-        runtime=report.runtime,
-        config={"L": model.L, "k_hat": model.k_hat, "rank": str(config.rank),
-                "p": list(model.p_used), "shape_ratio": config.shape_ratio},
-        predictions=report.predictions,
-    )
-    _write_report(report, panel.series_names, opts["out"])
+    fitted = {"L": model.L, "k_hat": model.k_hat, "rank": str(config.rank),
+              "p": list(model.p_used), "shape_ratio": config.shape_ratio}
+    _write_report(report, fitted, panel.series_names, opts["out"])
     _log(f"mean R^2 = {report.mean_r2:.4f}")
     if min_r2 is not None and report.mean_r2 < min_r2:
         _fail_line("AssertionFailure", f"mean R^2 {report.mean_r2:.4f} < required {opts['min_r2']}")
@@ -592,7 +596,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add(p, "fig2", "--n", default=10, help="number of series")
     _add(p, "fig2", "--rank", default="fixed:6", help="rank rule for the sweep")
     _add(p, "fig2", "--p", default=2, help="AR order fitted to residuals")
-    _add(p, "fig2", "--sigma2", default=0.2, help="innovation variance of the AR noise")
+    _add(p, "fig2", "--sigma2", default=0.2,
+         help="innovation variance of the AR noise (the reference error levels are at 0.04)")
     _add(p, "fig2", "--seed", default=0, help="base RNG seed")
     _add(p, "fig2", "--threads", help="worker threads (default: all cores)")
     _add(p, "fig2", "--check", flag=True, help="exit 3 unless errors decay with slope in band")

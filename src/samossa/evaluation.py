@@ -4,7 +4,9 @@ The rolling protocol: the model is fitted once, then for every test step it
 forecasts all series, the realized values are revealed, and the clock
 advances. Scores are per-series R^2 against the realized values; when the
 generating process is known, the out-of-sample error against the one-step
-conditional mean is reported as well.
+conditional mean is reported as well. This module holds the one rolling
+scorer and the one ranking: ``grid_search`` and the p-grid order selection
+in ``pipeline.fit`` both go through ``_score_each`` and ``_best``.
 """
 
 from __future__ import annotations
@@ -41,19 +43,38 @@ __all__ = [
 ]
 
 
+def _r2_rows(pred: np.ndarray, actual: np.ndarray) -> list[float | None]:
+    """R^2 of every row of ``pred`` against the same row of ``actual`` (N x H).
+
+    This is the zero-variance rule: a row whose actual values are all equal
+    has no R^2 and scores None. The test is exact equality, not SST <= 0:
+    the mean of a constant window need not round back to its value
+    (25 x 0.1 leaves an SST of about 5e-33).
+    """
+    constant = np.all(actual == actual[:, :1], axis=1)
+    varying = actual[~constant]
+    sst = np.sum((varying - varying.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    sse = np.sum((pred[~constant] - varying) ** 2, axis=1)
+    scores = iter((1.0 - sse / sst).tolist())
+    return [None if c else next(scores) for c in constant]
+
+
 def r_squared(pred, actual) -> float:
-    """Coefficient of determination: 1 - SSE/SST about the actual mean."""
+    """Coefficient of determination: 1 - SSE/SST about the actual mean.
+
+    Raises MetricError for a window of fewer than two points or with zero
+    variance (all values equal).
+    """
     pred = np.asarray(pred, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
     if pred.shape != actual.shape or pred.ndim != 1:
         raise ShapeError(f"shape mismatch {pred.shape} vs {actual.shape}")
     if pred.shape[0] < 2:
         raise MetricError("need at least two points for R^2")
-    sst = float(np.sum((actual - actual.mean()) ** 2))
-    if sst <= 0.0:
+    (score,) = _r2_rows(pred[None], actual[None])
+    if score is None:
         raise MetricError("actual values have zero variance")
-    sse = float(np.sum((pred - actual) ** 2))
-    return 1.0 - sse / sst
+    return score
 
 
 @dataclass(frozen=True)
@@ -72,12 +93,16 @@ class GeneratorTruth:
 
 @dataclass(frozen=True)
 class MetricReport:
-    per_series_r2: tuple[float, ...]
+    """Scores of one rolling evaluation.
+
+    ``per_series_r2`` holds None for a series with zero variance over the
+    window; ``mean_r2`` is the mean over the other series.
+    """
+
+    per_series_r2: tuple[float | None, ...]
     mean_r2: float
-    est_err: tuple[float, ...] | None
     for_err: float | None
     runtime: float
-    config: dict | None
     predictions: np.ndarray | None = None
 
 
@@ -110,6 +135,9 @@ def rolling_eval(model: SamossaModel, test: TimePanel,
 
     The model must already be aligned with the start of the test window
     (fit on everything before it); fitting never recurs during the loop.
+    A series whose realized values are all equal has no R^2: it scores
+    None and is left out of the mean. Raises MetricError for a window
+    shorter than two steps or one in which no series varies.
     """
     if test.n_series != model.n_series:
         raise ShapeError(f"{test.n_series} test series for {model.n_series}-series model")
@@ -117,17 +145,20 @@ def rolling_eval(model: SamossaModel, test: TimePanel,
         raise StateError(
             f"model clock {model.state.next_t} not aligned with test window start {test.t0}"
         )
+    if test.length < 2:
+        raise MetricError("need at least two points for R^2")
     started = time.perf_counter()
     preds = roll(model, test.values)[0]
-    scores = tuple(r_squared(preds[n], test.values[n]) for n in range(test.n_series))
+    scores = tuple(_r2_rows(preds, test.values))
+    varying = [score for score in scores if score is not None]
+    if not varying:
+        raise MetricError("R^2 is undefined: no series varies over the window")
     fe = for_err(preds, test, truth) if truth is not None else None
     return MetricReport(
         per_series_r2=scores,
-        mean_r2=float(np.mean(scores)),
-        est_err=None,
+        mean_r2=float(np.mean(varying)),
         for_err=fe,
         runtime=time.perf_counter() - started,
-        config=None,
         predictions=preds,
     )
 

@@ -1,14 +1,11 @@
-"""Page matrices, the stacked Page matrix, and index bookkeeping.
+"""Page matrices and the stacked Page matrix layout.
 
 A Page matrix cuts a series into non-overlapping length-L segments and
 stacks them as columns (entries are not repeated, unlike a Hankel matrix).
 The stacked Page matrix concatenates the per-series Page matrices
-column-wise, in series order.
-
-Index maps in this module use the mathematical 1-based convention
-throughout: time indices t in 1..T, series indices n in 1..N, and matrix
-coordinates (row, col) starting at (1, 1). Everything above this module
-uses ordinary 0-based Python indexing for series.
+column-wise, in series order. This module holds that layout, both ways:
+:func:`stack` builds the matrix from a panel and :func:`unstack` reads
+per-series values back out of it.
 """
 
 from __future__ import annotations
@@ -24,10 +21,8 @@ from .panel import TimePanel
 __all__ = [
     "PageShape",
     "StackedPage",
-    "page_matrix",
     "stack",
-    "cell_of",
-    "time_of",
+    "unstack",
     "default_L",
 ]
 
@@ -73,69 +68,29 @@ class StackedPage:
             raise ShapeError(f"data shape {self.data.shape} != {expected}")
 
 
-def _page_block(series: np.ndarray, L: int) -> tuple[np.ndarray, int, int]:
-    T = series.shape[0]
+def stack(panel: TimePanel, L: int) -> StackedPage:
+    """Stacked Page matrix of a panel: per-series Page matrices side by side.
+
+    When L does not divide the length, the trailing L*floor(T/L) entries of
+    every series are used (recent data is favored for forecasting) and
+    ``origin`` records the dropped prefix length.
+    """
+    N, T = panel.values.shape
     if L < 1 or L > T:
         raise ShapeError(f"segment length L={L} invalid for series of length {T}")
     M = T // L
     origin = T - L * M
-    block = series[origin:].reshape(M, L).T
-    return block, M, origin
+    data = panel.values[:, origin:].reshape(N * M, L).T
+    return StackedPage(shape=PageShape(L=L, M=M, N=N), data=data, origin=origin)
 
 
-def page_matrix(series, L: int) -> StackedPage:
-    """Page matrix of one series: columns are consecutive length-L segments.
+def unstack(data: np.ndarray, n_series: int) -> np.ndarray:
+    """Per-series values (N x L*M) read back out of a stacked Page matrix.
 
-    When L does not divide the length, the trailing L*floor(T/L) entries are
-    used (recent data is favored for forecasting) and ``origin`` records the
-    dropped prefix length.
+    The inverse of :func:`stack`: row n is series n's retained window.
     """
-    series = np.asarray(series, dtype=np.float64)
-    if series.ndim != 1:
-        raise ShapeError("page_matrix expects a 1-D series")
-    block, M, origin = _page_block(series, L)
-    return StackedPage(shape=PageShape(L=L, M=M, N=1), data=block, origin=origin)
-
-
-def stack(panel: TimePanel, L: int) -> StackedPage:
-    """Stacked Page matrix of a panel: per-series blocks side by side."""
-    blocks = []
-    M = origin = None
-    for n in range(panel.n_series):
-        block, M, origin = _page_block(panel.values[n], L)
-        blocks.append(block)
-    data = np.hstack(blocks)
-    return StackedPage(shape=PageShape(L=L, M=M, N=panel.n_series), data=data, origin=origin)
-
-
-def cell_of(t: int, n: int, shape: PageShape, origin: int = 0) -> tuple[int, int]:
-    """Matrix cell (row, col), 1-based, holding series n's value at time t.
-
-    Inverse of :func:`time_of`. Raises IndexError when t falls outside the
-    retained window (origin, origin + L*M] or n outside 1..N.
-    """
-    if not 1 <= n <= shape.N:
-        raise IndexError(f"series index {n} outside 1..{shape.N}")
-    local = t - origin
-    if not 1 <= local <= shape.t_eff:
-        raise IndexError(
-            f"t={t} outside retained window ({origin}, {origin + shape.t_eff}]"
-        )
-    row = (local - 1) % shape.L + 1
-    col = (n - 1) * shape.M + (local - 1) // shape.L + 1
-    return row, col
-
-
-def time_of(row: int, col: int, shape: PageShape, origin: int = 0) -> tuple[int, int]:
-    """Time index and series (t, n), 1-based, stored at matrix cell (row, col)."""
-    if not 1 <= row <= shape.L:
-        raise IndexError(f"row {row} outside 1..{shape.L}")
-    if not 1 <= col <= shape.cols:
-        raise IndexError(f"col {col} outside 1..{shape.cols}")
-    n = (col - 1) // shape.M + 1
-    j = (col - 1) % shape.M + 1
-    t = origin + (j - 1) * shape.L + row
-    return t, n
+    L, cols = data.shape
+    return data.T.reshape(n_series, L * (cols // n_series))
 
 
 def default_L(N: int, T: int, ratio: int = 1) -> int:

@@ -28,9 +28,10 @@ bit-exactly (shortest round-trip decimal encoding).
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -155,27 +156,13 @@ def _fit_fixed_p(panel: TimePanel, config: SamossaConfig, p: int, stage: Stage1)
     )
 
 
-def _mean_r2_on_window(model: SamossaModel, window: TimePanel) -> float:
-    # Local rolling score used only for order selection; the full metric
-    # machinery lives in the evaluation module.
-    preds = roll(model, window.values)[0]
-    scores = []
-    for n in range(window.n_series):
-        actual = window.values[n]
-        sst = float(np.sum((actual - actual.mean()) ** 2))
-        if sst <= 0.0:
-            continue
-        sse = float(np.sum((preds[n] - actual) ** 2))
-        scores.append(1.0 - sse / sst)
-    if not scores:
-        raise ConfigError("validation window has no variance; cannot select p")
-    return float(np.mean(scores))
-
-
 def _select_p(panel: TimePanel, config: SamossaConfig, grid: tuple[int, ...]) -> int:
-    # Every candidate is fitted on the head with one shared stage 1 and
-    # scored on the trailing valid_len observations; ties go to the smaller
-    # order. The head's stage 1 is released on return.
+    # Order selection is one more grid search: every candidate is fitted on
+    # the head with one shared stage 1 and scored on the trailing valid_len
+    # observations by the search's rolling R^2 and ranking, so ties go to
+    # the smaller order. The head's stage 1 is released on return.
+    from .evaluation import _best, _score_each  # evaluation imports this module
+
     if config.valid_len is None:
         raise ConfigError("p grid requires a validation split (set valid_len)")
     v = config.valid_len
@@ -183,22 +170,19 @@ def _select_p(panel: TimePanel, config: SamossaConfig, grid: tuple[int, ...]) ->
         raise ConfigError(f"valid_len={v} unusable for panel of length {panel.length}")
     head = TimePanel(panel.series_names, panel.values[:, :-v], t0=panel.t0)
     tail = TimePanel(panel.series_names, panel.values[:, -v:], t0=panel.t0 + panel.length - v)
-    stage = Stage1(head, config.resolved_L(head.n_series, head.length))
-    scored: list[tuple[float, int]] = []
-    for p in grid:
-        candidate = _fit_fixed_p(head, config, p, stage)
-        scored.append((_mean_r2_on_window(candidate, tail), p))
-    return max(scored, key=lambda sp: (sp[0], -sp[1]))[1]
+    return _best(_score_each(head, [replace(config, p=p) for p in grid], tail)).p
 
 
 def fit(panel: TimePanel, config: SamossaConfig | None = None, *,
         stage1: Stage1 | None = None) -> SamossaModel:
     """Fit the full pipeline on a training panel.
 
-    With a grid-valued ``config.p``, candidate orders are scored by mean
-    one-step rolling R^2 over the trailing ``config.valid_len`` observations
-    (ties go to the smaller order) and the winner is refit on the entire
-    panel. Requires ``valid_len`` in that mode.
+    With a grid-valued ``config.p``, the candidate orders are searched like
+    any grid: each is scored by mean one-step rolling R^2 over the trailing
+    ``config.valid_len`` observations, with the same zero-variance rule and
+    ranking as :func:`~samossa.evaluation.grid_search` (ties go to the
+    smaller order), and the winner is refit on the entire panel. Requires
+    ``valid_len`` in that mode.
 
     Stage 1 is computed once per (panel, L): one :class:`Stage1` on the head
     serves every candidate order (only the AR fits and the validation roll
@@ -348,45 +332,28 @@ def roll(model: SamossaModel, values) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def forecast_recursive(model: SamossaModel, steps: int) -> np.ndarray:
     """Multi-step forecast feeding predictions back as observations.
 
-    Returns an N x steps array. Operates on a deep copy of the state; the
-    model is left untouched. This is the flagged alternative to the default
-    rolling one-step protocol and is excluded from the acceptance checks.
+    Returns an N x steps array. Rolls a copy of the model that holds a deep
+    copy of its state, so the model itself is left untouched. This is the
+    flagged alternative to the default rolling one-step protocol and is
+    excluded from the acceptance checks.
     Each prediction depends on the one before, so the panel advances one
     step at a time: the step's forecasts are read off ``roll``'s lag dots on
     the current buffers, then rolled back in as the realized values.
     """
     _check_state(model)
-    snapshot = _snapshot_state(model.state)
+    model = replace(model, state=copy.deepcopy(model.state))
     out = np.empty((model.n_series, steps))
     groups = _ar_groups(model)
-    try:
-        for j in range(steps):
-            state = model.state
-            f_hat = _lagged_dots(np.array(state.obs_lags), model.beta_model.beta)
-            x_hat = np.zeros_like(f_hat)
-            for rows, alphas in groups:
-                resid = np.array([state.resid_lags[n] for n in rows])
-                x_hat[rows] = _lagged_dots(resid, alphas)
-            out[:, j:j + 1] = f_hat + x_hat
-            roll(model, out[:, j:j + 1])
-    finally:
-        _restore_state(model.state, snapshot)
+    for j in range(steps):
+        state = model.state
+        f_hat = _lagged_dots(np.array(state.obs_lags), model.beta_model.beta)
+        x_hat = np.zeros_like(f_hat)
+        for rows, alphas in groups:
+            resid = np.array([state.resid_lags[n] for n in rows])
+            x_hat[rows] = _lagged_dots(resid, alphas)
+        out[:, j:j + 1] = f_hat + x_hat
+        roll(model, out[:, j:j + 1])
     return out
-
-
-def _snapshot_state(state: _State):
-    return (
-        [a.copy() for a in state.obs_lags],
-        [a.copy() for a in state.resid_lags],
-        list(state.next_t),
-        dict(state.pending_f),
-    )
-
-
-def _restore_state(state: _State, snap) -> None:
-    state.obs_lags, state.resid_lags, next_t, pending = snap
-    state.next_t = next_t
-    state.pending_f = pending
 
 
 def _config_to_json(config: SamossaConfig) -> dict:
@@ -401,12 +368,19 @@ def _config_to_json(config: SamossaConfig) -> dict:
 
 def _config_from_json(doc: dict) -> SamossaConfig:
     p = doc["p"]
+    if isinstance(p, list):
+        if not p:
+            raise ValueError("config.p must not be an empty list")
+        p = tuple(_integer(q, "config.p entry", 0) for q in p)
+    else:
+        p = _integer(p, "config.p", 0)
+    L, valid_len = doc["L"], doc["valid_len"]
     return SamossaConfig(
-        L=doc["L"],
+        L=None if L is None else _integer(L, "config.L", 2),
         rank=RankRule.parse(doc["rank"]),
-        p=tuple(p) if isinstance(p, list) else p,
-        shape_ratio=doc["shape_ratio"],
-        valid_len=doc["valid_len"],
+        p=p,
+        shape_ratio=_integer(doc["shape_ratio"], "config.shape_ratio", 1),
+        valid_len=None if valid_len is None else _integer(valid_len, "config.valid_len", 2),
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ShapeError
 from .linear_forecaster import BetaModel, solve_beta
 from .lowrank import RankRule, SvdResult, select_rank, svd
-from .pagemat import stack
+from .pagemat import stack, unstack
 from .panel import TimePanel
 
 __all__ = ["Decomposition", "Stage1", "decompose", "est_err"]
@@ -49,17 +49,6 @@ class Decomposition:
     @property
     def t_eff(self) -> int:
         return self.f_hat.shape[1]
-
-
-def _unstack(data: np.ndarray, n_series: int) -> np.ndarray:
-    """Read per-series values back out of a stacked Page matrix."""
-    L, total = data.shape
-    M = total // n_series
-    out = np.empty((n_series, L * M))
-    for n in range(n_series):
-        block = data[:, n * M: (n + 1) * M]
-        out[n] = block.T.ravel()
-    return out
 
 
 class Stage1:
@@ -111,7 +100,7 @@ class Stage1:
     def _truncate(self, k_hat: int) -> Decomposition:
         s = self._full.singular_values
         denoised = self._full.truncate(k_hat)
-        f_hat = _unstack(denoised, self.panel.n_series)
+        f_hat = unstack(denoised, self.panel.n_series)
         retained = self.panel.values[:, self.page.origin:]
         x_hat = retained - f_hat
         n, t_eff = f_hat.shape

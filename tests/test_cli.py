@@ -187,6 +187,39 @@ class TestObserveForecast:
         assert load_model(advanced).state.next_t == model.state.next_t
 
 
+    def _rejected(self, capsys, tmp_path, test_csv, layout, kind):
+        """observe-forecast on the golden model ends in one ``kind`` line, exit 2, no files."""
+        out, advanced = tmp_path / "rolled", tmp_path / "advanced.json"
+        capsys.readouterr()
+        assert run("observe-forecast", "--model", str(GOLDEN / "model.json"),
+                   "--test", str(test_csv), "--layout", layout, "-o", str(out),
+                   "--save-model", str(advanced)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"samossa: error: {kind}: "), err
+        assert not out.exists() and not advanced.exists()
+
+    def test_long_file_off_the_model_clock(self, capsys, tmp_path):
+        from samossa import load_model
+        from samossa.panel import TimePanel, save_csv
+
+        model = load_model(GOLDEN / "model.json")
+        names, test_csv = model.series_names, tmp_path / "test.csv"
+        save_csv(TimePanel(names, np.ones((len(names), 3)), t0=5), test_csv, layout="long")
+        self._rejected(capsys, tmp_path, test_csv, "long", "StateError")
+        # The same rows at the model's clock roll.
+        start = model.state.next_t[0]
+        save_csv(TimePanel(names, np.ones((len(names), 3)), t0=start), test_csv, layout="long")
+        assert run("observe-forecast", "--model", str(GOLDEN / "model.json"), "--test",
+                   str(test_csv), "--layout", "long", "-o", str(tmp_path / "ok")) == 0
+
+    def test_wide_columns_out_of_order(self, capsys, tmp_path):
+        from samossa.panel import TimePanel, save_csv
+
+        test_csv = tmp_path / "test.csv"
+        save_csv(TimePanel(("s3", "s2", "s1"), np.ones((3, 3))), test_csv)
+        self._rejected(capsys, tmp_path, test_csv, "wide", "ShapeError")
+
+
 class TestEvalAndGrid:
     def test_eval_report(self, tmp_path):
         data = tmp_path / "data"
@@ -200,6 +233,29 @@ class TestEvalAndGrid:
         report = json.loads((out / "report.json").read_text())
         assert "mean_r2" in report and report["for_err"] is not None
         assert (out / "report.csv").exists()
+
+    def test_eval_report_constant_series(self, tmp_path):
+        # A series with no variance over the test window has no R^2: an empty
+        # report.csv cell, null in report.json, and no part in the mean.
+        from samossa.panel import TimePanel, save_csv
+
+        data = tmp_path / "data"
+        run("synth", "--preset", "forecast", "--n", "3", "--t", "2050",
+            "--seed", "5", "-o", str(data))
+        panel = load_csv(data / "y.csv")
+        values = panel.values.copy()
+        values[1, 2025:] = 0.1
+        save_csv(TimePanel(panel.series_names, values), data / "y.csv")
+        out = tmp_path / "report"
+        assert run("eval", "--input", str(data / "y.csv"),
+                   "--train-end", "2000", "--valid-end", "2025", "--test-end", "2050",
+                   "--p", "1", "-o", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        r2 = report["per_series_r2"]
+        assert r2[1] is None and None not in (r2[0], r2[2])
+        assert report["mean_r2"] == float(np.mean([r2[0], r2[2]]))
+        rows = (out / "report.csv").read_text().splitlines()
+        assert rows[2] == "s2,"
 
     def test_eval_min_r2_gate(self, tmp_path):
         data = tmp_path / "data"

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from samossa import (
     MetricError,
@@ -12,6 +16,7 @@ from samossa import (
 )
 from samossa.evaluation import (
     GeneratorTruth,
+    _r2_rows,
     default_grid,
     figure2_experiment,
     for_err,
@@ -19,7 +24,7 @@ from samossa.evaluation import (
     r_squared,
     rolling_eval,
 )
-from samossa.pipeline import fit
+from samossa.pipeline import fit, roll
 from samossa.synth import forecasting_spec, generate
 
 
@@ -131,6 +136,87 @@ class TestRollingEval:
         model = fit(train, SamossaConfig(rank=RankRule.fixed(8), p=1))
         report = rolling_eval(model, test, truth=truth)
         assert report.for_err is not None and report.for_err >= 0.0
+
+
+def plain_r2(pred, actual) -> float:
+    """R^2 of one series, written out: the reference the batched scores must equal."""
+    sst = float(np.sum((actual - actual.mean()) ** 2))
+    return 1.0 - float(np.sum((pred - actual) ** 2)) / sst
+
+
+def with_constant_rows(panel: TimePanel, rows, value=0.1) -> TimePanel:
+    values = panel.values.copy()
+    values[rows] = value
+    return TimePanel(panel.series_names, values, t0=panel.t0)
+
+
+class TestZeroVarianceRule:
+    # A series whose window values are all equal has no R^2. The test is
+    # exact equality: the mean of 25 x 0.1 does not round back to 0.1, so
+    # an SST <= 0 test lets such a window through with a tiny SST.
+    def test_r_squared_constant_window_that_does_not_round(self):
+        actual = np.full(25, 0.1)
+        assert np.sum((actual - actual.mean()) ** 2) > 0.0
+        with pytest.raises(MetricError):
+            r_squared(np.zeros(25), actual)
+
+    def test_rolling_eval_leaves_constant_series_out(self):
+        res, train, test = small_benchmark()
+        test = with_constant_rows(test, [1])
+        model = fit(train, SamossaConfig(rank=RankRule.fixed(8), p=1))
+        report = rolling_eval(model, test)
+        assert report.per_series_r2[1] is None
+        others = [plain_r2(report.predictions[n], test.values[n]) for n in (0, 2, 3)]
+        assert [report.per_series_r2[n] for n in (0, 2, 3)] == others
+        assert report.mean_r2 == float(np.mean(others))
+
+    def test_grid_search_scores_config_with_constant_series(self):
+        res, train, test = small_benchmark()
+        test = with_constant_rows(test, [0])
+        config = SamossaConfig(rank=RankRule.fixed(8), p=1)
+        best, entries = grid_search(train, test, [config])
+        assert best is config
+        preds = roll(fit(train, config), test.values)[0]
+        expected = np.mean([plain_r2(preds[n], test.values[n]) for n in (1, 2, 3)])
+        assert [e.mean_r2 for e in entries] == [expected]
+
+    def test_all_constant_window(self):
+        res, train, test = small_benchmark()
+        test = with_constant_rows(test, slice(None))
+        model = fit(train, SamossaConfig(rank=RankRule.fixed(8), p=1))
+        with pytest.raises(MetricError):
+            rolling_eval(model, test)
+
+    @given(N=st.integers(1, 5), H=st.integers(2, 700), seed=st.integers(0, 2**32 - 1),
+           constant=st.sets(st.integers(0, 4)))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_scores_equal_plain_formula(self, N, H, seed, constant):
+        # One vectorized pass over every series gives each series the same
+        # bits as the one-series formula (pairwise sums per row included).
+        rng = np.random.default_rng(seed)
+        pred, actual = rng.normal(size=(2, N, H))
+        for n in constant & set(range(N)):
+            actual[n] = 0.1
+        expected = [None if n in constant else plain_r2(pred[n], actual[n]) for n in range(N)]
+        assert _r2_rows(pred, actual) == expected
+
+    def test_order_selection_skips_constant_series(self):
+        # fit's p grid with series 2 constant over the validation tail picks
+        # the order a manual argmax over the varying series picks.
+        res, panel, _ = small_benchmark(seed=9, length=1500)
+        v = 25
+        values = panel.values.copy()
+        values[2, -v:] = 0.1
+        panel = TimePanel(panel.series_names, values, t0=panel.t0)
+        head = TimePanel(panel.series_names, values[:, :-v], t0=panel.t0)
+        tail = values[:, -v:]
+        config = SamossaConfig(rank=RankRule.fixed(8), p=(0, 1, 2, 3), valid_len=v)
+        means = []
+        for p in config.p:
+            preds = roll(fit(head, replace(config, p=p)), tail)[0]
+            means.append(np.mean([plain_r2(preds[n], tail[n]) for n in (0, 1, 3)]))
+        manual = config.p[int(np.argmax(means))]
+        assert fit(panel, config).p_used == (manual,) * 4
 
 
 class TestGridSearch:

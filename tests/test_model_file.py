@@ -159,3 +159,18 @@ class TestNamedCases:
         path.write_text(json.dumps(doc, indent=1).replace('"TOKEN"', token))
         with pytest.raises(ParseError, match=f"non-finite number {token}"):
             load_model(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("p", "abc"), ("shape_ratio", -3), ("valid_len", "x"),
+        ("L", 1), ("L", 2.5), ("p", []), ("p", [1, "x"]), ("p", -1), ("p", True),
+        ("shape_ratio", 0), ("valid_len", 1), ("rank", "energy:2"),
+    ])
+    def test_bad_config(self, tmp_path, key, value):
+        doc = copy.deepcopy(BASE)
+        doc["config"][key] = value
+        with pytest.raises(ParseError):
+            load_model(self.write(tmp_path, doc))
+
+    def test_golden_model_config(self):
+        model = load_model(Path(__file__).parent / "data" / "cli_golden" / "model.json")
+        assert (model.config.L, model.config.p, model.config.valid_len) == (None, (0, 1, 2, 3), 25)

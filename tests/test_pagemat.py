@@ -4,27 +4,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from samossa import PageShape, ShapeError, TimePanel
-from samossa.pagemat import cell_of, default_L, page_matrix, stack, time_of
+from samossa.pagemat import default_L, stack, unstack
+
+
+def _one_series(series) -> TimePanel:
+    return TimePanel(("a",), np.asarray(series, dtype=float)[None, :])
 
 
 class TestPageMatrix:
+    # A one-series stack is that series' Page matrix.
     def test_even_division(self):
-        pm = page_matrix([1, 2, 3, 4, 5, 6], 2)
+        pm = stack(_one_series([1, 2, 3, 4, 5, 6]), 2)
         assert pm.data.tolist() == [[1, 3, 5], [2, 4, 6]]
         assert pm.origin == 0
 
     def test_trailing_window_when_not_divisible(self):
-        pm = page_matrix([9, 1, 2, 3, 4], 2)
+        pm = stack(_one_series([9, 1, 2, 3, 4]), 2)
         assert pm.data.tolist() == [[1, 3], [2, 4]]
         assert pm.origin == 1
 
     def test_single_entry(self):
-        pm = page_matrix([7], 1)
+        pm = stack(_one_series([7]), 1)
         assert pm.data.tolist() == [[7]]
 
     def test_L_too_large(self):
         with pytest.raises(ShapeError):
-            page_matrix([1, 2, 3], 4)
+            stack(_one_series([1, 2, 3]), 4)
 
 
 class TestStack:
@@ -34,9 +39,10 @@ class TestStack:
         assert pg.data.tolist() == [[1, 3, 5, 7], [2, 4, 6, 8]]
 
     def test_single_series_matches_page_matrix(self):
+        # The Page matrix by definition: column j is the j-th length-L segment.
         series = np.arange(1, 9, dtype=float)
-        panel = TimePanel(("a",), series[None, :])
-        np.testing.assert_array_equal(stack(panel, 4).data, page_matrix(series, 4).data)
+        page = np.column_stack([series[j * 4:(j + 1) * 4] for j in range(2)])
+        np.testing.assert_array_equal(stack(_one_series(series), 4).data, page)
 
     def test_shared_origin(self):
         panel = TimePanel(("a", "b"), np.arange(10, dtype=float).reshape(2, 5))
@@ -45,11 +51,30 @@ class TestStack:
         assert pg.data.tolist() == [[1, 3, 6, 8], [2, 4, 7, 9]]
 
 
+    @given(
+        N=st.integers(1, 4),
+        T=st.integers(1, 40),
+        L_pick=st.integers(0, 10**6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_unstack_inverts_stack(self, N, T, L_pick, seed):
+        values = np.random.default_rng(seed).normal(size=(N, T))
+        panel = TimePanel(tuple(f"s{n}" for n in range(N)), values)
+        L = 1 + L_pick % T
+        pg = stack(panel, L)
+        assert pg.origin == T % L
+        np.testing.assert_array_equal(unstack(pg.data, N), panel.values[:, pg.origin:])
+
+
 class TestIndexMaps:
+    # StackedPage's layout: cell (i, (n-1)*M + j), 1-based, holds series n's
+    # value at time origin + (j-1)*L + i.
     def test_formula_cases(self):
-        shape = PageShape(L=2, M=3, N=1)
-        assert cell_of(3, 1, shape) == (1, 2)
-        assert cell_of(1, 1, shape) == (1, 1)
+        pg = stack(_one_series(np.arange(1, 7, dtype=float)), 2)  # value == t
+        assert pg.shape == PageShape(L=2, M=3, N=1)
+        assert pg.data[1 - 1, 2 - 1] == 3
+        assert pg.data[1 - 1, 1 - 1] == 1
 
     def test_enumerated_layout(self):
         # Independent oracle: place distinct tokens, build the matrix, and
@@ -57,21 +82,24 @@ class TestIndexMaps:
         panel = TimePanel(("a", "b"), np.arange(12, dtype=float).reshape(2, 6))
         pg = stack(panel, 2)
         assert pg.shape == PageShape(L=2, M=3, N=2)
+        L, M = pg.shape.L, pg.shape.M
         for n in (1, 2):
             for t in range(1, 7):
                 token = panel.values[n - 1, t - 1]
                 hits = np.argwhere(pg.data == token)
                 assert len(hits) == 1
                 row, col = hits[0] + 1
-                assert cell_of(t, n, pg.shape, pg.origin) == (row, col)
-        assert cell_of(6, 2, pg.shape, pg.origin) == (2, 6)
+                local = t - pg.origin
+                assert (row, col) == ((local - 1) % L + 1, (n - 1) * M + (local - 1) // L + 1)
+        assert pg.data[2 - 1, 6 - 1] == panel.values[2 - 1, 6 - 1]
 
     def test_out_of_window(self):
-        pm = page_matrix([9, 1, 2, 3, 4], 2)
-        with pytest.raises(IndexError):
-            cell_of(1, 1, pm.shape, pm.origin)
-        with pytest.raises(IndexError):
-            cell_of(6, 1, pm.shape, pm.origin)
+        # Only the trailing L*M values are retained; unstack gives back
+        # exactly those, so the dropped prefix is in no cell.
+        panel = _one_series([9, 1, 2, 3, 4])
+        pg = stack(panel, 2)
+        assert 9 not in pg.data
+        np.testing.assert_array_equal(unstack(pg.data, 1), [[1, 2, 3, 4]])
 
     @given(
         L=st.integers(1, 6),
@@ -81,11 +109,15 @@ class TestIndexMaps:
     )
     @settings(max_examples=60, deadline=None)
     def test_bijection(self, L, M, N, origin):
-        shape = PageShape(L=L, M=M, N=N)
-        for n in range(1, N + 1):
-            for t in range(origin + 1, origin + L * M + 1):
-                row, col = cell_of(t, n, shape, origin)
-                assert time_of(row, col, shape, origin) == (t, n)
+        # unstack inverts stack on the retained window, value for value.
+        if origin >= L:
+            origin %= L
+        values = np.arange(N * (origin + L * M), dtype=float).reshape(N, -1)
+        panel = TimePanel(tuple(f"s{n}" for n in range(N)), values)
+        pg = stack(panel, L)
+        assert pg.shape == PageShape(L=L, M=M, N=N)
+        assert pg.origin == origin
+        np.testing.assert_array_equal(unstack(pg.data, N), values[:, origin:])
 
 
 class TestDefaultL:
