@@ -43,17 +43,29 @@ __all__ = [
 ]
 
 
-def _r2_rows(pred: np.ndarray, actual: np.ndarray) -> list[float | None]:
+def _r2_rows(pred: np.ndarray, actual: np.ndarray, names=None) -> list[float | None]:
     """R^2 of every row of ``pred`` against the same row of ``actual`` (N x H).
 
     This is the zero-variance rule: a row whose actual values are all equal
     has no R^2 and scores None. The test is exact equality, not SST <= 0:
     the mean of a constant window need not round back to its value
-    (25 x 0.1 leaves an SST of about 5e-33).
+    (25 x 0.1 leaves an SST of about 5e-33). A row that varies but whose
+    SST is not a positive finite number (values near 1e-200 square to 0,
+    near 1e200 to inf) raises MetricError naming the series: ``names[row]``,
+    or the row index without ``names``.
     """
     constant = np.all(actual == actual[:, :1], axis=1)
     varying = actual[~constant]
-    sst = np.sum((varying - varying.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    with np.errstate(over="ignore"):
+        sst = np.sum((varying - varying.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    unusable = ~(np.isfinite(sst) & (sst > 0.0))
+    if unusable.any():
+        first = int(np.argmax(unusable))
+        row = int(np.flatnonzero(~constant)[first])
+        raise MetricError(
+            f"R^2 undefined for series {row if names is None else names[row]!r}: its values "
+            f"vary but their sum of squares about the mean is {float(sst[first])!r}"
+        )
     sse = np.sum((pred[~constant] - varying) ** 2, axis=1)
     scores = iter((1.0 - sse / sst).tolist())
     return [None if c else next(scores) for c in constant]
@@ -62,8 +74,8 @@ def _r2_rows(pred: np.ndarray, actual: np.ndarray) -> list[float | None]:
 def r_squared(pred, actual) -> float:
     """Coefficient of determination: 1 - SSE/SST about the actual mean.
 
-    Raises MetricError for a window of fewer than two points or with zero
-    variance (all values equal).
+    Raises MetricError for a window of fewer than two points, with zero
+    variance (all values equal), or whose SST is not a positive finite number.
     """
     pred = np.asarray(pred, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
@@ -149,7 +161,7 @@ def rolling_eval(model: SamossaModel, test: TimePanel,
         raise MetricError("need at least two points for R^2")
     started = time.perf_counter()
     preds = roll(model, test.values)[0]
-    scores = tuple(_r2_rows(preds, test.values))
+    scores = tuple(_r2_rows(preds, test.values, test.series_names))
     varying = [score for score in scores if score is not None]
     if not varying:
         raise MetricError("R^2 is undefined: no series varies over the window")

@@ -101,7 +101,7 @@ def _read_rows(path) -> list[list[str]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             return [row for row in csv.reader(fh)]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
 
 
@@ -196,7 +196,8 @@ def load_csv(path, layout: str = "wide") -> TimePanel:
     ``layout`` is ``"wide"`` (one column per series, column order preserved)
     or ``"long"`` ((series, t, value) triples; every series must cover the
     full time range; gaps are rejected, imputation is out of scope). Any
-    other layout raises ConfigError.
+    other layout raises ConfigError; a file that cannot be opened, is not
+    UTF-8 or that the csv module rejects raises IngestError.
     """
     _check_layout(layout)
     rows = _read_rows(path)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from samossa.cli import OPTION_DEFAULTS, main
+from samossa.cli import COMMANDS, _build_parser, main
 from samossa.panel import load_csv
 
 
@@ -16,12 +16,16 @@ def run(*argv):
     return main(list(argv))
 
 
-def assert_usage_error(capsys, *argv):
-    """The command exits with EXIT_USAGE and one ``UsageError`` line, no traceback."""
+def assert_fails(capsys, code, kind, *argv):
+    """The command exits with ``code`` and one ``kind`` error line, no traceback."""
     capsys.readouterr()
-    assert run(*argv) == 1
+    assert run(*argv) == code
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("samossa: error: UsageError: "), err
+    assert len(err) == 1 and err[0].startswith(f"samossa: error: {kind}: "), err
+
+
+def assert_usage_error(capsys, *argv):
+    assert_fails(capsys, 1, "UsageError", *argv)
 
 
 @pytest.fixture()
@@ -324,6 +328,44 @@ class TestBadInputs:
         assert_usage_error(capsys, "fit", "--input", str(synth_dir / "y.csv"),
                            "--layout", "foo", "--p", "1", "-o", str(tmp_path / "m.json"))
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--seed", "-1"],
+        ["fig2", "--check", "--seed", "-3"],
+        ["fit", "--input", "absent.csv", "--rank", "fixed:x"],
+        ["decompose", "--input", "absent.csv", "--ratio", "0"],
+        ["eval", "--input", "absent.csv", "--train-end", "x", "--valid-end", "2",
+         "--test-end", "3"],
+        ["grid", "--input", "absent.csv", "--train-end", "1", "--valid-end", "2",
+         "--ps", "0,x"],
+        ["observe-forecast", "--model", "absent.json", "--test", "absent.csv",
+         "--layout", "tall"],
+    ])
+    def test_every_value_checked_before_any_file(self, capsys, tmp_path, argv):
+        assert_usage_error(capsys, *argv, "-o", str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_split_out_of_range(self, capsys, tmp_path):
+        # The golden panel has 430 steps; grid cuts it as eval does.
+        assert_fails(capsys, 2, "SplitError", "grid", "--input", str(GOLDEN / "y.csv"),
+                     "--train-end", "400", "--valid-end", "500", "-o", str(tmp_path / "g"))
+
+    def test_input_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("caf\u00e9\n1\n2\n".encode("latin-1"))
+        assert_fails(capsys, 2, "IngestError", "fit", "--input", str(bad), "--p", "1",
+                     "-o", str(tmp_path / "m.json"))
+
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00", b'{"spec": {}}',
+                                         b'{"alphas": [[0.5], [0.5]]}'])
+    def test_eval_truth_file(self, capsys, tmp_path, content):
+        data = tmp_path / "data"
+        assert run("synth", "--preset", "forecast", "--n", "3", "--t", "230",
+                   "--seed", "5", "-o", str(data)) == 0
+        (data / "truth.json").write_bytes(content)
+        assert_fails(capsys, 2, "ParseError", "eval", "--input", str(data / "y.csv"),
+                     "--train-end", "180", "--valid-end", "205", "--test-end", "230",
+                     "--p", "1", "--truth-dir", str(data), "-o", str(tmp_path / "r"))
+
     def test_observe_forecast_nan_in_test_csv(self, capsys, synth_dir, tmp_path):
         model_path = tmp_path / "model.json"
         assert run("fit", "--input", str(synth_dir / "y.csv"), "--p", "1",
@@ -369,17 +411,85 @@ class TestConfigFile:
                    str(tmp_path / "none.json"), "-o", str(tmp_path / "o"))
         assert code == 1
 
+    def test_key_of_no_subcommand(self, capsys, tmp_path):
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({"rnak": "fixed:3"}))
+        assert_usage_error(capsys, "fit", "--input", str(GOLDEN / "y.csv"), "--p", "1",
+                           "--config", str(cfg), "-o", str(tmp_path / "m.json"))
+        assert not (tmp_path / "m.json").exists()
+
+    def test_key_of_another_subcommand(self, tmp_path):
+        # One file can serve fit and eval: fit ignores eval's split ends.
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({"rank": "fixed:3", "p": 1, "train_end": 400,
+                                   "valid_end": 415, "test_end": 430}))
+        model_path = tmp_path / "m.json"
+        assert run("fit", "--input", str(GOLDEN / "y.csv"), "--config", str(cfg),
+                   "-o", str(model_path)) == 0
+        doc = json.loads(model_path.read_text())
+        assert doc["k_hat"] == 3 and doc["p_used"] == [1, 1, 1]
+
+    @pytest.mark.parametrize("argv, entries", [
+        (["forecast", "--model", str(GOLDEN / "model.json")], {"recursive": "no", "steps": 3}),
+        (["forecast", "--model", str(GOLDEN / "model.json")], {"recursive": 1, "steps": 3}),
+        (["fig2", "--nt", "3000", "--seeds", "1"], {"check": "yes"}),
+    ])
+    def test_switch_takes_true_or_false(self, capsys, tmp_path, argv, entries):
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps(entries))
+        out = tmp_path / "out"
+        assert_usage_error(capsys, *argv, "--config", str(cfg), "-o", str(out))
+        assert not out.exists()
+        if argv[0] == "forecast":
+            cfg.write_text(json.dumps({"recursive": True, "steps": 3}))
+            assert run(*argv, "--config", str(cfg), "-o", str(out)) == 0
+            assert load_csv(out).values.shape == (3, 3)
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"{not json", b"[1, 2]", b'"p"'])
+    def test_file_not_utf8_json_or_object(self, capsys, tmp_path, content):
+        cfg = tmp_path / "conf.json"
+        cfg.write_bytes(content)
+        assert_usage_error(capsys, "fit", "--input", str(GOLDEN / "y.csv"),
+                           "--config", str(cfg), "-o", str(tmp_path / "m.json"))
+
+    @pytest.mark.parametrize("entries", [{"steps": "x"}, {"steps": 2.5}, {"steps": True},
+                                         {"save_model": ["m.json"]}, {"layout": "tall"}])
+    def test_file_values_are_converted(self, capsys, tmp_path, entries):
+        # One file for forecast and observe-forecast; each converts its own keys.
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({"recursive": True, **entries}))
+        out = tmp_path / "out"
+        command = ["forecast"] if "steps" in entries else ["observe-forecast", "--test",
+                                                           str(GOLDEN / "y.csv")]
+        assert_usage_error(capsys, *command, "--model", str(GOLDEN / "model.json"),
+                           "--config", str(cfg), "-o", str(out))
+        assert not out.exists()
+
 
 class TestHelp:
     def test_every_flag_documented(self, capsys):
-        for command, options in OPTION_DEFAULTS.items():
+        for command, spec in COMMANDS.items():
             assert main([command, "--help"]) == 0
             text = capsys.readouterr().out
-            for dest in options:
-                flag = "--" + dest.replace("_", "-")
-                if flag == "--out":
-                    flag = "-o"
-                assert flag in text, f"{command} --help missing {flag}"
+            for option in spec.options:
+                for flag in option.flags:
+                    assert flag in text, f"{command} --help missing {flag}"
+
+    def test_options_unchanged(self):
+        # options.json was written from the parser before the options were
+        # declared once each: every subcommand keeps its flags, required
+        # flags, defaults and help, in --help order.
+        declared = {
+            name: [{"flags": list(option.flags), "required": option.required,
+                    "default": option.default, "help": option.help}
+                   for option in spec.options]
+            for name, spec in COMMANDS.items()
+        }
+        assert declared == json.loads((GOLDEN / "options.json").read_text())
+        (subparsers,) = [a for a in _build_parser()._actions if a.dest == "command"]
+        for name, sub in subparsers.choices.items():
+            built = [(a.option_strings, a.required, a.help) for a in sub._actions[1:]]
+            assert built == [(o["flags"], o["required"], o["help"]) for o in declared[name]]
 
     def test_help_exit_code(self):
         assert run("--help") == 0

@@ -200,6 +200,19 @@ class TestZeroVarianceRule:
         expected = [None if n in constant else plain_r2(pred[n], actual[n]) for n in range(N)]
         assert _r2_rows(pred, actual) == expected
 
+    @pytest.mark.parametrize("actual", [[0.0, 1e-200], [1e200, -1e200]])
+    def test_varying_window_whose_sst_is_not_positive_finite(self, actual):
+        # The values differ, so the window is not constant, but their SST
+        # underflows to 0 or overflows to inf: an error, not NaN or a warning.
+        with pytest.raises(MetricError, match="sum of squares"):
+            r_squared([0.0, 0.0], actual)
+
+    def test_unusable_sst_names_the_series(self):
+        pred = np.zeros((3, 2))
+        actual = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 1e-200]])
+        with pytest.raises(MetricError, match="'s3'"):
+            _r2_rows(pred, actual, ("s1", "s2", "s3"))
+
     def test_order_selection_skips_constant_series(self):
         # fit's p grid with series 2 constant over the validation tail picks
         # the order a manual argmax over the varying series picks.

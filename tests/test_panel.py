@@ -41,6 +41,16 @@ class TestLoadWide:
         with pytest.raises(IngestError):
             load_csv(write(tmp_path, "a\n1\nnan\n"))
 
+    @pytest.mark.parametrize("content, detail", [
+        ("caf\u00e9\n1\n".encode("latin-1"), "utf-8"),
+        (b"a\n" + b"1" * 200_000 + b"\n", "field limit"),
+    ])
+    def test_unreadable_text(self, tmp_path, content, detail):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(IngestError, match=detail):
+            load_csv(path)
+
 
 class TestLoadLong:
     def test_triples(self, tmp_path):
