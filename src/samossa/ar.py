@@ -53,6 +53,8 @@ class ArModel:
             raise ShapeError(f"alpha shape {alpha.shape} inconsistent with p={self.p}")
         if self.p > 0 and not np.all(np.isfinite(alpha)):
             raise FitError("non-finite AR coefficients")
+        if not math.isfinite(self.noise_var_hat):
+            raise FitError(f"non-finite AR noise variance {self.noise_var_hat!r}")
         alpha = alpha.copy()
         alpha.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
@@ -93,7 +95,7 @@ def fit_ar(residuals, p: int) -> ArModel:
     Regresses x(t+1) on [x(t), ..., x(t-p+1)] over all admissible t. A
     rank-deficient design falls back to the minimum-norm solution and is
     flagged on the model. ``noise_var_hat`` is the mean squared regression
-    residual.
+    residual; FitError if it is not finite.
     """
     x = np.asarray(residuals, dtype=np.float64)
     if x.ndim != 1:
@@ -108,12 +110,9 @@ def fit_ar(residuals, p: int) -> ArModel:
     design = np.column_stack([x[p - i: T - i] for i in range(1, p + 1)])
     alpha, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
     resid = targets - design @ alpha
-    return ArModel(
-        alpha=alpha,
-        p=p,
-        noise_var_hat=float(np.mean(resid**2)),
-        rank_deficient=bool(rank < p),
-    )
+    with np.errstate(over="ignore"):  # huge residuals overflow; ArModel rejects the inf
+        noise_var = float(np.mean(resid**2))
+    return ArModel(alpha=alpha, p=p, noise_var_hat=noise_var, rank_deficient=bool(rank < p))
 
 
 def forecast_ar(model: ArModel, recent_residuals) -> float:

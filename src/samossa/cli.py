@@ -592,8 +592,17 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose own errors (an unknown flag, a missing
+    required flag, a bad subcommand) end as one usage-error line, not a
+    usage block; its subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="samossa",
         description="Two-stage decomposition and forecasting for multivariate time series.",
     )
@@ -608,13 +617,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
+        ns = _build_parser().parse_args(argv)
         return COMMANDS[ns.command].run(_resolve(ns))
+    except SystemExit as exc:  # --help; the parser's errors raise _UsageError
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except _UsageError as exc:
         _fail_line("UsageError", exc)
         return EXIT_USAGE

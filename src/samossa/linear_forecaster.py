@@ -8,6 +8,7 @@ lagged raw observations to forecast one step ahead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ class BetaModel:
             raise ShapeError(f"beta length {beta.shape[0]} != L-1 = {self.L - 1}")
         if not np.all(np.isfinite(beta)):
             raise FitError("non-finite regression coefficients")
+        if not math.isfinite(self.resid_rms):
+            raise FitError(f"non-finite regression residual RMS {self.resid_rms!r}")
         beta = beta.copy()
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
@@ -70,8 +73,9 @@ def fit_beta(panel: TimePanel, L: int, rule: RankRule, k_hat: int | None = None)
 def solve_beta(page: np.ndarray, sub: SvdResult, k_hat: int) -> BetaModel:
     """Regress the raw last row of an L-row Page matrix on its top rows.
 
-    ``sub`` is the SVD of ``page[:L-1]``; the features are its rank-k_hat
-    truncation (capped at the sub-matrix's size).
+    ``sub`` is the SVD of ``page[:L-1]``, every triplet or a head holding
+    the ones used; the features are its rank-k_hat truncation (capped at
+    the sub-matrix's size). FitError if the residual RMS is not finite.
     """
     L = page.shape[0]
     if sub.singular_values[0] <= 0.0:
@@ -81,7 +85,8 @@ def solve_beta(page: np.ndarray, sub: SvdResult, k_hat: int) -> BetaModel:
     targets = page[L - 1, :]
     coef, _, _, _ = np.linalg.lstsq(features.T, targets, rcond=_LSTSQ_RCOND)
     fitted = features.T @ coef
-    rms = float(np.sqrt(np.mean((fitted - targets) ** 2)))
+    with np.errstate(over="ignore"):  # huge residuals overflow; BetaModel rejects the inf
+        rms = float(np.sqrt(np.mean((fitted - targets) ** 2)))
     # Page rows are oldest-first; flip so beta is most-recent-lag first.
     return BetaModel(beta=coef[::-1], L=L, k_hat=k_hat, resid_rms=rms)
 

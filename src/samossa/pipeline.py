@@ -140,7 +140,8 @@ def _fit_fixed_p(panel: TimePanel, config: SamossaConfig, p: int, stage: Stage1)
     ar_models = []
     for n in range(panel.n_series):
         if p == 0:
-            ar_models.append(ArModel.zero(noise_var_hat=float(np.var(decomp.x_hat[n]))))
+            with np.errstate(over="ignore"):  # ArModel rejects an overflowed variance
+                ar_models.append(ArModel.zero(noise_var_hat=float(np.var(decomp.x_hat[n]))))
         else:
             ar_models.append(fit_ar(decomp.x_hat[n], p))
     p_used = tuple(p for _ in range(panel.n_series))

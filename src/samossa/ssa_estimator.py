@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .linear_forecaster import BetaModel, solve_beta
-from .lowrank import RankRule, SvdResult, select_rank, svd
+from .lowrank import RankRule, SvdResult, select_rank, svd, takes_topk
 from .pagemat import stack, unstack
 from .panel import TimePanel
 
@@ -30,7 +30,9 @@ class Decomposition:
     t0 = origin + first panel index. By construction f_hat + x_hat equals
     the retained observations exactly. ``balance`` is the spectra-balance
     diagnostic s_khat * sqrt(khat) / sqrt(N * T_eff) (reported only; no
-    guarantee is gated on it).
+    guarantee is gated on it). ``singular_values`` is the spectrum stage 1
+    computed: every value, or under ``fixed:K`` on a large Page matrix only
+    the top K.
     """
 
     f_hat: np.ndarray
@@ -57,49 +59,68 @@ class Stage1:
     Nothing in stage 1 depends on the AR order, and the rank rule only picks
     k off one spectrum, so one instance serves every configuration fitted on
     the same panel at the same L. The Page matrix is stacked on
-    construction. The full SVD is taken on the first :meth:`rank` or
-    :meth:`decompose` call, and the SVD of the top L-1 rows on the first
-    :meth:`beta` call, so a caller that only decomposes never pays for the
-    second one. Only the decomposition and the lag model of the most recent
-    k are kept.
+    construction; SVDs are taken on first use, of the whole matrix for
+    :meth:`rank` and :meth:`decompose` and of its top L-1 rows for
+    :meth:`beta`, so a caller that only decomposes never pays for the second.
+
+    Where :func:`~samossa.lowrank.takes_topk` allows, a rule that reads only
+    the top K triplets (``fixed:K``, and the beta fit at rank k_hat) gets an
+    ARPACK head of that matrix, kept beside its full SVD; every other
+    request shares the one full SVD. Which SVD serves a request depends only
+    on the matrix and the rule, never on the order of calls. Only the most
+    recent head per matrix, and the decomposition and lag model of the most
+    recent k, are kept.
     """
 
     def __init__(self, panel: TimePanel, L: int):
         self.panel = panel
         self.L = L
         self.page = stack(panel, L)
-        self._full: SvdResult | None = None
-        self._sub: SvdResult | None = None
-        self._decomp: Decomposition | None = None
+        self._full: dict[int, SvdResult] = {}   # rows -> every triplet
+        self._heads: dict[int, SvdResult] = {}  # rows -> the latest top-k head
+        self._decomp: tuple[SvdResult, Decomposition] | None = None
         self._beta: BetaModel | None = None
 
+    def _svd(self, rows: int, k: int | None) -> SvdResult:
+        """The SVD of the top ``rows`` Page rows that serves a rule reading ``k`` triplets."""
+        matrix = self.page.data[:rows]
+        if not takes_topk(matrix.shape, k):
+            if rows not in self._full:
+                self._full[rows] = svd(matrix)
+            return self._full[rows]
+        head = self._heads.get(rows)
+        if head is None or head.singular_values.size != k:
+            head = self._heads[rows] = svd(matrix, k=k)
+        return head
+
+    def _spectrum(self, rule: RankRule) -> SvdResult:
+        return self._svd(self.L, rule.k if rule.kind == "fixed" else None)
+
     def rank(self, rule: RankRule) -> int:
-        """k_hat under ``rule``, read off the full matrix's spectrum."""
-        if self._full is None:
-            self._full = svd(self.page.data)
-        return select_rank(self._full.singular_values, rule, shape=self.page.data.shape)
+        """k_hat under ``rule``, read off the Page matrix's spectrum."""
+        return select_rank(self._spectrum(rule).singular_values, rule, shape=self.page.data.shape)
 
     def decompose(self, rule: RankRule) -> Decomposition:
         """The smooth component and residuals at the rank ``rule`` selects."""
-        k_hat = self.rank(rule)
-        if self._decomp is None or self._decomp.k_hat != k_hat:
+        spectrum = self._spectrum(rule)
+        k_hat = select_rank(spectrum.singular_values, rule, shape=self.page.data.shape)
+        if self._decomp is None or self._decomp[0] is not spectrum or self._decomp[1].k_hat != k_hat:
             self._decomp = None  # release the previous k's arrays first
-            self._decomp = self._truncate(k_hat)
-        return self._decomp
+            self._decomp = (spectrum, self._truncate(spectrum, k_hat))
+        return self._decomp[1]
 
     def beta(self, k_hat: int) -> BetaModel:
         """The lag model regressing the last Page row on the top L-1 rows at rank k_hat."""
         if self.L < 2:
             raise ShapeError(f"need L >= 2 to regress the last row on the rest, got L={self.L}")
         if self._beta is None or self._beta.k_hat != k_hat:
-            if self._sub is None:
-                self._sub = svd(self.page.data[: self.L - 1, :])
-            self._beta = solve_beta(self.page.data, self._sub, k_hat)
+            sub = self._svd(self.L - 1, min(k_hat, self.L - 1, self.page.data.shape[1]))
+            self._beta = solve_beta(self.page.data, sub, k_hat)
         return self._beta
 
-    def _truncate(self, k_hat: int) -> Decomposition:
-        s = self._full.singular_values
-        denoised = self._full.truncate(k_hat)
+    def _truncate(self, spectrum: SvdResult, k_hat: int) -> Decomposition:
+        s = spectrum.singular_values
+        denoised = spectrum.truncate(k_hat)
         f_hat = unstack(denoised, self.panel.n_series)
         retained = self.panel.values[:, self.page.origin:]
         x_hat = retained - f_hat

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .ar import characteristic_roots
 from .errors import SpecError
@@ -114,6 +113,8 @@ def _resolve_alpha(spec: GeneratorSpec) -> np.ndarray:
 
 def _simulate_ar(alpha: np.ndarray, sigma: float, length: int, rng: np.random.Generator,
                  lambda_star: float) -> np.ndarray:
+    from scipy.signal import lfilter  # scipy.signal takes about a second to import
+
     burn = 10 * math.ceil(1.0 / (1.0 - lambda_star))
     eta = rng.normal(0.0, sigma, size=length + burn)
     # x(t) = sum_i alpha_i x(t-i) + eta(t) from zero initial state.

@@ -83,6 +83,14 @@ class TestFitAr:
         assert -1.3 <= slope <= -0.7
 
 
+    def test_overflowing_noise_variance(self):
+        x = 1e200 * np.random.default_rng(4).normal(size=300)
+        with pytest.raises(FitError, match="noise variance"):
+            fit_ar(x, 2)
+        with pytest.raises(FitError, match="noise variance"):
+            ArModel.zero(noise_var_hat=math.inf)
+
+
 class TestForecastAr:
     def test_single_lag(self):
         model = ArModel(alpha=np.array([0.5]), p=1, noise_var_hat=1.0)

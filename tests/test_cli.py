@@ -1,12 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import samossa
 from samossa.cli import COMMANDS, _build_parser, main
-from samossa.panel import load_csv
+from samossa.panel import TimePanel, load_csv, save_csv
 
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"
@@ -381,6 +384,20 @@ class TestBadInputs:
         assert len(err) == 1 and err[0].startswith("samossa: error: IngestError: "), err
 
 
+    @pytest.mark.parametrize("rank, kind", [("energy:0.9", "RankError"), ("fixed:2", "FitError")])
+    def test_fit_overflow_writes_no_model(self, capsys, tmp_path, rank, kind):
+        values = 1e200 * (1.0 + 0.1 * np.random.default_rng(0).normal(size=(3, 400)))
+        huge = tmp_path / "huge.csv"
+        save_csv(TimePanel(("a", "b", "c"), values), huge)
+        model_path = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run("fit", "--input", str(huge), "--rank", rank, "-o", str(model_path)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [line for line in err if "error" in line] == err[-1:], err
+        assert err[-1].startswith(f"samossa: error: {kind}: "), err
+        assert not model_path.exists()
+
+
 class TestFig2:
     def test_small_sweep_with_check(self, tmp_path):
         out = tmp_path / "fig2"
@@ -466,6 +483,18 @@ class TestConfigFile:
         assert not out.exists()
 
 
+def test_import_loads_no_scipy():
+    # scipy takes about a second to import; the package imports it only
+    # where a call needs it, so a CLI process that does not pays nothing.
+    code = ("import sys, samossa, samossa.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(samossa.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestHelp:
     def test_every_flag_documented(self, capsys):
         for command, spec in COMMANDS.items():
@@ -493,6 +522,17 @@ class TestHelp:
 
     def test_help_exit_code(self):
         assert run("--help") == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--input", "y.csv", "-o", "m.json", "--bogus", "1"],
+        ["forecast", "-o", "f.csv", "--test", "y.csv"],
+        ["fit", "-o", "m.json", "--input"],
+        ["explode"],
+        [],
+    ], ids=["unknown-flag", "missing-required-flag", "flag-without-value", "bad-subcommand",
+            "no-subcommand"])
+    def test_argparse_errors_are_one_line(self, capsys, argv):
+        assert_usage_error(capsys, *argv)
 
     def test_no_command_usage_error(self):
         assert run() == 1

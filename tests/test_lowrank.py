@@ -83,6 +83,20 @@ class TestSelectRank:
         with pytest.raises(RankError):
             select_rank([0.0, 0.0], RankRule.fixed(1), (2, 2))
 
+    @pytest.mark.parametrize("s", [[np.inf, 1.0], [5.0, np.nan], [np.nan]])
+    def test_non_finite_spectrum(self, s):
+        for rule in (RankRule.fixed(1), RankRule.energy(0.9), RankRule.universal()):
+            with pytest.raises(RankError, match="non-finite"):
+                select_rank(s, rule, (2, 2))
+
+    def test_energy_overflow(self):
+        # s^2 overflows: the cumulative energy is inf and inf - inf is NaN,
+        # which once picked k off a meaningless comparison.
+        s = [3e201, 2e201, 1e200]
+        with pytest.raises(RankError, match="energy overflows"):
+            select_rank(s, RankRule.energy(0.9), (3, 3))
+        assert select_rank(s, RankRule.fixed(2), (3, 3)) == 2
+
     def test_tied_group_never_split(self):
         # Threshold would land inside the tied pair; both stay.
         s = [10.0, 6.0, 6.0, 0.01]

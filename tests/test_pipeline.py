@@ -3,9 +3,11 @@ import pytest
 
 from samossa import (
     ConfigError,
+    FitError,
     IngestError,
     ParseError,
     PersistError,
+    RankError,
     RankRule,
     SamossaConfig,
     StateError,
@@ -81,6 +83,21 @@ class TestFit:
         for a1, a2 in zip(m1.ar_models, m2.ar_models):
             np.testing.assert_array_equal(a1.alpha, a2.alpha)
         assert m1.state.obs_lags[0].tolist() == m2.state.obs_lags[0].tolist()
+
+
+    @pytest.mark.parametrize("rank, error", [
+        (RankRule.energy(0.9), RankError),
+        (RankRule.fixed(2), FitError),
+        (RankRule.universal(), FitError),
+    ])
+    @pytest.mark.parametrize("p", [0, 2, (1, 2)])
+    def test_overflowing_panel_is_a_typed_error(self, rank, error, p):
+        # Near 1e200 the squares behind the energy rule, beta's residual RMS
+        # and the AR noise variance overflow; no inf may reach a model.
+        values = 1e200 * (1.0 + 0.1 * np.random.default_rng(0).normal(size=(3, 400)))
+        panel = TimePanel(("a", "b", "c"), values)
+        with pytest.raises(error, match="overflows|non-finite"):
+            fit(panel, SamossaConfig(rank=rank, p=p, valid_len=20))
 
 
 class TestForecastProtocol:
