@@ -5,22 +5,23 @@ Page matrix, then a lag regression for the smooth component and one AR fit
 per series on the residuals. Stage 1 (the decomposition and the lag
 regression) depends only on the panel and L, so it is computed once per
 (panel, L) and shared by every candidate AR order. The fitted model carries
-ring buffers of the last L-1 observations and the last residuals per
-series, so forecasting advances one step at a time: ``forecast_step``
-(pure) produces the prediction for the next time index, ``observe`` feeds
-back the realized value, updates the buffers with the after-the-fact
-residual estimate, and advances the clock.
+its forecast state as two blocks, one most-recent-first row per series: the
+last L-1 observations (N x (L-1)) and the last residuals (N x max p, where
+series n uses its first p_n columns and the rest stay exactly 0).
+``forecast_step`` (pure) predicts a series' next time index; ``observe``
+feeds back the realized value, shifts it and its after-the-fact residual
+estimate into the series' rows, and advances the clock.
 
-``roll`` runs that protocol over a whole window of realized values for
-every series at once. With the realized values fed back, every forecast in
-the window depends only on known data, so the window takes a few numpy
-calls instead of one Python round per series and step. Each forecast is the
-same dot product over the same most-recent-first lags (``np.vecdot`` on
-contiguous rows, the kernel ``forecast_step`` uses), so ``roll`` is
-bit-identical to H rounds of ``forecast_step`` then ``observe``: the
-outputs and the state it leaves behind. Every rolling loop in the package
-(order selection, ``rolling_eval``, the CLI's ``observe-forecast`` and
-``forecast_recursive``) goes through it.
+``roll`` runs that protocol over a window of realized values for every
+series at once: with the realized values fed back, every forecast in the
+window depends only on known data, so it takes a few numpy calls. One
+kernel serves every path: a forecast is ``np.vecdot`` over contiguous
+most-recent-first rows, the AR part per group of equal order over its first
+p columns, so a padded cell never enters a dot. So ``roll`` is
+bit-identical to H rounds of ``forecast_step`` then ``observe``, outputs and
+state, and every rolling loop in the package (order selection,
+``rolling_eval``, the CLI's ``observe-forecast`` and ``forecast_recursive``)
+goes through it.
 
 Persistence is a versioned JSON document; floats survive round-trips
 bit-exactly (shortest round-trip decimal encoding).
@@ -31,12 +32,13 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ar import ArModel, fit_ar, forecast_ar
+from .ar import ArModel, fit_ar
 from .errors import (
     ConfigError,
     IngestError,
@@ -46,11 +48,11 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .linear_forecaster import BetaModel, forecast_f
+from .linear_forecaster import BetaModel
 from .lowrank import RankRule
 from .pagemat import default_L
 from .panel import TimePanel
-from .ssa_estimator import Decomposition, Stage1
+from .ssa_estimator import Stage1
 
 __all__ = [
     "SamossaConfig",
@@ -93,10 +95,14 @@ class SamossaConfig:
 
 @dataclass
 class _State:
-    """Per-series forecasting state. Lags are most-recent-first."""
+    """Forecasting state: C-contiguous blocks, one most-recent-first row per series.
 
-    obs_lags: list[np.ndarray]
-    resid_lags: list[np.ndarray]
+    ``obs_lags`` is N x (L-1); ``resid_lags`` is N x max(p_used), where series n
+    uses its first ``p_used[n]`` columns and the rest stay exactly 0.
+    """
+
+    obs_lags: np.ndarray
+    resid_lags: np.ndarray
     next_t: list[int]
     pending_f: dict[int, float] = field(default_factory=dict)
 
@@ -119,21 +125,6 @@ class SamossaModel:
         return len(self.ar_models)
 
 
-def _init_state(panel: TimePanel, decomp: Decomposition, L: int,
-                p_used: tuple[int, ...]) -> _State:
-    obs_lags = []
-    resid_lags = []
-    next_t = []
-    for n in range(panel.n_series):
-        obs = panel.values[n, -(L - 1):][::-1].copy()
-        p = p_used[n]
-        resid = decomp.x_hat[n, decomp.t_eff - p:][::-1].copy() if p > 0 else np.zeros(0)
-        obs_lags.append(obs)
-        resid_lags.append(resid)
-        next_t.append(panel.t0 + panel.length)
-    return _State(obs_lags=obs_lags, resid_lags=resid_lags, next_t=next_t)
-
-
 def _fit_fixed_p(panel: TimePanel, config: SamossaConfig, p: int, stage: Stage1) -> SamossaModel:
     decomp = stage.decompose(config.rank)
     beta_model = stage.beta(decomp.k_hat)
@@ -144,16 +135,19 @@ def _fit_fixed_p(panel: TimePanel, config: SamossaConfig, p: int, stage: Stage1)
                 ar_models.append(ArModel.zero(noise_var_hat=float(np.var(decomp.x_hat[n]))))
         else:
             ar_models.append(fit_ar(decomp.x_hat[n], p))
-    p_used = tuple(p for _ in range(panel.n_series))
     return SamossaModel(
         beta_model=beta_model,
         ar_models=tuple(ar_models),
         config=config,
         L=stage.L,
         k_hat=decomp.k_hat,
-        p_used=p_used,
+        p_used=(p,) * panel.n_series,
         series_names=panel.series_names,
-        state=_init_state(panel, decomp, stage.L, p_used),
+        state=_State(
+            obs_lags=panel.values[:, -(stage.L - 1):][:, ::-1].copy(),
+            resid_lags=decomp.x_hat[:, decomp.t_eff - p:decomp.t_eff][:, ::-1].copy(),
+            next_t=[panel.t0 + panel.length] * panel.n_series,
+        ),
     )
 
 
@@ -201,21 +195,33 @@ def fit(panel: TimePanel, config: SamossaConfig | None = None, *,
     return _fit_fixed_p(panel, config, p, stage1 or Stage1(panel, L))
 
 
+def _series(model: SamossaModel, n) -> int:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n < model.n_series:
+        raise StateError(f"series index must be an integer in 0..{model.n_series - 1}, got {n!r}")
+    return int(n)
+
+
+def _check_state(model: SamossaModel) -> None:
+    state = model.state
+    if state.obs_lags.shape != (model.n_series, model.L - 1):
+        raise StateError("forecast state not initialized")
+    if state.resid_lags.shape != (model.n_series, max(model.p_used, default=0)):
+        raise StateError("residual lags do not match the AR orders")
+
+
 def forecast_step(model: SamossaModel, n: int) -> tuple[float, float, float]:
     """Forecast (y_hat, f_hat, x_hat) for series n at its next time index.
 
     Pure with respect to the lag buffers and the clock; it only records the
     pending smooth-component forecast that ``observe`` needs to form the
     residual. Repeated calls before the matching ``observe`` recompute the
-    same values.
+    same values. StateError for a bad series index or state.
     """
+    n = _series(model, n)
+    _check_state(model)
     state = model.state
-    if not 0 <= n < model.n_series:
-        raise StateError(f"series index {n} outside 0..{model.n_series - 1}")
-    if state.obs_lags[n].shape[0] != model.L - 1:
-        raise StateError("forecast state not initialized")
-    f_hat = forecast_f(model.beta_model, state.obs_lags[n])
-    x_hat = forecast_ar(model.ar_models[n], state.resid_lags[n])
+    f_hat = float(np.vecdot(state.obs_lags[n], model.beta_model.beta))
+    x_hat = float(np.vecdot(state.resid_lags[n, :model.p_used[n]], model.ar_models[n].alpha))
     state.pending_f[n] = f_hat
     return f_hat + x_hat, f_hat, x_hat
 
@@ -223,28 +229,26 @@ def forecast_step(model: SamossaModel, n: int) -> tuple[float, float, float]:
 def observe(model: SamossaModel, n: int, y: float) -> SamossaModel:
     """Feed back the realized value for the step last forecast on series n.
 
-    Pushes y into the observation lags, pushes the after-observation
-    residual y - f_hat (with f_hat from the pending forecast) into the
-    residual lags, and advances the series clock. Raises StateError unless a
-    ``forecast_step`` for this series is pending, and IngestError if y is
-    not finite; either way the state, pending forecast included, is left
-    untouched.
+    Shifts y and the after-observation residual y - f_hat (f_hat from the
+    pending forecast) into the series' lag rows and advances its clock.
+    Raises StateError unless a ``forecast_step`` for this series is pending,
+    and IngestError unless y is a finite real number; either way the state,
+    pending forecast included, is left untouched.
     """
     state = model.state
-    if not 0 <= n < model.n_series:
-        raise StateError(f"series index {n} outside 0..{model.n_series - 1}")
+    n = _series(model, n)
     if n not in state.pending_f:
-        raise StateError(
-            f"observe for series {n} at t={state.next_t[n]} has no pending forecast"
-        )
-    if not math.isfinite(y):
-        raise IngestError(f"non-finite observation {y!r} for series {n} at t={state.next_t[n]}")
+        raise StateError(f"observe for series {n} at t={state.next_t[n]} has no pending forecast")
+    try:
+        y = _real(y, "y")
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond the float range
+        raise IngestError(f"observation for series {n} at t={state.next_t[n]}: {exc}") from None
     f_hat = state.pending_f.pop(n)
-    state.obs_lags[n] = np.concatenate(([y], state.obs_lags[n][:-1]))
     p = model.p_used[n]
-    if p > 0:
-        x_tilde = y - f_hat
-        state.resid_lags[n] = np.concatenate(([x_tilde], state.resid_lags[n][: p - 1]))
+    for lags, value in ((state.obs_lags[n], y), (state.resid_lags[n, :p], y - f_hat)):
+        if lags.size:
+            lags[1:] = lags[:-1]
+            lags[0] = value
     state.next_t[n] += 1
     return model
 
@@ -253,12 +257,10 @@ def _lagged_dots(history: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """``coef`` dotted with every window of ``w`` consecutive lags in ``history``.
 
     ``history`` holds each row's values newest-first, ``H - 1 + w`` of them
-    for ``w`` coefficients and H steps; column j of the (rows x H) result
-    uses ``history[:, H-1-j : H-1-j+w]``, so the columns run oldest step to
-    newest. ``coef`` is one vector, or one per row (rows x w).
-    Every window is a contiguous most-recent-first row, so ``np.vecdot``
-    reduces it exactly as the scalar ``coef @ lags`` of ``forecast_step``
-    does (a matrix-vector product would not).
+    for ``w`` coefficients (one vector, or rows x w) and H steps; column j of
+    the (rows x H) result uses ``history[:, H-1-j : H-1-j+w]``, so the columns
+    run oldest step to newest. Every window is a contiguous row, so
+    ``np.vecdot`` reduces it exactly as ``forecast_step`` reduces one row.
     """
     windows = sliding_window_view(history, coef.shape[-1], axis=1)[:, ::-1]
     if coef.ndim == 2:
@@ -266,21 +268,18 @@ def _lagged_dots(history: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return np.vecdot(windows, coef)
 
 
-def _ar_groups(model: SamossaModel) -> list[tuple[list[int], np.ndarray]]:
-    """Series indices sharing each nonzero AR order, with their stacked alphas."""
-    by_p: dict[int, list[int]] = {}
-    for n, p in enumerate(model.p_used):
-        if p > 0:
-            by_p.setdefault(p, []).append(n)
-    return [(rows, np.array([model.ar_models[n].alpha for n in rows])) for rows in by_p.values()]
+def _ar_dots(model: SamossaModel, history: np.ndarray, H: int) -> np.ndarray:
+    """N x H AR forecasts from the newest-first residual ``history`` rows.
 
-
-def _check_state(model: SamossaModel) -> None:
-    state = model.state
-    if any(lags.shape != (model.L - 1,) for lags in state.obs_lags):
-        raise StateError("forecast state not initialized")
-    if any(lags.shape != (p,) for lags, p in zip(state.resid_lags, model.p_used)):
-        raise StateError("residual lags do not match the AR orders")
+    Each group of equal order p reads only its first H-1+p columns, so the
+    zero padding never enters a dot.
+    """
+    x_hat = np.zeros((model.n_series, H))
+    for p in set(model.p_used) - {0}:
+        rows = [n for n, q in enumerate(model.p_used) if q == p]
+        alphas = np.array([model.ar_models[n].alpha for n in rows])
+        x_hat[rows] = _lagged_dots(history[rows, :H - 1 + p], alphas)
+    return x_hat
 
 
 def roll(model: SamossaModel, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -291,10 +290,14 @@ def roll(model: SamossaModel, values) -> tuple[np.ndarray, np.ndarray, np.ndarra
     advances the model exactly as H rounds of ``forecast_step`` then
     ``observe`` on every series would, bit for bit, with no forecast left
     pending. Fails closed: ShapeError for a wrong number of series,
-    StateError for uninitialized state, and IngestError naming the first
-    non-finite value's series and time; the model is untouched on error.
+    StateError for uninitialized state, and IngestError for non-numeric
+    values or naming the first non-finite value's series and time; the
+    model is untouched on error.
     """
-    values = np.asarray(values, dtype=np.float64)
+    try:
+        values = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise IngestError(f"values are not an array of numbers: {exc}") from None
     state = model.state
     if values.ndim != 2 or values.shape[0] != model.n_series:
         raise ShapeError(f"values of shape {values.shape} for a {model.n_series}-series model")
@@ -309,22 +312,15 @@ def roll(model: SamossaModel, values) -> tuple[np.ndarray, np.ndarray, np.ndarra
     if H == 0:
         return values.copy(), values.copy(), values.copy()
 
-    # Newest-first histories: the window reversed, then the lag buffers.
-    z = np.concatenate([values[:, ::-1], np.array(state.obs_lags)], axis=1)
+    # Newest-first histories: the window reversed, then the lag blocks.
+    z = np.concatenate([values[:, ::-1], state.obs_lags], axis=1)
     f_hat = _lagged_dots(z[:, 1:], model.beta_model.beta)
-    x_tilde = values - f_hat
-    x_hat = np.zeros_like(f_hat)
-    resid_heads = list(state.resid_lags)
-    for rows, alphas in _ar_groups(model):
-        zx = np.concatenate([x_tilde[rows, ::-1], np.array([state.resid_lags[n] for n in rows])],
-                            axis=1)
-        x_hat[rows] = _lagged_dots(zx[:, 1:], alphas)
-        heads = zx[:, :alphas.shape[1]].copy()
-        for i, n in enumerate(rows):
-            resid_heads[n] = heads[i]
-
-    state.obs_lags = list(z[:, :model.L - 1].copy())
-    state.resid_lags = resid_heads
+    zx = np.concatenate([(values - f_hat)[:, ::-1], state.resid_lags], axis=1)
+    x_hat = _ar_dots(model, zx[:, 1:], H)
+    state.obs_lags = z[:, :model.L - 1].copy()
+    p_max = state.resid_lags.shape[1]
+    state.resid_lags = np.where(np.arange(p_max) < np.array(model.p_used)[:, None],
+                                zx[:, :p_max], 0.0)
     state.next_t = [t + H for t in state.next_t]
     state.pending_f = {}
     return f_hat + x_hat, f_hat, x_hat
@@ -336,23 +332,20 @@ def forecast_recursive(model: SamossaModel, steps: int) -> np.ndarray:
     Returns an N x steps array. Rolls a copy of the model that holds a deep
     copy of its state, so the model itself is left untouched. This is the
     flagged alternative to the default rolling one-step protocol and is
-    excluded from the acceptance checks.
+    excluded from the acceptance checks. ConfigError unless ``steps`` is an
+    integer >= 0.
     Each prediction depends on the one before, so the panel advances one
-    step at a time: the step's forecasts are read off ``roll``'s lag dots on
-    the current buffers, then rolled back in as the realized values.
+    step at a time: the step's forecasts are ``roll``'s lag dots on the
+    current blocks, then rolled back in as the realized values.
     """
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise ConfigError(f"steps must be an integer >= 0, got {steps!r}")
     _check_state(model)
     model = replace(model, state=copy.deepcopy(model.state))
     out = np.empty((model.n_series, steps))
-    groups = _ar_groups(model)
     for j in range(steps):
-        state = model.state
-        f_hat = _lagged_dots(np.array(state.obs_lags), model.beta_model.beta)
-        x_hat = np.zeros_like(f_hat)
-        for rows, alphas in groups:
-            resid = np.array([state.resid_lags[n] for n in rows])
-            x_hat[rows] = _lagged_dots(resid, alphas)
-        out[:, j:j + 1] = f_hat + x_hat
+        f_hat = _lagged_dots(model.state.obs_lags, model.beta_model.beta)
+        out[:, j:j + 1] = f_hat + _ar_dots(model, model.state.resid_lags, 1)
         roll(model, out[:, j:j + 1])
     return out
 
@@ -406,8 +399,8 @@ def save_model(model: SamossaModel, path) -> None:
             for m in model.ar_models
         ],
         "state": {
-            "obs_lags": [a.tolist() for a in model.state.obs_lags],
-            "resid_lags": [a.tolist() for a in model.state.resid_lags],
+            "obs_lags": model.state.obs_lags.tolist(),
+            "resid_lags": [r[:p].tolist() for r, p in zip(model.state.resid_lags, model.p_used)],
             "next_t": list(model.state.next_t),
             "pending_f": {str(k): v for k, v in model.state.pending_f.items()},
         },
@@ -429,7 +422,7 @@ def _integer(value, what: str, low: int | None = None) -> int:
 
 
 def _real(value, what: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
@@ -484,11 +477,13 @@ def _model_from_doc(doc: dict) -> SamossaModel:
         if not 0 <= n < N:
             raise ValueError(f"pending forecast for series {n} of {N}")
         pending_f[n] = _real(value, f"pending_f[{key}]")
+    obs_lags, resid_lags = np.zeros((N, L - 1)), np.zeros((N, max(p_used, default=0)))
+    for n, a in enumerate(_entries(state_doc["obs_lags"], N, "obs_lags")):
+        obs_lags[n] = _vector(a, L - 1, f"obs_lags[{n}]")
+    for n, a in enumerate(_entries(state_doc["resid_lags"], N, "resid_lags")):
+        resid_lags[n, :p_used[n]] = _vector(a, p_used[n], f"resid_lags[{n}]")
     state = _State(
-        obs_lags=[_vector(a, L - 1, f"obs_lags[{n}]")
-                  for n, a in enumerate(_entries(state_doc["obs_lags"], N, "obs_lags"))],
-        resid_lags=[_vector(a, p_used[n], f"resid_lags[{n}]")
-                    for n, a in enumerate(_entries(state_doc["resid_lags"], N, "resid_lags"))],
+        obs_lags, resid_lags,
         next_t=[_integer(t, "next_t entry") for t in _entries(state_doc["next_t"], N, "next_t")],
         pending_f=pending_f,
     )

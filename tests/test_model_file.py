@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from samossa import ParseError, forecast_step, load_model, roll, save_model
-from test_roll import assert_same_state, random_model, roll_cases
+from test_roll import ScalarProtocol, assert_same_state, random_model, roll_cases
 
 
 @settings(max_examples=60, deadline=None)
@@ -25,16 +25,22 @@ def test_save_load_roll_round_trip(case):
     L, ps, horizon, _, pending, seed = case
     rng = np.random.default_rng(seed)
     model = random_model(rng, L, ps)
+    oracle = ScalarProtocol(model)
     for n in pending:
         forecast_step(model, n)
+        oracle.forecast(n)
     values = rng.normal(size=(len(ps), horizon))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         save_model(model, path)
         loaded = load_model(path)
     assert_same_state(loaded.state, model.state)
-    assert np.array_equal(np.stack(roll(loaded, values)), np.stack(roll(model, values)))
+    oracle.assert_state(loaded.state)
+    want = oracle.roll(values)
+    assert np.array_equal(np.stack(roll(loaded, values)), want)
+    assert np.array_equal(np.stack(roll(model, values)), want)
     assert_same_state(loaded.state, model.state)
+    oracle.assert_state(loaded.state)
 
 
 def _base_doc() -> dict:

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from samossa.pipeline import (
     forecast_step,
     load_model,
     observe,
+    roll,
     save_model,
 )
 from samossa.synth import GeneratorSpec, estimation_spec, forecasting_spec, generate
@@ -140,8 +143,8 @@ class TestForecastProtocol:
             p_used=(1,),
             series_names=("a",),
             state=_State(
-                obs_lags=[np.array([1.0, 2.0, 3.0])],
-                resid_lags=[np.array([5.0])],
+                obs_lags=np.array([[1.0, 2.0, 3.0]]),
+                resid_lags=np.array([[5.0]]),
                 next_t=[10],
             ),
         )
@@ -180,6 +183,52 @@ class TestForecastProtocol:
         observe(model, 0, 1.0)
         assert model.state.resid_lags[0][0] == 1.0 - pending[1]
         assert model.state.next_t[0] == 402
+
+    @pytest.mark.parametrize("n", [1.5, True, "1", None])
+    def test_forecast_step_series_index_must_be_an_integer(self, model, n):
+        with pytest.raises(StateError, match="series index must be an integer"):
+            forecast_step(model, n)
+        assert model.state.pending_f == {}
+
+    @pytest.mark.parametrize("n", [1.5, True])
+    def test_observe_series_index_must_be_an_integer(self, model, n):
+        forecast_step(model, 1)
+        with pytest.raises(StateError, match="series index must be an integer"):
+            observe(model, n, 1.0)
+        assert model.state.next_t == [401, 401, 401]
+
+    def test_numpy_integer_series_index(self, model):
+        y_hat = forecast_step(model, np.int64(1))
+        assert y_hat == forecast_step(model, 1)
+        observe(model, np.int64(1), np.float32(0.5))
+        assert model.state.next_t == [401, 402, 401] and model.state.pending_f == {}
+        assert model.state.obs_lags[1, 0] == 0.5
+
+    @pytest.mark.parametrize("y", ["1.0", None, [1.0], 10**400],
+                             ids=["str", "none", "list", "huge_int"])
+    def test_observe_rejects_non_numbers(self, model, y):
+        pending = forecast_step(model, 0)
+        before = copy.deepcopy(model.state)
+        with pytest.raises(IngestError, match=r"observation for series 0 at t=401: "):
+            observe(model, 0, y)
+        assert np.array_equal(model.state.obs_lags, before.obs_lags)
+        assert np.array_equal(model.state.resid_lags, before.resid_lags)
+        assert model.state.pending_f == {0: pending[1]}
+
+    @pytest.mark.parametrize("steps", [-1, 2.0, True, None])
+    def test_recursive_steps_must_be_a_count(self, model, steps):
+        with pytest.raises(ConfigError, match="steps must be an integer >= 0"):
+            forecast_recursive(model, steps)
+
+    def test_recursive_numpy_integer_steps(self, model):
+        assert np.array_equal(forecast_recursive(model, np.int64(3)), forecast_recursive(model, 3))
+
+    def test_roll_rejects_non_numeric_values(self, model):
+        before = copy.deepcopy(model.state)
+        with pytest.raises(IngestError, match="not an array of numbers"):
+            roll(model, [["a", "a"]] * 3)
+        assert np.array_equal(model.state.obs_lags, before.obs_lags)
+        assert model.state.next_t == before.next_t
 
     def test_ring_buffer_order(self):
         # After observing 1, 2, 3, 4 the lag window reads most-recent-first.

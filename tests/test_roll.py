@@ -2,7 +2,10 @@
 
 ``roll`` must be bit-identical to rounds of ``forecast_step`` then
 ``observe`` on every series: the forecasts and the state it leaves behind,
-over any chunking of a window and whatever forecasts were pending.
+over any chunking of a window and whatever forecasts were pending. All of
+them run on one lag-dot kernel, so each is also checked against
+``ScalarProtocol``, an independent reference built on the scalar
+``forecast_f``/``forecast_ar`` and list buffers.
 """
 
 import copy
@@ -27,6 +30,8 @@ from samossa import (
     observe,
     roll,
 )
+from samossa.ar import forecast_ar
+from samossa.linear_forecaster import forecast_f
 from samossa.pipeline import SamossaModel, _State
 from samossa.synth import forecasting_spec, generate
 
@@ -38,9 +43,12 @@ def random_model(rng, L, ps, t0=100) -> SamossaModel:
     ar_models = tuple(
         ArModel(alpha=rng.uniform(-0.4, 0.4, size=p), p=p, noise_var_hat=1.0) for p in ps
     )
+    resid_lags = np.zeros((n_series, max(ps, default=0)))
+    for n, p in enumerate(ps):
+        resid_lags[n, :p] = rng.normal(size=p)
     state = _State(
-        obs_lags=[rng.normal(size=L - 1) for _ in ps],
-        resid_lags=[rng.normal(size=p) for p in ps],
+        obs_lags=rng.normal(size=(n_series, L - 1)),
+        resid_lags=resid_lags,
         next_t=[int(t) for t in t0 + rng.integers(0, 3, size=n_series)],
     )
     return SamossaModel(
@@ -48,6 +56,69 @@ def random_model(rng, L, ps, t0=100) -> SamossaModel:
         L=L, k_hat=1, p_used=tuple(ps), series_names=tuple(f"s{n}" for n in range(n_series)),
         state=state,
     )
+
+
+class ScalarProtocol:
+    """Reference forecaster: one list buffer per series and scalar dot products.
+
+    Forecasts with ``forecast_f`` and ``forecast_ar`` on each series' own
+    most-recent-first buffers, and observes by pushing the value and its
+    residual onto the front. It reads the model's coefficients and its
+    starting state, and nothing else of the package's forecasting code.
+    """
+
+    def __init__(self, model):
+        state = model.state
+        self.model = model
+        self.obs = [state.obs_lags[n].copy() for n in range(model.n_series)]
+        self.resid = [state.resid_lags[n, :p].copy() for n, p in enumerate(model.p_used)]
+        self.next_t = list(state.next_t)
+        self.pending = dict(state.pending_f)
+
+    def forecast(self, n):
+        f_hat = forecast_f(self.model.beta_model, self.obs[n])
+        x_hat = forecast_ar(self.model.ar_models[n], self.resid[n])
+        self.pending[n] = f_hat
+        return f_hat + x_hat, f_hat, x_hat
+
+    def observe(self, n, y):
+        f_hat = self.pending.pop(n)
+        self.obs[n] = np.concatenate(([y], self.obs[n][:-1]))
+        p = self.model.p_used[n]
+        if p > 0:
+            self.resid[n] = np.concatenate(([y - f_hat], self.resid[n][:p - 1]))
+        self.next_t[n] += 1
+
+    def roll(self, values):
+        n_series, horizon = values.shape
+        out = np.empty((3, n_series, horizon))
+        for j in range(horizon):
+            for n in range(n_series):
+                out[:, n, j] = self.forecast(n)
+            for n in range(n_series):
+                self.observe(n, float(values[n, j]))
+        return out
+
+    def recursive(self, steps):
+        out = np.empty((len(self.obs), steps))
+        for j in range(steps):
+            for n in range(len(self.obs)):
+                out[n, j] = self.forecast(n)[0]
+                self.observe(n, out[n, j])
+        return out
+
+    def assert_state(self, state):
+        """The package's blocks hold these buffers, and exact +0.0 in every padded cell."""
+        n_series = len(self.obs)
+        assert state.obs_lags.shape == (n_series, self.model.L - 1)
+        assert state.resid_lags.shape == (n_series, max(self.model.p_used, default=0))
+        for n, p in enumerate(self.model.p_used):
+            assert np.array_equal(state.obs_lags[n], self.obs[n])
+            assert np.array_equal(state.resid_lags[n, :p], self.resid[n])
+            pad = state.resid_lags[n, p:]
+            assert np.all(pad == 0) and not np.signbit(pad).any()
+        assert state.next_t == self.next_t
+        assert state.pending_f == self.pending
 
 
 def loop_roll(model, values):
@@ -63,10 +134,7 @@ def loop_roll(model, values):
 
 
 def assert_same_state(a, b):
-    assert len(a.obs_lags) == len(b.obs_lags)
-    for x, y in zip(a.obs_lags, b.obs_lags):
-        assert x.shape == y.shape and np.array_equal(x, y)
-    for x, y in zip(a.resid_lags, b.resid_lags):
+    for x, y in ((a.obs_lags, b.obs_lags), (a.resid_lags, b.resid_lags)):
         assert x.shape == y.shape and np.array_equal(x, y)
     assert a.next_t == b.next_t
     assert a.pending_f == b.pending_f
@@ -92,16 +160,20 @@ class TestEquivalence:
         rng = np.random.default_rng(seed)
         model = random_model(rng, L, ps)
         values = rng.normal(size=(len(ps), horizon))
+        oracle = ScalarProtocol(model)
         for n in pending:
-            forecast_step(model, n)
+            assert forecast_step(model, n) == oracle.forecast(n)
         reference = copy.deepcopy(model)
         want = loop_roll(reference, values)
+        assert np.array_equal(want, oracle.roll(values))
+        oracle.assert_state(reference.state)
 
         got = np.empty_like(want)
         for lo, hi in zip([0, *cuts], [*cuts, horizon]):
             got[:, :, lo:hi] = roll(model, values[:, lo:hi])
         assert np.array_equal(got, want)
         assert_same_state(model.state, reference.state)
+        oracle.assert_state(model.state)
 
     def test_fitted_models_whole_and_chunked(self):
         res = generate(forecasting_spec(n_series=6, length=1300, seed=2))
@@ -110,8 +182,10 @@ class TestEquivalence:
         test = res.y.values[:, 1000:]
         for p in (0, 1, 3, (0, 1, 2, 3)):
             model = fit(train, SamossaConfig(rank=RankRule.energy(0.9), p=p, valid_len=25))
+            oracle = ScalarProtocol(model)
             reference = copy.deepcopy(model)
             want = loop_roll(reference, test)
+            assert np.array_equal(want, oracle.roll(test))
             whole = copy.deepcopy(model)
             assert np.array_equal(np.stack(roll(whole, test)), want)
             assert_same_state(whole.state, reference.state)
@@ -119,6 +193,7 @@ class TestEquivalence:
                                   for lo in range(0, test.shape[1], 50)], axis=2)
             assert np.array_equal(got, want)
             assert_same_state(model.state, reference.state)
+            oracle.assert_state(model.state)
 
     def test_empty_window_keeps_pending_forecast(self):
         model = random_model(np.random.default_rng(0), 4, [2, 0])
@@ -136,12 +211,14 @@ class TestRecursive:
         L, ps, steps, _, _, seed = case
         model = random_model(np.random.default_rng(seed), L, ps)
         before = copy.deepcopy(model.state)
+        oracle = ScalarProtocol(model)
         reference = copy.deepcopy(model)
         want = np.empty((len(ps), steps))
         for j in range(steps):
             for n in range(len(ps)):
                 want[n, j] = forecast_step(reference, n)[0]
                 observe(reference, n, want[n, j])
+        assert np.array_equal(oracle.recursive(steps), want)
         assert np.array_equal(forecast_recursive(model, steps), want)
         assert_same_state(model.state, before)
 
@@ -151,15 +228,18 @@ class TestRecursive:
         model.p_used = (0, 1, 2, 2)
         model.ar_models = (ArModel.zero(), ArModel(alpha=np.array([0.5]), p=1, noise_var_hat=1.0),
                            *model.ar_models[2:])
-        model.state.resid_lags = [np.zeros(0), model.state.resid_lags[1][:1],
-                                  *model.state.resid_lags[2:]]
+        model.state.resid_lags[0] = 0.0
+        model.state.resid_lags[1, 1:] = 0.0
+        oracle = ScalarProtocol(model)
         reference = copy.deepcopy(model)
         want = np.empty((4, 40))
         for j in range(40):
             for n in range(4):
                 want[n, j] = forecast_step(reference, n)[0]
                 observe(reference, n, want[n, j])
+        assert np.array_equal(oracle.recursive(40), want)
         assert np.array_equal(forecast_recursive(model, 40), want)
+        oracle.assert_state(reference.state)
 
 
 class TestFailClosed:
@@ -187,8 +267,22 @@ class TestFailClosed:
         assert_same_state(model.state, before)
 
     def test_uninitialized_state(self, model):
-        model.state.obs_lags[0] = model.state.obs_lags[0][:-1]
+        model.state.obs_lags = model.state.obs_lags[:, :-1]
         before = copy.deepcopy(model.state)
+        with pytest.raises(StateError):
+            roll(model, np.zeros((3, 2)))
+        assert_same_state(model.state, before)
+
+    @pytest.mark.parametrize("block", ["obs_lags", "resid_lags"])
+    def test_forecast_step_checks_the_whole_state(self, model, block):
+        # A residual block one column too wide: every row's own first p
+        # columns are still there, but the state does not fit the orders.
+        lags = getattr(model.state, block)
+        setattr(model.state, block, np.hstack([lags, np.zeros((3, 1))]))
+        before = copy.deepcopy(model.state)
+        for n in range(3):
+            with pytest.raises(StateError):
+                forecast_step(model, n)
         with pytest.raises(StateError):
             roll(model, np.zeros((3, 2)))
         assert_same_state(model.state, before)
