@@ -7,7 +7,8 @@ supplied through a JSON config file (``--config``) keyed by option name;
 explicit flags win over the file, the file wins over built-in defaults, and
 every value is checked before any other file is read. All randomness flows
 from ``--seed``; there are no wall-clock defaults, so identical inputs give
-byte-identical outputs.
+byte-identical outputs, except ``runtime_seconds`` in ``eval``'s report.json,
+which is the measured wall-clock time of the rolling evaluation.
 
 Errors are reported as a single machine-parsable line on stderr:
 ``samossa: error: <Kind>: <detail>``.
@@ -16,7 +17,6 @@ Errors are reported as a single machine-parsable line on stderr:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -30,7 +30,7 @@ from . import evaluation, pipeline, synth
 from .errors import ParseError, RankError, SamossaError, ShapeError, StateError
 from .lowrank import RankRule
 from .pagemat import default_L
-from .panel import SplitSpec, TimePanel, load_csv, save_csv, split
+from .panel import SplitSpec, TimePanel, load_csv, save_csv, split, write_rows
 from .pipeline import SamossaConfig
 from .ssa_estimator import decompose
 
@@ -310,10 +310,9 @@ def _cmd_decompose(opts: argparse.Namespace) -> int:
     _log(f"decomposing {panel.n_series} series x {panel.length} steps at L={L}")
     decomp = decompose(panel, L, opts.rank)
     os.makedirs(opts.out, exist_ok=True)
-    f_panel = TimePanel(panel.series_names, decomp.f_hat, t0=decomp.t0)
-    x_panel = TimePanel(panel.series_names, decomp.x_hat, t0=decomp.t0)
-    save_csv(f_panel, os.path.join(opts.out, "f_hat.csv"))
-    save_csv(x_panel, os.path.join(opts.out, "x_hat.csv"))
+    for name, data in (("f_hat", decomp.f_hat), ("x_hat", decomp.x_hat)):
+        save_csv(TimePanel(panel.series_names, data, t0=decomp.t0),
+                 os.path.join(opts.out, f"{name}.csv"))
     meta = {
         "L": decomp.L,
         "k_hat": decomp.k_hat,
@@ -393,11 +392,8 @@ def _load_truth(truth_dir: str) -> evaluation.GeneratorTruth:
 def _write_report(report: evaluation.MetricReport, config: dict, names, out_dir: str) -> None:
     # A series with no variance has no R^2: an empty cell, null in JSON.
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", "r2"])
-        for name, score in zip(names, report.per_series_r2):
-            writer.writerow([name, "" if score is None else repr(score)])
+    write_rows(os.path.join(out_dir, "report.csv"), ("series", "r2"),
+               zip(names, report.per_series_r2))
     summary = {
         "mean_r2": report.mean_r2,
         "per_series_r2": list(report.per_series_r2),
@@ -414,7 +410,7 @@ def _cmd_eval(opts: argparse.Namespace) -> int:
     _, valid, test = split(panel, spec)
     truth = _load_truth(opts.truth_dir) if opts.truth_dir else None
     config = _pipeline_config(opts, grid_window=valid.length)
-    fit_window = TimePanel(panel.series_names, panel.values[:, : spec.valid_end], t0=panel.t0)
+    fit_window = panel.window(0, spec.valid_end)
     _log(f"fitting on [1, {spec.valid_end}], evaluating on ({spec.valid_end}, {spec.test_end}]")
     model = pipeline.fit(fit_window, config)
     report = evaluation.rolling_eval(model, test, truth=truth)
@@ -435,14 +431,9 @@ def _cmd_grid(opts: argparse.Namespace) -> int:
     _log(f"searching {len(grid)} configurations")
     best, entries = evaluation.grid_search(train, valid, grid)
     os.makedirs(opts.out, exist_ok=True)
-    with open(os.path.join(opts.out, "grid.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "shape_ratio", "p", "k_hat", "mean_r2"])
-        for entry in entries:
-            writer.writerow([
-                str(entry.config.rank), entry.config.shape_ratio, entry.config.p,
-                entry.k_hat, repr(entry.mean_r2),
-            ])
+    write_rows(os.path.join(opts.out, "grid.csv"), ("rank", "shape_ratio", "p", "k_hat", "mean_r2"),
+               ((str(e.config.rank), e.config.shape_ratio, e.config.p, e.k_hat, e.mean_r2)
+                for e in entries))
     best_doc = {
         "L": best.L, "rank": str(best.rank), "p": best.p, "shape_ratio": best.shape_ratio,
     }
@@ -464,14 +455,10 @@ def _cmd_fig2(opts: argparse.Namespace) -> int:
         threads=opts.threads or os.cpu_count(),
     )
     os.makedirs(opts.out, exist_ok=True)
-    with open(os.path.join(opts.out, "fig2.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda_star", "sqrt_nt", "seed", "est_err", "alpha_err"])
-        for row in report.rows:
-            writer.writerow([
-                row.lambda_star, repr(math.sqrt(row.nt)), row.seed,
-                repr(row.est_err), repr(row.alpha_err),
-            ])
+    write_rows(os.path.join(opts.out, "fig2.csv"),
+               ("lambda_star", "sqrt_nt", "seed", "est_err", "alpha_err"),
+               ((r.lambda_star, math.sqrt(r.nt), r.seed, r.est_err, r.alpha_err)
+                for r in report.rows))
     summary = {
         "est_slopes": {str(k): v for k, v in report.est_slopes.items()},
         "median_est_err": {

@@ -30,7 +30,7 @@ class FitError(SamossaError):
 
 
 class NonStationaryError(SamossaError):
-    """AR characteristic roots on or outside the unit circle."""
+    """AR characteristic roots on or outside the unit circle, or a diverging forecast."""
 
 
 class DegenerateRootsError(SamossaError):

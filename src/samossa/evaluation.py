@@ -284,24 +284,31 @@ class Fig2Row:
     alpha_err: float
 
 
+def _medians(pairs) -> dict:
+    """Median value per key of (key, value) pairs, keys ascending."""
+    groups: dict = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return {key: float(np.median(values)) for key, values in sorted(groups.items())}
+
+
+def _loglog_slope(medians: dict) -> float:
+    """Least-squares slope of log(median) against log(key)."""
+    xs = np.log(np.array(list(medians), dtype=np.float64))
+    ys = np.log(np.array(list(medians.values()), dtype=np.float64))
+    return float(np.polyfit(xs, ys, 1)[0])
+
+
 @dataclass(frozen=True)
 class Fig2Report:
     rows: tuple[Fig2Row, ...]
     est_slopes: dict[float, float]
 
     def median_est_err(self, lambda_star: float) -> dict[int, float]:
-        by_nt: dict[int, list[float]] = {}
-        for row in self.rows:
-            if row.lambda_star == lambda_star:
-                by_nt.setdefault(row.nt, []).append(row.est_err)
-        return {nt: float(np.median(v)) for nt, v in sorted(by_nt.items())}
+        return _medians((r.nt, r.est_err) for r in self.rows if r.lambda_star == lambda_star)
 
     def median_alpha_err(self, lambda_star: float) -> dict[int, float]:
-        by_nt: dict[int, list[float]] = {}
-        for row in self.rows:
-            if row.lambda_star == lambda_star:
-                by_nt.setdefault(row.nt, []).append(row.alpha_err)
-        return {nt: float(np.median(v)) for nt, v in sorted(by_nt.items())}
+        return _medians((r.nt, r.alpha_err) for r in self.rows if r.lambda_star == lambda_star)
 
 
 def _fig2_point(lambda_star: float, nt: int, seed: int, n_series: int,
@@ -338,24 +345,15 @@ def figure2_experiment(lambda_stars, nt_values, n_seeds: int, n_series: int = 10
         for nt in nt_values
         for s in range(n_seeds)
     ]
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(lambda args: _fig2_point(*args, n_series, rank, p, sigma2), tasks)
-            )
-    else:
-        rows = [_fig2_point(*args, n_series, rank, p, sigma2) for args in tasks]
-    rows.sort(key=lambda r: (r.lambda_star, r.nt, r.seed))
-
-    draft = Fig2Report(rows=tuple(rows), est_slopes={})
-    slopes = {}
-    for lam in lambda_stars:
-        med = draft.median_est_err(lam)
-        if len(med) >= 2:
-            xs = np.log(np.array(list(med.keys()), dtype=np.float64))
-            ys = np.log(np.array(list(med.values()), dtype=np.float64))
-            slopes[lam] = float(np.polyfit(xs, ys, 1)[0])
-    return Fig2Report(rows=draft.rows, est_slopes=slopes)
+    with ThreadPoolExecutor(max_workers=threads or 1) as pool:
+        rows = tuple(sorted(
+            pool.map(lambda args: _fig2_point(*args, n_series, rank, p, sigma2), tasks),
+            key=lambda r: (r.lambda_star, r.nt, r.seed),
+        ))
+    medians = {lam: _medians((r.nt, r.est_err) for r in rows if r.lambda_star == lam)
+               for lam in lambda_stars}
+    return Fig2Report(rows=rows, est_slopes={
+        lam: _loglog_slope(med) for lam, med in medians.items() if len(med) >= 2})
 
 
 def ar_identification_experiment(lambda_star: float, t_values, n_seeds: int,
@@ -377,13 +375,7 @@ def ar_identification_experiment(lambda_star: float, t_values, n_seeds: int,
             model = fit_ar(result.x.values[0], p)
             err2 = float(np.sum((model.alpha - result.alphas[0]) ** 2))
             rows.append((int(t_len), base_seed + s, err2))
-    medians = {}
-    for t_len, _, err2 in rows:
-        medians.setdefault(t_len, []).append(err2)
-    xs = np.log(np.array(sorted(medians), dtype=np.float64))
-    ys = np.log(np.array([np.median(medians[t]) for t in sorted(medians)]))
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return rows, slope
+    return rows, _loglog_slope(_medians((t_len, err2) for t_len, _, err2 in rows))
 
 
 def forecast_benchmark_run(seed: int, n_series: int = 25, train_len: int = 10_000,
@@ -401,12 +393,9 @@ def forecast_benchmark_run(seed: int, n_series: int = 25, train_len: int = 10_00
     result = generate(forecasting_spec(n_series=n_series, length=total, seed=seed))
     grid = list(grid) if grid is not None else default_grid()
 
-    names = result.y.series_names
-    values = result.y.values
-    train = TimePanel(names, values[:, :train_len], t0=1)
-    valid = TimePanel(names, values[:, train_len:train_len + valid_len], t0=train_len + 1)
-    fit_window = TimePanel(names, values[:, :train_len + valid_len], t0=1)
-    test = TimePanel(names, values[:, train_len + valid_len:], t0=train_len + valid_len + 1)
+    y, head = result.y, train_len + valid_len
+    train, valid = y.window(0, train_len), y.window(train_len, head)
+    fit_window, test = y.window(0, head), y.window(head, total)
 
     best, entries = grid_search(train, valid, grid)
     # The ablation's configs were all scored by the search above; rank them

@@ -1,4 +1,4 @@
-"""Multivariate panel data model, CSV ingestion/serialization, and slicing.
+"""Multivariate panel data model, its time windows, and the CSV table format.
 
 A panel holds N aligned real-valued series of length T. Time indices are
 abstract integers: column j of ``values`` is time ``t0 + j``. There is no
@@ -6,7 +6,9 @@ timestamp parsing; calendars are out of scope.
 
 CSV conventions: UTF-8, comma-delimited, '.' decimal separator. Wide layout
 is one column per series and one row per timestep, with an optional header
-row of series names. Long layout is (series, t, value) triples.
+row of series names. Long layout is (series, t, value) triples. Every CSV
+table the package writes, panels and reports alike, goes through
+:func:`write_rows`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, IngestError, ParseError, ShapeError, SplitError
 
-__all__ = ["TimePanel", "SplitSpec", "load_csv", "save_csv", "split"]
+__all__ = ["TimePanel", "SplitSpec", "load_csv", "save_csv", "split", "write_rows"]
 
 
 @dataclass(frozen=True)
@@ -26,9 +28,9 @@ class TimePanel:
     """N aligned series of length T.
 
     ``values`` has one row per series. ``t0`` is the absolute time index of
-    the first column (1 for a freshly loaded panel); slices produced by
-    :func:`split` carry their absolute position so that downstream consumers
-    can align forecasts with ground truth.
+    the first column (1 for a freshly loaded panel); windows produced by
+    :meth:`window` and :func:`split` carry their absolute position so that
+    downstream consumers can align forecasts with ground truth.
 
     Instances are immutable and safe to share across threads.
     """
@@ -66,6 +68,15 @@ class TimePanel:
     def series(self, n: int) -> np.ndarray:
         """Values of series ``n`` (0-based row index)."""
         return self.values[n]
+
+    def window(self, lo: int, hi: int) -> TimePanel:
+        """Columns ``lo`` up to ``hi`` (0-based, half-open) at their absolute time ``t0 + lo``.
+
+        ShapeError unless ``0 <= lo <= hi <= length``: a bound is never clamped.
+        """
+        if not 0 <= lo <= hi <= self.length:
+            raise ShapeError(f"window [{lo}, {hi}) outside a panel of length {self.length}")
+        return TimePanel(self.series_names, self.values[:, lo:hi], t0=self.t0 + lo)
 
 
 @dataclass(frozen=True)
@@ -115,8 +126,6 @@ def _looks_like_header(row: list[str]) -> bool:
 
 
 def _load_wide(rows: list[list[str]]) -> TimePanel:
-    if not rows:
-        raise IngestError("empty CSV")
     start = 0
     if _looks_like_header(rows[0]):
         names = tuple(cell.strip() for cell in rows[0])
@@ -152,8 +161,6 @@ def _long_header(row: list[str]) -> bool:
 
 
 def _load_long(rows: list[list[str]]) -> TimePanel:
-    if not rows:
-        raise IngestError("empty CSV")
     start = 1 if _long_header(rows[0]) else 0
     triples: dict[str, dict[int, float]] = {}
     order: list[str] = []
@@ -201,6 +208,8 @@ def load_csv(path, layout: str = "wide") -> TimePanel:
     """
     _check_layout(layout)
     rows = _read_rows(path)
+    if not rows:
+        raise IngestError("empty CSV")
     if layout == "wide":
         return _load_wide(rows)
     return _load_long(rows)
@@ -211,42 +220,43 @@ def _check_layout(layout: str) -> None:
         raise ConfigError(f"unknown layout {layout!r} (choose wide or long)")
 
 
+def write_rows(path, header, rows) -> None:
+    """Write one CSV table: UTF-8, ``\\r\\n`` line ends, ``header``, then ``rows``.
+
+    ``rows``, any iterable of cell sequences, is consumed one row at a time.
+    A Python float is written as its shortest round-trip text and None as an
+    empty cell; turn numpy scalars into Python ones first (``tolist()``).
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_csv(panel: TimePanel, path, layout: str = "wide") -> None:
     """Write a panel to CSV. Floats use shortest round-trip formatting.
 
     An unknown ``layout`` raises ConfigError before the file is opened.
     """
     _check_layout(layout)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if layout == "wide":
-            writer.writerow(panel.series_names)
-            for j in range(panel.length):
-                writer.writerow([repr(float(v)) for v in panel.values[:, j]])
-        else:
-            writer.writerow(["series", "t", "value"])
-            for n, name in enumerate(panel.series_names):
-                for j in range(panel.length):
-                    writer.writerow([name, panel.t0 + j, repr(float(panel.values[n, j]))])
+    if layout == "wide":
+        write_rows(path, panel.series_names, (row.tolist() for row in panel.values.T))
+    else:
+        write_rows(path, ("series", "t", "value"), (
+            (name, panel.t0 + j, value)
+            for name, row in zip(panel.series_names, panel.values)
+            for j, value in enumerate(row.tolist())
+        ))
 
 
 def split(panel: TimePanel, spec: SplitSpec) -> tuple[TimePanel, TimePanel, TimePanel]:
-    """Cut a panel into contiguous train/validation/test slices.
+    """Cut a panel into contiguous train/validation/test windows.
 
-    The slices cover [1, train_end], (train_end, valid_end], and
+    The windows cover [1, train_end], (train_end, valid_end], and
     (valid_end, test_end] in the panel's own 1-based indexing; each carries
-    an absolute ``t0``. The test slice may be empty (``valid_end ==
+    an absolute ``t0``. The test window may be empty (``valid_end ==
     test_end``), in which case its panel has zero columns.
     """
     spec.validate(panel.length)
-    cuts = [(0, spec.train_end), (spec.train_end, spec.valid_end), (spec.valid_end, spec.test_end)]
-    parts = []
-    for lo, hi in cuts:
-        parts.append(
-            TimePanel(
-                series_names=panel.series_names,
-                values=panel.values[:, lo:hi],
-                t0=panel.t0 + lo,
-            )
-        )
-    return parts[0], parts[1], parts[2]
+    a, b, c = spec.train_end, spec.valid_end, spec.test_end
+    return panel.window(0, a), panel.window(a, b), panel.window(b, c)

@@ -42,6 +42,7 @@ from .ar import ArModel, fit_ar
 from .errors import (
     ConfigError,
     IngestError,
+    NonStationaryError,
     ParseError,
     PersistError,
     SamossaError,
@@ -163,8 +164,7 @@ def _select_p(panel: TimePanel, config: SamossaConfig, grid: tuple[int, ...]) ->
     v = config.valid_len
     if not 2 <= v < panel.length:
         raise ConfigError(f"valid_len={v} unusable for panel of length {panel.length}")
-    head = TimePanel(panel.series_names, panel.values[:, :-v], t0=panel.t0)
-    tail = TimePanel(panel.series_names, panel.values[:, -v:], t0=panel.t0 + panel.length - v)
+    head, tail = panel.window(0, panel.length - v), panel.window(panel.length - v, panel.length)
     return _best(_score_each(head, [replace(config, p=p) for p in grid], tail)).p
 
 
@@ -290,14 +290,18 @@ def roll(model: SamossaModel, values) -> tuple[np.ndarray, np.ndarray, np.ndarra
     advances the model exactly as H rounds of ``forecast_step`` then
     ``observe`` on every series would, bit for bit, with no forecast left
     pending. Fails closed: ShapeError for a wrong number of series,
-    StateError for uninitialized state, and IngestError for non-numeric
-    values or naming the first non-finite value's series and time; the
-    model is untouched on error.
+    StateError for uninitialized state, and IngestError for values that
+    ``observe`` rejects too (anything but integers and floats) or naming the
+    first non-finite value's series and time; the model is untouched on error.
     """
     try:
-        values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values)
     except (TypeError, ValueError) as exc:
         raise IngestError(f"values are not an array of numbers: {exc}") from None
+    if values.dtype.kind not in "iuf":
+        raise IngestError(f"values are not an array of numbers: need integers or floats, "
+                          f"got {values.dtype}")
+    values = values.astype(np.float64, copy=False)
     state = model.state
     if values.ndim != 2 or values.shape[0] != model.n_series:
         raise ShapeError(f"values of shape {values.shape} for a {model.n_series}-series model")
@@ -306,7 +310,8 @@ def roll(model: SamossaModel, values) -> tuple[np.ndarray, np.ndarray, np.ndarra
     if bad.size:
         j, n = bad[0]
         raise IngestError(
-            f"non-finite observation {values[n, j]!r} for series {n} at t={state.next_t[n] + j}"
+            f"non-finite observation {float(values[n, j])!r} for series {n} "
+            f"at t={state.next_t[n] + j}"
         )
     H = values.shape[1]
     if H == 0:
@@ -333,7 +338,8 @@ def forecast_recursive(model: SamossaModel, steps: int) -> np.ndarray:
     copy of its state, so the model itself is left untouched. This is the
     flagged alternative to the default rolling one-step protocol and is
     excluded from the acceptance checks. ConfigError unless ``steps`` is an
-    integer >= 0.
+    integer >= 0; NonStationaryError, naming the step and series, once a
+    forecast leaves the finite range (a diverging recurrence).
     Each prediction depends on the one before, so the panel advances one
     step at a time: the step's forecasts are ``roll``'s lag dots on the
     current blocks, then rolled back in as the realized values.
@@ -344,8 +350,15 @@ def forecast_recursive(model: SamossaModel, steps: int) -> np.ndarray:
     model = replace(model, state=copy.deepcopy(model.state))
     out = np.empty((model.n_series, steps))
     for j in range(steps):
-        f_hat = _lagged_dots(model.state.obs_lags, model.beta_model.beta)
-        out[:, j:j + 1] = f_hat + _ar_dots(model, model.state.resid_lags, 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, per series
+            f_hat = _lagged_dots(model.state.obs_lags, model.beta_model.beta)
+            out[:, j:j + 1] = f_hat + _ar_dots(model, model.state.resid_lags, 1)
+        bad = np.flatnonzero(~np.isfinite(out[:, j]))
+        if bad.size:
+            n = int(bad[0])
+            raise NonStationaryError(
+                f"recursive forecast left the finite range at step {j + 1} "
+                f"(t={model.state.next_t[n]}) for series {n}: {float(out[n, j])!r}")
         roll(model, out[:, j:j + 1])
     return out
 

@@ -150,6 +150,22 @@ class TestFitForecast:
         bad.write_text("{not json")
         assert run("forecast", "--model", str(bad), "-o", str(tmp_path / "f.csv")) == 2
 
+    def test_diverging_recursive_forecast_is_one_error_line(self, capsys, tmp_path):
+        doc = json.loads((GOLDEN / "model.json").read_text())
+        doc["beta"] = [1000.0] + [0.0] * (len(doc["beta"]) - 1)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "fc.csv"
+        capsys.readouterr()
+        assert run("forecast", "--model", str(model_path), "--steps", "200", "--recursive",
+                   "-o", str(out)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("samossa: error: NonStationaryError: recursive forecast left "
+                                 "the finite range at step "), err
+        assert err[0].endswith(": inf"), err
+        assert not out.exists()
+
 
 class TestObserveForecast:
     def test_rolling_outputs(self, tmp_path):
@@ -304,6 +320,33 @@ class TestGoldenOutputs:
         assert run("fit", "--input", str(GOLDEN / "y.csv"), "--p", "grid",
                    "-o", str(model_path)) == 0
         assert model_path.read_bytes() == (GOLDEN / "model.json").read_bytes()
+
+    # Tables written before every CSV writer went through panel.write_rows:
+    # report.csv, fig2.csv/fig2.json, a recursive forecast and a long-layout
+    # panel, each from the golden panel or model with the arguments below.
+    def test_eval_report_csv(self, tmp_path):
+        out = tmp_path / "eval"
+        assert run("eval", "--input", str(GOLDEN / "y.csv"), "--train-end", "370",
+                   "--valid-end", "400", "--test-end", "430", "-o", str(out)) == 0
+        assert (out / "report.csv").read_bytes() == (GOLDEN / "report.csv").read_bytes()
+
+    def test_fig2_files(self, tmp_path):
+        out = tmp_path / "fig2"
+        assert run("fig2", "--nt", "300,600", "--seeds", "2", "--threads", "1",
+                   "-o", str(out)) == 0
+        for name in ("fig2.csv", "fig2.json"):
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_recursive_forecast_csv(self, tmp_path):
+        out = tmp_path / "forecast.csv"
+        assert run("forecast", "--model", str(GOLDEN / "model.json"), "--steps", "50",
+                   "--recursive", "-o", str(out)) == 0
+        assert out.read_bytes() == (GOLDEN / "forecast.csv").read_bytes()
+
+    def test_long_layout_panel(self, tmp_path):
+        out = tmp_path / "y_long.csv"
+        save_csv(load_csv(GOLDEN / "y.csv").window(30, 430), out, layout="long")
+        assert out.read_bytes() == (GOLDEN / "y_long.csv").read_bytes()
 
 
 class TestBadInputs:

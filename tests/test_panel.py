@@ -1,10 +1,14 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import samossa
 from samossa import ConfigError, IngestError, ParseError, ShapeError, SplitError, SplitSpec, TimePanel
-from samossa.panel import load_csv, save_csv, split
+from samossa.panel import load_csv, save_csv, split, write_rows
 
 
 def write(tmp_path, text, name="panel.csv"):
@@ -156,6 +160,42 @@ class TestSplit:
         parts = split(panel, SplitSpec(5, 9, 12))
         glued = np.hstack([p.values for p in parts])
         np.testing.assert_array_equal(glued, panel.values)
+
+
+class TestWindow:
+    panel = TimePanel(("a", "b"), np.arange(20, dtype=float).reshape(2, 10), t0=5)
+
+    def test_keeps_absolute_time(self):
+        window = self.panel.window(3, 7)
+        assert window.series_names == ("a", "b")
+        assert window.t0 == 8
+        np.testing.assert_array_equal(window.values, self.panel.values[:, 3:7])
+        assert window.window(1, 3).t0 == 9
+
+    @pytest.mark.parametrize("lo", [0, 4, 10])
+    def test_length_zero(self, lo):
+        window = self.panel.window(lo, lo)
+        assert (window.n_series, window.length, window.t0) == (2, 0, 5 + lo)
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 3), (0, 11), (6, 5), (11, 11)])
+    def test_out_of_range_raises(self, lo, hi):
+        with pytest.raises(ShapeError, match="outside a panel of length 10"):
+            self.panel.window(lo, hi)
+
+
+class TestWriteRows:
+    def test_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_rows(path, ("a", "b", "c"), iter([(0.1, None, 3), ("x,y", 1e-300, -0.0)]))
+        assert path.read_bytes() == b'a,b,c\r\n0.1,,3\r\n"x,y",1e-300,-0.0\r\n'
+
+    def test_panel_owns_the_csv_format(self):
+        # Every table is read and written in panel.py, so one module owns
+        # the format.
+        pattern = re.compile(r"\bcsv\.(writer|reader|DictWriter|DictReader)\b")
+        sources = Path(samossa.__file__).parent.glob("*.py")
+        owners = sorted(p.name for p in sources if pattern.search(p.read_text(encoding="utf-8")))
+        assert owners == ["panel.py"]
 
 
 class TestInvariants:

@@ -266,6 +266,32 @@ class TestFailClosed:
             roll(model, values)
         assert_same_state(model.state, before)
 
+    @pytest.mark.parametrize("bad", [
+        [["1.0", "2"]] * 3,
+        np.ones((3, 2), dtype=bool),
+        [[None, 1.0]] * 3,
+        [[10**400, 1]] * 3,
+        np.ones((3, 2), dtype=complex),
+    ], ids=["numeric-strings", "booleans", "none", "int-beyond-float", "complex"])
+    def test_what_observe_rejects_touches_nothing(self, model, bad):
+        before = copy.deepcopy(model.state)
+        with pytest.raises(IngestError, match="integers or floats"):
+            roll(model, bad)
+        assert_same_state(model.state, before)
+
+    def test_integers_and_floats_pass(self, model):
+        want = roll(copy.deepcopy(model), np.arange(6.0).reshape(3, 2))
+        for values in ([[0, 1], [2, 3], [4, 5]], np.arange(6, dtype=np.uint8).reshape(3, 2),
+                       np.arange(6, dtype=np.float32).reshape(3, 2)):
+            got = roll(copy.deepcopy(model), values)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_non_finite_value_written_as_a_float(self, model):
+        values = np.zeros((3, 2))
+        values[0, 1] = np.inf
+        with pytest.raises(IngestError, match=r"non-finite observation inf for series 0"):
+            roll(model, values)
+
     def test_uninitialized_state(self, model):
         model.state.obs_lags = model.state.obs_lags[:, :-1]
         before = copy.deepcopy(model.state)
