@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import evaluation, pipeline, synth
-from .errors import ParseError, RankError, SamossaError, ShapeError, StateError
+from .errors import ParseError, RankError, SamossaError
 from .lowrank import RankRule
 from .pagemat import default_L
 from .panel import SplitSpec, TimePanel, load_csv, save_csv, split, write_rows
@@ -351,16 +351,8 @@ def _cmd_forecast(opts: argparse.Namespace) -> int:
 def _cmd_observe_forecast(opts: argparse.Namespace) -> int:
     model = pipeline.load_model(opts.model)
     test = load_csv(opts.test, layout=opts.layout)
-    if test.series_names != model.series_names:
-        raise ShapeError(
-            f"test series {list(test.series_names)} do not match the model's "
-            f"{list(model.series_names)}"
-        )
     # Only long rows carry t; a wide file's columns start wherever the model is.
-    if opts.layout == "long" and any(t != test.t0 for t in model.state.next_t):
-        raise StateError(
-            f"model clock {model.state.next_t} not aligned with test window start {test.t0}"
-        )
+    evaluation._check_window(model, test, clock=opts.layout == "long")
     _log(f"rolling over {test.length} steps x {test.n_series} series")
     y_hat, f_hat, x_hat = pipeline.roll(model, test.values)
     os.makedirs(opts.out, exist_ok=True)

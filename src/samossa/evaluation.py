@@ -23,7 +23,7 @@ from .errors import MetricError, SamossaError, SearchError, ShapeError, StateErr
 from .lowrank import RankRule
 from .pagemat import default_L
 from .panel import TimePanel
-from .pipeline import SamossaConfig, SamossaModel, fit, roll
+from .pipeline import SamossaConfig, SamossaModel, _ar_dots, fit, roll
 from .ssa_estimator import Stage1, decompose, est_err
 from .synth import GeneratorSpec, estimation_spec, forecasting_spec, generate
 
@@ -118,27 +118,44 @@ class MetricReport:
     predictions: np.ndarray | None = None
 
 
+def _truth_window(panel: TimePanel, what: str, lo: int, hi: int) -> TimePanel:
+    """``panel`` at absolute times [lo, hi); ShapeError naming both ranges unless it covers them."""
+    try:
+        return panel.window(lo - panel.t0, hi - panel.t0)
+    except ShapeError:
+        raise ShapeError(f"truth {what} covers t={panel.t0}..{panel.t0 + panel.length - 1}, "
+                         f"scoring needs t={lo}..{hi - 1}") from None
+
+
 def for_err(predictions: np.ndarray, test: TimePanel, truth: GeneratorTruth) -> float:
     """Mean squared gap between forecasts and the one-step conditional mean.
 
     The target at absolute time t for series n is f_n(t) plus the AR
     conditional mean alpha_n' [x_n(t-1), ..., x_n(t-p)] evaluated on the
-    true residual path.
+    true residual path. ShapeError for no forecasts, or unless ``truth`` has
+    one f row, x row and AR model per forecast row, f covers the test window,
+    and x covers the largest order's p steps before it and all but its last.
     """
     n_series, horizon = predictions.shape
-    total = 0.0
-    for n in range(n_series):
-        alpha = np.asarray(truth.alphas[n], dtype=np.float64)
-        p = alpha.shape[0]
-        for j in range(horizon):
-            t = test.t0 + j
-            target = truth.f.values[n, t - truth.f.t0]
-            if p > 0:
-                lo = t - p - truth.x.t0
-                window = truth.x.values[n, lo: lo + p][::-1]
-                target += float(alpha @ window)
-            total += (predictions[n, j] - target) ** 2
-    return total / (n_series * horizon)
+    if {truth.f.n_series, truth.x.n_series, len(truth.alphas)} != {n_series} or not horizon:
+        raise ShapeError(f"{n_series} x {horizon} forecasts against a truth of {truth.f.n_series} "
+                         f"f series, {truth.x.n_series} x series and {len(truth.alphas)} AR models")
+    p = max(map(len, truth.alphas), default=0)
+    f = _truth_window(truth.f, "f", test.t0, test.t0 + horizon)
+    x = _truth_window(truth.x, "x", test.t0 - p, test.t0 + horizon - 1)
+    target = f.values + _ar_dots(truth.alphas, x.values[:, ::-1], horizon)
+    return float(np.mean((predictions - target) ** 2))
+
+
+def _check_window(model: SamossaModel, test: TimePanel, clock: bool = True) -> None:
+    """ShapeError unless ``test`` holds the model's series in its order; with
+    ``clock``, StateError unless ``test`` starts at every series' next time."""
+    if test.series_names != model.series_names:
+        raise ShapeError(f"test series {list(test.series_names)} do not match the model's "
+                         f"{list(model.series_names)}")
+    if clock and any(t != test.t0 for t in model.state.next_t):
+        raise StateError(f"model clock {model.state.next_t} not aligned with "
+                         f"test window start {test.t0}")
 
 
 def rolling_eval(model: SamossaModel, test: TimePanel,
@@ -151,12 +168,7 @@ def rolling_eval(model: SamossaModel, test: TimePanel,
     None and is left out of the mean. Raises MetricError for a window
     shorter than two steps or one in which no series varies.
     """
-    if test.n_series != model.n_series:
-        raise ShapeError(f"{test.n_series} test series for {model.n_series}-series model")
-    if any(t != test.t0 for t in model.state.next_t):
-        raise StateError(
-            f"model clock {model.state.next_t} not aligned with test window start {test.t0}"
-        )
+    _check_window(model, test)
     if test.length < 2:
         raise MetricError("need at least two points for R^2")
     started = time.perf_counter()
@@ -339,12 +351,8 @@ def figure2_experiment(lambda_stars, nt_values, n_seeds: int, n_series: int = 10
     log(median est_err) against log(N*T).
     """
     rank = rank or RankRule.fixed(6)
-    tasks = [
-        (lam, nt, base_seed + s)
-        for lam in lambda_stars
-        for nt in nt_values
-        for s in range(n_seeds)
-    ]
+    tasks = [(lam, nt, base_seed + s)
+             for lam, nt, s in itertools.product(lambda_stars, nt_values, range(n_seeds))]
     with ThreadPoolExecutor(max_workers=threads or 1) as pool:
         rows = tuple(sorted(
             pool.map(lambda args: _fig2_point(*args, n_series, rank, p, sigma2), tasks),

@@ -14,14 +14,14 @@ estimate into the series' rows, and advances the clock.
 
 ``roll`` runs that protocol over a window of realized values for every
 series at once: with the realized values fed back, every forecast in the
-window depends only on known data, so it takes a few numpy calls. One
-kernel serves every path: a forecast is ``np.vecdot`` over contiguous
-most-recent-first rows, the AR part per group of equal order over its first
-p columns, so a padded cell never enters a dot. So ``roll`` is
-bit-identical to H rounds of ``forecast_step`` then ``observe``, outputs and
-state, and every rolling loop in the package (order selection,
-``rolling_eval``, the CLI's ``observe-forecast`` and ``forecast_recursive``)
-goes through it.
+window depends only on known data, so it takes a few numpy calls. A
+forecast is ``np.vecdot`` over contiguous most-recent-first rows, the AR
+part per group of equal order over its first p columns, so a padded cell
+never enters a dot. So ``roll`` is bit-identical to H rounds of
+``forecast_step`` then ``observe``, outputs and state, and every rolling
+loop in the package (order selection, ``rolling_eval``, the CLI's
+``observe-forecast``) goes through it. ``forecast_recursive`` and
+``evaluation.for_err`` share its lag dots, not the call.
 
 Persistence is a versioned JSON document; floats survive round-trips
 bit-exactly (shortest round-trip decimal encoding).
@@ -29,7 +29,6 @@ bit-exactly (shortest round-trip decimal encoding).
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import numbers
@@ -268,17 +267,17 @@ def _lagged_dots(history: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return np.vecdot(windows, coef)
 
 
-def _ar_dots(model: SamossaModel, history: np.ndarray, H: int) -> np.ndarray:
-    """N x H AR forecasts from the newest-first residual ``history`` rows.
+def _ar_dots(alphas, history: np.ndarray, H: int) -> np.ndarray:
+    """(rows x H) AR forecasts: row n's ``alphas[n]`` over its newest-first ``history`` row.
 
-    Each group of equal order p reads only its first H-1+p columns, so the
-    zero padding never enters a dot.
+    Each group of equal order p reads only its first H-1+p columns, so
+    columns past a row's order (the zero padding) never enter a dot.
     """
-    x_hat = np.zeros((model.n_series, H))
-    for p in set(model.p_used) - {0}:
-        rows = [n for n, q in enumerate(model.p_used) if q == p]
-        alphas = np.array([model.ar_models[n].alpha for n in rows])
-        x_hat[rows] = _lagged_dots(history[rows, :H - 1 + p], alphas)
+    orders = [len(alpha) for alpha in alphas]
+    x_hat = np.zeros((len(orders), H))
+    for p in set(orders) - {0}:
+        rows = [n for n, q in enumerate(orders) if q == p]
+        x_hat[rows] = _lagged_dots(history[rows, :H - 1 + p], np.array([alphas[n] for n in rows]))
     return x_hat
 
 
@@ -321,7 +320,7 @@ def roll(model: SamossaModel, values) -> tuple[np.ndarray, np.ndarray, np.ndarra
     z = np.concatenate([values[:, ::-1], state.obs_lags], axis=1)
     f_hat = _lagged_dots(z[:, 1:], model.beta_model.beta)
     zx = np.concatenate([(values - f_hat)[:, ::-1], state.resid_lags], axis=1)
-    x_hat = _ar_dots(model, zx[:, 1:], H)
+    x_hat = _ar_dots([m.alpha for m in model.ar_models], zx[:, 1:], H)
     state.obs_lags = z[:, :model.L - 1].copy()
     p_max = state.resid_lags.shape[1]
     state.resid_lags = np.where(np.arange(p_max) < np.array(model.p_used)[:, None],
@@ -334,32 +333,33 @@ def roll(model: SamossaModel, values) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def forecast_recursive(model: SamossaModel, steps: int) -> np.ndarray:
     """Multi-step forecast feeding predictions back as observations.
 
-    Returns an N x steps array. Rolls a copy of the model that holds a deep
-    copy of its state, so the model itself is left untouched. This is the
+    Returns an N x steps array; the model is left untouched. This is the
     flagged alternative to the default rolling one-step protocol and is
     excluded from the acceptance checks. ConfigError unless ``steps`` is an
     integer >= 0; NonStationaryError, naming the step and series, once a
-    forecast leaves the finite range (a diverging recurrence).
-    Each prediction depends on the one before, so the panel advances one
-    step at a time: the step's forecasts are ``roll``'s lag dots on the
-    current blocks, then rolled back in as the realized values.
+    forecast leaves the finite range (a diverging recurrence). Each step
+    takes ``roll``'s lag dots on local copies of the blocks and feeds back
+    y_hat and y_hat - f_hat, as ``roll`` would with y_hat as the realized values.
     """
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ConfigError(f"steps must be an integer >= 0, got {steps!r}")
     _check_state(model)
-    model = replace(model, state=copy.deepcopy(model.state))
+    state, beta, alphas = model.state, model.beta_model.beta, [m.alpha for m in model.ar_models]
+    # Newest-first blocks with a free column per step in front; step j writes column c - 1.
+    obs, resid = (np.concatenate([np.empty((model.n_series, steps)), block], axis=1)
+                  for block in (state.obs_lags, state.resid_lags))
     out = np.empty((model.n_series, steps))
-    for j in range(steps):
+    for j, c in enumerate(range(steps, 0, -1)):
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, per series
-            f_hat = _lagged_dots(model.state.obs_lags, model.beta_model.beta)
-            out[:, j:j + 1] = f_hat + _ar_dots(model, model.state.resid_lags, 1)
-        bad = np.flatnonzero(~np.isfinite(out[:, j]))
+            f_hat = _lagged_dots(obs[:, c:c + model.L - 1], beta)[:, 0]
+            y_hat = out[:, j] = f_hat + _ar_dots(alphas, resid[:, c:], 1)[:, 0]
+            obs[:, c - 1], resid[:, c - 1] = y_hat, y_hat - f_hat
+        bad = np.flatnonzero(~np.isfinite(y_hat))
         if bad.size:
             n = int(bad[0])
             raise NonStationaryError(
                 f"recursive forecast left the finite range at step {j + 1} "
-                f"(t={model.state.next_t[n]}) for series {n}: {float(out[n, j])!r}")
-        roll(model, out[:, j:j + 1])
+                f"(t={state.next_t[n] + j}) for series {n}: {float(y_hat[n])!r}")
     return out
 
 

@@ -160,10 +160,8 @@ class TestFitForecast:
         assert run("forecast", "--model", str(model_path), "--steps", "200", "--recursive",
                    "-o", str(out)) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1, err
-        assert err[0].startswith("samossa: error: NonStationaryError: recursive forecast left "
-                                 "the finite range at step "), err
-        assert err[0].endswith(": inf"), err
+        assert err == ["samossa: error: NonStationaryError: recursive forecast left the finite "
+                       "range at step 103 (t=533) for series 0: inf"]
         assert not out.exists()
 
 
@@ -256,6 +254,27 @@ class TestEvalAndGrid:
         report = json.loads((out / "report.json").read_text())
         assert "mean_r2" in report and report["for_err"] is not None
         assert (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("truth_args, detail", [
+        (("--n", "3", "--t", "200"), "truth f covers t=1..200, scoring needs t=251..300"),
+        (("--n", "3", "--t", "280"), "truth f covers t=1..280, scoring needs t=251..300"),
+        (("--n", "2", "--t", "300"),
+         "3 x 50 forecasts against a truth of 2 f series, 2 x series and 2 AR models"),
+    ])
+    def test_eval_mismatched_truth_is_one_error_line(self, capsys, tmp_path, truth_args, detail):
+        data, truth, out = tmp_path / "data", tmp_path / "truth", tmp_path / "report"
+        run("synth", "--preset", "forecast", "--n", "3", "--t", "300", "--seed", "5",
+            "-o", str(data))
+        run("synth", "--preset", "forecast", *truth_args, "--seed", "5", "-o", str(truth))
+        capsys.readouterr()
+        assert run("eval", "--input", str(data / "y.csv"), "--train-end", "200",
+                   "--valid-end", "250", "--test-end", "300", "--p", "1",
+                   "--truth-dir", str(truth), "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("samossa: error:")] == [
+            f"samossa: error: ShapeError: {detail}"]
+        assert not out.exists()
 
     def test_eval_report_constant_series(self, tmp_path):
         # A series with no variance over the test window has no R^2: an empty

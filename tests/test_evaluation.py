@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +25,11 @@ from samossa.evaluation import (
     r_squared,
     rolling_eval,
 )
+from samossa.panel import load_csv
 from samossa.pipeline import fit, roll
 from samossa.synth import forecasting_spec, generate
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden"
 
 
 class TestRSquared:
@@ -121,14 +125,20 @@ class TestRollingEval:
         # Forecasting the conditional mean directly gives for_err 0.
         res, train, test = small_benchmark(seed=7)
         truth = GeneratorTruth(f=res.f, x=res.x, alphas=res.alphas)
-        preds = np.empty_like(test.values)
-        for n in range(test.n_series):
-            alpha = res.alphas[n]
-            for j in range(test.length):
-                t = test.t0 + j
-                window = res.x.values[n, t - 1 - len(alpha): t - 1][::-1]
-                preds[n, j] = res.f.values[n, t - 1] + float(alpha @ window)
+        preds = conditional_means(test.t0, test.length, truth)
         assert for_err(preds, test, truth) < 1e-10
+
+    def test_series_names_checked(self):
+        # Reversed series are as many as the model's, but not the model's.
+        y = load_csv(GOLDEN / "y.csv")
+        model = fit(y.window(0, 400), SamossaConfig(rank=RankRule.fixed(5), p=1))
+        test = y.window(400, 430)
+        reversed_test = TimePanel(test.series_names[::-1], test.values[::-1], t0=test.t0)
+        with pytest.raises(ShapeError, match=r"test series \['s3', 's2', 's1'\] do not match "
+                                             r"the model's \['s1', 's2', 's3'\]"):
+            rolling_eval(model, reversed_test)
+        assert model.state.next_t == [401] * 3
+        assert rolling_eval(model, test).mean_r2 > 0.0
 
     def test_for_err_reported(self):
         res, train, test = small_benchmark(seed=11)
@@ -136,6 +146,80 @@ class TestRollingEval:
         model = fit(train, SamossaConfig(rank=RankRule.fixed(8), p=1))
         report = rolling_eval(model, test, truth=truth)
         assert report.for_err is not None and report.for_err >= 0.0
+
+
+def conditional_means(t0, horizon, truth) -> np.ndarray:
+    """The one-step conditional mean per series and step, from t0 on, written out
+    with scalar dots: the reference the targets of ``for_err`` must equal."""
+    out = np.empty((len(truth.alphas), horizon))
+    for n, alpha in enumerate(truth.alphas):
+        for j in range(horizon):
+            t = t0 + j
+            window = truth.x.values[n, t - len(alpha) - truth.x.t0: t - truth.x.t0][::-1]
+            out[n, j] = truth.f.values[n, t - truth.f.t0] + float(alpha @ window)
+    return out
+
+
+@st.composite
+def truth_cases(draw):
+    """Mixed AR orders, and truth panels that start and end at, before and after what
+    the targets read: f over the test window, x from its start minus the largest
+    order up to its last step."""
+    n_series = draw(st.integers(1, 4))
+    orders = draw(st.lists(st.integers(0, 3), min_size=n_series, max_size=n_series))
+    horizon = draw(st.integers(1, 12))
+    starts = (draw(st.integers(-2, 1)), draw(st.integers(-2, 1)))
+    ends = (draw(st.sampled_from([-1, 0, 2])), draw(st.sampled_from([-1, 0, 2])))
+    return orders, horizon, starts, ends, draw(st.integers(0, 2**32 - 1))
+
+
+class TestForErr:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(truth_cases())
+    def test_matches_scalar_reference(self, case):
+        orders, horizon, (f_start, x_start), (f_end, x_end), seed = case
+        rng = np.random.default_rng(seed)
+        t0, p, names = 20, max(orders), tuple(f"s{n}" for n in range(len(orders)))
+        spans = {"f": (t0 + f_start, t0 + horizon + f_end),
+                 "x": (t0 - p + x_start, t0 + horizon - 1 + x_end)}
+        f, x = (TimePanel(names, rng.normal(size=(len(names), max(hi - lo, 1))), t0=lo)
+                for lo, hi in spans.values())
+        truth = GeneratorTruth(f=f, x=x, alphas=tuple(rng.uniform(-0.6, 0.6, size=q)
+                                                      for q in orders))
+        test = TimePanel(names, rng.normal(size=(len(names), horizon)), t0=t0)
+        preds = rng.normal(size=(len(names), horizon))
+        covered = (f.t0 <= t0 and f.t0 + f.length >= t0 + horizon
+                   and x.t0 <= t0 - p and x.t0 + x.length >= t0 + horizon - 1)
+        if not covered:
+            with pytest.raises(ShapeError, match=r"truth [fx] covers t=-?\d+\.\.-?\d+, "
+                                                 r"scoring needs t="):
+                for_err(preds, test, truth)
+            return
+        gaps = (preds - conditional_means(t0, horizon, truth)).ravel()
+        want = sum(float(g) ** 2 for g in gaps) / gaps.size
+        assert for_err(preds, test, truth) == pytest.approx(want, rel=1e-12)
+
+    def test_names_the_needed_range(self):
+        res, _, test = small_benchmark(seed=7)
+        truth = GeneratorTruth(f=res.f.window(0, 1000), x=res.x, alphas=res.alphas)
+        with pytest.raises(ShapeError, match=r"^truth f covers t=1\.\.1000, "
+                                             r"scoring needs t=1171\.\.1200$"):
+            for_err(test.values, test, truth)
+
+    @pytest.mark.parametrize("drop", ["f", "x", "alphas"])
+    def test_series_count_mismatch(self, drop):
+        res, _, test = small_benchmark(seed=7)
+        parts = {"f": res.f, "x": res.x, "alphas": res.alphas}
+        parts[drop] = (res.alphas[:3] if drop == "alphas" else
+                       TimePanel(res.f.series_names[:3], getattr(res, drop).values[:3]))
+        with pytest.raises(ShapeError, match="4 x 30 forecasts against a truth of"):
+            for_err(test.values, test, GeneratorTruth(**parts))
+
+    def test_no_forecasts(self):
+        res, _, test = small_benchmark(seed=7)
+        truth = GeneratorTruth(f=res.f, x=res.x, alphas=res.alphas)
+        with pytest.raises(ShapeError, match="4 x 0 forecasts"):
+            for_err(np.empty((4, 0)), test.window(0, 0), truth)
 
 
 def plain_r2(pred, actual) -> float:

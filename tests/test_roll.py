@@ -9,12 +9,15 @@ them run on one lag-dot kernel, so each is also checked against
 """
 
 import copy
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import samossa
 from samossa import (
     ArModel,
     BetaModel,
@@ -240,6 +243,15 @@ class TestRecursive:
         assert np.array_equal(oracle.recursive(40), want)
         assert np.array_equal(forecast_recursive(model, 40), want)
         oracle.assert_state(reference.state)
+
+
+def test_pipeline_owns_the_lag_dot_kernel():
+    # Every panel-wide forecast dot goes through pipeline._lagged_dots, so
+    # only pipeline.py may call np.vecdot or build sliding lag windows.
+    pattern = re.compile(r"\bnp\.vecdot\b|\bsliding_window_view\b")
+    sources = Path(samossa.__file__).parent.glob("*.py")
+    owners = sorted(p.name for p in sources if pattern.search(p.read_text(encoding="utf-8")))
+    assert owners == ["pipeline.py"]
 
 
 class TestFailClosed:
