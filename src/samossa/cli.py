@@ -401,6 +401,8 @@ def _cmd_eval(opts: argparse.Namespace) -> int:
     spec = SplitSpec(opts.train_end, opts.valid_end, opts.test_end)
     _, valid, test = split(panel, spec)
     truth = _load_truth(opts.truth_dir) if opts.truth_dir else None
+    if truth is not None:  # a truth that cannot score the test window fails before the fit
+        evaluation._truth_windows(truth, test, test.length)
     config = _pipeline_config(opts, grid_window=valid.length)
     fit_window = panel.window(0, spec.valid_end)
     _log(f"fitting on [1, {spec.valid_end}], evaluating on ({spec.valid_end}, {spec.test_end}]")

@@ -127,22 +127,41 @@ def _truth_window(panel: TimePanel, what: str, lo: int, hi: int) -> TimePanel:
                          f"scoring needs t={lo}..{hi - 1}") from None
 
 
+def _truth_windows(truth: GeneratorTruth, test: TimePanel,
+                   horizon: int) -> tuple[TimePanel, TimePanel]:
+    """The truth's f over ``horizon`` forecasts from ``test.t0``, and its x from the
+    largest AR order's p steps before them up to their last but one.
+
+    ShapeError for no forecasts, or unless ``truth`` has one f row, x row and AR
+    model per series of ``test``, f and x name those series in that order, and
+    both cover their windows. Everything it reads is known before a fit.
+    """
+    names, t0 = test.series_names, test.t0
+    if {truth.f.n_series, truth.x.n_series, len(truth.alphas)} != {len(names)} or not horizon:
+        raise ShapeError(f"{len(names)} x {horizon} forecasts against a truth of {truth.f.n_series} "
+                         f"f series, {truth.x.n_series} x series and {len(truth.alphas)} AR models")
+    for what, panel in (("f", truth.f), ("x", truth.x)):
+        if panel.series_names != names:
+            raise ShapeError(f"truth {what} series {list(panel.series_names)} do not match "
+                             f"the forecast series {list(names)}")
+    p = max(map(len, truth.alphas), default=0)
+    return (_truth_window(truth.f, "f", t0, t0 + horizon),
+            _truth_window(truth.x, "x", t0 - p, t0 + horizon - 1))
+
+
 def for_err(predictions: np.ndarray, test: TimePanel, truth: GeneratorTruth) -> float:
     """Mean squared gap between forecasts and the one-step conditional mean.
 
     The target at absolute time t for series n is f_n(t) plus the AR
     conditional mean alpha_n' [x_n(t-1), ..., x_n(t-p)] evaluated on the
-    true residual path. ShapeError for no forecasts, or unless ``truth`` has
-    one f row, x row and AR model per forecast row, f covers the test window,
-    and x covers the largest order's p steps before it and all but its last.
+    true residual path. ``predictions`` has one row per series of ``test``
+    and one column per step from ``test.t0``; ShapeError otherwise, and
+    wherever ``truth`` does not match them (see ``_truth_windows``).
     """
     n_series, horizon = predictions.shape
-    if {truth.f.n_series, truth.x.n_series, len(truth.alphas)} != {n_series} or not horizon:
-        raise ShapeError(f"{n_series} x {horizon} forecasts against a truth of {truth.f.n_series} "
-                         f"f series, {truth.x.n_series} x series and {len(truth.alphas)} AR models")
-    p = max(map(len, truth.alphas), default=0)
-    f = _truth_window(truth.f, "f", test.t0, test.t0 + horizon)
-    x = _truth_window(truth.x, "x", test.t0 - p, test.t0 + horizon - 1)
+    if n_series != test.n_series:
+        raise ShapeError(f"{n_series} x {horizon} forecasts for {test.n_series} test series")
+    f, x = _truth_windows(truth, test, horizon)
     target = f.values + _ar_dots(truth.alphas, x.values[:, ::-1], horizon)
     return float(np.mean((predictions - target) ** 2))
 

@@ -14,6 +14,7 @@ table the package writes, panels and reports alike, goes through
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +126,63 @@ def _looks_like_header(row: list[str]) -> bool:
     return False
 
 
+class _NotPlain(Exception):
+    """A wide file the one-call parse does not take; the csv-module path reads it."""
+
+
+def _plain_line(line: str, limit: int) -> bool:
+    # The csv module ends a line at \r, \n or \r\n, as file iteration with
+    # newline="" does; a line holding only its end is blank. Without '"' it
+    # splits a row at every comma. np.loadtxt strips \x1c-\x1f around a
+    # number as whitespace where float() refuses them, a line past the field
+    # limit may hold a field the csv module refuses, and the csv module of
+    # Python 3.10 refuses NUL.
+    return not (line[0] in "\r\n" or len(line) > limit or '"' in line or "\x00" in line
+                or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line)
+
+
+def _load_wide_plain(path) -> TimePanel | None:
+    """The wide panel in ``path`` from one np.loadtxt call, or None to use the csv path.
+
+    Returns a panel only for a file that the csv path would load to the same
+    names and bits: UTF-8, no quote character, no blank line, every row as
+    wide as the first and every value finite. Any other file, malformed or
+    merely unusual, returns None, so that the csv path names its error.
+    """
+    limit = csv.field_size_limit()
+    rows = 0
+
+    def data_lines(lines):
+        nonlocal rows
+        for line in lines:
+            if not _plain_line(line, limit):
+                raise _NotPlain
+            rows += 1
+            yield line
+        if not rows:  # np.loadtxt would warn about an empty input
+            raise _NotPlain
+
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            first = next(fh, "")
+            if not first or not _plain_line(first, limit):
+                return None
+            head = first.rstrip("\r\n").split(",")
+            if _looks_like_header(head):
+                names = tuple(cell.strip() for cell in head)
+                lines = fh
+            else:
+                names = tuple(f"s{i + 1}" for i in range(len(head)))
+                lines = itertools.chain([first], fh)
+            values = np.loadtxt(data_lines(lines), delimiter=",", dtype=np.float64, ndmin=2,
+                                comments=None, quotechar=None)
+    except (OSError, ValueError, _NotPlain):  # ValueError: not UTF-8, not a number, ragged
+        return None
+    if values.shape != (rows, len(names)) or not np.isfinite(values).all():
+        return None
+    return TimePanel(series_names=names, values=values.T)
+
+
 def _load_wide(rows: list[list[str]]) -> TimePanel:
     start = 0
     if _looks_like_header(rows[0]):
@@ -205,8 +263,19 @@ def load_csv(path, layout: str = "wide") -> TimePanel:
     full time range; gaps are rejected, imputation is out of scope). Any
     other layout raises ConfigError; a file that cannot be opened, is not
     UTF-8 or that the csv module rejects raises IngestError.
+
+    A wide file that is UTF-8 with no quote character, no blank line, every
+    row as wide as the first and every value finite (what ``save_csv`` writes
+    unless a series name needs quoting) is parsed by one ``np.loadtxt`` call. Every other file, and the
+    long layout, is read cell by cell through the csv module, which alone
+    reports errors. Both paths give the same names and the same bits, so
+    values and errors do not depend on which one ran.
     """
     _check_layout(layout)
+    if layout == "wide":
+        panel = _load_wide_plain(path)
+        if panel is not None:
+            return panel
     rows = _read_rows(path)
     if not rows:
         raise IngestError("empty CSV")

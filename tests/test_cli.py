@@ -274,6 +274,30 @@ class TestEvalAndGrid:
         assert "Traceback" not in err
         assert [line for line in err.splitlines() if line.startswith("samossa: error:")] == [
             f"samossa: error: ShapeError: {detail}"]
+        assert "fitting on" not in err  # the truth is checked before the fit
+        assert not out.exists()
+
+    def test_eval_truth_series_names_checked(self, capsys, tmp_path):
+        # A truth dir with f.csv, x.csv and alphas all in reversed series order
+        # is as large as the panel's, but scores other series.
+        data, out = tmp_path / "data", tmp_path / "report"
+        run("synth", "--preset", "forecast", "--n", "3", "--t", "300", "--seed", "5",
+            "-o", str(data))
+        for name in ("f.csv", "x.csv"):
+            part = load_csv(data / name)
+            save_csv(TimePanel(part.series_names[::-1], part.values[::-1]), data / name)
+        truth = json.loads((data / "truth.json").read_text())
+        truth["alphas"].reverse()
+        (data / "truth.json").write_text(json.dumps(truth))
+        capsys.readouterr()
+        assert run("eval", "--input", str(data / "y.csv"), "--train-end", "200",
+                   "--valid-end", "250", "--test-end", "300", "--p", "1",
+                   "--truth-dir", str(data), "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("samossa: error:")] == [
+            "samossa: error: ShapeError: truth f series ['s3', 's2', 's1'] do not match "
+            "the forecast series ['s1', 's2', 's3']"]
+        assert "fitting on" not in err
         assert not out.exists()
 
     def test_eval_report_constant_series(self, tmp_path):

@@ -215,6 +215,22 @@ class TestForErr:
         with pytest.raises(ShapeError, match="4 x 30 forecasts against a truth of"):
             for_err(test.values, test, GeneratorTruth(**parts))
 
+    @pytest.mark.parametrize("part", ["f", "x"])
+    def test_series_names_mismatch(self, part):
+        res, _, test = small_benchmark(seed=7)
+        parts = {"f": res.f, "x": res.x, "alphas": res.alphas}
+        panel = parts[part]
+        parts[part] = TimePanel(panel.series_names[::-1], panel.values[::-1], t0=panel.t0)
+        with pytest.raises(ShapeError, match=rf"^truth {part} series \['s4', 's3', 's2', 's1'\] "
+                                             r"do not match the forecast series \['s1', "):
+            for_err(test.values, test, GeneratorTruth(**parts))
+
+    def test_forecast_rows_match_the_test_series(self):
+        res, _, test = small_benchmark(seed=7)
+        truth = GeneratorTruth(f=res.f, x=res.x, alphas=res.alphas)
+        with pytest.raises(ShapeError, match="^1 x 30 forecasts for 4 test series$"):
+            for_err(test.values[:1], test, truth)
+
     def test_no_forecasts(self):
         res, _, test = small_benchmark(seed=7)
         truth = GeneratorTruth(f=res.f, x=res.x, alphas=res.alphas)

@@ -1,5 +1,7 @@
 import re
+import string
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import samossa
-from samossa import ConfigError, IngestError, ParseError, ShapeError, SplitError, SplitSpec, TimePanel
+from samossa import (ConfigError, IngestError, ParseError, SamossaError, ShapeError, SplitError,
+                     SplitSpec, TimePanel)
+from samossa import panel as panel_module
 from samossa.panel import load_csv, save_csv, split, write_rows
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden"
 
 
 def write(tmp_path, text, name="panel.csv"):
@@ -54,6 +60,171 @@ class TestLoadWide:
         path.write_bytes(content)
         with pytest.raises(IngestError, match=detail):
             load_csv(path)
+
+
+def load_by_csv_module(path):
+    """``load_csv(path)`` read by the csv-module path alone."""
+    with mock.patch.object(panel_module, "_load_wide_plain", return_value=None):
+        return load_csv(path)
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except SamossaError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_as_csv_module(path):
+    want, got = outcome(load_by_csv_module, path), outcome(load_csv, path)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, TimePanel), got
+    assert (got.series_names, got.t0) == (want.series_names, want.t0)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+DIGITS = "0123456789"
+LITERALS = st.one_of(
+    FINITE.map(repr),
+    FINITE.map(lambda v: f"{v:.17g}"),
+    st.floats(-1e300, 1e300).map(lambda v: f"{v:.3e}"),  # rounds to a finite value
+    st.sampled_from(["-0.0", "-0", "+1", "5e-324", "2.2250738585072009e-308", "1e-310",
+                     ".5", "7.", "1E5", "00012", " 2.5 ", "\t3"]),
+    st.text(DIGITS, min_size=17, max_size=17).map(lambda d: f"{d[0]}.{d[1:]}"),
+    st.text(DIGITS, min_size=400, max_size=400).map(lambda d: f"-0.{d}"),
+)
+NAMES = st.text(string.ascii_letters + "_ ", max_size=4).map(lambda tail: "v" + tail)
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def wide_parts(draw):
+    """A well-formed wide file as parts: header (or None), cell rows, line ends, final end."""
+    width, length = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = [[draw(LITERALS) for _ in range(width)] for _ in range(length)]
+    header = draw(st.none() | st.lists(NAMES, min_size=width, max_size=width))
+    return header, rows, draw(LINE_ENDS), draw(st.booleans())
+
+
+def render(header, rows, end, final) -> str:
+    lines = ([] if header is None else [header]) + rows
+    return end.join(",".join(cells) for cells in lines) + (end if final else "")
+
+
+# Cells the csv-module path rejects or reads its own way.
+ODD_CELLS = ["1_0", "\u0661\u0662", "\u0661.5", "nan", "-inf", "Infinity", "1e400", "-1e400",
+             "", "x", "0x10", "1e", "1d5", " ", "\ufeff1"]
+ODD_CHARS = ["\u2028", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\x0c", "\x0b", "\x00", '"',
+             " ", "\t", "\xa0", ",", "\n", "\r"]
+
+
+@st.composite
+def malformed_files(draw) -> bytes:
+    """A well-formed wide file with one malformation, as bytes."""
+    header, rows, end, final = draw(wide_parts())
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(rows[i]) - 1))
+    kind = draw(st.sampled_from(["cell", "char", "quote", "ragged", "blank", "blank_end",
+                                 "bom", "header_only", "not_utf8"]))
+    if kind == "cell":
+        rows[i][j] = draw(st.sampled_from(ODD_CELLS))
+    elif kind == "char":
+        k = draw(st.integers(0, len(rows[i][j])))
+        rows[i][j] = rows[i][j][:k] + draw(st.sampled_from(ODD_CHARS)) + rows[i][j][k:]
+    elif kind == "quote":
+        rows[i][j] = f'"{rows[i][j]}"'
+    elif kind == "ragged":
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
+    elif kind == "blank":
+        rows.insert(i, [])
+    elif kind == "blank_end":
+        rows.append([])
+        final = True
+    elif kind == "header_only":
+        header, rows = header or ["v"] * len(rows[0]), []
+    text = render(header, rows, end, final)
+    if kind == "bom":
+        text = "\ufeff" + text
+    data = text.encode("utf-8")
+    if kind == "not_utf8":
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3"])) + data[k:]
+    return data
+
+
+class TestOneCallParse:
+    """``load_csv`` parses a well-formed wide file with one np.loadtxt call and
+    sends every other file to the csv-module path: the two give the same
+    names, t0 and bits, or the same error."""
+
+    @given(parts=wide_parts())
+    @settings(max_examples=150)
+    def test_hand_written_panels(self, parts, tmp_path_factory):
+        path = tmp_path_factory.mktemp("plain") / "p.csv"
+        path.write_text(render(*parts), encoding="utf-8", newline="")
+        assert panel_module._load_wide_plain(path) is not None
+        assert_same_as_csv_module(path)
+
+    @given(values=st.lists(st.lists(FINITE, min_size=1, max_size=4), min_size=1, max_size=5)
+           .filter(lambda rows: len({len(r) for r in rows}) == 1),
+           names=st.lists(NAMES, min_size=4, max_size=4))
+    @settings(max_examples=100)
+    def test_saved_panels(self, values, names, tmp_path_factory):
+        path = tmp_path_factory.mktemp("saved") / "p.csv"
+        save_csv(TimePanel(tuple(names[:len(values)]), np.array(values)), path)
+        assert panel_module._load_wide_plain(path) is not None
+        assert_same_as_csv_module(path)
+
+    @given(data=malformed_files())
+    @settings(max_examples=400)
+    def test_malformed_files(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("malformed") / "p.csv"
+        path.write_bytes(data)
+        assert_same_as_csv_module(path)
+
+    @pytest.mark.parametrize("text, error, message", [
+        # np.loadtxt skips a blank line, mid-file or at the end.
+        ("a,b\n1,2\n\n3,4\n", IngestError, "ragged row 3: expected 2 cells, got 0"),
+        ("a,b\n1,2\n\n", IngestError, "ragged row 3: expected 2 cells, got 0"),
+        ("a,b\r\n1,2\r\n\r\n", IngestError, "ragged row 3: expected 2 cells, got 0"),
+        # str.splitlines() would end a line at U+2028; the csv module does not.
+        ("a,b\n1,2\u20283,4\n", IngestError, "ragged row 2: expected 2 cells, got 3"),
+        # np.loadtxt strips \x1c-\x1f around a number; float() refuses them.
+        ("a\n1\x1c\n", ParseError, "non-numeric cell '1\\x1c' at row 2, column 1"),
+        # np.loadtxt reads non-finite values.
+        ("a\n1\nnan\n", IngestError, "non-finite value 'nan' at row 3, column 1"),
+        ("a,b\n1,inf\n", IngestError, "non-finite value 'inf' at row 2, column 2"),
+        ("a\nInfinity\n", IngestError, "non-finite value 'Infinity' at row 2, column 1"),
+        ("1e400\n", IngestError, "non-finite value '1e400' at row 1, column 1"),
+    ])
+    def test_named_traps(self, tmp_path, text, error, message):
+        path = write(tmp_path, text)
+        with pytest.raises(error) as info:
+            load_csv(path)
+        assert str(info.value) == message
+        assert_same_as_csv_module(path)
+
+    def test_field_limit(self, tmp_path):
+        # A finite value longer than the csv module's field limit.
+        path = tmp_path / "long.csv"
+        path.write_bytes(b"a\n0." + b"0" * 200_000 + b"\n")
+        with pytest.raises(IngestError, match="field larger than field limit"):
+            load_csv(path)
+
+    def test_golden_panel_skips_the_cell_parser(self, monkeypatch):
+        want = load_by_csv_module(GOLDEN / "y.csv")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("_parse_cell called")
+
+        monkeypatch.setattr(panel_module, "_parse_cell", refuse)
+        got = load_csv(GOLDEN / "y.csv")
+        assert got.series_names == want.series_names
+        assert np.array_equal(got.values, want.values)
 
 
 class TestLoadLong:
