@@ -119,8 +119,8 @@ def _list(item):
 
 def _rank(value) -> RankRule:
     try:
-        return RankRule.parse(_text(value))
-    except (RankError, ValueError):
+        return RankRule.parse(value)
+    except RankError:
         raise ValueError(f"must be fixed:K (K >= 1), energy:F (0 < F <= 1) or universal, "
                          f"got {value!r}") from None
 
@@ -264,24 +264,17 @@ def _cmd_synth(opts: argparse.Namespace) -> int:
              if option.dest in opts.given and option.dest in _PRESET_FIXED.get(preset, ())]
     if fixed:
         raise _UsageError(f"--preset {preset} fixes {', '.join(fixed)}; drop them or the preset")
+    # The panel sizes the user gave; synth owns the defaults.
+    sizes = {key: value for key, value in (("n_series", opts.n), ("length", opts.t))
+             if value is not None}
     if preset == "fig2":
-        spec = synth.estimation_spec(
-            lambda_star=opts.lambda_star,
-            n_series=opts.n or 10,
-            length=opts.t or 10_000,
-            seed=opts.seed,
-        )
+        spec = synth.estimation_spec(lambda_star=opts.lambda_star, seed=opts.seed, **sizes)
     elif preset == "forecast":
-        spec = synth.forecasting_spec(
-            n_series=opts.n or 25,
-            length=opts.t or 10_050,
-            seed=opts.seed,
-        )
+        spec = synth.forecasting_spec(seed=opts.seed, **sizes)
     else:
         spec = synth.GeneratorSpec(
             kind=opts.kind,
-            n_series=opts.n or 10,
-            length=opts.t or 10_000,
+            **sizes,
             n_fundamentals=opts.r,
             ar_order=opts.p,
             lambda_star=opts.lambda_star if opts.alpha is None else None,

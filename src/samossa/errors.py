@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer check that raises it."""
+
+import numbers
 
 
 class SamossaError(Exception):
@@ -66,3 +68,12 @@ class SearchError(SamossaError):
 
 class ConfigError(SamossaError):
     """Invalid pipeline configuration."""
+
+
+def _integer(value, what: str, low: int | None = None, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int (numpy integers convert); ``error`` if not one or below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (
+            low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise error(f"{what} must be an integer{bound}, got {value!r}")
+    return int(value)

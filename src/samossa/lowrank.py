@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankError
+from .errors import RankError, _integer
 
 __all__ = ["SvdResult", "RankRule", "svd", "takes_topk", "hsvt", "select_rank"]
 
@@ -93,7 +94,9 @@ class RankRule:
 
     Three variants: a fixed k; the smallest k capturing a fraction of the
     spectral energy; or counting values above the shape-dependent universal
-    threshold omega(beta) * median(s).
+    threshold omega(beta) * median(s). ``k`` must be an integer >= 1 (numpy
+    integers convert) and ``fraction`` a real number in (0, 1], stored as a
+    float; anything else raises RankError on construction.
     """
 
     kind: str
@@ -102,11 +105,12 @@ class RankRule:
 
     def __post_init__(self):
         if self.kind == "fixed":
-            if self.k is None or self.k < 1:
-                raise RankError(f"fixed rank must be >= 1, got {self.k}")
+            object.__setattr__(self, "k", _integer(self.k, "fixed rank", 1, RankError))
         elif self.kind == "energy":
-            if self.fraction is None or not 0.0 < self.fraction <= 1.0:
-                raise RankError(f"energy fraction must be in (0, 1], got {self.fraction}")
+            f = self.fraction
+            if isinstance(f, bool) or not isinstance(f, numbers.Real) or not 0.0 < f <= 1.0:
+                raise RankError(f"energy fraction must be in (0, 1], got {f!r}")
+            object.__setattr__(self, "fraction", float(f))
         elif self.kind != "universal":
             raise RankError(f"unknown rank rule {self.kind!r}")
 
@@ -124,14 +128,18 @@ class RankRule:
 
     @classmethod
     def parse(cls, text: str) -> "RankRule":
-        """Parse ``fixed:K``, ``energy:F``, or ``universal``."""
-        if text == "universal":
-            return cls.universal()
-        kind, sep, arg = text.partition(":")
-        if sep and kind == "fixed":
-            return cls.fixed(int(arg))
-        if sep and kind == "energy":
-            return cls.energy(float(arg))
+        """Parse ``fixed:K``, ``energy:F``, or ``universal``; RankError for anything else."""
+        if isinstance(text, str):
+            if text == "universal":
+                return cls.universal()
+            kind, sep, arg = text.partition(":")
+            try:
+                if sep and kind == "fixed":
+                    return cls.fixed(int(arg))
+                if sep and kind == "energy":
+                    return cls.energy(float(arg))
+            except ValueError:  # not a number
+                pass
         raise RankError(f"cannot parse rank rule {text!r}")
 
     def __str__(self) -> str:

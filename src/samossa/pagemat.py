@@ -19,7 +19,6 @@ from .errors import ShapeError
 from .panel import TimePanel
 
 __all__ = [
-    "PageShape",
     "StackedPage",
     "stack",
     "unstack",
@@ -28,29 +27,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PageShape:
-    """Dimensions of a stacked Page matrix.
-
-    L rows (segment length), M columns per series, N series; each series
-    contributes its trailing T_eff = L*M entries.
-    """
-
-    L: int
-    M: int
-    N: int
-
-    @property
-    def t_eff(self) -> int:
-        return self.L * self.M
-
-    @property
-    def cols(self) -> int:
-        return self.N * self.M
-
-
-@dataclass(frozen=True)
 class StackedPage:
-    """An L x (N*M) stacked Page matrix plus its layout metadata.
+    """An L x (N*M) stacked Page matrix: M columns from each of N series' trailing L*M entries.
 
     ``origin`` is the number of leading observations dropped from each
     series so that the retained window length is divisible by L. Cell
@@ -58,14 +36,8 @@ class StackedPage:
     origin + (j-1)*L + i.
     """
 
-    shape: PageShape
     data: np.ndarray
     origin: int = 0
-
-    def __post_init__(self):
-        expected = (self.shape.L, self.shape.cols)
-        if self.data.shape != expected:
-            raise ShapeError(f"data shape {self.data.shape} != {expected}")
 
 
 def stack(panel: TimePanel, L: int) -> StackedPage:
@@ -81,7 +53,7 @@ def stack(panel: TimePanel, L: int) -> StackedPage:
     M = T // L
     origin = T - L * M
     data = panel.values[:, origin:].reshape(N * M, L).T
-    return StackedPage(shape=PageShape(L=L, M=M, N=N), data=data, origin=origin)
+    return StackedPage(data=data, origin=origin)
 
 
 def unstack(data: np.ndarray, n_series: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IngestError, ParseError, ShapeError, SplitError
+from .errors import ConfigError, IngestError, ParseError, ShapeError, SplitError, _integer
 
 __all__ = ["TimePanel", "SplitSpec", "load_csv", "save_csv", "split", "write_rows"]
 
@@ -33,7 +33,9 @@ class TimePanel:
     :meth:`window` and :func:`split` carry their absolute position so that
     downstream consumers can align forecasts with ground truth.
 
-    Instances are immutable and safe to share across threads.
+    Names must be strings and ``t0`` an integer (numpy integers convert);
+    anything else raises IngestError on construction. Instances are
+    immutable and safe to share across threads.
     """
 
     series_names: tuple[str, ...]
@@ -47,16 +49,19 @@ class TimePanel:
         n, _ = values.shape
         if n < 1:
             raise ShapeError("panel needs at least one series")
-        if len(self.series_names) != n:
-            raise ShapeError(
-                f"{len(self.series_names)} names for {n} series"
-            )
+        names = tuple(self.series_names)
+        if len(names) != n:
+            raise ShapeError(f"{len(names)} names for {n} series")
+        for name in names:
+            if not isinstance(name, str):
+                raise IngestError(f"series names must be strings, got {name!r}")
         if not np.all(np.isfinite(values)):
             raise IngestError("panel values must be finite (no NaN/Inf)")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "series_names", tuple(self.series_names))
+        object.__setattr__(self, "series_names", names)
+        object.__setattr__(self, "t0", _integer(self.t0, "t0", error=IngestError))
 
     @property
     def n_series(self) -> int:
@@ -65,10 +70,6 @@ class TimePanel:
     @property
     def length(self) -> int:
         return self.values.shape[1]
-
-    def series(self, n: int) -> np.ndarray:
-        """Values of series ``n`` (0-based row index)."""
-        return self.values[n]
 
     def window(self, lo: int, hi: int) -> TimePanel:
         """Columns ``lo`` up to ``hi`` (0-based, half-open) at their absolute time ``t0 + lo``.
@@ -244,14 +245,12 @@ def _load_long(rows: list[list[str]]) -> TimePanel:
         raise IngestError("no data rows")
     t_min = min(min(d) for d in triples.values())
     t_max = max(max(d) for d in triples.values())
-    length = t_max - t_min + 1
-    out = np.empty((len(order), length))
-    for n, name in enumerate(order):
-        d = triples[name]
-        for j, t in enumerate(range(t_min, t_max + 1)):
-            if t not in d:
-                raise IngestError(f"missing (series, t) pair ({name!r}, {t})")
-            out[n, j] = d[t]
+    times = range(t_min, t_max + 1)
+    for name in order:  # a gap is found before allocating, however wide the time range
+        if len(triples[name]) != t_max - t_min + 1:
+            t = next(t for t in times if t not in triples[name])
+            raise IngestError(f"missing (series, t) pair ({name!r}, {t})")
+    out = np.array([[triples[name][t] for t in times] for name in order])
     return TimePanel(series_names=tuple(order), values=out, t0=t_min)
 
 

@@ -47,6 +47,7 @@ from .errors import (
     SamossaError,
     ShapeError,
     StateError,
+    _integer,
 )
 from .linear_forecaster import BetaModel
 from .lowrank import RankRule
@@ -79,6 +80,12 @@ class SamossaConfig:
     fixed shared AR order or a candidate grid; a grid is resolved on the
     last ``valid_len`` observations by one-step rolling R^2 and the winning
     order is refit on the whole panel.
+
+    Fields are checked on construction (ConfigError): ``L`` None or an
+    integer >= 2, ``rank`` a :class:`RankRule`, ``p`` an integer >= 0 or a
+    non-empty list or tuple of them (stored as a tuple), ``shape_ratio`` an
+    integer >= 1, ``valid_len`` None or an integer >= 2. Numpy integers
+    convert to int; booleans are refused.
     """
 
     L: int | None = None
@@ -86,6 +93,25 @@ class SamossaConfig:
     p: int | tuple[int, ...] = P_GRID_DEFAULT
     shape_ratio: int = 1
     valid_len: int | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.rank, RankRule):
+            raise ConfigError(f"rank must be a RankRule, got {self.rank!r}")
+        if isinstance(self.p, (list, tuple)):
+            if not self.p:
+                raise ConfigError("p must not be an empty grid")
+            p = tuple(_integer(q, "p grid entry", 0, ConfigError) for q in self.p)
+        else:
+            p = _integer(self.p, "p", 0, ConfigError)
+        checked = {
+            "L": None if self.L is None else _integer(self.L, "L", 2, ConfigError),
+            "p": p,
+            "shape_ratio": _integer(self.shape_ratio, "shape_ratio", 1, ConfigError),
+            "valid_len": (None if self.valid_len is None
+                          else _integer(self.valid_len, "valid_len", 2, ConfigError)),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     def resolved_L(self, n_series: int, length: int) -> int:
         if self.L is not None:
@@ -161,7 +187,7 @@ def _select_p(panel: TimePanel, config: SamossaConfig, grid: tuple[int, ...]) ->
     if config.valid_len is None:
         raise ConfigError("p grid requires a validation split (set valid_len)")
     v = config.valid_len
-    if not 2 <= v < panel.length:
+    if v >= panel.length:
         raise ConfigError(f"valid_len={v} unusable for panel of length {panel.length}")
     head, tail = panel.window(0, panel.length - v), panel.window(panel.length - v, panel.length)
     return _best(_score_each(head, [replace(config, p=p) for p in grid], tail)).p
@@ -189,7 +215,7 @@ def fit(panel: TimePanel, config: SamossaConfig | None = None, *,
     L = config.resolved_L(panel.n_series, panel.length)
     if stage1 is not None and (stage1.panel is not panel or stage1.L != L):
         raise ConfigError(f"stage 1 was built for another panel or L (L={stage1.L}, need {L})")
-    grid = (config.p,) if isinstance(config.p, int) else tuple(config.p)
+    grid = (config.p,) if isinstance(config.p, int) else config.p
     p = grid[0] if len(grid) == 1 else _select_p(panel, config, grid)
     return _fit_fixed_p(panel, config, p, stage1 or Stage1(panel, L))
 
@@ -341,8 +367,7 @@ def forecast_recursive(model: SamossaModel, steps: int) -> np.ndarray:
     takes ``roll``'s lag dots on local copies of the blocks and feeds back
     y_hat and y_hat - f_hat, as ``roll`` would with y_hat as the realized values.
     """
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise ConfigError(f"steps must be an integer >= 0, got {steps!r}")
+    steps = _integer(steps, "steps", 0, ConfigError)
     _check_state(model)
     state, beta, alphas = model.state, model.beta_model.beta, [m.alpha for m in model.ar_models]
     # Newest-first blocks with a free column per step in front; step j writes column c - 1.
@@ -364,35 +389,20 @@ def forecast_recursive(model: SamossaModel, steps: int) -> np.ndarray:
 
 
 def _config_to_json(config: SamossaConfig) -> dict:
-    return {
-        "L": config.L,
-        "rank": str(config.rank),
-        "p": list(config.p) if isinstance(config.p, tuple) else config.p,
-        "shape_ratio": config.shape_ratio,
-        "valid_len": config.valid_len,
-    }
+    return {**vars(config), "rank": str(config.rank)}  # fields in order; a p grid as a list
 
 
 def _config_from_json(doc: dict) -> SamossaConfig:
-    p = doc["p"]
-    if isinstance(p, list):
-        if not p:
-            raise ValueError("config.p must not be an empty list")
-        p = tuple(_integer(q, "config.p entry", 0) for q in p)
-    else:
-        p = _integer(p, "config.p", 0)
-    L, valid_len = doc["L"], doc["valid_len"]
-    return SamossaConfig(
-        L=None if L is None else _integer(L, "config.L", 2),
-        rank=RankRule.parse(doc["rank"]),
-        p=p,
-        shape_ratio=_integer(doc["shape_ratio"], "config.shape_ratio", 1),
-        valid_len=None if valid_len is None else _integer(valid_len, "config.valid_len", 2),
-    )
+    return SamossaConfig(L=doc["L"], rank=RankRule.parse(doc["rank"]), p=doc["p"],
+                         shape_ratio=doc["shape_ratio"], valid_len=doc["valid_len"])
 
 
 def save_model(model: SamossaModel, path) -> None:
-    """Write a fitted model (including forecast state) to a JSON file."""
+    """Write a fitted model (including forecast state) to a JSON file.
+
+    The document is encoded before ``path`` is opened, so a model that
+    cannot be encoded raises and leaves an existing file untouched.
+    """
     doc = {
         "version": FORMAT_VERSION,
         "config": _config_to_json(model.config),
@@ -418,20 +428,13 @@ def save_model(model: SamossaModel, path) -> None:
             "pending_f": {str(k): v for k, v in model.state.pending_f.items()},
         },
     }
+    text = json.dumps(doc, indent=1) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _reject_constant(token: str):
     raise ValueError(f"non-finite number {token}")
-
-
-def _integer(value, what: str, low: int | None = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or (low is not None and value < low):
-        bound = "" if low is None else f" >= {low}"
-        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
-    return value
 
 
 def _real(value, what: str) -> float:

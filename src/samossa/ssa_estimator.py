@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import MetricError, ShapeError
 from .linear_forecaster import BetaModel, solve_beta
 from .lowrank import RankRule, SvdResult, select_rank, svd, takes_topk
 from .pagemat import stack, unstack
@@ -65,33 +65,30 @@ class Stage1:
 
     Where :func:`~samossa.lowrank.takes_topk` allows, a rule that reads only
     the top K triplets (``fixed:K``, and the beta fit at rank k_hat) gets an
-    ARPACK head of that matrix, kept beside its full SVD; every other
-    request shares the one full SVD. Which SVD serves a request depends only
-    on the matrix and the rule, never on the order of calls. Only the most
-    recent head per matrix, and the decomposition and lag model of the most
-    recent k, are kept.
+    ARPACK head of that matrix; every other request shares the one full SVD.
+    Which SVD serves a request depends only on the matrix and the rule,
+    never on the order of calls. Every SVD taken is kept, heads included,
+    since a head is only K vectors per side; only the decomposition and lag
+    model of the most recent k are kept, since those are matrix-sized and
+    peak memory depends on holding one at a time.
     """
 
     def __init__(self, panel: TimePanel, L: int):
         self.panel = panel
         self.L = L
         self.page = stack(panel, L)
-        self._full: dict[int, SvdResult] = {}   # rows -> every triplet
-        self._heads: dict[int, SvdResult] = {}  # rows -> the latest top-k head
+        # (rows, k of a top-k head, or None for every triplet) -> SVD of the top rows
+        self._svds: dict[tuple[int, int | None], SvdResult] = {}
         self._decomp: tuple[SvdResult, Decomposition] | None = None
         self._beta: BetaModel | None = None
 
     def _svd(self, rows: int, k: int | None) -> SvdResult:
         """The SVD of the top ``rows`` Page rows that serves a rule reading ``k`` triplets."""
         matrix = self.page.data[:rows]
-        if not takes_topk(matrix.shape, k):
-            if rows not in self._full:
-                self._full[rows] = svd(matrix)
-            return self._full[rows]
-        head = self._heads.get(rows)
-        if head is None or head.singular_values.size != k:
-            head = self._heads[rows] = svd(matrix, k=k)
-        return head
+        key = (rows, k if takes_topk(matrix.shape, k) else None)
+        if key not in self._svds:
+            self._svds[key] = svd(matrix, k=key[1])
+        return self._svds[key]
 
     def _spectrum(self, rule: RankRule) -> SvdResult:
         return self._svd(self.L, rule.k if rule.kind == "fixed" else None)
@@ -154,6 +151,7 @@ def est_err(decomp: Decomposition, truth: TimePanel, n: int) -> float:
     ``truth`` must align with the decomposition window: either exactly the
     retained window (T == T_eff) or the original panel (T == origin + T_eff),
     whose dropped prefix is ignored. ``n`` is a 0-based series index.
+    MetricError when the error overflows the float range.
     """
     if not 0 <= n < decomp.n_series:
         raise ShapeError(f"series index {n} outside 0..{decomp.n_series - 1}")
@@ -170,5 +168,8 @@ def est_err(decomp: Decomposition, truth: TimePanel, n: int) -> float:
             f"truth length {truth.length} matches neither T_eff={decomp.t_eff} "
             f"nor origin+T_eff={decomp.origin + decomp.t_eff}"
         )
-    diff = decomp.f_hat[n] - aligned
-    return float(np.mean(diff**2))
+    with np.errstate(over="ignore"):
+        err = float(np.mean((decomp.f_hat[n] - aligned) ** 2))
+    if not np.isfinite(err):
+        raise MetricError(f"estimation error of series {n} overflows the float range")
+    return err

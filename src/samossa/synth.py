@@ -46,8 +46,8 @@ _TWO_PI = 2.0 * math.pi
 @dataclass(frozen=True)
 class GeneratorSpec:
     kind: str                 # harmonics | harmonics_trend | pure_ar
-    n_series: int
-    length: int
+    n_series: int = 10
+    length: int = 10_000
     n_fundamentals: int = 3
     freq_range: tuple[float, float] = (_TWO_PI / 100.0, _TWO_PI / 50.0)
     phase_range: tuple[float, float] = (0.0, _TWO_PI)

@@ -143,7 +143,7 @@ class TestCriterion5OperatorNorm:
                     L = default_L(10, nt // 10)
                     page = stack(res.y, L)
                     op = float(np.linalg.svd(page.data, compute_uv=False)[0])
-                    worst = max(worst, op / (sigma_x * np.sqrt(page.shape.cols)))
+                    worst = max(worst, op / (sigma_x * np.sqrt(page.data.shape[1])))
         ok = worst <= 3.0
         report("5 operator-norm", ok, f"max ratio {worst:.3f}")
         assert worst <= 3.0

@@ -413,6 +413,13 @@ class TestBadInputs:
         assert_usage_error(capsys, "fig2", "--nt", "3000", "--seeds", "1",
                            "--sigma2", "abc", "-o", str(tmp_path / "f"))
 
+    def test_fig2_overflowing_error_writes_nothing(self, capsys, tmp_path):
+        # sigma2 = 1e308 draws values near 1e154, whose squared errors overflow.
+        out = tmp_path / "f"
+        assert_fails(capsys, 2, "MetricError", "fig2", "--lambda-stars", "0.3", "--nt", "300",
+                     "--seeds", "1", "--threads", "1", "--sigma2", "1e308", "-o", str(out))
+        assert not out.exists()
+
     def test_layout(self, capsys, synth_dir, tmp_path):
         assert_usage_error(capsys, "fit", "--input", str(synth_dir / "y.csv"),
                            "--layout", "foo", "--p", "1", "-o", str(tmp_path / "m.json"))

@@ -3,6 +3,9 @@
 ``load_model`` validates every count and length against the number of
 series, L and the per-series AR orders, and every number for finiteness, so
 a corrupted file ends in ParseError instead of reaching the forecasters.
+The fields a model is built from (panel names and t0, the configuration and
+its rank rule) are checked where they are constructed, so whatever
+constructs also fits, saves and loads back unchanged.
 """
 
 import copy
@@ -15,7 +18,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samossa import ParseError, forecast_step, load_model, roll, save_model
+from samossa import (
+    ConfigError,
+    IngestError,
+    ParseError,
+    RankError,
+    RankRule,
+    SamossaConfig,
+    SamossaError,
+    TimePanel,
+    fit,
+    forecast_step,
+    load_model,
+    roll,
+    save_model,
+)
 from test_roll import ScalarProtocol, assert_same_state, random_model, roll_cases
 
 
@@ -180,3 +197,157 @@ class TestNamedCases:
     def test_golden_model_config(self):
         model = load_model(Path(__file__).parent / "data" / "cli_golden" / "model.json")
         assert (model.config.L, model.config.p, model.config.valid_len) == (None, (0, 1, 2, 3), 25)
+
+
+def _panel(names=("a", "b", "c"), t0=1) -> TimePanel:
+    rng = np.random.default_rng(5)
+    t = np.arange(60)
+    smooth = rng.normal(size=(3, 2)) @ np.array([np.sin(0.3 * t), np.cos(0.7 * t)])
+    return TimePanel(names, smooth + 0.1 * rng.normal(size=(3, 60)), t0=t0)
+
+
+def _save_load(model, directory):
+    path = Path(directory) / "model.json"
+    save_model(model, path)
+    return load_model(path)
+
+
+def _bits(array) -> bytes:
+    return np.asarray(array, dtype=np.float64).tobytes()
+
+
+def assert_same_model(a, b):
+    """Every fitted fact and the state agree bit for bit, the config field for field."""
+    assert (a.config, a.L, a.k_hat, a.p_used, a.series_names) == \
+        (b.config, b.L, b.k_hat, b.p_used, b.series_names)
+    assert _bits(a.beta_model.beta) == _bits(b.beta_model.beta)
+    for x, y in zip(a.ar_models, b.ar_models, strict=True):
+        assert (_bits(x.alpha), _bits(x.noise_var_hat)) == (_bits(y.alpha), _bits(y.noise_var_hat))
+    for x, y in ((a.state.obs_lags, b.state.obs_lags), (a.state.resid_lags, b.state.resid_lags)):
+        assert x.shape == y.shape and _bits(x) == _bits(y)
+    assert (a.state.next_t, a.state.pending_f) == (b.state.next_t, b.state.pending_f)
+
+
+class TestFieldsCheckedAtConstruction:
+    @pytest.mark.parametrize("make, error", [
+        (lambda: SamossaConfig(p=()), ConfigError),
+        (lambda: SamossaConfig(L=10.5), ConfigError),
+        (lambda: SamossaConfig(shape_ratio=1.5), ConfigError),
+        (lambda: SamossaConfig(rank="energy:0.9"), ConfigError),
+        (lambda: SamossaConfig(p=True), ConfigError),
+        (lambda: SamossaConfig(L=1), ConfigError),
+        (lambda: SamossaConfig(valid_len=1), ConfigError),
+        (lambda: SamossaConfig(p=[1, -1]), ConfigError),
+        (lambda: RankRule.fixed(True), RankError),
+        (lambda: RankRule.fixed(2.0), RankError),
+        (lambda: RankRule.energy(True), RankError),
+        (lambda: RankRule.energy("0.9"), RankError),
+        (lambda: TimePanel((1, 2, 3), np.zeros((3, 4))), IngestError),
+        (lambda: TimePanel(("a",), np.zeros((1, 4)), t0=1.5), IngestError),
+        (lambda: TimePanel(("a",), np.zeros((1, 4)), t0=True), IngestError),
+    ], ids=["empty-grid", "float-L", "float-ratio", "text-rank", "bool-p", "L-1", "valid-len-1",
+            "negative-order", "bool-k", "float-k", "bool-fraction", "text-fraction", "int-names",
+            "float-t0", "bool-t0"])
+    def test_refused(self, make, error):
+        with pytest.raises(error):
+            make()
+
+    @pytest.mark.parametrize("text", [5, None, b"universal", "fixed:x", "fixed:1.5", "energy:",
+                                      "energy:nan", "fixed:0", "energy:2", "fixed:" + "9" * 5000])
+    def test_parse_raises_only_rank_error(self, text):
+        with pytest.raises(RankError):
+            RankRule.parse(text)
+
+    def test_numpy_integer_order_fits(self):
+        config = SamossaConfig(rank=RankRule.fixed(2), p=np.int64(1))
+        assert type(config.p) is int
+        assert fit(_panel(), config).p_used == (1, 1, 1)
+
+    def test_numpy_integers_round_trip(self, tmp_path):
+        config = SamossaConfig(L=np.int64(6), rank=RankRule.fixed(np.int32(2)),
+                               p=[np.int64(0), 1], shape_ratio=np.int16(2),
+                               valid_len=np.uint8(10))
+        assert config == SamossaConfig(L=6, rank=RankRule.fixed(2), p=(0, 1), shape_ratio=2,
+                                       valid_len=10)
+        model = fit(_panel(t0=np.int64(4)), config)
+        assert model.state.next_t == [64] * 3
+        assert_same_model(_save_load(model, tmp_path), model)
+
+    def test_unencodable_model_leaves_the_file(self, tmp_path):
+        model = fit(_panel(), SamossaConfig(rank=RankRule.fixed(2), p=1))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        before = path.read_bytes()
+        model.state.next_t[0] = np.int64(61)  # json cannot encode a numpy integer
+        with pytest.raises(TypeError):
+            save_model(model, path)
+        assert path.read_bytes() == before
+
+
+# Field values: ``_whole(low)`` draws integers >= low, plain and numpy;
+# ``_ANY`` adds booleans, floats, text and values out of range.
+def _whole(low):
+    return st.one_of(st.integers(low, 4), st.integers(low, 4).map(np.int64),
+                     st.integers(max(low, 0), 4).map(np.uint8))
+
+
+def _grids(entry, min_size):
+    grid = st.lists(entry, min_size=min_size, max_size=3)
+    return st.one_of(entry, grid, grid.map(tuple))
+
+
+_ANY = st.one_of(_whole(-1), st.booleans(), st.floats(-1.0, 4.0), st.just("2"))
+_TEXT = st.lists(st.text(max_size=3), min_size=3, max_size=3)
+
+# Per field: (values that must construct, values that may not).
+_POOLS = {
+    "names": (_TEXT, st.lists(st.one_of(st.text(max_size=3), st.integers(0, 9)),
+                              min_size=3, max_size=3)),
+    "t0": (st.one_of(_whole(-1), st.integers(-2**70, 2**70)), _ANY),
+    "L": (st.one_of(st.none(), _whole(2), st.integers(5, 9)), _ANY),
+    "p": (_grids(_whole(0), 1), _grids(_ANY, 0)),
+    "shape_ratio": (_whole(1), _ANY),
+    "valid_len": (st.one_of(st.none(), _whole(2), st.integers(5, 9)), _ANY),
+    "rank": (st.one_of(st.tuples(st.just("fixed"), _whole(1)),
+                       st.tuples(st.just("energy"), st.floats(0.01, 1.0)),
+                       st.just(("universal",))),
+             st.one_of(st.tuples(st.just("fixed"), _ANY),
+                       st.tuples(st.just("energy"), st.one_of(
+                           st.floats(), st.floats(0.0, 1.0).map(np.float32), st.booleans(),
+                           st.integers(0, 2), st.just("0.9"))),
+                       st.just(("text", "energy:0.9")))),
+}
+
+
+@st.composite
+def _fields(draw):
+    """Every field from its valid pool, except at most one from its other pool."""
+    odd = draw(st.sampled_from((None, *_POOLS)))
+    return {key: draw(pools[key == odd]) for key, pools in _POOLS.items()}
+
+
+def _rank(spec):
+    kind, *args = spec
+    return args[0] if kind == "text" else getattr(RankRule, kind)(*args)
+
+
+@settings(max_examples=150)
+@given(_fields())
+def test_constructed_fields_round_trip(fields):
+    """Either construction raises a typed error, or the fit saves and loads bit for bit."""
+    try:
+        panel = _panel(fields["names"], fields["t0"])
+        config = SamossaConfig(rank=_rank(fields["rank"]), **{
+            key: fields[key] for key in ("L", "p", "shape_ratio", "valid_len")})
+    except SamossaError:
+        return
+    for value in (panel.t0, config.L, config.shape_ratio, config.valid_len, config.rank.k,
+                  *(config.p if isinstance(config.p, tuple) else (config.p,))):
+        assert value is None or type(value) is int
+    if isinstance(config.p, tuple) and len(config.p) > 1 and config.valid_len is None:
+        with pytest.raises(ConfigError, match="valid_len"):
+            fit(panel, config)
+        return
+    model = fit(panel, config)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_same_model(_save_load(model, tmp), model)

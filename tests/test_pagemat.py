@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samossa import PageShape, ShapeError, TimePanel
+from samossa import ShapeError, TimePanel
 from samossa.pagemat import default_L, stack, unstack
 
 
@@ -72,7 +72,7 @@ class TestIndexMaps:
     # value at time origin + (j-1)*L + i.
     def test_formula_cases(self):
         pg = stack(_one_series(np.arange(1, 7, dtype=float)), 2)  # value == t
-        assert pg.shape == PageShape(L=2, M=3, N=1)
+        assert pg.data.shape == (2, 3)
         assert pg.data[1 - 1, 2 - 1] == 3
         assert pg.data[1 - 1, 1 - 1] == 1
 
@@ -81,8 +81,8 @@ class TestIndexMaps:
         # find each token's cell by search.
         panel = TimePanel(("a", "b"), np.arange(12, dtype=float).reshape(2, 6))
         pg = stack(panel, 2)
-        assert pg.shape == PageShape(L=2, M=3, N=2)
-        L, M = pg.shape.L, pg.shape.M
+        assert pg.data.shape == (2, 6)
+        L, M = 2, 3
         for n in (1, 2):
             for t in range(1, 7):
                 token = panel.values[n - 1, t - 1]
@@ -115,7 +115,7 @@ class TestIndexMaps:
         values = np.arange(N * (origin + L * M), dtype=float).reshape(N, -1)
         panel = TimePanel(tuple(f"s{n}" for n in range(N)), values)
         pg = stack(panel, L)
-        assert pg.shape == PageShape(L=L, M=M, N=N)
+        assert pg.data.shape == (L, N * M)
         assert pg.origin == origin
         np.testing.assert_array_equal(unstack(pg.data, N), values[:, origin:])
 
@@ -177,6 +177,6 @@ class TestOperatorNormScaling:
                 L = default_L(10, 1000)
                 pg = stack(res.y, L)
                 op = np.linalg.svd(pg.data, compute_uv=False)[0]
-                q = pg.shape.cols
+                q = pg.data.shape[1]
                 worst = max(worst, op / (diag.sigma_x * np.sqrt(q)))
         assert worst <= 3.0

@@ -244,6 +244,15 @@ class TestLoadLong:
         with pytest.raises(IngestError, match="missing"):
             load_csv(write(tmp_path, text), layout="long")
 
+    @pytest.mark.parametrize("text, missing", [
+        ("a,1,1\na,2,2\nb,2,4\nb,1,5\nc,1,6\n", "('c', 2)"),
+        ("a,1,1\na,1e300,2\n", "('a', 2)"),  # a wide file read as long can span this
+        ("a,-5e18,1\na,5e18,2\nb,1,3\n", "('a', -4999999999999999999)"),
+    ])
+    def test_gap_found_before_allocating(self, tmp_path, text, missing):
+        with pytest.raises(IngestError, match=re.escape(f"missing (series, t) pair {missing}")):
+            load_csv(write(tmp_path, text), layout="long")
+
     def test_duplicate_pair(self, tmp_path):
         text = "a,1,1\na,1,2\n"
         with pytest.raises(IngestError, match="duplicate"):

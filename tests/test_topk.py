@@ -138,6 +138,16 @@ class TestStage1Head:
         np.testing.assert_array_equal(after.singular_values, alone.singular_values)
         np.testing.assert_array_equal(shared.decompose(energy).f_hat, by_energy.f_hat)
 
+    def test_every_head_taken_once(self, monkeypatch):
+        # The memo keeps each (rows, k) head, so returning to a k costs no SVD.
+        monkeypatch.setattr(lowrank, "_TOPK_MIN_DIM", LOW_MIN_DIM)
+        calls = []
+        monkeypatch.setattr(lowrank, "_arpack", lambda a, k: calls.append(k) or None)
+        stage = Stage1(generate(forecasting_spec(n_series=3, length=1300, seed=4)).y, 60)
+        for k in (3, 5, 3, 5, 4):
+            assert stage.decompose(RankRule.fixed(k)).k_hat == k
+        assert calls == [3, 5, 4]
+
 
 class TestAboveRealCrossover:
     def test_noiseless_recovery(self):
