@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRootsError, FitError, NonStationaryError, ShapeError
+from .errors import DegenerateRootsError, FitError, NonStationaryError, ShapeError, _integer
 
 __all__ = [
     "ArModel",
@@ -30,38 +30,38 @@ __all__ = [
 # Roots closer than this are treated as repeated (below eigensolver accuracy).
 _ROOT_TOL = 1e-9
 
-_LYAPUNOV_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ArModel:
     """AR(p) coefficients, most-recent-lag first: x(t) ~ sum_i alpha[i-1] x(t-i).
 
-    ``p == 0`` is the degenerate model whose one-step forecast is always 0
-    (the pure low-rank ablation). ``rank_deficient`` flags a fit that fell
-    back to the minimum-norm solution.
+    The order ``p`` is ``len(alpha)``. ``p == 0`` is the degenerate model
+    whose one-step forecast is always 0 (the pure low-rank ablation).
+    ``rank_deficient`` flags a fit that fell back to the minimum-norm solution.
     """
 
     alpha: np.ndarray
-    p: int
     noise_var_hat: float
     rank_deficient: bool = False
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        if self.p < 0 or alpha.shape != (self.p,):
-            raise ShapeError(f"alpha shape {alpha.shape} inconsistent with p={self.p}")
-        if self.p > 0 and not np.all(np.isfinite(alpha)):
+        alpha = np.array(self.alpha, dtype=np.float64)
+        if alpha.ndim != 1:
+            raise ShapeError(f"alpha must be a vector, got shape {alpha.shape}")
+        if not np.all(np.isfinite(alpha)):
             raise FitError("non-finite AR coefficients")
         if not math.isfinite(self.noise_var_hat):
             raise FitError(f"non-finite AR noise variance {self.noise_var_hat!r}")
-        alpha = alpha.copy()
         alpha.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
 
+    @property
+    def p(self) -> int:
+        return len(self.alpha)
+
     @classmethod
     def zero(cls, noise_var_hat: float = 0.0) -> "ArModel":
-        return cls(alpha=np.zeros(0), p=0, noise_var_hat=noise_var_hat)
+        return cls(alpha=np.zeros(0), noise_var_hat=noise_var_hat)
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,7 @@ def fit_ar(residuals, p: int) -> ArModel:
     x = np.asarray(residuals, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError("fit_ar expects a 1-D residual series")
+    p = _integer(p, "order", error=FitError)
     if p < 1:
         raise FitError(f"order must be >= 1, got {p} (use ArModel.zero() for p=0)")
     T = x.shape[0]
@@ -112,7 +113,7 @@ def fit_ar(residuals, p: int) -> ArModel:
     resid = targets - design @ alpha
     with np.errstate(over="ignore"):  # huge residuals overflow; ArModel rejects the inf
         noise_var = float(np.mean(resid**2))
-    return ArModel(alpha=alpha, p=p, noise_var_hat=noise_var, rank_deficient=bool(rank < p))
+    return ArModel(alpha=alpha, noise_var_hat=noise_var, rank_deficient=bool(rank < p))
 
 
 def forecast_ar(model: ArModel, recent_residuals) -> float:
@@ -123,8 +124,6 @@ def forecast_ar(model: ArModel, recent_residuals) -> float:
     lags = np.asarray(recent_residuals, dtype=np.float64)
     if lags.shape != (model.p,):
         raise ShapeError(f"expected {model.p} lagged residuals, got shape {lags.shape}")
-    if model.p == 0:
-        return 0.0
     return float(model.alpha @ lags)
 
 
@@ -153,23 +152,11 @@ def characteristic_roots(alpha) -> np.ndarray:
     return roots[order]
 
 
-def _solve_lyapunov(A: np.ndarray, Q: np.ndarray, lambda_star: float) -> np.ndarray:
-    """Fixed point of X = A X A' + Q, iterated to 1e-12 in max-norm.
-
-    The iterate contracts at rate lambda_star^2, so the cap
-    10*log(1e-12)/log(lambda_star^2) leaves a wide margin.
-    """
-    if lambda_star < 1e-6:
-        cap = 16
-    else:
-        cap = max(16, math.ceil(10.0 * math.log(_LYAPUNOV_TOL) / math.log(lambda_star**2)))
-    X = Q.copy()
-    for _ in range(cap):
-        X_next = A @ X @ A.T + Q
-        if np.max(np.abs(X_next - X)) <= _LYAPUNOV_TOL:
-            return X_next
-        X = X_next
-    return X
+def _solve_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """X = A X A' + Q as (I - A (x) A) vec X = vec Q in row-major vec; the system
+    is regular while every root of A lies inside the unit circle."""
+    p = A.shape[0]
+    return np.linalg.solve(np.eye(p * p) - np.kron(A, A), Q.ravel()).reshape(p, p)
 
 
 def _ma_by_unrolling(alpha: np.ndarray, K: int) -> np.ndarray:
@@ -189,12 +176,14 @@ def diagnostics(model: ArModel, sigma: float | None = None, K: int = 200) -> ArD
 
     ``sigma`` is the innovation standard deviation; defaults to the fitted
     sqrt(noise_var_hat). ``K`` is the number of moving-average coefficients
-    to expand. Raises NonStationaryError when the dominant root modulus is
-    >= 1, and DegenerateRootsError when two roots are closer than 1e-9 (the
-    partial-fraction constants are then ill-defined).
+    to expand, an integer >= 1 (ShapeError otherwise). The Gramians are one
+    linear solve each. Raises NonStationaryError when the dominant root
+    modulus is >= 1, and DegenerateRootsError when two roots are closer than
+    1e-9 (the partial-fraction constants are then ill-defined).
     """
     if model.p < 1:
         raise ShapeError("diagnostics need a model of order >= 1")
+    K = _integer(K, "K", 1, ShapeError)
     if sigma is None:
         sigma = math.sqrt(max(model.noise_var_hat, 0.0))
     A = companion_matrix(model.alpha)
@@ -218,10 +207,9 @@ def diagnostics(model: ArModel, sigma: float | None = None, K: int = 200) -> ArD
     c_lambda = float(np.sum(np.abs(a)))
     sigma_x = c_lambda * sigma / (1.0 - lambda_star)
 
-    B = np.zeros((model.p, 1))
-    B[0, 0] = 1.0
-    psi = _solve_lyapunov(A, B @ B.T, lambda_star)
-    gamma = _solve_lyapunov(A, np.eye(model.p), lambda_star)
+    eye = np.eye(model.p)
+    psi = _solve_lyapunov(A, eye[:, :1] @ eye[:1])  # B B' with B = e_1
+    gamma = _solve_lyapunov(A, eye)
     lam_min_psi = float(np.min(np.linalg.eigvalsh(psi)))
 
     return ArDiagnostics(

@@ -569,10 +569,21 @@ COMMANDS = {
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose own errors (an unknown flag, a missing
     required flag, a bad subcommand) end as one usage-error line, not a
-    usage block; its subcommand parsers are of the same class."""
+    usage block; its subcommand parsers are of the same class. A float or
+    a comma list of floats is a value, never a flag (no flag looks like a
+    number); argparse alone would read ``--min-r2 -1e9`` as a flag.
+    """
 
     def error(self, message):
         raise _UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        try:
+            for item in arg_string.split(","):
+                float(item)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -30,26 +30,28 @@ class BetaModel:
     """Lag model for the smooth component.
 
     ``beta`` is most-recent-lag first: the forecast is
-    sum_i beta[i-1] * y(t-i) over the last L-1 observations. ``resid_rms``
-    is the in-sample RMS of the fitting regression.
+    sum_i beta[i-1] * y(t-i) over the last L-1 observations, so ``L`` is
+    ``len(beta) + 1``. ``resid_rms`` is the in-sample RMS of the fitting regression.
     """
 
     beta: np.ndarray
-    L: int
     k_hat: int
     resid_rms: float
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=np.float64)
-        if beta.shape != (self.L - 1,):
-            raise ShapeError(f"beta length {beta.shape[0]} != L-1 = {self.L - 1}")
+        beta = np.array(self.beta, dtype=np.float64)
+        if beta.ndim != 1 or beta.size < 1:
+            raise ShapeError(f"beta must be a non-empty vector, got shape {beta.shape}")
         if not np.all(np.isfinite(beta)):
             raise FitError("non-finite regression coefficients")
         if not math.isfinite(self.resid_rms):
             raise FitError(f"non-finite regression residual RMS {self.resid_rms!r}")
-        beta = beta.copy()
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
+
+    @property
+    def L(self) -> int:
+        return len(self.beta) + 1
 
 
 def fit_beta(panel: TimePanel, L: int, rule: RankRule, k_hat: int | None = None) -> BetaModel:
@@ -88,7 +90,7 @@ def solve_beta(page: np.ndarray, sub: SvdResult, k_hat: int) -> BetaModel:
     with np.errstate(over="ignore"):  # huge residuals overflow; BetaModel rejects the inf
         rms = float(np.sqrt(np.mean((fitted - targets) ** 2)))
     # Page rows are oldest-first; flip so beta is most-recent-lag first.
-    return BetaModel(beta=coef[::-1], L=L, k_hat=k_hat, resid_rms=rms)
+    return BetaModel(beta=coef[::-1], k_hat=k_hat, resid_rms=rms)
 
 
 def forecast_f(model: BetaModel, lags) -> float:

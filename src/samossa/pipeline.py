@@ -135,20 +135,29 @@ class _State:
 
 @dataclass
 class SamossaModel:
-    """A fitted two-stage model plus its rolling forecast state."""
+    """A fitted two-stage model and its forecast state; its coefficients own L, k_hat, p_used."""
 
     beta_model: BetaModel
     ar_models: tuple[ArModel, ...]
     config: SamossaConfig
-    L: int
-    k_hat: int
-    p_used: tuple[int, ...]
     series_names: tuple[str, ...]
     state: _State
 
     @property
     def n_series(self) -> int:
         return len(self.ar_models)
+
+    @property
+    def L(self) -> int:
+        return self.beta_model.L
+
+    @property
+    def k_hat(self) -> int:
+        return self.beta_model.k_hat
+
+    @property
+    def p_used(self) -> tuple[int, ...]:
+        return tuple(m.p for m in self.ar_models)
 
 
 def _fit_fixed_p(panel: TimePanel, config: SamossaConfig, p: int, stage: Stage1) -> SamossaModel:
@@ -165,9 +174,6 @@ def _fit_fixed_p(panel: TimePanel, config: SamossaConfig, p: int, stage: Stage1)
         beta_model=beta_model,
         ar_models=tuple(ar_models),
         config=config,
-        L=stage.L,
-        k_hat=decomp.k_hat,
-        p_used=(p,) * panel.n_series,
         series_names=panel.series_names,
         state=_State(
             obs_lags=panel.values[:, -(stage.L - 1):][:, ::-1].copy(),
@@ -221,9 +227,10 @@ def fit(panel: TimePanel, config: SamossaConfig | None = None, *,
 
 
 def _series(model: SamossaModel, n) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n < model.n_series:
+    n = _integer(n, "series index", 0, StateError)
+    if n >= model.n_series:
         raise StateError(f"series index must be an integer in 0..{model.n_series - 1}, got {n!r}")
-    return int(n)
+    return n
 
 
 def _check_state(model: SamossaModel) -> None:
@@ -246,7 +253,8 @@ def forecast_step(model: SamossaModel, n: int) -> tuple[float, float, float]:
     _check_state(model)
     state = model.state
     f_hat = float(np.vecdot(state.obs_lags[n], model.beta_model.beta))
-    x_hat = float(np.vecdot(state.resid_lags[n, :model.p_used[n]], model.ar_models[n].alpha))
+    alpha = model.ar_models[n].alpha
+    x_hat = float(np.vecdot(state.resid_lags[n, :len(alpha)], alpha))
     state.pending_f[n] = f_hat
     return f_hat + x_hat, f_hat, x_hat
 
@@ -269,7 +277,7 @@ def observe(model: SamossaModel, n: int, y: float) -> SamossaModel:
     except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond the float range
         raise IngestError(f"observation for series {n} at t={state.next_t[n]}: {exc}") from None
     f_hat = state.pending_f.pop(n)
-    p = model.p_used[n]
+    p = model.ar_models[n].p
     for lags, value in ((state.obs_lags[n], y), (state.resid_lags[n, :p], y - f_hat)):
         if lags.size:
             lags[1:] = lags[:-1]
@@ -451,10 +459,14 @@ def _entries(value, length: int, what: str) -> list:
 
 
 def _vector(value, length: int, what: str) -> np.ndarray:
-    """A list of exactly ``length`` finite numbers, as a float64 array."""
-    for i, v in enumerate(_entries(value, length, what)):
-        _real(v, f"{what}[{i}]")
-    return np.array(value, dtype=np.float64)
+    """A list of exactly ``length`` finite numbers, as a float64 array, checked as one array."""
+    entries = _entries(value, length, what)
+    numbers_only = {type(v) for v in entries} <= {int, float}  # JSON true and false are bool
+    array = np.array(entries, dtype=np.float64) if numbers_only else None
+    if array is None or not np.isfinite(array).all():
+        for i, v in enumerate(entries):  # name the first entry that is not a finite number
+            _real(v, f"{what}[{i}]")
+    return array
 
 
 def _model_from_doc(doc: dict) -> SamossaModel:
@@ -475,15 +487,12 @@ def _model_from_doc(doc: dict) -> SamossaModel:
             raise ValueError(f"ar[{n}].rank_deficient must be true or false")
         ar_models.append(ArModel(
             alpha=_vector(m["alpha"], p_used[n], f"ar[{n}].alpha"),
-            p=p_used[n],
             noise_var_hat=_real(m["noise_var"], f"ar[{n}].noise_var"),
             rank_deficient=rank_deficient,
         ))
-    k_hat = _integer(doc["k_hat"], "k_hat", 0)
     beta_model = BetaModel(
         beta=_vector(doc["beta"], L - 1, "beta"),
-        L=L,
-        k_hat=k_hat,
+        k_hat=_integer(doc["k_hat"], "k_hat", 0),
         resid_rms=_real(doc["beta_resid_rms"], "beta_resid_rms"),
     )
     state_doc = doc["state"]
@@ -507,9 +516,6 @@ def _model_from_doc(doc: dict) -> SamossaModel:
         beta_model=beta_model,
         ar_models=tuple(ar_models),
         config=_config_from_json(doc["config"]),
-        L=L,
-        k_hat=k_hat,
-        p_used=p_used,
         series_names=tuple(names),
         state=state,
     )

@@ -23,12 +23,13 @@ seed within one platform/numpy pairing.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ar import characteristic_roots
-from .errors import SpecError
+from .errors import SpecError, _integer
 from .panel import TimePanel
 
 __all__ = [
@@ -45,6 +46,9 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class GeneratorSpec:
+    """What to draw, checked on construction (SpecError): counts are integers >= 1,
+    the seed an integer >= 0, ``sigma2`` finite and > 0 (numpy integers convert)."""
+
     kind: str                 # harmonics | harmonics_trend | pure_ar
     n_series: int = 10
     length: int = 10_000
@@ -58,21 +62,21 @@ class GeneratorSpec:
     sigma2: float = 0.2
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in ("harmonics", "harmonics_trend", "pure_ar"):
             raise SpecError(f"unknown generator kind {self.kind!r}")
-        if self.n_series < 1 or self.length < 1:
-            raise SpecError("need n_series >= 1 and length >= 1")
+        for name in ("n_series", "length", "n_fundamentals", "ar_order", "seed"):
+            value = _integer(getattr(self, name), name, 0 if name == "seed" else 1, SpecError)
+            object.__setattr__(self, name, value)
         if self.kind != "pure_ar":
-            if self.n_fundamentals < 1:
-                raise SpecError("need at least one fundamental series")
             lo, hi = self.freq_range
             if not (0.0 < lo <= hi < math.pi):
                 raise SpecError(f"frequency range {self.freq_range} not inside (0, pi)")
-        if self.sigma2 <= 0.0:
-            raise SpecError(f"noise variance must be positive, got {self.sigma2}")
+        if (isinstance(self.sigma2, bool) or not isinstance(self.sigma2, numbers.Real)
+                or not math.isfinite(self.sigma2) or self.sigma2 <= 0.0):
+            raise SpecError(f"noise variance must be a finite number > 0, got {self.sigma2!r}")
         if self.alpha is None:
-            if self.lambda_star is None or not 0.0 < self.lambda_star < 1.0:
+            if not isinstance(self.lambda_star, numbers.Real) or not 0.0 < self.lambda_star < 1.0:
                 raise SpecError(f"lambda_star must be in (0, 1), got {self.lambda_star}")
 
 
@@ -125,7 +129,6 @@ def _simulate_ar(alpha: np.ndarray, sigma: float, length: int, rng: np.random.Ge
 
 def generate(spec: GeneratorSpec) -> SynthResult:
     """Draw one synthetic panel: observations, truth components, and alphas."""
-    spec.validate()
     alpha = _resolve_alpha(spec)
     roots = characteristic_roots(alpha)
     lam = float(np.abs(roots[0]))

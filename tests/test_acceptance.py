@@ -173,7 +173,7 @@ class TestCriterion6OracleEquivalences:
         a_ok = a_err < 1e-8
 
         # (b) the Gramian solves its fixed-point equation.
-        diag = diagnostics(ArModel(alpha=np.array([1.5, -0.56]), p=2, noise_var_hat=1.0))
+        diag = diagnostics(ArModel(alpha=np.array([1.5, -0.56]), noise_var_hat=1.0))
         A = diag.companion
         B = np.array([[1.0], [0.0]])
         b_err = float(np.max(np.abs(diag.gramian_psi - (A @ diag.gramian_psi @ A.T + B @ B.T))))
@@ -186,7 +186,7 @@ class TestCriterion6OracleEquivalences:
             from samossa.synth import ar_from_lambda_star
 
             alpha = ar_from_lambda_star(2, lam)
-            d = diagnostics(ArModel(alpha=alpha, p=2, noise_var_hat=1.0), sigma=1.0, K=200)
+            d = diagnostics(ArModel(alpha=alpha, noise_var_hat=1.0), sigma=1.0, K=200)
             eta = np.random.default_rng(1).normal(size=400)
             rec = np.zeros(400)
             for t in range(400):

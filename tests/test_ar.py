@@ -83,6 +83,18 @@ class TestFitAr:
         assert -1.3 <= slope <= -0.7
 
 
+    @pytest.mark.parametrize("order", [1.5, "2", True, np.float64(2.0), 0, -1])
+    def test_order_must_be_an_integer_of_at_least_one(self, order):
+        x = np.random.default_rng(3).normal(size=50)
+        with pytest.raises(FitError, match="order must be"):
+            fit_ar(x, order)
+
+    def test_numpy_integer_order(self):
+        x = np.random.default_rng(3).normal(size=50)
+        model = fit_ar(x, np.int64(2))
+        assert type(model.p) is int and model.p == 2
+        assert model.alpha.tolist() == fit_ar(x, 2).alpha.tolist()
+
     def test_overflowing_noise_variance(self):
         x = 1e200 * np.random.default_rng(4).normal(size=300)
         with pytest.raises(FitError, match="noise variance"):
@@ -93,22 +105,22 @@ class TestFitAr:
 
 class TestForecastAr:
     def test_single_lag(self):
-        model = ArModel(alpha=np.array([0.5]), p=1, noise_var_hat=1.0)
+        model = ArModel(alpha=np.array([0.5]), noise_var_hat=1.0)
         assert forecast_ar(model, [2.0]) == pytest.approx(1.0)
 
     def test_zero_model(self):
-        model = ArModel(alpha=np.zeros(3), p=3, noise_var_hat=1.0)
+        model = ArModel(alpha=np.zeros(3), noise_var_hat=1.0)
         assert forecast_ar(model, [4.0, 5.0, 6.0]) == 0.0
 
     def test_two_lags(self):
-        model = ArModel(alpha=np.array([1.5, -0.56]), p=2, noise_var_hat=1.0)
+        model = ArModel(alpha=np.array([1.5, -0.56]), noise_var_hat=1.0)
         assert forecast_ar(model, [1.0, 1.0]) == pytest.approx(0.94)
 
     def test_order_zero(self):
         assert forecast_ar(ArModel.zero(), []) == 0.0
 
     def test_lag_count_mismatch(self):
-        model = ArModel(alpha=np.array([0.5]), p=1, noise_var_hat=1.0)
+        model = ArModel(alpha=np.array([0.5]), noise_var_hat=1.0)
         with pytest.raises(ShapeError):
             forecast_ar(model, [1.0, 2.0])
 
@@ -136,7 +148,7 @@ class TestRoots:
 
 class TestDiagnostics:
     def test_ar1_closed_forms(self):
-        model = ArModel(alpha=np.array([0.5]), p=1, noise_var_hat=1.0)
+        model = ArModel(alpha=np.array([0.5]), noise_var_hat=1.0)
         diag = diagnostics(model, sigma=1.0)
         assert diag.c_lambda == pytest.approx(1.0)
         assert diag.sigma_x == pytest.approx(2.0)
@@ -145,7 +157,7 @@ class TestDiagnostics:
     def test_partial_fractions_and_ma_head(self):
         # Roots 0.8, 0.7: a = (8, -7), c_lambda = 15, and the unrolled
         # second MA weight equals 8*0.8 - 7*0.7 = alpha_1.
-        model = ArModel(alpha=np.array([1.5, -0.56]), p=2, noise_var_hat=1.0)
+        model = ArModel(alpha=np.array([1.5, -0.56]), noise_var_hat=1.0)
         diag = diagnostics(model, sigma=1.0)
         assert diag.c_lambda == pytest.approx(15.0, abs=1e-9)
         assert diag.ma_coeffs[0] == 1.0
@@ -155,7 +167,7 @@ class TestDiagnostics:
     def test_ma_coeffs_match_root_formula(self):
         # Independent oracle: beta_k = sum_i a_i lambda_i^k from the roots.
         alpha = np.array([1.1, -0.3])
-        model = ArModel(alpha=alpha, p=2, noise_var_hat=1.0)
+        model = ArModel(alpha=alpha, noise_var_hat=1.0)
         diag = diagnostics(model, sigma=1.0, K=30)
         roots = np.roots([1.0, -alpha[0], -alpha[1]])
         a = np.array([
@@ -167,7 +179,7 @@ class TestDiagnostics:
             assert diag.ma_coeffs[k] == pytest.approx(expected, abs=1e-12)
 
     def test_lyapunov_fixed_point(self):
-        model = ArModel(alpha=np.array([1.5, -0.56]), p=2, noise_var_hat=0.25)
+        model = ArModel(alpha=np.array([1.5, -0.56]), noise_var_hat=0.25)
         diag = diagnostics(model)
         A = diag.companion
         B = np.array([[1.0], [0.0]])
@@ -180,25 +192,45 @@ class TestDiagnostics:
 
     def test_gramian_sandwich(self):
         for alpha in ([0.5], [1.5, -0.56], [0.2, 0.1, -0.02]):
-            model = ArModel(alpha=np.array(alpha), p=len(alpha), noise_var_hat=1.0)
+            model = ArModel(alpha=np.array(alpha), noise_var_hat=1.0)
             diag = diagnostics(model)
             assert np.min(np.linalg.eigvalsh(diag.gramian_psi)) > 0.0
             gap = diag.gramian_gamma - diag.gramian_psi
             assert np.min(np.linalg.eigvalsh(gap)) >= -1e-10
 
+    @pytest.mark.parametrize("alpha", [[0.999], [0.9, 0.2, -0.15]], ids=["p1-0.999", "p3"])
+    def test_gramians_near_the_unit_circle(self, alpha):
+        model = ArModel(alpha=np.array(alpha), noise_var_hat=1.0)
+        diag = diagnostics(model)
+        A, psi, gamma = diag.companion, diag.gramian_psi, diag.gramian_gamma
+        B = np.eye(model.p)[:, :1]
+        np.testing.assert_allclose(psi, A @ psi @ A.T + B @ B.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gamma, A @ gamma @ A.T + np.eye(model.p), rtol=0, atol=1e-12)
+        assert np.min(np.linalg.eigvalsh(psi)) > 0.0
+        assert np.min(np.linalg.eigvalsh(gamma - psi)) >= -1e-10
+        if model.p == 1:  # Psi = Gamma = 1 / (1 - lambda^2)
+            np.testing.assert_allclose([psi[0, 0], gamma[0, 0]], 1.0 / (1.0 - 0.999**2),
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("K", [0, -1, 2.5, True, "200"])
+    def test_ma_length_must_be_a_positive_integer(self, K):
+        model = ArModel(alpha=np.array([0.5]), noise_var_hat=1.0)
+        with pytest.raises(ShapeError, match="K must be an integer >= 1"):
+            diagnostics(model, K=K)
+
     def test_nonstationary_rejected(self):
-        model = ArModel(alpha=np.array([1.05]), p=1, noise_var_hat=1.0)
+        model = ArModel(alpha=np.array([1.05]), noise_var_hat=1.0)
         with pytest.raises(NonStationaryError):
             diagnostics(model)
 
     def test_repeated_roots_rejected(self):
         # (z - 0.6)^2 = z^2 - 1.2 z + 0.36
-        model = ArModel(alpha=np.array([1.2, -0.36]), p=2, noise_var_hat=1.0)
+        model = ArModel(alpha=np.array([1.2, -0.36]), noise_var_hat=1.0)
         with pytest.raises(DegenerateRootsError):
             diagnostics(model)
 
     def test_est_err_budget_reported(self):
-        model = ArModel(alpha=np.array([0.5]), p=1, noise_var_hat=2.0)
+        model = ArModel(alpha=np.array([0.5]), noise_var_hat=2.0)
         diag = diagnostics(model)
         expected = 2.0 * np.min(np.linalg.eigvalsh(diag.gramian_psi)) / 6.0
         assert diag.est_err_budget == pytest.approx(expected)
@@ -211,7 +243,7 @@ class TestMaArEquivalence:
 
         K = 200
         alpha = ar_from_lambda_star(2, lam)
-        model = ArModel(alpha=alpha, p=2, noise_var_hat=1.0)
+        model = ArModel(alpha=alpha, noise_var_hat=1.0)
         diag = diagnostics(model, sigma=1.0, K=K)
         rng = np.random.default_rng(23)
         eta = rng.normal(size=400)

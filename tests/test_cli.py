@@ -420,6 +420,23 @@ class TestBadInputs:
                      "--seeds", "1", "--threads", "1", "--sigma2", "1e308", "-o", str(out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [["--min-r2", "-1e9"], ["--min-r2=-1e9"]],
+                             ids=["separate", "joined"])
+    def test_negative_exponent_is_a_value(self, tmp_path, flag):
+        assert run("eval", "--input", str(GOLDEN / "y.csv"), "--train-end", "370",
+                   "--valid-end", "400", "--test-end", "430", *flag,
+                   "-o", str(tmp_path / "eval")) == 0
+
+    def test_negative_exponent_reaches_the_range_check(self, capsys, tmp_path):
+        assert_fails(capsys, 2, "SpecError", "synth", "--lambda-star", "-1e-1",
+                     "-o", str(tmp_path / "d"))
+
+    def test_negative_comma_list_is_a_value(self, tmp_path):
+        assert run("synth", "--kind", "pure_ar", "--alpha", "-5e-1,0.2", "--n", "2",
+                   "--t", "50", "-o", str(tmp_path / "d")) == 0
+        truth = json.loads((tmp_path / "d" / "truth.json").read_text())
+        assert truth["alphas"][0] == [-0.5, 0.2]
+
     def test_layout(self, capsys, synth_dir, tmp_path):
         assert_usage_error(capsys, "fit", "--input", str(synth_dir / "y.csv"),
                            "--layout", "foo", "--p", "1", "-o", str(tmp_path / "m.json"))
@@ -495,12 +512,25 @@ class TestFig2:
     def test_small_sweep_with_check(self, tmp_path):
         out = tmp_path / "fig2"
         code = run("fig2", "--lambda-stars", "0.3", "--nt", "3000,30000",
-                   "--seeds", "2", "--threads", "1", "-o", str(out))
+                   "--seeds", "2", "--threads", "1", "--check", "-o", str(out))
         assert code == 0
         lines = (out / "fig2.csv").read_text().strip().splitlines()
         assert len(lines) == 5
         summary = json.loads((out / "fig2.json").read_text())
         assert "0.3" in summary["median_est_err"]
+
+    def test_failed_check(self, capsys, tmp_path):
+        # Two small points near the unit circle: the error grows with N*T.
+        out = tmp_path / "fig2"
+        capsys.readouterr()
+        assert run("fig2", "--lambda-stars", "0.95", "--nt", "300,600", "--seeds", "1",
+                   "--threads", "1", "--check", "-o", str(out)) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [line for line in err if "error" in line] == err[-1:]
+        assert err[-1].startswith("samossa: error: AssertionFailure: ")
+        assert "est_err did not decay for lambda_star=0.95" in err[-1]
+        assert "outside [-0.75, -0.25] for lambda_star=0.95" in err[-1]
+        assert (out / "fig2.csv").exists() and (out / "fig2.json").exists()
 
 
 class TestConfigFile:

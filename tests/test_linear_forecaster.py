@@ -99,19 +99,19 @@ class TestFitBeta:
 
 class TestForecastF:
     def test_identity_recursion(self):
-        model = BetaModel(beta=np.array([1.0]), L=2, k_hat=1, resid_rms=0.0)
+        model = BetaModel(beta=np.array([1.0]), k_hat=1, resid_rms=0.0)
         assert forecast_f(model, [3.7]) == pytest.approx(3.7)
 
     def test_zero_model(self):
-        model = BetaModel(beta=np.zeros(4), L=5, k_hat=1, resid_rms=0.0)
+        model = BetaModel(beta=np.zeros(4), k_hat=1, resid_rms=0.0)
         assert forecast_f(model, [1.0, 2.0, 3.0, 4.0]) == 0.0
 
     def test_average(self):
-        model = BetaModel(beta=np.array([0.5, 0.5]), L=3, k_hat=1, resid_rms=0.0)
+        model = BetaModel(beta=np.array([0.5, 0.5]), k_hat=1, resid_rms=0.0)
         assert forecast_f(model, [2.0, 4.0]) == pytest.approx(3.0)
 
     def test_wrong_lag_count(self):
-        model = BetaModel(beta=np.array([0.5, 0.5]), L=3, k_hat=1, resid_rms=0.0)
+        model = BetaModel(beta=np.array([0.5, 0.5]), k_hat=1, resid_rms=0.0)
         with pytest.raises(ShapeError):
             forecast_f(model, [1.0])
 

@@ -19,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from samossa import (
+    ArModel,
+    BetaModel,
     ConfigError,
     IngestError,
     ParseError,
@@ -194,6 +196,35 @@ class TestNamedCases:
         with pytest.raises(ParseError):
             load_model(self.write(tmp_path, doc))
 
+    # BASE has L = 5 (four beta entries) and AR orders (0, 2, 3).
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(L=6), r"beta must be a list of 5 entries, got 4"),
+        (lambda d: d["beta"].append(0.5), r"beta must be a list of 4 entries, got 5"),
+        (lambda d: d.update(k_hat=-1), r"k_hat must be an integer >= 0, got -1"),
+        (lambda d: d.update(k_hat=1.5), r"k_hat must be an integer >= 0, got 1.5"),
+        (lambda d: d.update(k_hat=True), r"k_hat must be an integer >= 0, got True"),
+        (lambda d: d["ar"][1].update(p=3), r"ar\[1\].p = 3 but p_used\[1\] = 2"),
+        (lambda d: d["p_used"].__setitem__(1, 3), r"ar\[1\].p = 2 but p_used\[1\] = 3"),
+        (lambda d: (d["p_used"].__setitem__(1, 3), d["ar"][1].update(p=3)),
+         r"ar\[1\].alpha must be a list of 3 entries, got 2"),
+        (lambda d: d["ar"][2]["alpha"].pop(), r"ar\[2\].alpha must be a list of 3 entries, got 2"),
+        (lambda d: d["beta"].__setitem__(2, True), r"beta\[2\] must be a finite number, got True"),
+        (lambda d: d["ar"][2]["alpha"].__setitem__(1, "1"),
+         r"ar\[2\].alpha\[1\] must be a finite number, got '1'"),
+        (lambda d: d["state"]["obs_lags"][0].__setitem__(3, 1e308 * 10),
+         r"obs_lags\[0\]\[3\] must be a finite number, got inf"),
+    ], ids=["L-above-beta", "beta-above-L", "k-negative", "k-float", "k-bool", "ar-p",
+            "p-used", "alpha-short-of-both", "alpha-short", "bool-in-beta", "text-in-alpha",
+            "inf-in-obs-lags"])
+    def test_copies_checked_against_coefficients(self, tmp_path, edit, message):
+        doc = copy.deepcopy(BASE)
+        edit(doc)
+        text = json.dumps(doc, indent=1).replace("Infinity", "1e999")
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            load_model(path)
+
     def test_golden_model_config(self):
         model = load_model(Path(__file__).parent / "data" / "cli_golden" / "model.json")
         assert (model.config.L, model.config.p, model.config.valid_len) == (None, (0, 1, 2, 3), 25)
@@ -272,6 +303,20 @@ class TestFieldsCheckedAtConstruction:
         model = fit(_panel(t0=np.int64(4)), config)
         assert model.state.next_t == [64] * 3
         assert_same_model(_save_load(model, tmp_path), model)
+
+    def test_model_facts_have_one_owner(self):
+        model = fit(_panel(), SamossaConfig(rank=RankRule.fixed(2), p=[1, 2], valid_len=10))
+        beta, ar = model.beta_model, model.ar_models
+        assert (model.L, model.k_hat) == (beta.L, beta.k_hat) == (len(beta.beta) + 1, 2)
+        assert model.p_used == tuple(m.p for m in ar) == tuple(len(m.alpha) for m in ar)
+        for obj, name in ((model, "L"), (model, "k_hat"), (model, "p_used"), (beta, "L"),
+                          (ar[0], "p")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 1)
+        with pytest.raises(TypeError):
+            ArModel(alpha=np.zeros(2), p=2, noise_var_hat=1.0)
+        with pytest.raises(TypeError):
+            BetaModel(beta=np.zeros(4), L=5, k_hat=1, resid_rms=0.0)
 
     def test_unencodable_model_leaves_the_file(self, tmp_path):
         model = fit(_panel(), SamossaConfig(rank=RankRule.fixed(2), p=1))

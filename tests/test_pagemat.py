@@ -167,7 +167,7 @@ class TestOperatorNormScaling:
         for lam in (0.3, 0.95):
             alpha = np.array([lam])
             sigma = 1.0
-            diag = diagnostics(ArModel(alpha=alpha, p=1, noise_var_hat=sigma**2))
+            diag = diagnostics(ArModel(alpha=alpha, noise_var_hat=sigma**2))
             for seed in range(5):
                 spec = GeneratorSpec(
                     kind="pure_ar", n_series=10, length=1000, ar_order=1,

@@ -135,12 +135,9 @@ class TestForecastProtocol:
 
         L = 4
         model = SamossaModel(
-            beta_model=BetaModel(beta=np.zeros(L - 1), L=L, k_hat=1, resid_rms=0.0),
-            ar_models=(ArModel(alpha=np.array([1.0]), p=1, noise_var_hat=0.0),),
+            beta_model=BetaModel(beta=np.zeros(L - 1), k_hat=1, resid_rms=0.0),
+            ar_models=(ArModel(alpha=np.array([1.0]), noise_var_hat=0.0),),
             config=SamossaConfig(L=L, rank=RankRule.fixed(1), p=1),
-            L=L,
-            k_hat=1,
-            p_used=(1,),
             series_names=("a",),
             state=_State(
                 obs_lags=np.array([[1.0, 2.0, 3.0]]),
@@ -184,7 +181,7 @@ class TestForecastProtocol:
         assert model.state.resid_lags[0][0] == 1.0 - pending[1]
         assert model.state.next_t[0] == 402
 
-    @pytest.mark.parametrize("n", [1.5, True, "1", None])
+    @pytest.mark.parametrize("n", [1.5, True, "1", None, -1, 3, np.int64(3), np.int64(-2)])
     def test_forecast_step_series_index_must_be_an_integer(self, model, n):
         with pytest.raises(StateError, match="series index must be an integer"):
             forecast_step(model, n)

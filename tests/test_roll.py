@@ -42,9 +42,9 @@ from samossa.synth import forecasting_spec, generate
 def random_model(rng, L, ps, t0=100) -> SamossaModel:
     """A model with random coefficients and state; one AR order per series."""
     n_series = len(ps)
-    beta = BetaModel(beta=rng.normal(size=L - 1) / (L - 1), L=L, k_hat=1, resid_rms=0.1)
+    beta = BetaModel(beta=rng.normal(size=L - 1) / (L - 1), k_hat=1, resid_rms=0.1)
     ar_models = tuple(
-        ArModel(alpha=rng.uniform(-0.4, 0.4, size=p), p=p, noise_var_hat=1.0) for p in ps
+        ArModel(alpha=rng.uniform(-0.4, 0.4, size=p), noise_var_hat=1.0) for p in ps
     )
     resid_lags = np.zeros((n_series, max(ps, default=0)))
     for n, p in enumerate(ps):
@@ -56,8 +56,7 @@ def random_model(rng, L, ps, t0=100) -> SamossaModel:
     )
     return SamossaModel(
         beta_model=beta, ar_models=ar_models, config=SamossaConfig(L=L, p=tuple(sorted(set(ps)))),
-        L=L, k_hat=1, p_used=tuple(ps), series_names=tuple(f"s{n}" for n in range(n_series)),
-        state=state,
+        series_names=tuple(f"s{n}" for n in range(n_series)), state=state,
     )
 
 
@@ -228,8 +227,7 @@ class TestRecursive:
     def test_fitted_mixed_order_model(self):
         res = generate(forecasting_spec(n_series=4, length=800, seed=5))
         model = fit(res.y, SamossaConfig(rank=RankRule.energy(0.9), p=2))
-        model.p_used = (0, 1, 2, 2)
-        model.ar_models = (ArModel.zero(), ArModel(alpha=np.array([0.5]), p=1, noise_var_hat=1.0),
+        model.ar_models = (ArModel.zero(), ArModel(alpha=np.array([0.5]), noise_var_hat=1.0),
                            *model.ar_models[2:])
         model.state.resid_lags[0] = 0.0
         model.state.resid_lags[1, 1:] = 0.0

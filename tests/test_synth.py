@@ -111,6 +111,22 @@ class TestGenerate:
                 kind="harmonics", n_series=1, length=10, freq_range=(0.5, 4.0),
             ))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_series", 2.5), ("n_series", 0), ("length", True), ("n_fundamentals", "3"),
+        ("ar_order", 1.0), ("seed", -1), ("seed", 0.5), ("sigma2", float("nan")),
+        ("sigma2", float("inf")), ("sigma2", 0.0), ("sigma2", "0.2"), ("sigma2", True),
+        ("lambda_star", "0.5"), ("lambda_star", None), ("lambda_star", float("nan")),
+    ])
+    def test_fields_checked_on_construction(self, field, value):
+        with pytest.raises(SpecError, match=field if field != "sigma2" else "noise variance"):
+            GeneratorSpec(kind="harmonics", **{field: value})
+
+    def test_numpy_integer_fields_convert(self):
+        spec = GeneratorSpec(kind="pure_ar", n_series=np.int64(2), length=np.uint16(30),
+                             ar_order=np.int8(1), seed=np.int64(4))
+        assert all(type(v) is int for v in (spec.n_series, spec.length, spec.ar_order, spec.seed))
+        assert generate(spec).y.values.shape == (2, 30)
+
     def test_explicit_nonstationary_alpha_rejected(self):
         with pytest.raises(SpecError):
             generate(GeneratorSpec(kind="pure_ar", n_series=1, length=50, alpha=(1.01,)))
