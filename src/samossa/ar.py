@@ -152,13 +152,6 @@ def characteristic_roots(alpha) -> np.ndarray:
     return roots[order]
 
 
-def _solve_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """X = A X A' + Q as (I - A (x) A) vec X = vec Q in row-major vec; the system
-    is regular while every root of A lies inside the unit circle."""
-    p = A.shape[0]
-    return np.linalg.solve(np.eye(p * p) - np.kron(A, A), Q.ravel()).reshape(p, p)
-
-
 def _ma_by_unrolling(alpha: np.ndarray, K: int) -> np.ndarray:
     # Unroll x(t) = sum alpha_i x(t-i) + eta(t) into weights on past eta:
     # beta_0 = 1 and beta_k = sum_{i<=min(k,p)} alpha_i beta_{k-i}, exactly.
@@ -176,10 +169,11 @@ def diagnostics(model: ArModel, sigma: float | None = None, K: int = 200) -> ArD
 
     ``sigma`` is the innovation standard deviation; defaults to the fitted
     sqrt(noise_var_hat). ``K`` is the number of moving-average coefficients
-    to expand, an integer >= 1 (ShapeError otherwise). The Gramians are one
-    linear solve each. Raises NonStationaryError when the dominant root
-    modulus is >= 1, and DegenerateRootsError when two roots are closer than
-    1e-9 (the partial-fraction constants are then ill-defined).
+    to expand, an integer >= 1 (ShapeError otherwise). Both Gramians come
+    from one linear solve, and a zero root is allowed. Raises
+    NonStationaryError when the dominant root modulus is >= 1, and
+    DegenerateRootsError when two roots are closer than 1e-9 (the
+    partial-fraction constants are then ill-defined).
     """
     if model.p < 1:
         raise ShapeError("diagnostics need a model of order >= 1")
@@ -191,25 +185,26 @@ def diagnostics(model: ArModel, sigma: float | None = None, K: int = 200) -> ArD
     lambda_star = float(np.abs(roots[0]))
     if lambda_star >= 1.0:
         raise NonStationaryError(f"dominant root modulus {lambda_star} >= 1")
-    for i in range(model.p):
-        for j in range(i + 1, model.p):
-            if abs(roots[i] - roots[j]) < _ROOT_TOL:
-                raise DegenerateRootsError(
-                    f"roots {roots[i]} and {roots[j]} closer than {_ROOT_TOL}"
-                )
+    gaps = roots[:, None] - roots[None, :]  # lambda_i - lambda_j
+    close = np.argwhere(np.triu(np.abs(gaps) < _ROOT_TOL, 1))
+    if close.size:
+        i, j = close[0]
+        raise DegenerateRootsError(f"roots {roots[i]} and {roots[j]} closer than {_ROOT_TOL}")
 
-    # Partial-fraction constants a_i = prod_{j != i} (1 - lambda_j/lambda_i)^-1.
-    a = np.ones(model.p, dtype=np.complex128)
-    for i in range(model.p):
-        for j in range(model.p):
-            if j != i:
-                a[i] /= 1.0 - roots[j] / roots[i]
+    # Partial-fraction constants a_i = lambda_i^(p-1) / prod_{j != i} (lambda_i - lambda_j),
+    # which hold for a zero root too.
+    p = model.p
+    np.fill_diagonal(gaps, 1.0)
+    a = roots ** (p - 1) / np.prod(gaps, axis=1)
     c_lambda = float(np.sum(np.abs(a)))
     sigma_x = c_lambda * sigma / (1.0 - lambda_star)
 
-    eye = np.eye(model.p)
-    psi = _solve_lyapunov(A, eye[:, :1] @ eye[:1])  # B B' with B = e_1
-    gamma = _solve_lyapunov(A, eye)
+    # X = A X A' + Q as (I - A (x) A) vec X = vec Q in row-major vec, for
+    # Q = B B' (B = e_1) and Q = I at once; the system is regular while
+    # every root lies inside the unit circle.
+    eye = np.eye(p)
+    rhs = np.column_stack([np.outer(eye[0], eye[0]).ravel(), eye.ravel()])
+    psi, gamma = np.linalg.solve(np.eye(p * p) - np.kron(A, A), rhs).T.reshape(2, p, p)
     lam_min_psi = float(np.min(np.linalg.eigvalsh(psi)))
 
     return ArDiagnostics(

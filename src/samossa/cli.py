@@ -30,7 +30,7 @@ from . import evaluation, pipeline, synth
 from .errors import ParseError, RankError, SamossaError
 from .lowrank import RankRule
 from .pagemat import default_L
-from .panel import SplitSpec, TimePanel, load_csv, save_csv, split, write_rows
+from .panel import SplitSpec, TimePanel, load_csv, save_csv, split, write_json, write_rows
 from .pipeline import SamossaConfig
 from .ssa_estimator import decompose
 
@@ -53,12 +53,6 @@ def _log(message: str) -> None:
 def _fail_line(kind: str, detail) -> None:
     detail = str(detail).replace("\n", " ")
     print(f"samossa: error: {kind}: {detail}", file=sys.stderr)
-
-
-def _write_json(path: str, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
 
 
 # --------------------------------------------------------------------------
@@ -292,7 +286,7 @@ def _cmd_synth(opts: argparse.Namespace) -> int:
         "alphas": [a.tolist() for a in result.alphas],
         "spec": asdict(result.spec),
     }
-    _write_json(os.path.join(opts.out, "truth.json"), truth)
+    write_json(os.path.join(opts.out, "truth.json"), truth)
     _log(f"wrote y.csv, f.csv, x.csv, truth.json to {opts.out}")
     return EXIT_OK
 
@@ -313,7 +307,7 @@ def _cmd_decompose(opts: argparse.Namespace) -> int:
         "t0": decomp.t0,
         "balance": decomp.balance,
     }
-    _write_json(os.path.join(opts.out, "decompose.json"), meta)
+    write_json(os.path.join(opts.out, "decompose.json"), meta)
     _log(f"k_hat={decomp.k_hat}, origin={decomp.origin}; wrote f_hat.csv, x_hat.csv to {opts.out}")
     return EXIT_OK
 
@@ -386,7 +380,7 @@ def _write_report(report: evaluation.MetricReport, config: dict, names, out_dir:
         "runtime_seconds": report.runtime,
         "config": config,
     }
-    _write_json(os.path.join(out_dir, "report.json"), summary)
+    write_json(os.path.join(out_dir, "report.json"), summary)
 
 
 def _cmd_eval(opts: argparse.Namespace) -> int:
@@ -424,7 +418,7 @@ def _cmd_grid(opts: argparse.Namespace) -> int:
     best_doc = {
         "L": best.L, "rank": str(best.rank), "p": best.p, "shape_ratio": best.shape_ratio,
     }
-    _write_json(os.path.join(opts.out, "best.json"), best_doc)
+    write_json(os.path.join(opts.out, "best.json"), best_doc)
     _log(f"best: rank={best.rank}, ratio={best.shape_ratio}, p={best.p}")
     return EXIT_OK
 
@@ -457,7 +451,7 @@ def _cmd_fig2(opts: argparse.Namespace) -> int:
             for lam in opts.lambda_stars
         },
     }
-    _write_json(os.path.join(opts.out, "fig2.json"), summary)
+    write_json(os.path.join(opts.out, "fig2.json"), summary)
     _log(f"wrote fig2.csv and fig2.json to {opts.out}; slopes: {report.est_slopes}")
 
     if opts.check:

@@ -228,41 +228,35 @@ class GridEntry:
 _CONFIG_ERRORS = (SamossaError, np.linalg.LinAlgError)
 
 
-def _by_resolved_L(panel: TimePanel, configs) -> list[int]:
-    """Indices of ``configs`` with equal resolved L adjacent, in first-seen order of L."""
-    groups: dict[int | None, list[int]] = {}
-    for idx, config in enumerate(configs):
-        try:
-            L = config.resolved_L(panel.n_series, panel.length)
-        except SamossaError:
-            L = None  # fails again, and is recorded, when it is fitted
-        groups.setdefault(L, []).append(idx)
-    return [idx for members in groups.values() for idx in members]
-
-
 def _score_each(panel: TimePanel, configs, window: TimePanel,
                 catch=()) -> list:
     """Fit every config on ``panel`` and score it by a rolling pass over ``window``.
 
     Returns, in input order, one GridEntry per config, or the exception in
-    ``catch`` that stopped it. Configs are visited grouped by resolved L
-    with a single live Stage1, which is dropped before the next L's is built.
+    ``catch`` that stopped it. Each config's L is resolved once, and configs
+    are visited grouped by it in first-seen order with a single live Stage1,
+    which is dropped before the next L's is built.
     """
     results: list = [None] * len(configs)
-    stage = None
-    for idx in _by_resolved_L(panel, configs):
-        config = configs[idx]
+    groups: dict[int, list[int]] = {}
+    for idx, config in enumerate(configs):
         try:
-            L = config.resolved_L(panel.n_series, panel.length)
-            if stage is None or stage.L != L:
-                stage = None
-                stage = Stage1(panel, L)
-            model = fit(panel, config, stage1=stage)
-            report = rolling_eval(model, window)
+            groups.setdefault(config.resolved_L(panel.n_series, panel.length), []).append(idx)
         except catch as exc:
             results[idx] = exc
-            continue
-        results[idx] = GridEntry(config=config, mean_r2=report.mean_r2, k_hat=model.k_hat)
+    for L, members in groups.items():
+        stage = None
+        for idx in members:
+            try:
+                if stage is None:
+                    stage = Stage1(panel, L)
+                model = fit(panel, configs[idx], stage1=stage)
+                report = rolling_eval(model, window)
+            except catch as exc:
+                results[idx] = exc
+                continue
+            results[idx] = GridEntry(config=configs[idx], mean_r2=report.mean_r2,
+                                     k_hat=model.k_hat)
     return results
 
 

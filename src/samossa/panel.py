@@ -1,4 +1,4 @@
-"""Multivariate panel data model, its time windows, and the CSV table format.
+"""Multivariate panel data model, its time windows, and the CSV and JSON file formats.
 
 A panel holds N aligned real-valued series of length T. Time indices are
 abstract integers: column j of ``values`` is time ``t0 + j``. There is no
@@ -8,20 +8,23 @@ CSV conventions: UTF-8, comma-delimited, '.' decimal separator. Wide layout
 is one column per series and one row per timestep, with an optional header
 row of series names. Long layout is (series, t, value) triples. Every CSV
 table the package writes, panels and reports alike, goes through
-:func:`write_rows`.
+:func:`write_rows`. Every JSON document it writes, the model file and each
+CLI output alike, goes through :func:`write_json`, which encodes the whole
+document before it opens the file.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, IngestError, ParseError, ShapeError, SplitError, _integer
 
-__all__ = ["TimePanel", "SplitSpec", "load_csv", "save_csv", "split", "write_rows"]
+__all__ = ["TimePanel", "SplitSpec", "load_csv", "save_csv", "split", "write_json", "write_rows"]
 
 
 @dataclass(frozen=True)
@@ -118,13 +121,18 @@ def _read_rows(path) -> list[list[str]]:
         raise IngestError(f"cannot read {path}: {exc}") from exc
 
 
-def _looks_like_header(row: list[str]) -> bool:
+def _column_names(row: list[str]) -> tuple[tuple[str, ...], bool]:
+    """The series names of a wide file whose first row is ``row``, and whether it is a header.
+
+    A row with any non-numeric cell is a header of names; a row of numbers
+    is data, and the series are named s1, s2, ...
+    """
     for cell in row:
         try:
             float(cell)
         except ValueError:
-            return True
-    return False
+            return tuple(cell.strip() for cell in row), True
+    return tuple(f"s{i + 1}" for i in range(len(row))), False
 
 
 class _NotPlain(Exception):
@@ -168,13 +176,8 @@ def _load_wide_plain(path) -> TimePanel | None:
             first = next(fh, "")
             if not first or not _plain_line(first, limit):
                 return None
-            head = first.rstrip("\r\n").split(",")
-            if _looks_like_header(head):
-                names = tuple(cell.strip() for cell in head)
-                lines = fh
-            else:
-                names = tuple(f"s{i + 1}" for i in range(len(head)))
-                lines = itertools.chain([first], fh)
+            names, header = _column_names(first.rstrip("\r\n").split(","))
+            lines = fh if header else itertools.chain([first], fh)
             values = np.loadtxt(data_lines(lines), delimiter=",", dtype=np.float64, ndmin=2,
                                 comments=None, quotechar=None)
     except (OSError, ValueError, _NotPlain):  # ValueError: not UTF-8, not a number, ragged
@@ -185,12 +188,8 @@ def _load_wide_plain(path) -> TimePanel | None:
 
 
 def _load_wide(rows: list[list[str]]) -> TimePanel:
-    start = 0
-    if _looks_like_header(rows[0]):
-        names = tuple(cell.strip() for cell in rows[0])
-        start = 1
-    else:
-        names = tuple(f"s{i + 1}" for i in range(len(rows[0])))
+    names, header = _column_names(rows[0])
+    start = 1 if header else 0
     data_rows = rows[start:]
     if not data_rows:
         raise IngestError("CSV has a header but no data rows")
@@ -299,6 +298,17 @@ def write_rows(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_json(path, doc) -> None:
+    """Write one JSON document: UTF-8, indent 1 and a final newline.
+
+    ``doc`` is encoded before ``path`` is opened, so a document that cannot
+    be encoded raises and leaves an existing file untouched.
+    """
+    text = json.dumps(doc, indent=1) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def save_csv(panel: TimePanel, path, layout: str = "wide") -> None:

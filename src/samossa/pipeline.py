@@ -52,7 +52,7 @@ from .errors import (
 from .linear_forecaster import BetaModel
 from .lowrank import RankRule
 from .pagemat import default_L
-from .panel import TimePanel
+from .panel import TimePanel, write_json
 from .ssa_estimator import Stage1
 
 __all__ = [
@@ -408,8 +408,9 @@ def _config_from_json(doc: dict) -> SamossaConfig:
 def save_model(model: SamossaModel, path) -> None:
     """Write a fitted model (including forecast state) to a JSON file.
 
-    The document is encoded before ``path`` is opened, so a model that
-    cannot be encoded raises and leaves an existing file untouched.
+    :func:`~samossa.panel.write_json` encodes the document before it opens
+    ``path``, so a model that cannot be encoded raises and leaves an existing
+    file untouched.
     """
     doc = {
         "version": FORMAT_VERSION,
@@ -436,9 +437,7 @@ def save_model(model: SamossaModel, path) -> None:
             "pending_f": {str(k): v for k, v in model.state.pending_f.items()},
         },
     }
-    text = json.dumps(doc, indent=1) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_json(path, doc)
 
 
 def _reject_constant(token: str):

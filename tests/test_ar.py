@@ -146,6 +146,15 @@ class TestRoots:
         np.testing.assert_array_equal(A[1:, -1], [0.0, 0.0])
 
 
+def assert_gramian_equations(diag):
+    """Psi = A Psi A' + B B' (B = e_1) and Gamma = A Gamma A' + I, to 1e-12."""
+    A, psi, gamma = diag.companion, diag.gramian_psi, diag.gramian_gamma
+    p = A.shape[0]
+    B = np.eye(p)[:, :1]
+    np.testing.assert_allclose(psi, A @ psi @ A.T + B @ B.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gamma, A @ gamma @ A.T + np.eye(p), rtol=0, atol=1e-12)
+
+
 class TestDiagnostics:
     def test_ar1_closed_forms(self):
         model = ArModel(alpha=np.array([0.5]), noise_var_hat=1.0)
@@ -202,15 +211,25 @@ class TestDiagnostics:
     def test_gramians_near_the_unit_circle(self, alpha):
         model = ArModel(alpha=np.array(alpha), noise_var_hat=1.0)
         diag = diagnostics(model)
-        A, psi, gamma = diag.companion, diag.gramian_psi, diag.gramian_gamma
-        B = np.eye(model.p)[:, :1]
-        np.testing.assert_allclose(psi, A @ psi @ A.T + B @ B.T, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(gamma, A @ gamma @ A.T + np.eye(model.p), rtol=0, atol=1e-12)
+        psi, gamma = diag.gramian_psi, diag.gramian_gamma
+        assert_gramian_equations(diag)
         assert np.min(np.linalg.eigvalsh(psi)) > 0.0
         assert np.min(np.linalg.eigvalsh(gamma - psi)) >= -1e-10
         if model.p == 1:  # Psi = Gamma = 1 / (1 - lambda^2)
             np.testing.assert_allclose([psi[0, 0], gamma[0, 0]], 1.0 / (1.0 - 0.999**2),
                                        rtol=1e-12)
+
+    @pytest.mark.parametrize("alpha, c_lambda", [([0.5, 0.0], 1.0), ([0.9, -0.2, 0.0], 9.0)],
+                             ids=["p2", "p3"])
+    def test_zero_root(self, alpha, c_lambda):
+        # A last coefficient of 0 puts a root at 0, whose partial-fraction
+        # constant is 0: roots 0.5, 0 give a = (1, 0); roots 0.5, 0.4, 0
+        # give a = (5, -4, 0). No root is divided by, so nothing warns.
+        diag = diagnostics(ArModel(alpha=np.array(alpha), noise_var_hat=1.0))
+        assert abs(diag.roots[-1]) < 1e-12
+        assert diag.lambda_star == pytest.approx(0.5, abs=1e-12)
+        assert diag.c_lambda == pytest.approx(c_lambda, abs=1e-12)
+        assert_gramian_equations(diag)
 
     @pytest.mark.parametrize("K", [0, -1, 2.5, True, "200"])
     def test_ma_length_must_be_a_positive_integer(self, K):
@@ -227,6 +246,11 @@ class TestDiagnostics:
         # (z - 0.6)^2 = z^2 - 1.2 z + 0.36
         model = ArModel(alpha=np.array([1.2, -0.36]), noise_var_hat=1.0)
         with pytest.raises(DegenerateRootsError):
+            diagnostics(model)
+
+    def test_two_zero_roots_are_degenerate(self):
+        model = ArModel(alpha=np.array([0.0, 0.0]), noise_var_hat=1.0)
+        with pytest.raises(DegenerateRootsError, match="closer than 1e-09"):
             diagnostics(model)
 
     def test_est_err_budget_reported(self):

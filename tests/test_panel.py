@@ -12,7 +12,7 @@ import samossa
 from samossa import (ConfigError, IngestError, ParseError, SamossaError, ShapeError, SplitError,
                      SplitSpec, TimePanel)
 from samossa import panel as panel_module
-from samossa.panel import load_csv, save_csv, split, write_rows
+from samossa.panel import load_csv, save_csv, split, write_json, write_rows
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"
 
@@ -103,10 +103,14 @@ LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 
 @st.composite
 def wide_parts(draw):
-    """A well-formed wide file as parts: header (or None), cell rows, line ends, final end."""
+    """A well-formed wide file as parts: header (or None), cell rows, line ends, final end.
+
+    A header holds at least one name and may mix names with numbers.
+    """
     width, length = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     rows = [[draw(LITERALS) for _ in range(width)] for _ in range(length)]
-    header = draw(st.none() | st.lists(NAMES, min_size=width, max_size=width))
+    header = draw(st.none() | st.lists(NAMES | LITERALS, min_size=width, max_size=width)
+                  .filter(lambda cells: any(cell.startswith("v") for cell in cells)))
     return header, rows, draw(LINE_ENDS), draw(st.booleans())
 
 
@@ -168,6 +172,10 @@ class TestOneCallParse:
         path.write_text(render(*parts), encoding="utf-8", newline="")
         assert panel_module._load_wide_plain(path) is not None
         assert_same_as_csv_module(path)
+        header, rows = parts[:2]
+        want = (tuple(f"s{j + 1}" for j in range(len(rows[0]))) if header is None
+                else tuple(cell.strip() for cell in header))
+        assert load_csv(path).series_names == want
 
     @given(values=st.lists(st.lists(FINITE, min_size=1, max_size=4), min_size=1, max_size=5)
            .filter(lambda rows: len({len(r) for r in rows}) == 1),
@@ -373,6 +381,24 @@ class TestWriteRows:
         # Every table is read and written in panel.py, so one module owns
         # the format.
         pattern = re.compile(r"\bcsv\.(writer|reader|DictWriter|DictReader)\b")
+        sources = Path(samossa.__file__).parent.glob("*.py")
+        owners = sorted(p.name for p in sources if pattern.search(p.read_text(encoding="utf-8")))
+        assert owners == ["panel.py"]
+
+
+class TestWriteJson:
+    def test_unencodable_document_leaves_the_file(self, tmp_path):
+        path = tmp_path / "d.json"
+        write_json(path, {"k": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(path, {"k": {1, 2}})
+        assert path.read_bytes() == before
+
+    def test_panel_owns_the_json_format(self):
+        # Every JSON document is written in panel.py, so one module owns
+        # the format.
+        pattern = re.compile(r"\bjson\.dumps?\b")
         sources = Path(samossa.__file__).parent.glob("*.py")
         owners = sorted(p.name for p in sources if pattern.search(p.read_text(encoding="utf-8")))
         assert owners == ["panel.py"]

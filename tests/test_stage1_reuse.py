@@ -6,11 +6,13 @@ tolerance) with the shared path.
 """
 
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 from samossa import ConfigError, RankRule, SamossaConfig, SearchError, TimePanel, lowrank
+from samossa import evaluation
 from samossa.evaluation import (
     default_grid,
     forecast_benchmark_run,
@@ -75,6 +77,28 @@ class TestGridSearchOracle:
                 SamossaConfig(rank=RankRule.universal(), p=1, shape_ratio=3)]
         _, entries = grid_search(train, valid, grid)
         assert [e.config for e in entries] == [grid[0], grid[2], grid[3]]
+
+    def test_one_live_stage1_per_L_in_first_seen_order(self, monkeypatch):
+        # Resolved L: 42, 30, 42 (explicit, equal to the ratio config's), an
+        # unstackable 10**9, 24, 30. The groups interleave in grid order.
+        train, valid = split_panel()
+        rule = RankRule.fixed(5)
+        grid = [SamossaConfig(rank=rule, p=1, shape_ratio=1), SamossaConfig(L=30, rank=rule, p=1),
+                SamossaConfig(L=42, rank=rule, p=1), SamossaConfig(L=10**9, rank=rule, p=1),
+                SamossaConfig(rank=rule, p=1, shape_ratio=3), SamossaConfig(L=30, rank=rule, p=1)]
+        built, alive_at_build = [], []
+
+        class Tracked(Stage1):
+            def __init__(self, panel, L):
+                alive_at_build.append(sum(ref() is not None for ref, _ in built))
+                super().__init__(panel, L)
+                built.append((weakref.ref(self), L))
+
+        monkeypatch.setattr(evaluation, "Stage1", Tracked)
+        _, entries = grid_search(train, valid, grid)
+        assert [L for _, L in built] == [42, 30, 24]
+        assert alive_at_build == [0, 0, 0, 0]  # L = 10**9 is tried once, and fails alone
+        assert [e.config for e in entries] == grid[:3] + grid[4:]
 
     def test_p_grid_configs(self):
         train, valid = split_panel()
