@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRootsError, FitError, NonStationaryError, ShapeError, _integer
+from .errors import (
+    DegenerateRootsError,
+    FitError,
+    NonStationaryError,
+    ShapeError,
+    _float_array,
+    _integer,
+    _is_real,
+)
 
 __all__ = [
     "ArModel",
@@ -38,6 +46,9 @@ class ArModel:
     The order ``p`` is ``len(alpha)``. ``p == 0`` is the degenerate model
     whose one-step forecast is always 0 (the pure low-rank ablation).
     ``rank_deficient`` flags a fit that fell back to the minimum-norm solution.
+    Checked on construction (ShapeError, FitError): ``alpha`` a vector of
+    finite integers or floats, ``noise_var_hat`` a finite real and
+    ``rank_deficient`` a bool.
     """
 
     alpha: np.ndarray
@@ -45,15 +56,18 @@ class ArModel:
     rank_deficient: bool = False
 
     def __post_init__(self):
-        alpha = np.array(self.alpha, dtype=np.float64)
+        alpha = _float_array(self.alpha, "AR coefficients", FitError).copy()
         if alpha.ndim != 1:
             raise ShapeError(f"alpha must be a vector, got shape {alpha.shape}")
         if not np.all(np.isfinite(alpha)):
             raise FitError("non-finite AR coefficients")
-        if not math.isfinite(self.noise_var_hat):
-            raise FitError(f"non-finite AR noise variance {self.noise_var_hat!r}")
+        if not _is_real(self.noise_var_hat):
+            raise FitError(f"non-finite or non-real AR noise variance {self.noise_var_hat!r}")
+        if not isinstance(self.rank_deficient, bool):
+            raise FitError(f"rank_deficient must be true or false, got {self.rank_deficient!r}")
         alpha.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "noise_var_hat", float(self.noise_var_hat))
 
     @property
     def p(self) -> int:
@@ -95,7 +109,7 @@ def fit_ar(residuals, p: int) -> ArModel:
     Regresses x(t+1) on [x(t), ..., x(t-p+1)] over all admissible t. A
     rank-deficient design falls back to the minimum-norm solution and is
     flagged on the model. ``noise_var_hat`` is the mean squared regression
-    residual; FitError if it is not finite.
+    residual. FitError for a non-finite residual, or if ``noise_var_hat`` is not finite.
     """
     x = np.asarray(residuals, dtype=np.float64)
     if x.ndim != 1:
@@ -106,6 +120,8 @@ def fit_ar(residuals, p: int) -> ArModel:
     T = x.shape[0]
     if T < 2 * p + 1:
         raise FitError(f"need at least {2 * p + 1} observations for p={p}, got {T}")
+    if not np.isfinite(x).all():  # lstsq would print a LAPACK complaint before failing
+        raise FitError("non-finite residuals")
 
     targets = x[p:]
     design = np.column_stack([x[p - i: T - i] for i in range(1, p + 1)])

@@ -1,6 +1,9 @@
-"""Exception hierarchy shared across the package, and the integer check that raises it."""
+"""Exception hierarchy shared across the package, and the number checks that raise it."""
 
+import math
 import numbers
+
+import numpy as np
 
 
 class SamossaError(Exception):
@@ -77,3 +80,25 @@ def _integer(value, what: str, low: int | None = None, error: type[Exception] = 
         bound = "" if low is None else f" >= {low}"
         raise error(f"{what} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a finite real number (numpy numbers too) and not a bool."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _float_array(values, what: str, error: type[Exception]) -> np.ndarray:
+    """``values`` as a float64 array, not copied if it is one; ``error`` unless they are
+    integers or floats (booleans, strings and objects are refused)."""
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError) as exc:  # ragged nesting
+        raise error(f"{what} are not an array of numbers: {exc}") from None
+    if array.dtype.kind not in "iuf":
+        raise error(f"{what} are not an array of numbers: need integers or floats, "
+                    f"got {array.dtype}")
+    return array.astype(np.float64, copy=False)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ar import fit_ar
-from .errors import MetricError, SamossaError, SearchError, ShapeError, StateError
+from .errors import MetricError, SamossaError, SearchError, ShapeError, StateError, _float_array
 from .lowrank import RankRule
 from .pagemat import default_L
 from .panel import TimePanel
@@ -154,10 +154,14 @@ def for_err(predictions: np.ndarray, test: TimePanel, truth: GeneratorTruth) -> 
 
     The target at absolute time t for series n is f_n(t) plus the AR
     conditional mean alpha_n' [x_n(t-1), ..., x_n(t-p)] evaluated on the
-    true residual path. ``predictions`` has one row per series of ``test``
-    and one column per step from ``test.t0``; ShapeError otherwise, and
-    wherever ``truth`` does not match them (see ``_truth_windows``).
+    true residual path. ``predictions`` is a 2-D array of numbers with one
+    row per series of ``test`` and one column per step from ``test.t0``;
+    ShapeError otherwise, and wherever ``truth`` does not match them (see
+    ``_truth_windows``).
     """
+    predictions = _float_array(predictions, "predictions", ShapeError)
+    if predictions.ndim != 2:
+        raise ShapeError(f"forecasts must be a 2-D array, got shape {predictions.shape}")
     n_series, horizon = predictions.shape
     if n_series != test.n_series:
         raise ShapeError(f"{n_series} x {horizon} forecasts for {test.n_series} test series")

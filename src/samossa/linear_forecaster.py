@@ -8,12 +8,11 @@ lagged raw observations to forecast one step ahead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ShapeError
+from .errors import FitError, RankError, ShapeError, _float_array, _integer, _is_real
 from .lowrank import RankRule, SvdResult
 from .panel import TimePanel
 
@@ -32,6 +31,10 @@ class BetaModel:
     ``beta`` is most-recent-lag first: the forecast is
     sum_i beta[i-1] * y(t-i) over the last L-1 observations, so ``L`` is
     ``len(beta) + 1``. ``resid_rms`` is the in-sample RMS of the fitting regression.
+
+    Checked on construction: ``beta`` a non-empty vector of finite integers
+    or floats (ShapeError, FitError), ``k_hat`` an integer >= 0 (RankError;
+    numpy integers convert) and ``resid_rms`` a finite real (FitError).
     """
 
     beta: np.ndarray
@@ -39,15 +42,17 @@ class BetaModel:
     resid_rms: float
 
     def __post_init__(self):
-        beta = np.array(self.beta, dtype=np.float64)
+        beta = _float_array(self.beta, "regression coefficients", FitError).copy()
         if beta.ndim != 1 or beta.size < 1:
             raise ShapeError(f"beta must be a non-empty vector, got shape {beta.shape}")
         if not np.all(np.isfinite(beta)):
             raise FitError("non-finite regression coefficients")
-        if not math.isfinite(self.resid_rms):
-            raise FitError(f"non-finite regression residual RMS {self.resid_rms!r}")
+        if not _is_real(self.resid_rms):
+            raise FitError(f"non-finite or non-real regression residual RMS {self.resid_rms!r}")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "k_hat", _integer(self.k_hat, "k_hat", 0, RankError))
+        object.__setattr__(self, "resid_rms", float(self.resid_rms))
 
     @property
     def L(self) -> int:

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankError, _integer
+from .errors import RankError, _integer, _is_real
 
 __all__ = ["SvdResult", "RankRule", "svd", "takes_topk", "hsvt", "select_rank"]
 
@@ -108,7 +107,7 @@ class RankRule:
             object.__setattr__(self, "k", _integer(self.k, "fixed rank", 1, RankError))
         elif self.kind == "energy":
             f = self.fraction
-            if isinstance(f, bool) or not isinstance(f, numbers.Real) or not 0.0 < f <= 1.0:
+            if not _is_real(f) or not 0.0 < f <= 1.0:
                 raise RankError(f"energy fraction must be in (0, 1], got {f!r}")
             object.__setattr__(self, "fraction", float(f))
         elif self.kind != "universal":

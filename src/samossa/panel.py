@@ -18,11 +18,20 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IngestError, ParseError, ShapeError, SplitError, _integer
+from .errors import (
+    ConfigError,
+    IngestError,
+    ParseError,
+    ShapeError,
+    SplitError,
+    _float_array,
+    _integer,
+)
 
 __all__ = ["TimePanel", "SplitSpec", "load_csv", "save_csv", "split", "write_json", "write_rows"]
 
@@ -36,9 +45,10 @@ class TimePanel:
     :meth:`window` and :func:`split` carry their absolute position so that
     downstream consumers can align forecasts with ground truth.
 
-    Names must be strings and ``t0`` an integer (numpy integers convert);
-    anything else raises IngestError on construction. Instances are
-    immutable and safe to share across threads.
+    Names must be an iterable of strings (not one string), values integers
+    or floats, and ``t0`` an integer (numpy integers convert); anything else
+    raises IngestError on construction. Instances are immutable and safe to
+    share across threads.
     """
 
     series_names: tuple[str, ...]
@@ -46,12 +56,15 @@ class TimePanel:
     t0: int = 1
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _float_array(self.values, "panel values", IngestError)
         if values.ndim != 2:
             raise ShapeError(f"panel values must be 2-D, got shape {values.shape}")
         n, _ = values.shape
         if n < 1:
             raise ShapeError("panel needs at least one series")
+        if isinstance(self.series_names, str) or not isinstance(self.series_names, Iterable):
+            raise IngestError(f"series names must be an iterable of strings, "
+                              f"got {self.series_names!r}")
         names = tuple(self.series_names)
         if len(names) != n:
             raise ShapeError(f"{len(names)} names for {n} series")
@@ -77,8 +90,10 @@ class TimePanel:
     def window(self, lo: int, hi: int) -> TimePanel:
         """Columns ``lo`` up to ``hi`` (0-based, half-open) at their absolute time ``t0 + lo``.
 
-        ShapeError unless ``0 <= lo <= hi <= length``: a bound is never clamped.
+        ShapeError unless both are integers and ``0 <= lo <= hi <= length``: a
+        bound is never clamped.
         """
+        lo, hi = (_integer(bound, "window bound", error=ShapeError) for bound in (lo, hi))
         if not 0 <= lo <= hi <= self.length:
             raise ShapeError(f"window [{lo}, {hi}) outside a panel of length {self.length}")
         return TimePanel(self.series_names, self.values[:, lo:hi], t0=self.t0 + lo)
@@ -86,11 +101,19 @@ class TimePanel:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train/validation/test boundaries, as 1-based inclusive end indices."""
+    """Train/validation/test boundaries, as 1-based inclusive end indices.
+
+    Each end must be an integer (numpy integers convert), or SplitError on
+    construction; :meth:`validate` checks their order against a panel length.
+    """
 
     train_end: int
     valid_end: int
     test_end: int
+
+    def __post_init__(self):
+        for name in ("train_end", "valid_end", "test_end"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, error=SplitError))
 
     def validate(self, length: int) -> None:
         ok = 1 <= self.train_end < self.valid_end <= self.test_end <= length

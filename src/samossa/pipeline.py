@@ -30,8 +30,6 @@ bit-exactly (shortest round-trip decimal encoding).
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,7 +45,9 @@ from .errors import (
     SamossaError,
     ShapeError,
     StateError,
+    _float_array,
     _integer,
+    _is_real,
 )
 from .linear_forecaster import BetaModel
 from .lowrank import RankRule
@@ -274,7 +274,7 @@ def observe(model: SamossaModel, n: int, y: float) -> SamossaModel:
         raise StateError(f"observe for series {n} at t={state.next_t[n]} has no pending forecast")
     try:
         y = _real(y, "y")
-    except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond the float range
+    except ValueError as exc:
         raise IngestError(f"observation for series {n} at t={state.next_t[n]}: {exc}") from None
     f_hat = state.pending_f.pop(n)
     p = model.ar_models[n].p
@@ -327,14 +327,7 @@ def roll(model: SamossaModel, values) -> tuple[np.ndarray, np.ndarray, np.ndarra
     ``observe`` rejects too (anything but integers and floats) or naming the
     first non-finite value's series and time; the model is untouched on error.
     """
-    try:
-        values = np.asarray(values)
-    except (TypeError, ValueError) as exc:
-        raise IngestError(f"values are not an array of numbers: {exc}") from None
-    if values.dtype.kind not in "iuf":
-        raise IngestError(f"values are not an array of numbers: need integers or floats, "
-                          f"got {values.dtype}")
-    values = values.astype(np.float64, copy=False)
+    values = _float_array(values, "values", IngestError)
     state = model.state
     if values.ndim != 2 or values.shape[0] != model.n_series:
         raise ShapeError(f"values of shape {values.shape} for a {model.n_series}-series model")
@@ -396,15 +389,6 @@ def forecast_recursive(model: SamossaModel, steps: int) -> np.ndarray:
     return out
 
 
-def _config_to_json(config: SamossaConfig) -> dict:
-    return {**vars(config), "rank": str(config.rank)}  # fields in order; a p grid as a list
-
-
-def _config_from_json(doc: dict) -> SamossaConfig:
-    return SamossaConfig(L=doc["L"], rank=RankRule.parse(doc["rank"]), p=doc["p"],
-                         shape_ratio=doc["shape_ratio"], valid_len=doc["valid_len"])
-
-
 def save_model(model: SamossaModel, path) -> None:
     """Write a fitted model (including forecast state) to a JSON file.
 
@@ -414,7 +398,7 @@ def save_model(model: SamossaModel, path) -> None:
     """
     doc = {
         "version": FORMAT_VERSION,
-        "config": _config_to_json(model.config),
+        "config": {**vars(model.config), "rank": str(model.config.rank)},  # a p grid as a list
         "L": model.L,
         "k_hat": model.k_hat,
         "p_used": list(model.p_used),
@@ -445,7 +429,7 @@ def _reject_constant(token: str):
 
 
 def _real(value, what: str) -> float:
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+    if not _is_real(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
@@ -481,17 +465,14 @@ def _model_from_doc(doc: dict) -> SamossaModel:
     for n, m in enumerate(_entries(doc["ar"], N, "ar")):
         if _integer(m["p"], f"ar[{n}].p", 0) != p_used[n]:
             raise ValueError(f"ar[{n}].p = {m['p']} but p_used[{n}] = {p_used[n]}")
-        rank_deficient = m.get("rank_deficient", False)
-        if not isinstance(rank_deficient, bool):
-            raise ValueError(f"ar[{n}].rank_deficient must be true or false")
         ar_models.append(ArModel(
             alpha=_vector(m["alpha"], p_used[n], f"ar[{n}].alpha"),
             noise_var_hat=_real(m["noise_var"], f"ar[{n}].noise_var"),
-            rank_deficient=rank_deficient,
+            rank_deficient=m.get("rank_deficient", False),
         ))
     beta_model = BetaModel(
         beta=_vector(doc["beta"], L - 1, "beta"),
-        k_hat=_integer(doc["k_hat"], "k_hat", 0),
+        k_hat=doc["k_hat"],
         resid_rms=_real(doc["beta_resid_rms"], "beta_resid_rms"),
     )
     state_doc = doc["state"]
@@ -511,10 +492,12 @@ def _model_from_doc(doc: dict) -> SamossaModel:
         next_t=[_integer(t, "next_t entry") for t in _entries(state_doc["next_t"], N, "next_t")],
         pending_f=pending_f,
     )
+    config = doc["config"]
     return SamossaModel(
         beta_model=beta_model,
         ar_models=tuple(ar_models),
-        config=_config_from_json(doc["config"]),
+        config=SamossaConfig(L=config["L"], rank=RankRule.parse(config["rank"]), p=config["p"],
+                             shape_ratio=config["shape_ratio"], valid_len=config["valid_len"]),
         series_names=tuple(names),
         state=state,
     )

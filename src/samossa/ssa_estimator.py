@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MetricError, ShapeError
+from .errors import MetricError, ShapeError, _integer
 from .linear_forecaster import BetaModel, solve_beta
 from .lowrank import RankRule, SvdResult, select_rank, svd, takes_topk
 from .pagemat import stack, unstack
@@ -148,28 +148,22 @@ def decompose(panel: TimePanel, L: int, rule: RankRule) -> Decomposition:
 def est_err(decomp: Decomposition, truth: TimePanel, n: int) -> float:
     """Mean squared error of the smooth-component estimate for series n.
 
-    ``truth`` must align with the decomposition window: either exactly the
-    retained window (T == T_eff) or the original panel (T == origin + T_eff),
-    whose dropped prefix is ignored. ``n`` is a 0-based series index.
-    MetricError when the error overflows the float range.
+    ``truth`` is read at the decomposition's own absolute times, found by its
+    ``t0`` as in ``evaluation.for_err``, so it may cover more than the
+    retained window but not less. ``n`` is a 0-based series index.
+    ShapeError for a bad index or series count, or a truth that does not
+    cover the window; MetricError when the error overflows the float range.
     """
-    if not 0 <= n < decomp.n_series:
-        raise ShapeError(f"series index {n} outside 0..{decomp.n_series - 1}")
-    if truth.n_series != decomp.n_series:
-        raise ShapeError(
-            f"truth has {truth.n_series} series, decomposition has {decomp.n_series}"
-        )
-    if truth.length == decomp.t_eff:
-        aligned = truth.values[n]
-    elif truth.length == decomp.origin + decomp.t_eff:
-        aligned = truth.values[n, decomp.origin:]
-    else:
-        raise ShapeError(
-            f"truth length {truth.length} matches neither T_eff={decomp.t_eff} "
-            f"nor origin+T_eff={decomp.origin + decomp.t_eff}"
-        )
+    n = _integer(n, "series index", 0, ShapeError)
+    if not n < decomp.n_series == truth.n_series:
+        raise ShapeError(f"series index {n} for a decomposition of {decomp.n_series} series "
+                         f"and a truth of {truth.n_series}")
+    lo = decomp.t0 - truth.t0  # an index, not a window, which would copy every series
+    if not 0 <= lo <= truth.length - decomp.t_eff:
+        raise ShapeError(f"truth covers t={truth.t0}..{truth.t0 + truth.length - 1}, the "
+                         f"decomposition needs t={decomp.t0}..{decomp.t0 + decomp.t_eff - 1}")
     with np.errstate(over="ignore"):
-        err = float(np.mean((decomp.f_hat[n] - aligned) ** 2))
+        err = float(np.mean((decomp.f_hat[n] - truth.values[n, lo:lo + decomp.t_eff]) ** 2))
     if not np.isfinite(err):
         raise MetricError(f"estimation error of series {n} overflows the float range")
     return err

@@ -23,13 +23,12 @@ seed within one platform/numpy pairing.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ar import characteristic_roots
-from .errors import SpecError, _integer
+from .errors import SpecError, _float_array, _integer, _is_real
 from .panel import TimePanel
 
 __all__ = [
@@ -47,7 +46,9 @@ _TWO_PI = 2.0 * math.pi
 @dataclass(frozen=True)
 class GeneratorSpec:
     """What to draw, checked on construction (SpecError): counts are integers >= 1,
-    the seed an integer >= 0, ``sigma2`` finite and > 0 (numpy integers convert)."""
+    the seed an integer >= 0 (numpy integers convert), each range a pair of
+    finite reals, ``sigma2`` finite and > 0, and an explicit ``alpha`` a
+    non-empty vector of finite reals (stored as a tuple of floats)."""
 
     kind: str                 # harmonics | harmonics_trend | pure_ar
     n_series: int = 10
@@ -68,16 +69,33 @@ class GeneratorSpec:
         for name in ("n_series", "length", "n_fundamentals", "ar_order", "seed"):
             value = _integer(getattr(self, name), name, 0 if name == "seed" else 1, SpecError)
             object.__setattr__(self, name, value)
+        for name in ("freq_range", "phase_range", "slope_range"):
+            object.__setattr__(self, name, _pair(getattr(self, name), name))
         if self.kind != "pure_ar":
             lo, hi = self.freq_range
             if not (0.0 < lo <= hi < math.pi):
                 raise SpecError(f"frequency range {self.freq_range} not inside (0, pi)")
-        if (isinstance(self.sigma2, bool) or not isinstance(self.sigma2, numbers.Real)
-                or not math.isfinite(self.sigma2) or self.sigma2 <= 0.0):
+        if not _is_real(self.sigma2) or self.sigma2 <= 0.0:
             raise SpecError(f"noise variance must be a finite number > 0, got {self.sigma2!r}")
-        if self.alpha is None:
-            if not isinstance(self.lambda_star, numbers.Real) or not 0.0 < self.lambda_star < 1.0:
-                raise SpecError(f"lambda_star must be in (0, 1), got {self.lambda_star}")
+        if self.alpha is not None:
+            alpha = _float_array(self.alpha, "explicit alpha", SpecError)
+            if alpha.ndim != 1 or alpha.size < 1 or not np.isfinite(alpha).all():
+                raise SpecError(f"explicit alpha must be a non-empty vector of finite numbers, "
+                                f"got {self.alpha!r}")
+            object.__setattr__(self, "alpha", tuple(alpha.tolist()))
+        elif not _is_real(self.lambda_star) or not 0.0 < self.lambda_star < 1.0:
+            raise SpecError(f"lambda_star must be in (0, 1), got {self.lambda_star}")
+
+
+def _pair(value, what: str) -> tuple[float, float]:
+    """``value`` as a pair of floats; SpecError unless it is two finite reals."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):  # not a pair
+        lo = hi = None
+    if not (_is_real(lo) and _is_real(hi)):
+        raise SpecError(f"{what} must be a pair of finite numbers, got {value!r}")
+    return float(lo), float(hi)
 
 
 @dataclass(frozen=True)
@@ -108,10 +126,7 @@ def ar_from_lambda_star(p: int, lambda_star: float) -> np.ndarray:
 
 def _resolve_alpha(spec: GeneratorSpec) -> np.ndarray:
     if spec.alpha is not None:
-        alpha = np.asarray(spec.alpha, dtype=np.float64)
-        if alpha.ndim != 1 or alpha.size < 1:
-            raise SpecError("explicit alpha must be a non-empty vector")
-        return alpha
+        return np.array(spec.alpha)
     return ar_from_lambda_star(spec.ar_order, spec.lambda_star)
 
 

@@ -26,6 +26,22 @@ def simulate_ar(alpha, eta):
     return x
 
 
+class TestArModel:
+    @pytest.mark.parametrize("alpha", [["1.5"], [True], [None], [[0.5], [0.5, 0.1]]])
+    def test_coefficients_must_be_numbers(self, alpha):
+        with pytest.raises(FitError, match="AR coefficients are not an array of numbers"):
+            ArModel(alpha=alpha, noise_var_hat=1.0)
+
+    @pytest.mark.parametrize("noise_var", ["x", True, None, 10**400, np.nan])
+    def test_noise_variance_must_be_a_finite_real(self, noise_var):
+        with pytest.raises(FitError, match="non-finite or non-real AR noise variance"):
+            ArModel(alpha=[0.5], noise_var_hat=noise_var)
+
+    def test_rank_deficient_must_be_a_bool(self):
+        with pytest.raises(FitError, match="rank_deficient must be true or false, got 1"):
+            ArModel(alpha=[0.5], noise_var_hat=1.0, rank_deficient=1)
+
+
 class TestFitAr:
     def test_exact_recursion(self):
         x = np.empty(200)
@@ -59,6 +75,12 @@ class TestFitAr:
     def test_too_short(self):
         with pytest.raises(FitError):
             fit_ar(np.ones(4), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_residuals_are_refused_quietly(self, bad, capfd):
+        with pytest.raises(FitError, match="non-finite residuals"):
+            fit_ar(np.array([1.0, bad, 2.0, 3.0, 4.0]), 1)
+        assert capfd.readouterr().err == ""
 
     def test_rank_deficient_flagged(self):
         model = fit_ar(np.zeros(50), 2)

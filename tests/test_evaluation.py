@@ -231,6 +231,16 @@ class TestForErr:
         with pytest.raises(ShapeError, match="^1 x 30 forecasts for 4 test series$"):
             for_err(test.values[:1], test, truth)
 
+    @pytest.mark.parametrize("predictions", [
+        lambda v: v.tolist()[0], lambda v: v[0], lambda v: v[None], lambda v: v.astype(str),
+        lambda v: None,
+    ], ids=["list", "1-d", "3-d", "text", "none"])
+    def test_forecasts_must_be_a_2d_array_of_numbers(self, predictions):
+        res, _, test = small_benchmark(seed=7)
+        truth = GeneratorTruth(f=res.f, x=res.x, alphas=res.alphas)
+        with pytest.raises(ShapeError, match="forecasts must be a 2-D array|not an array of num"):
+            for_err(predictions(test.values), test, truth)
+
     def test_no_forecasts(self):
         res, _, test = small_benchmark(seed=7)
         truth = GeneratorTruth(f=res.f, x=res.x, alphas=res.alphas)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from samossa import BetaModel, RankRule, ShapeError, TimePanel
+from samossa import BetaModel, FitError, RankError, RankRule, ShapeError, TimePanel
 from samossa.linear_forecaster import fit_beta, forecast_f
 from samossa.pagemat import stack
 
@@ -15,6 +15,23 @@ def harmonic_panel(n_series, length, freqs, seed=0):
     fund = np.array(fund)
     mix = rng.normal(size=(n_series, len(freqs)))
     return TimePanel(tuple(f"s{i}" for i in range(n_series)), mix @ fund)
+
+
+class TestBetaModel:
+    @pytest.mark.parametrize("k", [-1, 1.5, True, "1", None])
+    def test_k_hat_must_be_a_count(self, k):
+        with pytest.raises(RankError, match=f"k_hat must be an integer >= 0, got {k!r}"):
+            BetaModel(beta=[0.5], k_hat=k, resid_rms=0.0)
+
+    @pytest.mark.parametrize("beta", [["0.5"], [False], [[0.5], [0.5, 0.1]]])
+    def test_coefficients_must_be_numbers(self, beta):
+        with pytest.raises(FitError, match="regression coefficients are not an array of numbers"):
+            BetaModel(beta=beta, k_hat=1, resid_rms=0.0)
+
+    @pytest.mark.parametrize("rms", ["x", False, None, np.inf])
+    def test_residual_rms_must_be_a_finite_real(self, rms):
+        with pytest.raises(FitError, match="non-finite or non-real regression residual RMS"):
+            BetaModel(beta=[0.5], k_hat=1, resid_rms=rms)
 
 
 class TestFitBeta:

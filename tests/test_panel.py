@@ -342,6 +342,11 @@ class TestSplit:
         with pytest.raises(SplitError):
             split(panel, SplitSpec(2, 4, 6))
 
+    @pytest.mark.parametrize("ends", [(1.5, 3, 4), ("1", 3, 4), (1, None, 4), (1, 3, True)])
+    def test_ends_must_be_integers(self, ends):
+        with pytest.raises(SplitError, match="must be an integer"):
+            SplitSpec(*ends)
+
     def test_concat_reproduces(self):
         rng = np.random.default_rng(3)
         panel = TimePanel(("a", "b"), rng.normal(size=(2, 12)))
@@ -368,6 +373,11 @@ class TestWindow:
     @pytest.mark.parametrize("lo, hi", [(-1, 3), (0, 11), (6, 5), (11, 11)])
     def test_out_of_range_raises(self, lo, hi):
         with pytest.raises(ShapeError, match="outside a panel of length 10"):
+            self.panel.window(lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 3), (0, 3.0), ("0", 3), (True, 3), (0, None)])
+    def test_bounds_must_be_integers(self, lo, hi):
+        with pytest.raises(ShapeError, match="window bound must be an integer"):
             self.panel.window(lo, hi)
 
 
@@ -417,3 +427,14 @@ class TestInvariants:
     def test_nonfinite_rejected(self):
         with pytest.raises(IngestError):
             TimePanel(("a",), np.array([[1.0, np.inf]]))
+
+    @pytest.mark.parametrize("names", [None, 1.5, "ab", "a"])
+    def test_names_must_be_an_iterable_of_strings(self, names):
+        with pytest.raises(IngestError, match="series names must be an iterable of strings"):
+            TimePanel(names, np.ones((len(names) if isinstance(names, str) else 1, 3)))
+
+    @pytest.mark.parametrize("values", [[["x", 1.0]], [[True, False]], [[None, 1.0]],
+                                        [[1.0], [1.0, 2.0]]])
+    def test_values_must_be_numbers(self, values):
+        with pytest.raises(IngestError, match="panel values are not an array of numbers"):
+            TimePanel(("a",) * len(values), values)

@@ -86,6 +86,34 @@ class TestEstErr:
         with pytest.raises(ShapeError):
             est_err(decomp, panel, 1)
 
+    @pytest.mark.parametrize("n", [0.5, "0", True, None])
+    def test_series_index_must_be_an_integer(self, n):
+        panel = TimePanel(("a",), np.ones((1, 40)))
+        decomp = decompose(panel, 5, RankRule.fixed(1))
+        with pytest.raises(ShapeError, match="series index must be an integer"):
+            est_err(decomp, panel, n)
+
+    def test_truth_read_at_the_window_times(self):
+        # 43 observations at L = 5 drop a 3-step prefix: the window is t = 4..43.
+        panel = harmonic_panel(n_series=2, length=43, seed=3)
+        decomp = decompose(panel, 5, RankRule.fixed(2))
+        assert (decomp.origin, decomp.t0) == (3, 4)
+        wide = np.random.default_rng(1).normal(size=(2, 50))  # t = -2..47
+        exact = TimePanel(panel.series_names, wide[:, 6:46], t0=4)
+        wider = TimePanel(panel.series_names, wide, t0=-2)
+        for n in range(2):
+            assert est_err(decomp, wider, n) == est_err(decomp, exact, n)
+
+    def test_retained_window_needs_its_own_t0(self):
+        panel = harmonic_panel(n_series=2, length=43, seed=3)
+        decomp = decompose(panel, 5, RankRule.fixed(2))
+        retained = TimePanel(panel.series_names, panel.values[:, 3:])  # t0 = 1, not 4
+        with pytest.raises(ShapeError, match=r"^truth covers t=1\.\.40, the decomposition "
+                                             r"needs t=4\.\.43$"):
+            est_err(decomp, retained, 0)
+        relabelled = TimePanel(panel.series_names, panel.values[:, 3:], t0=4)
+        assert est_err(decomp, relabelled, 0) == est_err(decomp, panel, 0)
+
 
 class TestRateAndMonotonicity:
     def test_error_decays_with_panel_size(self):

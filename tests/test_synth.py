@@ -121,6 +121,16 @@ class TestGenerate:
         with pytest.raises(SpecError, match=field if field != "sigma2" else "noise variance"):
             GeneratorSpec(kind="harmonics", **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("freq_range", "ab"), ("freq_range", (0.1,)), ("phase_range", None),
+        ("slope_range", (0.0, float("nan"))), ("slope_range", (0.0, True)),
+        ("alpha", ("a",)), ("alpha", ()), ("alpha", (0.5, float("inf"))), ("alpha", 0.5),
+        ("alpha", (True,)),
+    ])
+    def test_ranges_and_alpha_checked_on_construction(self, field, value):
+        with pytest.raises(SpecError, match=field.replace("alpha", "explicit alpha")):
+            GeneratorSpec(kind="harmonics", **{field: value})
+
     def test_numpy_integer_fields_convert(self):
         spec = GeneratorSpec(kind="pure_ar", n_series=np.int64(2), length=np.uint16(30),
                              ar_order=np.int8(1), seed=np.int64(4))
