@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MetricError, ShapeError, _integer
+from .errors import MetricError, RankError, ShapeError, _integer
 from .linear_forecaster import BetaModel, solve_beta
 from .lowrank import RankRule, SvdResult, select_rank, svd, takes_topk
 from .pagemat import stack, unstack
@@ -110,6 +110,7 @@ class Stage1:
         """The lag model regressing the last Page row on the top L-1 rows at rank k_hat."""
         if self.L < 2:
             raise ShapeError(f"need L >= 2 to regress the last row on the rest, got L={self.L}")
+        k_hat = _integer(k_hat, "k_hat", 0, RankError)  # before it slices the SVD
         if self._beta is None or self._beta.k_hat != k_hat:
             sub = self._svd(self.L - 1, min(k_hat, self.L - 1, self.page.data.shape[1]))
             self._beta = solve_beta(self.page.data, sub, k_hat)

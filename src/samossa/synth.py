@@ -47,8 +47,9 @@ _TWO_PI = 2.0 * math.pi
 class GeneratorSpec:
     """What to draw, checked on construction (SpecError): counts are integers >= 1,
     the seed an integer >= 0 (numpy integers convert), each range a pair of
-    finite reals, ``sigma2`` finite and > 0, and an explicit ``alpha`` a
-    non-empty vector of finite reals (stored as a tuple of floats)."""
+    finite reals, ``sigma2`` finite and > 0, an explicit ``alpha`` a
+    non-empty vector of finite reals (stored as a tuple of floats), and
+    ``lambda_star`` a real in (0, 1), or None beside an explicit ``alpha``."""
 
     kind: str                 # harmonics | harmonics_trend | pure_ar
     n_series: int = 10
@@ -83,8 +84,9 @@ class GeneratorSpec:
                 raise SpecError(f"explicit alpha must be a non-empty vector of finite numbers, "
                                 f"got {self.alpha!r}")
             object.__setattr__(self, "alpha", tuple(alpha.tolist()))
-        elif not _is_real(self.lambda_star) or not 0.0 < self.lambda_star < 1.0:
-            raise SpecError(f"lambda_star must be in (0, 1), got {self.lambda_star}")
+        lam = self.lambda_star
+        if (self.alpha is None or lam is not None) and not (_is_real(lam) and 0.0 < lam < 1.0):
+            raise SpecError(f"lambda_star must be in (0, 1), got {lam}")
 
 
 def _pair(value, what: str) -> tuple[float, float]:

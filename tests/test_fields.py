@@ -30,6 +30,8 @@ TABLE = [
                          freq_range=(0.1, 0.2), phase_range=(0.0, 1.0), slope_range=(0.0, 0.0),
                          ar_order=1, lambda_star=0.5, alpha=None, sigma2=0.2, seed=0),
      {"alpha": {None}, "sigma2": {1.5}}),
+    (GeneratorSpec, dict(kind="harmonics", alpha=(0.5,), lambda_star=0.5),
+     {"alpha": {None}, "lambda_star": {None}}),
     (ArModel, dict(alpha=[0.5], noise_var_hat=0.1, rank_deficient=False),
      {"noise_var_hat": {1.5}, "rank_deficient": {True}}),
     (BetaModel, dict(beta=[0.5], k_hat=1, resid_rms=0.0), {"resid_rms": {1.5}}),

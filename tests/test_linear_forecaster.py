@@ -106,6 +106,12 @@ class TestFitBeta:
         with pytest.raises(ShapeError):
             fit_beta(panel, 1, RankRule.fixed(1))
 
+    @pytest.mark.parametrize("k", [1.5, "2", -1, True])
+    def test_k_hat_must_be_a_count(self, k):
+        panel = harmonic_panel(2, 60, freqs=[0.31])
+        with pytest.raises(RankError, match=f"k_hat must be an integer >= 0, got {k!r}"):
+            fit_beta(panel, 6, RankRule.fixed(2), k_hat=k)
+
     def test_degenerate_all_zero(self):
         from samossa import FitError
 

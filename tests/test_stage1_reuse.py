@@ -6,13 +6,15 @@ tolerance) with the shared path.
 """
 
 import sys
+import threading
+import time
 import weakref
 
 import numpy as np
 import pytest
 
-from samossa import ConfigError, RankRule, SamossaConfig, SearchError, TimePanel, lowrank
-from samossa import evaluation
+from samossa import FitError, RankRule, SamossaConfig, SearchError, TimePanel, lowrank
+from samossa import evaluation, pipeline, ssa_estimator
 from samossa.evaluation import (
     default_grid,
     forecast_benchmark_run,
@@ -21,7 +23,7 @@ from samossa.evaluation import (
 )
 from samossa.linear_forecaster import fit_beta
 from samossa.pipeline import fit
-from samossa.ssa_estimator import Stage1, decompose
+from samossa.ssa_estimator import Decomposition, Stage1, decompose
 from samossa.synth import forecasting_spec, generate
 
 
@@ -188,12 +190,88 @@ class TestStage1:
             assert np.array_equal(shared_beta.beta, fresh_beta.beta)
             assert shared_beta.resid_rms == fresh_beta.resid_rms
 
-    def test_fit_rejects_foreign_stage(self):
+
+class TestPipelinedScoring:
+    """Stage 2 of each config runs on one helper thread; the outcome is the serial one."""
+
+    def test_matches_serial_oracle_with_failures_on_both_threads(self):
         train, valid = split_panel()
-        config = SamossaConfig(L=30, rank=RankRule.fixed(5), p=1)
-        with pytest.raises(ConfigError):
-            fit(train, config, stage1=Stage1(train, 31))
-        with pytest.raises(ConfigError):
-            fit(train, config, stage1=Stage1(valid, 30))
-        shared = fit(train, config, stage1=Stage1(train, 30))
-        assert np.array_equal(shared.beta_model.beta, fit(train, config).beta_model.beta)
+        rule = RankRule.fixed(5)
+        grid = [SamossaConfig(L=30, rank=rule, p=1),
+                SamossaConfig(L=10**9, rank=rule, p=1),  # unstackable: fails in stage 1
+                SamossaConfig(L=30, rank=rule, p=300),  # 2p + 1 > T_eff: fails on the helper
+                SamossaConfig(L=30, rank=RankRule.universal(), p=2),
+                SamossaConfig(rank=RankRule.energy(0.9), p=(0, 1, 2), valid_len=20),
+                SamossaConfig(L=30, rank=rule, p=0),
+                SamossaConfig(rank=RankRule.fixed(3), p=1, shape_ratio=3)]
+        got = evaluation._score_each(train, grid, valid, catch=evaluation._CONFIG_ERRORS)
+
+        expected = []
+        for config in grid:
+            try:
+                model = fit(train, config)
+                expected.append((rolling_eval(model, valid).mean_r2, model.k_hat))
+            except evaluation._CONFIG_ERRORS as exc:
+                expected.append(type(exc))
+        assert [type(r) if isinstance(r, Exception) else (r.mean_r2, r.k_hat)
+                for r in got] == expected
+        assert expected[2] is FitError
+        assert [r.config for r in got if not isinstance(r, Exception)] == [
+            c for c, e in zip(grid, expected) if not isinstance(e, type)]
+
+    def test_other_errors_propagate_and_pending_work_is_cancelled(self, monkeypatch):
+        train, valid = split_panel()
+        calls = []
+
+        def broken(residuals, p):
+            calls.append(p)
+            time.sleep(0.05)
+            raise RuntimeError("bug in stage 2")
+
+        monkeypatch.setattr(pipeline, "fit_ar", broken)
+        grid = [SamossaConfig(L=30, rank=RankRule.fixed(5), p=1)] * 12
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="bug in stage 2"):
+            grid_search(train, valid, grid)
+        assert threading.active_count() == threads
+        assert len(calls) <= 2  # the failed task and at most the one running when it was read
+
+    def test_at_most_two_live_decompositions(self, monkeypatch):
+        train, valid = split_panel()
+        original = pipeline.fit_ar
+
+        def slow(residuals, p):  # the helper lags behind stage 1
+            time.sleep(0.01)
+            return original(residuals, p)
+
+        monkeypatch.setattr(pipeline, "fit_ar", slow)
+        grid = [SamossaConfig(rank=RankRule.fixed(k), p=p, shape_ratio=ratio)
+                for ratio in (1, 3) for k in (2, 3, 4, 5) for p in (1, 2)]
+        built, alive_at_build = [], []
+
+        class Tracked(Decomposition):
+            def __init__(self, *args, **kwargs):
+                alive_at_build.append(sum(ref() is not None for ref in built))
+                super().__init__(*args, **kwargs)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(ssa_estimator, "Decomposition", Tracked)
+        _, entries = grid_search(train, valid, grid)
+        assert len(built) == 8 and len(entries) == 16
+        assert max(alive_at_build) == 1  # the helper lags one decomposition behind, never two
+
+    def test_stage2_runs_on_the_helper_under_the_callers_errstate(self, monkeypatch):
+        train, valid = split_panel()
+        seen = []
+        original = pipeline.fit_ar
+
+        def recording(residuals, p):
+            seen.append((threading.current_thread() is threading.main_thread(),
+                         np.geterr()["over"]))
+            return original(residuals, p)
+
+        monkeypatch.setattr(pipeline, "fit_ar", recording)
+        grid = [SamossaConfig(L=30, rank=RankRule.fixed(5), p=p) for p in (1, 2)]
+        with np.errstate(over="raise"):
+            grid_search(train, valid, grid)
+        assert seen and set(seen) == {(False, "raise")}
