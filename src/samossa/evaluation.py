@@ -22,11 +22,11 @@ import numpy as np
 from .ar import fit_ar
 from .errors import MetricError, SamossaError, SearchError, ShapeError, StateError, _float_array
 from .linear_forecaster import BetaModel
-from .lowrank import RankRule
+from .lowrank import RankRule, SvdResult
 from .pagemat import default_L
 from .panel import TimePanel
 from .pipeline import SamossaConfig, SamossaModel, _ar_dots, _assemble, _order, roll
-from .ssa_estimator import Decomposition, Stage1, decompose, est_err
+from .ssa_estimator import Stage1, _truncate, decompose, est_err
 from .synth import GeneratorSpec, estimation_spec, forecasting_spec, generate
 
 __all__ = [
@@ -51,11 +51,14 @@ def _r2_rows(pred: np.ndarray, actual: np.ndarray, names=None) -> list[float | N
     This is the zero-variance rule: a row whose actual values are all equal
     has no R^2 and scores None. The test is exact equality, not SST <= 0:
     the mean of a constant window need not round back to its value
-    (25 x 0.1 leaves an SST of about 5e-33). A row that varies but whose
-    SST is not a positive finite number (values near 1e-200 square to 0,
-    near 1e200 to inf) raises MetricError naming the series: ``names[row]``,
-    or the row index without ``names``.
+    (25 x 0.1 leaves an SST of about 5e-33). Both rows are scaled by 2^-e,
+    e the exponent of the row's largest |actual|, which is exact and keeps
+    squares of values near 1e-300 or 1e300 in range. A row that varies but
+    whose SST is not a positive finite number (it holds a NaN or an inf)
+    raises MetricError naming the series: ``names[row]``, or the row index.
     """
+    scale = -np.frexp(np.abs(actual).max(axis=1, keepdims=True))[1]
+    pred, actual = np.ldexp(pred, scale), np.ldexp(actual, scale)
     constant = np.all(actual == actual[:, :1], axis=1)
     varying = actual[~constant]
     with np.errstate(over="ignore"):
@@ -234,12 +237,26 @@ class GridEntry:
 _CONFIG_ERRORS = (SamossaError, np.linalg.LinAlgError)
 
 
-def _stage2(panel: TimePanel, config: SamossaConfig, p: int, decomp: Decomposition,
-            beta_model: BetaModel, window: TimePanel) -> GridEntry:
-    """One config's AR fits and rolling pass over ``window``, kept only as its GridEntry."""
-    model = _assemble(panel, config, p, decomp, beta_model)
-    return GridEntry(config=config, mean_r2=rolling_eval(model, window).mean_r2,
-                     k_hat=model.k_hat)
+def _score_decomposition(panel: TimePanel, configs, members, origin: int, spectrum: SvdResult,
+                         beta_model: BetaModel, window: TimePanel, catch) -> dict:
+    """One helper job: stage 2 of every config in ``members`` (index, AR order).
+
+    Makes the decomposition at ``beta_model``'s k_hat of ``spectrum``, then
+    fits and rolls each distinct order once over ``window``. Returns {config
+    index: GridEntry, or the error in ``catch`` that stopped its order}.
+    """
+    decomp = _truncate(panel, origin, spectrum, beta_model.k_hat)
+    scores, results = {}, {}
+    for idx, p in members:
+        if p not in scores:
+            try:
+                model = _assemble(panel, configs[idx], p, decomp, beta_model)
+                scores[p] = rolling_eval(model, window).mean_r2
+            except catch as exc:
+                scores[p] = exc
+        results[idx] = (scores[p] if isinstance(scores[p], Exception) else
+                        GridEntry(config=configs[idx], mean_r2=scores[p], k_hat=beta_model.k_hat))
+    return results
 
 
 def _score_each(panel: TimePanel, configs, window: TimePanel,
@@ -251,27 +268,20 @@ def _score_each(panel: TimePanel, configs, window: TimePanel,
     exception propagates, with the pending work cancelled and the helper
     thread joined.
 
-    The work runs as a two-stage pipeline. The calling thread resolves each
-    config's L and AR order (a p grid's order selection is a search of its
-    own), then visits the configs grouped by L in first-seen order with a
-    single live Stage1, dropped before the next L's is built, and runs
-    stage 1 for each: the SVDs (LAPACK releases the GIL), the rank, the lag
-    model and the decomposition. Stage 2, the AR fits and the validation
-    roll, reads only the decomposition and the lag model, so each config's
-    goes to one helper thread, under a copy of the caller's context (its
-    ``np.errstate`` included), while the caller computes the next one's
-    stage 1. At most two decompositions are held: before the first config
-    of a new rank rule or L, the caller waits for the stage-2 work of every
-    decomposition but the latest. Each step does the arithmetic of a serial
+    The unit of work is one distinct decomposition. The calling thread
+    resolves each config's L and AR order (a p grid's order selection is a
+    search of its own), then visits the L's in first-seen order with one
+    live Stage1, dropped before the next is built. There it reads each
+    config's spectrum and k_hat (the SVDs, which release the GIL), groups
+    the configs by (spectrum, k_hat), solves each group's lag model and
+    submits the group as one job to one helper thread, under a copy of the
+    caller's context (its ``np.errstate`` included). The job holds the
+    spectrum, not the Stage1, and its decomposition dies with it. Twin
+    configs, such as two rules that pick the same k_hat off one spectrum,
+    share its scores and errors. Each step does the arithmetic of a serial
     fit, so every score is bit-identical to ``rolling_eval(fit(...))``.
-
-    On 2 vCPUs with BLAS pinned to 1 thread, one ``forecast_benchmark_run``
-    seed went from 0.87 to 0.71 s (benchmark ``search`` ``op_s``, 10
-    pairs): the caller spends about 0.54 s in stage 1 and 0.1 s waiting,
-    the helper 0.29 s in stage 2. At the default BLAS threads the SVDs
-    already use both cores and the time is unchanged (1.06 s against 1.05 s).
     """
-    results: list = [None] * len(configs)
+    results: dict = {}  # config index -> GridEntry or caught error
     groups: dict[int, list[tuple[int, int]]] = {}  # L -> (index, AR order) per config
     for idx, config in enumerate(configs):
         try:
@@ -282,41 +292,36 @@ def _score_each(panel: TimePanel, configs, window: TimePanel,
         else:
             groups.setdefault(L, []).append((idx, p))
 
-    def settle(batch):
-        for idx, future in batch:
-            try:
-                results[idx] = future.result()
-            except catch as exc:
-                results[idx] = exc
-
-    backlog: list[list] = []  # (index, future) pairs per decomposition, oldest first
+    jobs = []
     helper = ThreadPoolExecutor(max_workers=1)
     try:
         for L, members in groups.items():
-            stage, rule = None, None
+            stage = None  # the previous L's is released before this one's is built
+            twins: dict[tuple[int, int], tuple[SvdResult, list]] = {}  # (spectrum id, k_hat)
             for idx, p in members:
-                config = configs[idx]
                 try:
                     if stage is None:
                         stage = Stage1(panel, L)
-                    beta_model = stage.beta(stage.rank(config.rank))  # the SVDs, beside the helper
-                    if config.rank != rule:  # the decomposition may be new: hold at most two
-                        while len(backlog) > 1:
-                            settle(backlog.pop(0))
-                        backlog.append([])
-                        rule = config.rank
-                    decomp = stage.decompose(config.rank)
+                    spectrum = stage.spectrum(configs[idx].rank)  # the SVDs, beside the helper
+                    k_hat = stage.rank(configs[idx].rank)
                 except catch as exc:
                     results[idx] = exc
+                else:
+                    twins.setdefault((id(spectrum), k_hat), (spectrum, []))[1].append((idx, p))
+            for (_, k_hat), (spectrum, twin) in twins.items():
+                try:
+                    beta_model = stage.beta(k_hat)
+                except catch as exc:
+                    results.update(dict.fromkeys((idx for idx, _ in twin), exc))
                     continue
-                backlog[-1].append((idx, helper.submit(
-                    contextvars.copy_context().run, _stage2,
-                    panel, config, p, decomp, beta_model, window)))
-        for batch in backlog:
-            settle(batch)
+                jobs.append(helper.submit(
+                    contextvars.copy_context().run, _score_decomposition,
+                    panel, configs, twin, stage.page.origin, spectrum, beta_model, window, catch))
+        for job in jobs:
+            results.update(job.result())
     finally:
         helper.shutdown(cancel_futures=True)
-    return results
+    return [results[idx] for idx in range(len(configs))]
 
 
 def _best(entries: list[GridEntry]) -> SamossaConfig:
@@ -343,12 +348,13 @@ def grid_search(train: TimePanel, valid: TimePanel,
 
     Stage 1 is computed once per resolved L, not once per config: configs
     are fitted grouped by L, and every rank rule and AR order at that L
-    shares one Stage1 on ``train``. Only one is alive at a time. Stage 1
-    runs on the calling thread, and each config's AR fits and validation
-    roll on one helper thread beside it (see ``_score_each``), with scores
-    bit-identical to fitting each config alone. A failing config's error is
-    handled the same on either thread, and an exception that propagates
-    leaves no thread running.
+    shares one Stage1 on ``train``. Only one is alive at a time. Stage 2
+    runs once per distinct decomposition and AR order, on one helper thread
+    beside stage 1 (see ``_score_each``): configs whose rules pick the same
+    k_hat off the same spectrum share one decomposition and each score, with
+    scores bit-identical to fitting each config alone. A failing config's
+    error is handled the same on either thread, and an exception that
+    propagates leaves no thread running.
     """
     grid = list(grid)
     if not grid:

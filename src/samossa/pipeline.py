@@ -224,16 +224,12 @@ def fit(panel: TimePanel, config: SamossaConfig | None = None) -> SamossaModel:
 
     The fit selects the order, then runs stage 1 (decomposition, then the
     lag model) and stage 2 (the AR fits) on the calling thread. A p grid's
-    order selection is a grid search on the head: one :class:`Stage1` there
-    serves every candidate order, computed on the calling thread while one
-    helper thread runs each candidate's AR fits and validation roll (see
-    :func:`~samossa.evaluation.grid_search`); one more Stage1 on the whole
-    panel serves the final fit. The model is bit-identical to a serial fit.
-    The head's stage 1 is one decomposition, done before any candidate's
-    stage 2 starts, so the pipeline has little to overlap here: a p = (0, 1,
-    2, 3) fit of a 25 x 10 000 panel took a median 0.40 s before and 0.39 s
-    after on 2 vCPUs at 1 BLAS thread (10 pairs), and 0.39 s both at the
-    default BLAS threads (4 pairs).
+    order selection is a grid search on the head (see
+    :func:`~samossa.evaluation.grid_search`): every candidate shares one
+    decomposition there, so the selection is one helper-thread job that
+    fits and rolls each candidate order; one more :class:`Stage1` on the
+    whole panel serves the final fit. The model is bit-identical to a
+    serial fit.
     """
     config = config or SamossaConfig()
     L = config.resolved_L(panel.n_series, panel.length)

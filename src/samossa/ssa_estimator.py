@@ -60,17 +60,18 @@ class Stage1:
     k off one spectrum, so one instance serves every configuration fitted on
     the same panel at the same L. The Page matrix is stacked on
     construction; SVDs are taken on first use, of the whole matrix for
-    :meth:`rank` and :meth:`decompose` and of its top L-1 rows for
-    :meth:`beta`, so a caller that only decomposes never pays for the second.
+    :meth:`spectrum` (so :meth:`rank` and :meth:`decompose`) and of its top
+    L-1 rows for :meth:`beta`, so a decomposition never pays for the second.
 
     Where :func:`~samossa.lowrank.takes_topk` allows, a rule that reads only
     the top K triplets (``fixed:K``, and the beta fit at rank k_hat) gets an
     ARPACK head of that matrix; every other request shares the one full SVD.
     Which SVD serves a request depends only on the matrix and the rule,
     never on the order of calls. Every SVD taken is kept, heads included,
-    since a head is only K vectors per side; only the decomposition and lag
-    model of the most recent k are kept, since those are matrix-sized and
-    peak memory depends on holding one at a time.
+    since a head is only K vectors per side. Nothing else matrix-sized is
+    kept. The grid scorer makes each distinct (spectrum, k_hat)
+    decomposition once, in one helper job (``evaluation._score_each``):
+    twin configs share it, and a p grid's order selection is one job.
     """
 
     def __init__(self, panel: TimePanel, L: int):
@@ -79,8 +80,6 @@ class Stage1:
         self.page = stack(panel, L)
         # (rows, k of a top-k head, or None for every triplet) -> SVD of the top rows
         self._svds: dict[tuple[int, int | None], SvdResult] = {}
-        self._decomp: tuple[SvdResult, Decomposition] | None = None
-        self._beta: BetaModel | None = None
 
     def _svd(self, rows: int, k: int | None) -> SvdResult:
         """The SVD of the top ``rows`` Page rows that serves a rule reading ``k`` triplets."""
@@ -90,49 +89,47 @@ class Stage1:
             self._svds[key] = svd(matrix, k=key[1])
         return self._svds[key]
 
-    def _spectrum(self, rule: RankRule) -> SvdResult:
+    def spectrum(self, rule: RankRule) -> SvdResult:
+        """The SVD of the whole Page matrix that serves ``rule``, one object per matrix or head."""
         return self._svd(self.L, rule.k if rule.kind == "fixed" else None)
 
     def rank(self, rule: RankRule) -> int:
         """k_hat under ``rule``, read off the Page matrix's spectrum."""
-        return select_rank(self._spectrum(rule).singular_values, rule, shape=self.page.data.shape)
+        return select_rank(self.spectrum(rule).singular_values, rule, shape=self.page.data.shape)
 
     def decompose(self, rule: RankRule) -> Decomposition:
         """The smooth component and residuals at the rank ``rule`` selects."""
-        spectrum = self._spectrum(rule)
-        k_hat = select_rank(spectrum.singular_values, rule, shape=self.page.data.shape)
-        if self._decomp is None or self._decomp[0] is not spectrum or self._decomp[1].k_hat != k_hat:
-            self._decomp = None  # release the previous k's arrays first
-            self._decomp = (spectrum, self._truncate(spectrum, k_hat))
-        return self._decomp[1]
+        return _truncate(self.panel, self.page.origin, self.spectrum(rule), self.rank(rule))
 
     def beta(self, k_hat: int) -> BetaModel:
         """The lag model regressing the last Page row on the top L-1 rows at rank k_hat."""
         if self.L < 2:
             raise ShapeError(f"need L >= 2 to regress the last row on the rest, got L={self.L}")
         k_hat = _integer(k_hat, "k_hat", 0, RankError)  # before it slices the SVD
-        if self._beta is None or self._beta.k_hat != k_hat:
-            sub = self._svd(self.L - 1, min(k_hat, self.L - 1, self.page.data.shape[1]))
-            self._beta = solve_beta(self.page.data, sub, k_hat)
-        return self._beta
+        sub = self._svd(self.L - 1, min(k_hat, self.L - 1, self.page.data.shape[1]))
+        return solve_beta(self.page.data, sub, k_hat)
 
-    def _truncate(self, spectrum: SvdResult, k_hat: int) -> Decomposition:
-        s = spectrum.singular_values
-        denoised = spectrum.truncate(k_hat)
-        f_hat = unstack(denoised, self.panel.n_series)
-        retained = self.panel.values[:, self.page.origin:]
-        x_hat = retained - f_hat
-        n, t_eff = f_hat.shape
-        return Decomposition(
-            f_hat=f_hat,
-            x_hat=x_hat,
-            L=self.L,
-            k_hat=k_hat,
-            origin=self.page.origin,
-            t0=self.panel.t0 + self.page.origin,
-            singular_values=s,
-            balance=float(s[k_hat - 1] * np.sqrt(k_hat) / np.sqrt(n * t_eff)),
-        )
+
+def _truncate(panel: TimePanel, origin: int, spectrum: SvdResult, k_hat: int) -> Decomposition:
+    """The decomposition of ``panel`` at rank ``k_hat`` of ``spectrum``, with no Stage1.
+
+    ``spectrum`` is an SVD (every triplet, or a head of at least k_hat) of
+    the stacked Page matrix of ``panel`` after its first ``origin`` values;
+    L is its number of rows.
+    """
+    s = spectrum.singular_values
+    f_hat = unstack(spectrum.truncate(k_hat), panel.n_series)
+    n, t_eff = f_hat.shape
+    return Decomposition(
+        f_hat=f_hat,
+        x_hat=panel.values[:, origin:] - f_hat,
+        L=spectrum.left_vectors.shape[0],
+        k_hat=k_hat,
+        origin=origin,
+        t0=panel.t0 + origin,
+        singular_values=s,
+        balance=float(s[k_hat - 1] * np.sqrt(k_hat) / np.sqrt(n * t_eff)),
+    )
 
 
 def decompose(panel: TimePanel, L: int, rule: RankRule) -> Decomposition:

@@ -310,17 +310,26 @@ class TestZeroVarianceRule:
         expected = [None if n in constant else plain_r2(pred[n], actual[n]) for n in range(N)]
         assert _r2_rows(pred, actual) == expected
 
-    @pytest.mark.parametrize("actual", [[0.0, 1e-200], [1e200, -1e200]])
-    def test_varying_window_whose_sst_is_not_positive_finite(self, actual):
-        # The values differ, so the window is not constant, but their SST
-        # underflows to 0 or overflows to inf: an error, not NaN or a warning.
-        with pytest.raises(MetricError, match="sum of squares"):
-            r_squared([0.0, 0.0], actual)
+    @pytest.mark.parametrize("extreme, plain", [([0.0, 1e-200], [0.0, 1.0]),
+                                                ([1e200, -1e200], [1.0, -1.0])],
+                             ids=["1e-200", "1e200"])
+    def test_extreme_window_scores_like_a_plain_one(self, extreme, plain):
+        # Unscaled, the SST of these windows underflows to 0 or overflows to inf.
+        assert r_squared([0.0, 0.0], extreme) == r_squared([0.0, 0.0], plain)
+
+    @given(N=st.integers(1, 4), H=st.integers(2, 50), seed=st.integers(0, 2**32 - 1),
+           k=st.integers(-900, 900))
+    @settings(max_examples=60, deadline=None)
+    def test_scores_invariant_under_powers_of_two(self, N, H, seed, k):
+        rng = np.random.default_rng(seed)
+        pred, actual = rng.normal(size=(2, N, H))
+        actual[0] = actual[0, 0]
+        assert _r2_rows(np.ldexp(pred, k), np.ldexp(actual, k)) == _r2_rows(pred, actual)
 
     def test_unusable_sst_names_the_series(self):
         pred = np.zeros((3, 2))
-        actual = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 1e-200]])
-        with pytest.raises(MetricError, match="'s3'"):
+        actual = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, np.nan]])
+        with pytest.raises(MetricError, match="'s3'.*sum of squares"):
             _r2_rows(pred, actual, ("s1", "s2", "s3"))
 
     def test_order_selection_skips_constant_series(self):

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from samossa.evaluation import (
     rolling_eval,
 )
 from samossa.linear_forecaster import fit_beta
+from samossa.lowrank import takes_topk
 from samossa.pipeline import fit
 from samossa.ssa_estimator import Decomposition, Stage1, decompose
 from samossa.synth import forecasting_spec, generate
@@ -165,17 +167,6 @@ class TestSvdCallCounts:
 
 
 class TestStage1:
-    def test_memoizes_latest_k_only(self):
-        train, _ = split_panel()
-        stage = Stage1(train, 30)
-        first = stage.decompose(RankRule.fixed(4))
-        assert stage.decompose(RankRule.fixed(4)) is first
-        beta = stage.beta(4)
-        assert stage.beta(4) is beta
-        other = stage.decompose(RankRule.fixed(6))
-        assert other.k_hat == 6
-        assert stage.decompose(RankRule.fixed(4)) is not first
-
     def test_same_numbers_as_fresh_calls(self):
         train, _ = split_panel()
         stage = Stage1(train, 30)
@@ -229,14 +220,15 @@ class TestPipelinedScoring:
             raise RuntimeError("bug in stage 2")
 
         monkeypatch.setattr(pipeline, "fit_ar", broken)
-        grid = [SamossaConfig(L=30, rank=RankRule.fixed(5), p=1)] * 12
+        # Twelve distinct L's: twelve jobs queued, not one job for twelve twins.
+        grid = [SamossaConfig(L=L, rank=RankRule.fixed(5), p=1) for L in range(20, 32)]
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="bug in stage 2"):
             grid_search(train, valid, grid)
         assert threading.active_count() == threads
         assert len(calls) <= 2  # the failed task and at most the one running when it was read
 
-    def test_at_most_two_live_decompositions(self, monkeypatch):
+    def test_no_other_decomposition_alive_when_one_is_built(self, monkeypatch):
         train, valid = split_panel()
         original = pipeline.fit_ar
 
@@ -258,7 +250,7 @@ class TestPipelinedScoring:
         monkeypatch.setattr(ssa_estimator, "Decomposition", Tracked)
         _, entries = grid_search(train, valid, grid)
         assert len(built) == 8 and len(entries) == 16
-        assert max(alive_at_build) == 1  # the helper lags one decomposition behind, never two
+        assert max(alive_at_build) == 0  # each lives only inside the job that makes it
 
     def test_stage2_runs_on_the_helper_under_the_callers_errstate(self, monkeypatch):
         train, valid = split_panel()
@@ -275,3 +267,80 @@ class TestPipelinedScoring:
         with np.errstate(over="raise"):
             grid_search(train, valid, grid)
         assert seen and set(seen) == {(False, "raise")}
+
+
+class TestSharedDecompositions:
+    """Configs whose rules pick the same k_hat off one spectrum share one helper job."""
+
+    @staticmethod
+    def twin_grid(train, Ls, orders):
+        """energy:0.9 and fixed:K at each explicit L, K the energy rule's k_hat there."""
+        energy, grid = RankRule.energy(0.9), []
+        for L in Ls:
+            stage = Stage1(train, L)
+            fixed = RankRule.fixed(stage.rank(energy))
+            assert stage.rank(fixed) == stage.rank(energy)
+            grid += [SamossaConfig(L=L, rank=rule, p=p) for rule in (energy, fixed) for p in orders]
+        return grid
+
+    @staticmethod
+    def serial(train, valid, grid):
+        """Per-config fits: the GridEntry, or the type of the error that stopped it."""
+        expected = []
+        for config in grid:
+            try:
+                model = fit(train, config)
+                expected.append(evaluation.GridEntry(
+                    config=config, mean_r2=rolling_eval(model, valid).mean_r2, k_hat=model.k_hat))
+            except evaluation._CONFIG_ERRORS as exc:
+                expected.append(type(exc))
+        return expected
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Record (L, k_hat, p) per rolling_eval call and p per fit_ar call."""
+        rolls, fits = [], []
+        original_roll, original_fit = evaluation.rolling_eval, pipeline.fit_ar
+
+        def roll(model, window, *args):
+            rolls.append((model.L, model.k_hat, model.p_used[0]))
+            return original_roll(model, window, *args)
+
+        def fit_ar(residuals, p):
+            fits.append(p)
+            return original_fit(residuals, p)
+
+        monkeypatch.setattr(evaluation, "rolling_eval", roll)
+        monkeypatch.setattr(pipeline, "fit_ar", fit_ar)
+        return rolls, fits
+
+    def test_twins_share_every_fit_roll_and_error(self, monkeypatch):
+        train, valid = split_panel()
+        Ls = (42, 24)
+        grid = self.twin_grid(train, Ls, orders=(0, 1, 2, 300))  # 2p + 1 > T_eff at p = 300
+        expected = self.serial(train, valid, grid)
+        rolls, fits = self.counted(monkeypatch)
+        got = evaluation._score_each(train, grid, valid, catch=evaluation._CONFIG_ERRORS)
+
+        assert [type(r) if isinstance(r, Exception) else r for r in got] == expected
+        assert [type(r) for r, c in zip(got, grid) if c.p == 300] == [FitError] * 4
+        for L in Ls:  # the twins agree on k_hat, so they could share
+            assert len({e.k_hat for e, c in zip(expected, grid) if c.L == L and c.p == 0}) == 1
+        assert len(rolls) == len(set(rolls)) == len(Ls) * 3
+        assert Counter(fits) == {1: len(Ls) * train.n_series, 2: len(Ls) * train.n_series,
+                                 300: len(Ls)}
+
+    def test_top_k_head_is_not_merged_with_the_full_spectrum(self, monkeypatch):
+        # 10 x 36 000 at L = 600: a 600 x 600 Page matrix, where fixed:K takes
+        # an ARPACK head whose bits differ from the full SVD's at the same k_hat.
+        train, valid = split_panel(n_series=10, length=36_030, valid_len=30)
+        grid = self.twin_grid(train, [600], orders=(1,))
+        stage, (energy, fixed) = Stage1(train, 600), (c.rank for c in grid)
+        assert takes_topk(stage.page.data.shape, fixed.k)
+        assert not np.array_equal(stage.decompose(energy).f_hat, stage.decompose(fixed).f_hat)
+        del stage
+        expected = self.serial(train, valid, grid)
+        rolls, _ = self.counted(monkeypatch)
+        got = evaluation._score_each(train, grid, valid, catch=evaluation._CONFIG_ERRORS)
+        assert got == expected
+        assert rolls == [(600, fixed.k, 1)] * 2
