@@ -123,15 +123,15 @@ def _segment(value) -> int | None:
     return None if value == "auto" else _number(int, 1)(value)
 
 
-def _orders(value) -> int | tuple[int, ...]:
+def _orders(value) -> tuple[int, ...]:
+    """The orders as a p grid; ``SamossaConfig`` stores a one-entry grid as its order."""
     if value == "grid":
         return pipeline.P_GRID_DEFAULT
     try:
-        orders = _list(_number(int, 0))(value)
+        return _list(_number(int, 0))(value)
     except ValueError:
         raise ValueError(f"must be an order >= 0, a comma list of them, or 'grid'; "
                          f"got {value!r}") from None
-    return orders if len(orders) > 1 else orders[0]
 
 
 # --------------------------------------------------------------------------
@@ -232,11 +232,11 @@ def _resolve(ns: argparse.Namespace) -> argparse.Namespace:
     return opts
 
 
-def _pipeline_config(opts: argparse.Namespace, grid_window: int) -> SamossaConfig:
-    """The fit options as a config; without --valid-len a p grid is resolved on ``grid_window``."""
+def _pipeline_config(opts: argparse.Namespace, grid_window: int | None = None) -> SamossaConfig:
+    """The fit options as a config; without --valid-len a p grid uses ``grid_window``, if given."""
     config = SamossaConfig(L=opts.L, rank=opts.rank, p=opts.p, shape_ratio=opts.ratio,
                            valid_len=opts.valid_len)
-    if not isinstance(config.p, int) and config.valid_len is None:
+    if grid_window is not None and not isinstance(config.p, int) and config.valid_len is None:
         config = replace(config, valid_len=grid_window)
     return config
 
@@ -314,11 +314,8 @@ def _cmd_decompose(opts: argparse.Namespace) -> int:
 
 def _cmd_fit(opts: argparse.Namespace) -> int:
     panel = load_csv(opts.input, layout=opts.layout)
-    # Default order-selection window: the trailing 25 steps, shrunk on short
-    # panels so a training head remains.
-    config = _pipeline_config(opts, grid_window=min(25, max(2, panel.length // 10)))
     _log(f"fitting on {panel.n_series} series x {panel.length} steps")
-    model = pipeline.fit(panel, config)
+    model = pipeline.fit(panel, _pipeline_config(opts))
     pipeline.save_model(model, opts.out)
     _log(f"L={model.L}, k_hat={model.k_hat}, p={model.p_used[0]}; wrote {opts.out}")
     return EXIT_OK
@@ -362,8 +359,9 @@ def _load_truth(truth_dir: str) -> evaluation.GeneratorTruth:
             alphas = tuple(np.array(a, dtype=np.float64) for a in json.load(fh)["alphas"])
     except (ValueError, KeyError, TypeError) as exc:  # ValueError: not UTF-8, not JSON
         raise ParseError(f"{path}: cannot read 'alphas' ({type(exc).__name__}: {exc})") from None
-    if len(alphas) != f_panel.n_series or any(a.ndim != 1 for a in alphas):
-        raise ParseError(f"{path}: 'alphas' needs one coefficient list per series "
+    if len(alphas) != f_panel.n_series or any(a.ndim != 1 or not np.isfinite(a).all()
+                                              for a in alphas):
+        raise ParseError(f"{path}: 'alphas' needs one list of finite coefficients per series "
                          f"({f_panel.n_series})")
     return evaluation.GeneratorTruth(f=f_panel, x=x_panel, alphas=alphas)
 
@@ -440,24 +438,17 @@ def _cmd_fig2(opts: argparse.Namespace) -> int:
                ("lambda_star", "sqrt_nt", "seed", "est_err", "alpha_err"),
                ((r.lambda_star, math.sqrt(r.nt), r.seed, r.est_err, r.alpha_err)
                 for r in report.rows))
-    summary = {
-        "est_slopes": {str(k): v for k, v in report.est_slopes.items()},
-        "median_est_err": {
-            str(lam): {str(nt): v for nt, v in report.median_est_err(lam).items()}
-            for lam in opts.lambda_stars
-        },
-        "median_alpha_err": {
-            str(lam): {str(nt): v for nt, v in report.median_alpha_err(lam).items()}
-            for lam in opts.lambda_stars
-        },
+    summary = {  # json writes each float or int key as its str()
+        "est_slopes": report.est_slopes,
+        "median_est_err": report.median_est_err,
+        "median_alpha_err": report.median_alpha_err,
     }
     write_json(os.path.join(opts.out, "fig2.json"), summary)
     _log(f"wrote fig2.csv and fig2.json to {opts.out}; slopes: {report.est_slopes}")
 
     if opts.check:
         failures = []
-        for lam in opts.lambda_stars:
-            med = report.median_est_err(lam)
+        for lam, med in report.median_est_err.items():
             keys = sorted(med)
             if len(keys) >= 2 and med[keys[-1]] >= med[keys[0]]:
                 failures.append(f"est_err did not decay for lambda_star={lam}")

@@ -20,12 +20,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ar import fit_ar
-from .errors import MetricError, SamossaError, SearchError, ShapeError, StateError, _float_array
+from .errors import (ConfigError, MetricError, SamossaError, SearchError, ShapeError, StateError,
+                     _float_array)
 from .linear_forecaster import BetaModel
 from .lowrank import RankRule, SvdResult
 from .pagemat import default_L
 from .panel import TimePanel
-from .pipeline import SamossaConfig, SamossaModel, _ar_dots, _assemble, _order, roll
+from .pipeline import SamossaConfig, SamossaModel, _ar_dots, _assemble, roll
 from .ssa_estimator import Stage1, _truncate, decompose, est_err
 from .synth import GeneratorSpec, estimation_spec, forecasting_spec, generate
 
@@ -54,24 +55,25 @@ def _r2_rows(pred: np.ndarray, actual: np.ndarray, names=None) -> list[float | N
     (25 x 0.1 leaves an SST of about 5e-33). Both rows are scaled by 2^-e,
     e the exponent of the row's largest |actual|, which is exact and keeps
     squares of values near 1e-300 or 1e300 in range. A row that varies but
-    whose SST is not a positive finite number (it holds a NaN or an inf)
-    raises MetricError naming the series: ``names[row]``, or the row index.
+    whose SST is not a positive finite number (it holds a NaN or an inf) or
+    whose SSE is not finite (the forecasts overflow on that scale) raises
+    MetricError naming the series: ``names[row]``, or the row index.
     """
     scale = -np.frexp(np.abs(actual).max(axis=1, keepdims=True))[1]
-    pred, actual = np.ldexp(pred, scale), np.ldexp(actual, scale)
-    constant = np.all(actual == actual[:, :1], axis=1)
-    varying = actual[~constant]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an overflow is reported below, by series
+        pred, actual = np.ldexp(pred, scale), np.ldexp(actual, scale)
+        constant = np.all(actual == actual[:, :1], axis=1)
+        varying = actual[~constant]
         sst = np.sum((varying - varying.mean(axis=1, keepdims=True)) ** 2, axis=1)
-    unusable = ~(np.isfinite(sst) & (sst > 0.0))
+        sse = np.sum((pred[~constant] - varying) ** 2, axis=1)
+    unusable = ~(np.isfinite(sst) & (sst > 0.0) & np.isfinite(sse))
     if unusable.any():
         first = int(np.argmax(unusable))
         row = int(np.flatnonzero(~constant)[first])
         raise MetricError(
             f"R^2 undefined for series {row if names is None else names[row]!r}: its values "
-            f"vary but their sum of squares about the mean is {float(sst[first])!r}"
-        )
-    sse = np.sum((pred[~constant] - varying) ** 2, axis=1)
+            f"vary but their sum of squares about the mean is {float(sst[first])!r} "
+            f"(scaled; its squared forecast errors sum to {float(sse[first])!r})")
     scores = iter((1.0 - sse / sst).tolist())
     return [None if c else next(scores) for c in constant]
 
@@ -162,7 +164,7 @@ def for_err(predictions: np.ndarray, test: TimePanel, truth: GeneratorTruth) -> 
     true residual path. ``predictions`` is a 2-D array of numbers with one
     row per series of ``test`` and one column per step from ``test.t0``;
     ShapeError otherwise, and wherever ``truth`` does not match them (see
-    ``_truth_windows``).
+    ``_truth_windows``). MetricError if the mean is not finite.
     """
     predictions = _float_array(predictions, "predictions", ShapeError)
     if predictions.ndim != 2:
@@ -171,8 +173,12 @@ def for_err(predictions: np.ndarray, test: TimePanel, truth: GeneratorTruth) -> 
     if n_series != test.n_series:
         raise ShapeError(f"{n_series} x {horizon} forecasts for {test.n_series} test series")
     f, x = _truth_windows(truth, test, horizon)
-    target = f.values + _ar_dots(truth.alphas, x.values[:, ::-1], horizon)
-    return float(np.mean((predictions - target) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean raises below
+        target = f.values + _ar_dots(truth.alphas, x.values[:, ::-1], horizon)
+        err = float(np.mean((predictions - target) ** 2))
+    if not np.isfinite(err):
+        raise MetricError(f"for_err is undefined: the mean squared gap is {err!r}")
+    return err
 
 
 def _check_window(model: SamossaModel, test: TimePanel, clock: bool = True) -> None:
@@ -239,7 +245,7 @@ _CONFIG_ERRORS = (SamossaError, np.linalg.LinAlgError)
 
 def _score_decomposition(panel: TimePanel, configs, members, origin: int, spectrum: SvdResult,
                          beta_model: BetaModel, window: TimePanel, catch) -> dict:
-    """One helper job: stage 2 of every config in ``members`` (index, AR order).
+    """One helper job: stage 2 of the configs whose indices are ``members``.
 
     Makes the decomposition at ``beta_model``'s k_hat of ``spectrum``, then
     fits and rolls each distinct order once over ``window``. Returns {config
@@ -247,7 +253,8 @@ def _score_decomposition(panel: TimePanel, configs, members, origin: int, spectr
     """
     decomp = _truncate(panel, origin, spectrum, beta_model.k_hat)
     scores, results = {}, {}
-    for idx, p in members:
+    for idx in members:
+        p = configs[idx].p
         if p not in scores:
             try:
                 model = _assemble(panel, configs[idx], p, decomp, beta_model)
@@ -261,17 +268,17 @@ def _score_decomposition(panel: TimePanel, configs, members, origin: int, spectr
 
 def _score_each(panel: TimePanel, configs, window: TimePanel,
                 catch=()) -> list:
-    """Fit every config on ``panel`` and score it by a rolling pass over ``window``.
+    """Fit every config, one AR order each, on ``panel`` and score it over ``window``.
 
     Returns, in input order, one GridEntry per config, or the exception in
     ``catch`` that stopped it, whichever thread raised it; any other
     exception propagates, with the pending work cancelled and the helper
-    thread joined.
+    thread joined. A config whose p is a grid fails with a ConfigError:
+    only ``pipeline.fit`` turns a grid into an order.
 
     The unit of work is one distinct decomposition. The calling thread
-    resolves each config's L and AR order (a p grid's order selection is a
-    search of its own), then visits the L's in first-seen order with one
-    live Stage1, dropped before the next is built. There it reads each
+    resolves each config's L, then visits the L's in first-seen order with
+    one live Stage1, dropped before the next is built. There it reads each
     config's spectrum and k_hat (the SVDs, which release the GIL), groups
     the configs by (spectrum, k_hat), solves each group's lag model and
     submits the group as one job to one helper thread, under a copy of the
@@ -282,15 +289,17 @@ def _score_each(panel: TimePanel, configs, window: TimePanel,
     fit, so every score is bit-identical to ``rolling_eval(fit(...))``.
     """
     results: dict = {}  # config index -> GridEntry or caught error
-    groups: dict[int, list[tuple[int, int]]] = {}  # L -> (index, AR order) per config
+    groups: dict[int, list[int]] = {}  # L -> config indices
     for idx, config in enumerate(configs):
         try:
             L = config.resolved_L(panel.n_series, panel.length)
-            p = _order(panel, config)
+            if not isinstance(config.p, int):
+                raise ConfigError(f"a searched config takes one AR order, got the p grid "
+                                  f"{config.p}; give each order its own config")
         except catch as exc:
             results[idx] = exc
         else:
-            groups.setdefault(L, []).append((idx, p))
+            groups.setdefault(L, []).append(idx)
 
     jobs = []
     helper = ThreadPoolExecutor(max_workers=1)
@@ -298,7 +307,7 @@ def _score_each(panel: TimePanel, configs, window: TimePanel,
         for L, members in groups.items():
             stage = None  # the previous L's is released before this one's is built
             twins: dict[tuple[int, int], tuple[SvdResult, list]] = {}  # (spectrum id, k_hat)
-            for idx, p in members:
+            for idx in members:
                 try:
                     if stage is None:
                         stage = Stage1(panel, L)
@@ -307,12 +316,12 @@ def _score_each(panel: TimePanel, configs, window: TimePanel,
                 except catch as exc:
                     results[idx] = exc
                 else:
-                    twins.setdefault((id(spectrum), k_hat), (spectrum, []))[1].append((idx, p))
+                    twins.setdefault((id(spectrum), k_hat), (spectrum, []))[1].append(idx)
             for (_, k_hat), (spectrum, twin) in twins.items():
                 try:
                     beta_model = stage.beta(k_hat)
                 except catch as exc:
-                    results.update(dict.fromkeys((idx for idx, _ in twin), exc))
+                    results.update(dict.fromkeys(twin, exc))
                     continue
                 jobs.append(helper.submit(
                     contextvars.copy_context().run, _score_decomposition,
@@ -328,9 +337,7 @@ def _best(entries: list[GridEntry]) -> SamossaConfig:
     """The winning config among ``entries``, which are in grid order."""
     def key(item):
         position, entry = item
-        p = entry.config.p
-        p_key = p if isinstance(p, int) else min(p)
-        return (-entry.mean_r2, entry.k_hat, p_key, entry.config.shape_ratio, position)
+        return (-entry.mean_r2, entry.k_hat, entry.config.p, entry.config.shape_ratio, position)
 
     return min(enumerate(entries), key=key)[1].config
 
@@ -342,9 +349,10 @@ def grid_search(train: TimePanel, valid: TimePanel,
     Returns the winning config and the per-config scores, in grid order.
     Exact score ties break toward smaller k_hat, then smaller p, then
     smaller shape ratio, then input order. A config fails, and is left out
-    of the scores, when it raises a SamossaError or a LinAlgError; any other
-    exception propagates. Raises SearchError (with per-config failures
-    attached) if no config finishes.
+    of the scores, when it raises a SamossaError or a LinAlgError (a config
+    whose p is a grid is a ConfigError: expand orders into configs as
+    :func:`default_grid` does); any other exception propagates. Raises
+    SearchError (with per-config failures attached) if no config finishes.
 
     Stage 1 is computed once per resolved L, not once per config: configs
     are fitted grouped by L, and every rank rule and AR order at that L
@@ -396,14 +404,12 @@ def _loglog_slope(medians: dict) -> float:
 
 @dataclass(frozen=True)
 class Fig2Report:
+    """The sweep's rows, and per lambda_star its slope and its medians by N*T (N*T ascending)."""
+
     rows: tuple[Fig2Row, ...]
     est_slopes: dict[float, float]
-
-    def median_est_err(self, lambda_star: float) -> dict[int, float]:
-        return _medians((r.nt, r.est_err) for r in self.rows if r.lambda_star == lambda_star)
-
-    def median_alpha_err(self, lambda_star: float) -> dict[int, float]:
-        return _medians((r.nt, r.alpha_err) for r in self.rows if r.lambda_star == lambda_star)
+    median_est_err: dict[float, dict[int, float]]
+    median_alpha_err: dict[float, dict[int, float]]
 
 
 def _fig2_point(lambda_star: float, nt: int, seed: int, n_series: int,
@@ -441,10 +447,14 @@ def figure2_experiment(lambda_stars, nt_values, n_seeds: int, n_series: int = 10
             pool.map(lambda args: _fig2_point(*args, n_series, rank, p, sigma2), tasks),
             key=lambda r: (r.lambda_star, r.nt, r.seed),
         ))
-    medians = {lam: _medians((r.nt, r.est_err) for r in rows if r.lambda_star == lam)
-               for lam in lambda_stars}
-    return Fig2Report(rows=rows, est_slopes={
-        lam: _loglog_slope(med) for lam, med in medians.items() if len(med) >= 2})
+    medians = {name: {lam: _medians((r.nt, getattr(r, name)) for r in rows if r.lambda_star == lam)
+                      for lam in lambda_stars}
+               for name in ("est_err", "alpha_err")}
+    return Fig2Report(
+        rows=rows,
+        est_slopes={lam: _loglog_slope(med) for lam, med in medians["est_err"].items()
+                    if len(med) >= 2},
+        median_est_err=medians["est_err"], median_alpha_err=medians["alpha_err"])
 
 
 def ar_identification_experiment(lambda_star: float, t_values, n_seeds: int,

@@ -59,22 +59,22 @@ class BetaModel:
         return len(self.beta) + 1
 
 
-def fit_beta(panel: TimePanel, L: int, rule: RankRule, k_hat: int | None = None) -> BetaModel:
+def fit_beta(panel: TimePanel, L: int, rule: RankRule) -> BetaModel:
     """Fit the lag model on the stacked Page matrix of the observations.
 
     The features are the rank-truncated first L-1 rows (truncation of the
     sub-matrix, not rows of the full-matrix truncation, which keeps the
     features independent of the last-row noise); the targets are the raw
-    last-row entries. ``k_hat`` overrides rank selection when the caller has
-    already chosen a rank on the full matrix; otherwise the rule is applied
-    to the full matrix's spectrum here. The regression is solved in the
-    minimum-norm sense. Callers that also decompose the panel should share a
-    :class:`~samossa.ssa_estimator.Stage1` instead, which stacks once.
+    last-row entries. The rank k_hat is the one ``rule`` picks off the full
+    matrix's spectrum. The regression is solved in the minimum-norm sense.
+    Callers that already hold a rank, or that also decompose the panel,
+    should use a :class:`~samossa.ssa_estimator.Stage1` instead
+    (``Stage1(panel, L).beta(k_hat)``), which stacks once.
     """
     from .ssa_estimator import Stage1  # ssa_estimator imports this module
 
     stage = Stage1(panel, L)
-    return stage.beta(stage.rank(rule) if k_hat is None else k_hat)
+    return stage.beta(stage.rank(rule))
 
 
 def solve_beta(page: np.ndarray, sub: SvdResult, k_hat: int) -> BetaModel:

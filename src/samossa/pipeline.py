@@ -79,15 +79,15 @@ class SamossaConfig:
     """Fitting configuration.
 
     ``L`` of None means floor(sqrt(N*T/shape_ratio)). ``p`` is either a
-    fixed shared AR order or a candidate grid; a grid is resolved on the
-    last ``valid_len`` observations by one-step rolling R^2 and the winning
-    order is refit on the whole panel.
+    fixed shared AR order or a grid of candidate orders, which :func:`fit`
+    resolves on the last ``valid_len`` observations (None: its default).
 
     Fields are checked on construction (ConfigError): ``L`` None or an
     integer >= 2, ``rank`` a :class:`RankRule`, ``p`` an integer >= 0 or a
-    non-empty list or tuple of them (stored as a tuple), ``shape_ratio`` an
-    integer >= 1, ``valid_len`` None or an integer >= 2. Numpy integers
-    convert to int; booleans are refused.
+    non-empty list or tuple of them, ``shape_ratio`` an integer >= 1,
+    ``valid_len`` None or an integer >= 2. An order has one spelling: a
+    one-entry list or tuple is stored as its order (``[2]`` as 2), a longer
+    one as a tuple. Numpy integers convert to int; booleans are refused.
     """
 
     L: int | None = None
@@ -104,10 +104,10 @@ class SamossaConfig:
                 raise ConfigError("p must not be an empty grid")
             p = tuple(_integer(q, "p grid entry", 0, ConfigError) for q in self.p)
         else:
-            p = _integer(self.p, "p", 0, ConfigError)
+            p = (_integer(self.p, "p", 0, ConfigError),)
         checked = {
             "L": None if self.L is None else _integer(self.L, "L", 2, ConfigError),
-            "p": p,
+            "p": p[0] if len(p) == 1 else p,  # one order, one spelling
             "shape_ratio": _integer(self.shape_ratio, "shape_ratio", 1, ConfigError),
             "valid_len": (None if self.valid_len is None
                           else _integer(self.valid_len, "valid_len", 2, ConfigError)),
@@ -192,19 +192,16 @@ def _assemble(panel: TimePanel, config: SamossaConfig, p: int, decomp: Decomposi
 def _order(panel: TimePanel, config: SamossaConfig) -> int:
     """The AR order to fit: ``config.p``, or the winner of its grid.
 
-    Order selection is one more grid search: every candidate is fitted on
-    the head with one shared stage 1 and scored on the trailing valid_len
-    observations by the search's rolling R^2 and ranking, so ties go to
-    the smaller order. The head's stage 1 is released on return.
+    Order selection is one more grid search, of one single-order config per
+    grid entry: each is fitted on the head with one shared stage 1 and
+    scored on the trailing valid_len observations by the search's rolling
+    R^2 and ranking, so ties go to the smaller order. The head's stage 1 is
+    released on return.
     """
     if isinstance(config.p, int):
         return config.p
-    if len(config.p) == 1:
-        return config.p[0]
     from .evaluation import _best, _score_each  # evaluation imports this module
 
-    if config.valid_len is None:
-        raise ConfigError("p grid requires a validation split (set valid_len)")
     v = config.valid_len
     if v >= panel.length:
         raise ConfigError(f"valid_len={v} unusable for panel of length {panel.length}")
@@ -219,8 +216,9 @@ def fit(panel: TimePanel, config: SamossaConfig | None = None) -> SamossaModel:
     any grid: each is scored by mean one-step rolling R^2 over the trailing
     ``config.valid_len`` observations, with the same zero-variance rule and
     ranking as :func:`~samossa.evaluation.grid_search` (ties go to the
-    smaller order), and the winner is refit on the entire panel. Requires
-    ``valid_len`` in that mode.
+    smaller order), and the winner is refit on the entire panel. Without
+    ``valid_len`` a grid uses min(25, max(2, T // 10)) for a panel of
+    length T, and the model's config records it.
 
     The fit selects the order, then runs stage 1 (decomposition, then the
     lag model) and stage 2 (the AR fits) on the calling thread. A p grid's
@@ -232,6 +230,8 @@ def fit(panel: TimePanel, config: SamossaConfig | None = None) -> SamossaModel:
     serial fit.
     """
     config = config or SamossaConfig()
+    if not isinstance(config.p, int) and config.valid_len is None:
+        config = replace(config, valid_len=min(25, max(2, panel.length // 10)))
     L = config.resolved_L(panel.n_series, panel.length)
     p = _order(panel, config)
     stage = Stage1(panel, L)

@@ -201,14 +201,13 @@ def estimation_spec(lambda_star: float, n_series: int = 10, length: int = 10_000
     )
 
 
-def forecasting_spec(n_series: int = 25, length: int = 10_050, seed: int = 0,
-                     n_fundamentals: int = 3) -> GeneratorSpec:
+def forecasting_spec(n_series: int = 25, length: int = 10_050, seed: int = 0) -> GeneratorSpec:
     """Forecasting preset: harmonics plus slight trends, AR(1) alpha = -0.5."""
     return GeneratorSpec(
         kind="harmonics_trend",
         n_series=n_series,
         length=length,
-        n_fundamentals=n_fundamentals,
+        n_fundamentals=3,
         freq_range=(_TWO_PI / 100.0, _TWO_PI / 10.0),
         ar_order=1,
         lambda_star=None,

@@ -73,7 +73,7 @@ class TestCriterion2EstimationSweep:
     @pytest.mark.slow
     def test_band_and_slope(self, fig2_sweep):
         started = time.perf_counter()
-        med = fig2_sweep.median_est_err(0.3)
+        med = fig2_sweep.median_est_err[0.3]
         in_band = {
             nt: ref / 5.0 <= med[nt] <= ref * 5.0 for nt, ref in self.REFERENCE.items()
         }
@@ -91,7 +91,7 @@ class TestCriterion3ArIdentification:
     @pytest.mark.slow
     def test_alpha_error_and_clean_rate(self, fig2_sweep):
         started = time.perf_counter()
-        med_alpha = fig2_sweep.median_alpha_err(0.3)[3_000_000]
+        med_alpha = fig2_sweep.median_alpha_err[0.3][3_000_000]
         rows, slope = ar_identification_experiment(
             0.3, t_values=(1000, 10_000, 100_000), n_seeds=10, p=2, sigma2=0.2,
         )

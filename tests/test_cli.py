@@ -300,6 +300,25 @@ class TestEvalAndGrid:
         assert "fitting on" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("alphas", ["[[NaN], [NaN], [NaN]]", "[[-0.5], [Infinity], [-0.5]]",
+                                        "[[-0.5], [-0.5], [1e999]]"])
+    def test_eval_non_finite_truth_alphas(self, capsys, tmp_path, alphas):
+        # A for_err against NaN coefficients would be NaN, which is not JSON.
+        data, out = tmp_path / "data", tmp_path / "report"
+        run("synth", "--preset", "forecast", "--n", "3", "--t", "300", "--seed", "5",
+            "-o", str(data))
+        (data / "truth.json").write_text(f'{{"alphas": {alphas}}}')
+        capsys.readouterr()
+        assert run("eval", "--input", str(data / "y.csv"), "--train-end", "200",
+                   "--valid-end", "250", "--test-end", "300", "--p", "1",
+                   "--truth-dir", str(data), "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("samossa: error:")] == [
+            f"samossa: error: ParseError: {data / 'truth.json'}: 'alphas' needs one list of "
+            f"finite coefficients per series (3)"]
+        assert "fitting on" not in err
+        assert not out.exists()
+
     def test_eval_report_constant_series(self, tmp_path):
         # A series with no variance over the test window has no R^2: an empty
         # report.csv cell, null in report.json, and no part in the mean.

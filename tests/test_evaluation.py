@@ -241,6 +241,17 @@ class TestForErr:
         with pytest.raises(ShapeError, match="forecasts must be a 2-D array|not an array of num"):
             for_err(predictions(test.values), test, truth)
 
+    @pytest.mark.parametrize("spoil", ["nan_alpha", "huge_forecast"])
+    def test_non_finite_mean_is_a_metric_error(self, spoil):
+        res, _, test = small_benchmark(seed=7)
+        alphas, preds = res.alphas, test.values.copy()
+        if spoil == "nan_alpha":
+            alphas = (np.array([np.nan]), *alphas[1:])
+        else:
+            preds[2, 5] = 1e300  # its squared gap overflows
+        with pytest.raises(MetricError, match="for_err is undefined"):
+            for_err(preds, test, GeneratorTruth(f=res.f, x=res.x, alphas=alphas))
+
     def test_no_forecasts(self):
         res, _, test = small_benchmark(seed=7)
         truth = GeneratorTruth(f=res.f, x=res.x, alphas=res.alphas)
@@ -332,6 +343,16 @@ class TestZeroVarianceRule:
         with pytest.raises(MetricError, match="'s3'.*sum of squares"):
             _r2_rows(pred, actual, ("s1", "s2", "s3"))
 
+    @pytest.mark.parametrize("pred, actual", [([1e200, 0.0], [0.0, 1.0]),
+                                              ([1e10, 0.0], [0.0, 1e-300])])
+    def test_overflowing_sse_is_a_metric_error(self, pred, actual):
+        # Squared forecast errors beyond the float range, before or after the
+        # row scaling: a typed error, and no RuntimeWarning (warnings are errors here).
+        with pytest.raises(MetricError, match="squared forecast errors sum to inf"):
+            r_squared(pred, actual)
+        with pytest.raises(MetricError, match="^R\\^2 undefined for series 's2'"):
+            _r2_rows(np.array([[0.0, 1.0], pred]), np.array([[0.0, 2.0], actual]), ("s1", "s2"))
+
     def test_order_selection_skips_constant_series(self):
         # fit's p grid with series 2 constant over the validation tail picks
         # the order a manual argmax over the varying series picks.
@@ -413,14 +434,14 @@ class TestFigure2Driver:
         report = figure2_experiment(
             [0.95], [3_000_000], n_seeds=10, sigma2=0.04, threads=os.cpu_count(),
         )
-        med = report.median_est_err(0.95)[3_000_000]
+        med = report.median_est_err[0.95][3_000_000]
         assert 8.5e-4 <= med <= 8.5e-2
 
     def test_decay_direction_small(self):
         report = figure2_experiment(
             lambda_stars=[0.3], nt_values=[3000, 30_000], n_seeds=3,
         )
-        med = report.median_est_err(0.3)
+        med = report.median_est_err[0.3]
         assert med[30_000] < med[3000]
         assert len(report.rows) == 6
         assert report.rows == tuple(sorted(report.rows, key=lambda r: (r.lambda_star, r.nt, r.seed)))

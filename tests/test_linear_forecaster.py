@@ -4,6 +4,7 @@ import pytest
 from samossa import BetaModel, FitError, RankError, RankRule, ShapeError, TimePanel
 from samossa.linear_forecaster import fit_beta, forecast_f
 from samossa.pagemat import stack
+from samossa.ssa_estimator import Stage1
 
 
 def harmonic_panel(n_series, length, freqs, seed=0):
@@ -110,14 +111,14 @@ class TestFitBeta:
     def test_k_hat_must_be_a_count(self, k):
         panel = harmonic_panel(2, 60, freqs=[0.31])
         with pytest.raises(RankError, match=f"k_hat must be an integer >= 0, got {k!r}"):
-            fit_beta(panel, 6, RankRule.fixed(2), k_hat=k)
+            Stage1(panel, 6).beta(k)
 
     def test_degenerate_all_zero(self):
         from samossa import FitError
 
         panel = TimePanel(("a",), np.zeros((1, 30)))
         with pytest.raises(FitError):
-            fit_beta(panel, 3, RankRule.fixed(1), k_hat=1)
+            Stage1(panel, 3).beta(1)
 
 
 class TestForecastF:

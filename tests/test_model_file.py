@@ -294,6 +294,17 @@ class TestFieldsCheckedAtConstruction:
         assert type(config.p) is int
         assert fit(_panel(), config).p_used == (1, 1, 1)
 
+    def test_one_order_has_one_spelling(self, tmp_path):
+        for p in ([2], (2,), [np.int64(2)]):
+            assert SamossaConfig(p=p).p == 2 and type(SamossaConfig(p=p).p) is int
+        assert SamossaConfig(p=[2, 2]).p == (2, 2)  # a grid of two entries stays a grid
+        model = fit(_panel(), SamossaConfig(rank=RankRule.fixed(2), p=[2]))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert json.loads(path.read_text())["config"]["p"] == 2
+        assert load_model(path).config == model.config == SamossaConfig(rank=RankRule.fixed(2),
+                                                                         p=2)
+
     def test_numpy_integers_round_trip(self, tmp_path):
         config = SamossaConfig(L=np.int64(6), rank=RankRule.fixed(np.int32(2)),
                                p=[np.int64(0), 1], shape_ratio=np.int16(2),
@@ -389,10 +400,6 @@ def test_constructed_fields_round_trip(fields):
     for value in (panel.t0, config.L, config.shape_ratio, config.valid_len, config.rank.k,
                   *(config.p if isinstance(config.p, tuple) else (config.p,))):
         assert value is None or type(value) is int
-    if isinstance(config.p, tuple) and len(config.p) > 1 and config.valid_len is None:
-        with pytest.raises(ConfigError, match="valid_len"):
-            fit(panel, config)
-        return
     model = fit(panel, config)
     with tempfile.TemporaryDirectory() as tmp:
         assert_same_model(_save_load(model, tmp), model)

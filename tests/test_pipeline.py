@@ -1,4 +1,6 @@
 import copy
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from samossa import (
 )
 from samossa.ar import fit_ar
 from samossa.linear_forecaster import forecast_f
+from samossa.panel import load_csv
 from samossa.pipeline import (
     fit,
     forecast_recursive,
@@ -27,6 +30,8 @@ from samossa.pipeline import (
     save_model,
 )
 from samossa.synth import GeneratorSpec, estimation_spec, forecasting_spec, generate
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden"
 
 
 def harmonic_panel(n_series=4, length=600, seed=0):
@@ -67,10 +72,28 @@ class TestFit:
         assert abs(model.ar_models[0].alpha[0] - direct.alpha[0]) < 0.02
         assert float(np.linalg.norm(model.beta_model.beta)) < 0.5
 
-    def test_p_grid_requires_validation(self):
-        panel = harmonic_panel()
-        with pytest.raises(ConfigError):
-            fit(panel, SamossaConfig(rank=RankRule.fixed(4), p=(0, 1)))
+    def test_p_grid_defaults_its_validation_window(self):
+        # Without valid_len a p grid is resolved on min(25, max(2, T // 10)),
+        # and the model records that window.
+        config = SamossaConfig(rank=RankRule.fixed(4), p=(0, 1, 2))
+        for length, window in ((600, 25), (120, 12)):
+            panel = harmonic_panel(length=length, seed=4)
+            panel = TimePanel(panel.series_names, panel.values
+                              + 0.1 * np.random.default_rng(4).normal(size=panel.values.shape))
+            model = fit(panel, config)
+            explicit = fit(panel, replace(config, valid_len=window))
+            assert model.config == explicit.config == replace(config, valid_len=window)
+            assert model.p_used == explicit.p_used
+            assert model.beta_model.beta.tobytes() == explicit.beta_model.beta.tobytes()
+            assert [m.alpha.tobytes() for m in model.ar_models] == [
+                m.alpha.tobytes() for m in explicit.ar_models]
+
+    def test_default_config_fits_the_golden_panel(self):
+        golden = load_model(GOLDEN / "model.json")
+        model = fit(load_csv(GOLDEN / "y.csv"))
+        assert (model.L, model.k_hat, model.p_used) == (golden.L, golden.k_hat, golden.p_used)
+        assert (model.L, model.k_hat, model.p_used[0]) == (35, 15, 0)
+        assert model.config == golden.config == SamossaConfig(valid_len=25)
 
     def test_p_grid_picks_ar_order_on_ar_noise(self):
         res = generate(forecasting_spec(n_series=8, length=2050, seed=2))

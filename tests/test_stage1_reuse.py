@@ -14,7 +14,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from samossa import FitError, RankRule, SamossaConfig, SearchError, TimePanel, lowrank
+from samossa import (ConfigError, FitError, RankRule, SamossaConfig, SearchError, TimePanel,
+                     lowrank)
 from samossa import evaluation, pipeline, ssa_estimator
 from samossa.evaluation import (
     default_grid,
@@ -105,12 +106,25 @@ class TestGridSearchOracle:
         assert [e.config for e in entries] == grid[:3] + grid[4:]
 
     def test_p_grid_configs(self):
+        # A searched config takes one AR order: a grid-valued one fails and is left out.
         train, valid = split_panel()
         grid = [SamossaConfig(rank=RankRule.energy(0.9), p=(0, 1, 2), valid_len=20),
-                SamossaConfig(rank=RankRule.fixed(5), p=(1, 2), valid_len=20)]
+                SamossaConfig(rank=RankRule.fixed(5), p=[2]),  # one order, one spelling
+                SamossaConfig(rank=RankRule.fixed(5), p=(1, 2))]
+        results = evaluation._score_each(train, grid, valid, catch=evaluation._CONFIG_ERRORS)
+        assert [type(r) for r in results] == [ConfigError, evaluation.GridEntry, ConfigError]
+        assert "one AR order" in str(results[0])
         _, entries = grid_search(train, valid, grid)
-        expected = [rolling_eval(fit(train, config), valid).mean_r2 for config in grid]
-        assert [e.mean_r2 for e in entries] == expected
+        assert [(e.config, e.mean_r2) for e in entries] == [
+            (grid[1], rolling_eval(fit(train, grid[1]), valid).mean_r2)]
+
+    def test_only_grid_valued_config_is_a_search_error(self):
+        train, valid = split_panel()
+        config = SamossaConfig(rank=RankRule.fixed(5), p=(0, 1), valid_len=20)
+        with pytest.raises(SearchError) as excinfo:
+            grid_search(train, valid, [config])
+        [(failed, error)] = excinfo.value.failures
+        assert failed is config and isinstance(error, ConfigError)
 
 
 class TestForecastBenchmarkOracle:
@@ -147,7 +161,7 @@ class TestSvdCallCounts:
 
     def test_fit_beta(self, svd_calls):
         train, _ = split_panel()
-        fit_beta(train, 30, RankRule.fixed(5), k_hat=5)
+        Stage1(train, 30).beta(5)
         assert svd_calls == [(29, 60)]
         fit_beta(train, 30, RankRule.fixed(5))
         assert svd_calls[1:] == [(30, 60), (29, 60)]
@@ -177,7 +191,7 @@ class TestStage1:
             assert np.array_equal(shared.f_hat, fresh.f_hat)
             assert np.array_equal(shared.x_hat, fresh.x_hat)
             shared_beta = stage.beta(shared.k_hat)
-            fresh_beta = fit_beta(train, 30, rule, k_hat=fresh.k_hat)
+            fresh_beta = fit_beta(train, 30, rule)
             assert np.array_equal(shared_beta.beta, fresh_beta.beta)
             assert shared_beta.resid_rms == fresh_beta.resid_rms
 
@@ -192,7 +206,7 @@ class TestPipelinedScoring:
                 SamossaConfig(L=10**9, rank=rule, p=1),  # unstackable: fails in stage 1
                 SamossaConfig(L=30, rank=rule, p=300),  # 2p + 1 > T_eff: fails on the helper
                 SamossaConfig(L=30, rank=RankRule.universal(), p=2),
-                SamossaConfig(rank=RankRule.energy(0.9), p=(0, 1, 2), valid_len=20),
+                SamossaConfig(rank=RankRule.energy(0.9), p=2),
                 SamossaConfig(L=30, rank=rule, p=0),
                 SamossaConfig(rank=RankRule.fixed(3), p=1, shape_ratio=3)]
         got = evaluation._score_each(train, grid, valid, catch=evaluation._CONFIG_ERRORS)
