@@ -24,8 +24,6 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
-import numpy as np
-
 from . import evaluation, pipeline, synth
 from .errors import ParseError, RankError, SamossaError
 from .lowrank import RankRule
@@ -174,8 +172,10 @@ _LAYOUT = Option(("--layout",), _choice("wide", "long"), "wide | long", default=
 _PANEL = (Option(("--input",), _text, "panel CSV", required=True), _LAYOUT)
 _SHAPE = (
     Option(("--L",), _segment, "segment length or 'auto'", default="auto"),
-    Option(("--ratio",), _number(int, 1), "columns/rows shape ratio for auto L", default=1),
-    Option(("--rank",), _rank, "fixed:K | energy:F | universal", default="energy:0.9"),
+    Option(("--ratio",), _number(int, 1), "columns/rows shape ratio for auto L",
+           default=SamossaConfig().shape_ratio),
+    Option(("--rank",), _rank, "fixed:K | energy:F | universal",
+           default=str(SamossaConfig().rank)),
 )
 _SPLIT = (
     Option(("--train-end",), _number(int, 1), "last training index", required=True),
@@ -271,7 +271,7 @@ def _cmd_synth(opts: argparse.Namespace) -> int:
             **sizes,
             n_fundamentals=opts.r,
             ar_order=opts.p,
-            lambda_star=opts.lambda_star if opts.alpha is None else None,
+            lambda_star=opts.lambda_star,
             alpha=opts.alpha,
             sigma2=opts.sigma2,
             seed=opts.seed,
@@ -354,15 +354,13 @@ def _load_truth(truth_dir: str) -> evaluation.GeneratorTruth:
     f_panel = load_csv(os.path.join(truth_dir, "f.csv"))
     x_panel = load_csv(os.path.join(truth_dir, "x.csv"))
     path = os.path.join(truth_dir, "truth.json")
-    try:
+    try:  # the model file's rule: one list of finite JSON numbers per series
         with open(path, encoding="utf-8") as fh:
-            alphas = tuple(np.array(a, dtype=np.float64) for a in json.load(fh)["alphas"])
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError: not UTF-8, not JSON
+            alphas = pipeline._entries(json.load(fh)["alphas"], f_panel.n_series, "alphas")
+        alphas = tuple(pipeline._vector(a, len(a) if isinstance(a, list) else 1, f"alphas[{n}]")
+                       for n, a in enumerate(alphas))
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError: not UTF-8 or JSON, a bad entry
         raise ParseError(f"{path}: cannot read 'alphas' ({type(exc).__name__}: {exc})") from None
-    if len(alphas) != f_panel.n_series or any(a.ndim != 1 or not np.isfinite(a).all()
-                                              for a in alphas):
-        raise ParseError(f"{path}: 'alphas' needs one list of finite coefficients per series "
-                         f"({f_panel.n_series})")
     return evaluation.GeneratorTruth(f=f_panel, x=x_panel, alphas=alphas)
 
 
@@ -526,9 +524,11 @@ COMMANDS = {
         _cmd_grid, "exhaustive hyperparameter search on a validation window",
         *_PANEL, *_SPLIT[:2],
         Option(("--ranks",), _list(_rank), "rank rules (comma list)",
-               default="universal,energy:0.9,fixed:5"),
-        Option(("--ratios",), _list(_number(int, 1)), "shape ratios (comma list)", default="1,3,5"),
-        Option(("--ps",), _list(_number(int, 0)), "AR orders (comma list)", default="0,1,2,3"),
+               default=",".join(map(str, evaluation.RANK_GRID_DEFAULT))),
+        Option(("--ratios",), _list(_number(int, 1)), "shape ratios (comma list)",
+               default=",".join(map(str, evaluation.RATIO_GRID_DEFAULT))),
+        Option(("--ps",), _list(_number(int, 0)), "AR orders (comma list)",
+               default=",".join(map(str, pipeline.P_GRID_DEFAULT))),
         _OUT,
     ),
     "fig2": _command(

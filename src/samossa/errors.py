@@ -98,7 +98,10 @@ def _float_array(values, what: str, error: type[Exception]) -> np.ndarray:
         array = np.asarray(values)
     except (TypeError, ValueError) as exc:  # ragged nesting
         raise error(f"{what} are not an array of numbers: {exc}") from None
-    if array.dtype.kind not in "iuf":
-        raise error(f"{what} are not an array of numbers: need integers or floats, "
-                    f"got {array.dtype}")
+    bad = array.dtype if array.dtype.kind not in "iuf" else None
+    if bad is None and not isinstance(values, np.ndarray):  # numpy promotes [1.0, True]
+        bad = next((repr(v) for v in np.asarray(values, dtype=object).flat
+                    if isinstance(v, (bool, np.bool_))), None)
+    if bad is not None:
+        raise error(f"{what} are not an array of numbers: need integers or floats, got {bad}")
     return array.astype(np.float64, copy=False)

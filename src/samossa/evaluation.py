@@ -26,7 +26,7 @@ from .linear_forecaster import BetaModel
 from .lowrank import RankRule, SvdResult
 from .pagemat import default_L
 from .panel import TimePanel
-from .pipeline import SamossaConfig, SamossaModel, _ar_dots, _assemble, roll
+from .pipeline import P_GRID_DEFAULT, SamossaConfig, SamossaModel, _ar_dots, _assemble, roll
 from .ssa_estimator import Stage1, _truncate, decompose, est_err
 from .synth import GeneratorSpec, estimation_spec, forecasting_spec, generate
 
@@ -221,10 +221,13 @@ def rolling_eval(model: SamossaModel, test: TimePanel,
     )
 
 
-def default_grid(ranks=None, ratios=(1, 3, 5), orders=(0, 1, 2, 3)) -> list[SamossaConfig]:
+RANK_GRID_DEFAULT = (RankRule.universal(), RankRule.energy(0.9), RankRule.fixed(5))
+RATIO_GRID_DEFAULT = (1, 3, 5)
+
+
+def default_grid(ranks=RANK_GRID_DEFAULT, ratios=RATIO_GRID_DEFAULT,
+                 orders=P_GRID_DEFAULT) -> list[SamossaConfig]:
     """The standard hyperparameter lattice: rank rule x shape ratio x AR order."""
-    if ranks is None:
-        ranks = (RankRule.universal(), RankRule.energy(0.9), RankRule.fixed(5))
     return [
         SamossaConfig(L=None, rank=rank, p=p, shape_ratio=ratio)
         for rank, ratio, p in itertools.product(ranks, ratios, orders)
@@ -416,9 +419,7 @@ def _fig2_point(lambda_star: float, nt: int, seed: int, n_series: int,
                 rank: RankRule, p: int, sigma2: float) -> Fig2Row:
     length = nt // n_series
     spec = estimation_spec(lambda_star, n_series=n_series, length=length, seed=seed)
-    if sigma2 != spec.sigma2:
-        spec = replace(spec, sigma2=sigma2)
-    result = generate(spec)
+    result = generate(replace(spec, sigma2=sigma2))
     L = default_L(n_series, length)
     decomp = decompose(result.y, L, rank)
     err = est_err(decomp, result.f, n=0)
@@ -428,7 +429,7 @@ def _fig2_point(lambda_star: float, nt: int, seed: int, n_series: int,
 
 
 def figure2_experiment(lambda_stars, nt_values, n_seeds: int, n_series: int = 10,
-                       rank: RankRule | None = None, p: int = 2, sigma2: float = 0.2,
+                       rank: RankRule = RankRule.fixed(6), p: int = 2, sigma2: float = 0.2,
                        base_seed: int = 0, threads: int | None = None) -> Fig2Report:
     """Estimation-error rate sweep over panel size.
 
@@ -439,7 +440,6 @@ def figure2_experiment(lambda_stars, nt_values, n_seeds: int, n_series: int = 10
     generator as N*T grows. Slopes are least-squares fits of
     log(median est_err) against log(N*T).
     """
-    rank = rank or RankRule.fixed(6)
     tasks = [(lam, nt, base_seed + s)
              for lam, nt, s in itertools.product(lambda_stars, nt_values, range(n_seeds))]
     with ThreadPoolExecutor(max_workers=threads or 1) as pool:

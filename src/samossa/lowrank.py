@@ -91,11 +91,12 @@ def _arpack(a: np.ndarray, k: int) -> SvdResult | None:
 class RankRule:
     """How to pick the HSVT threshold k from a singular spectrum.
 
-    Three variants: a fixed k; the smallest k capturing a fraction of the
-    spectral energy; or counting values above the shape-dependent universal
-    threshold omega(beta) * median(s). ``k`` must be an integer >= 1 (numpy
-    integers convert) and ``fraction`` a real number in (0, 1], stored as a
-    float; anything else raises RankError on construction.
+    Three kinds: a fixed ``k``, an integer >= 1 (numpy integers convert); the
+    smallest k capturing a ``fraction`` of the spectral energy, a real in
+    (0, 1] stored as a float; or counting values above the shape-dependent
+    universal threshold omega(beta) * median(s). A kind holds only the field
+    it reads, so a rule has one spelling; anything else raises RankError on
+    construction.
     """
 
     kind: str
@@ -112,6 +113,10 @@ class RankRule:
             object.__setattr__(self, "fraction", float(f))
         elif self.kind != "universal":
             raise RankError(f"unknown rank rule {self.kind!r}")
+        for name in {"fixed": ("fraction",), "energy": ("k",)}.get(self.kind, ("k", "fraction")):
+            if getattr(self, name) is not None:
+                raise RankError(f"a {self.kind} rank rule takes no {name}, "
+                                f"got {getattr(self, name)!r}")
 
     @classmethod
     def fixed(cls, k: int) -> "RankRule":

@@ -85,9 +85,10 @@ class SamossaConfig:
     Fields are checked on construction (ConfigError): ``L`` None or an
     integer >= 2, ``rank`` a :class:`RankRule`, ``p`` an integer >= 0 or a
     non-empty list or tuple of them, ``shape_ratio`` an integer >= 1,
-    ``valid_len`` None or an integer >= 2. An order has one spelling: a
-    one-entry list or tuple is stored as its order (``[2]`` as 2), a longer
-    one as a tuple. Numpy integers convert to int; booleans are refused.
+    ``valid_len`` None or an integer >= 2. Numpy integers convert to int;
+    booleans are refused. A fit has one spelling: an order is stored as an
+    int (``[2]`` as 2), a grid as a tuple, and a field the fit does not read
+    as its default (``valid_len`` beside an order, ``shape_ratio`` beside L).
     """
 
     L: int | None = None
@@ -112,6 +113,10 @@ class SamossaConfig:
             "valid_len": (None if self.valid_len is None
                           else _integer(self.valid_len, "valid_len", 2, ConfigError)),
         }
+        if len(p) == 1:  # only a p grid reads a validation window
+            checked["valid_len"] = None
+        if checked["L"] is not None:  # only an automatic L reads the shape ratio
+            checked["shape_ratio"] = 1
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 

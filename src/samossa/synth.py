@@ -47,9 +47,10 @@ _TWO_PI = 2.0 * math.pi
 class GeneratorSpec:
     """What to draw, checked on construction (SpecError): counts are integers >= 1,
     the seed an integer >= 0 (numpy integers convert), each range a pair of
-    finite reals, ``sigma2`` finite and > 0, an explicit ``alpha`` a
-    non-empty vector of finite reals (stored as a tuple of floats), and
-    ``lambda_star`` a real in (0, 1), or None beside an explicit ``alpha``."""
+    finite reals, ``sigma2`` finite and > 0, and ``lambda_star`` a real in
+    (0, 1), or None beside an explicit ``alpha``: a non-empty vector of finite
+    reals, stored as a tuple of floats, that owns the AR order and the roots,
+    so the spec then stores ``ar_order`` as its length and ``lambda_star`` as None."""
 
     kind: str                 # harmonics | harmonics_trend | pure_ar
     n_series: int = 10
@@ -78,15 +79,17 @@ class GeneratorSpec:
                 raise SpecError(f"frequency range {self.freq_range} not inside (0, pi)")
         if not _is_real(self.sigma2) or self.sigma2 <= 0.0:
             raise SpecError(f"noise variance must be a finite number > 0, got {self.sigma2!r}")
+        lam = self.lambda_star
+        if (self.alpha is None or lam is not None) and not (_is_real(lam) and 0.0 < lam < 1.0):
+            raise SpecError(f"lambda_star must be in (0, 1), got {lam}")
         if self.alpha is not None:
             alpha = _float_array(self.alpha, "explicit alpha", SpecError)
             if alpha.ndim != 1 or alpha.size < 1 or not np.isfinite(alpha).all():
                 raise SpecError(f"explicit alpha must be a non-empty vector of finite numbers, "
                                 f"got {self.alpha!r}")
-            object.__setattr__(self, "alpha", tuple(alpha.tolist()))
-        lam = self.lambda_star
-        if (self.alpha is None or lam is not None) and not (_is_real(lam) and 0.0 < lam < 1.0):
-            raise SpecError(f"lambda_star must be in (0, 1), got {lam}")
+            for name, value in (("alpha", tuple(alpha.tolist())), ("ar_order", alpha.size),
+                                ("lambda_star", None)):  # generate reads neither of the last two
+                object.__setattr__(self, name, value)
 
 
 def _pair(value, what: str) -> tuple[float, float]:
@@ -126,12 +129,6 @@ def ar_from_lambda_star(p: int, lambda_star: float) -> np.ndarray:
     raise SpecError(f"root placement only defined for p in {{1, 2}}, got p={p}")
 
 
-def _resolve_alpha(spec: GeneratorSpec) -> np.ndarray:
-    if spec.alpha is not None:
-        return np.array(spec.alpha)
-    return ar_from_lambda_star(spec.ar_order, spec.lambda_star)
-
-
 def _simulate_ar(alpha: np.ndarray, sigma: float, length: int, rng: np.random.Generator,
                  lambda_star: float) -> np.ndarray:
     from scipy.signal import lfilter  # scipy.signal takes about a second to import
@@ -146,7 +143,8 @@ def _simulate_ar(alpha: np.ndarray, sigma: float, length: int, rng: np.random.Ge
 
 def generate(spec: GeneratorSpec) -> SynthResult:
     """Draw one synthetic panel: observations, truth components, and alphas."""
-    alpha = _resolve_alpha(spec)
+    alpha = (np.array(spec.alpha) if spec.alpha is not None
+             else ar_from_lambda_star(spec.ar_order, spec.lambda_star))
     roots = characteristic_roots(alpha)
     lam = float(np.abs(roots[0]))
     if lam >= 1.0:
@@ -187,18 +185,9 @@ def generate(spec: GeneratorSpec) -> SynthResult:
 
 def estimation_spec(lambda_star: float, n_series: int = 10, length: int = 10_000,
                     seed: int = 0) -> GeneratorSpec:
-    """Model-estimation preset: 3 harmonics, AR(2) noise, sigma^2 = 0.2."""
-    return GeneratorSpec(
-        kind="harmonics",
-        n_series=n_series,
-        length=length,
-        n_fundamentals=3,
-        freq_range=(_TWO_PI / 100.0, _TWO_PI / 50.0),
-        ar_order=2,
-        lambda_star=lambda_star,
-        sigma2=0.2,
-        seed=seed,
-    )
+    """Model-estimation preset: 3 harmonics, AR(2) noise, sigma^2 = 0.2 (the spec's defaults)."""
+    return GeneratorSpec(kind="harmonics", n_series=n_series, length=length,
+                         lambda_star=lambda_star, seed=seed)
 
 
 def forecasting_spec(n_series: int = 25, length: int = 10_050, seed: int = 0) -> GeneratorSpec:
@@ -209,8 +198,6 @@ def forecasting_spec(n_series: int = 25, length: int = 10_050, seed: int = 0) ->
         length=length,
         n_fundamentals=3,
         freq_range=(_TWO_PI / 100.0, _TWO_PI / 10.0),
-        ar_order=1,
-        lambda_star=None,
         alpha=(-0.5,),
         sigma2=1.0,
         seed=seed,

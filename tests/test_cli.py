@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import samossa
-from samossa.cli import COMMANDS, _build_parser, main
+from samossa.cli import COMMANDS, _build_parser, _pipeline_config, _resolve, main
+from samossa.evaluation import RANK_GRID_DEFAULT, RATIO_GRID_DEFAULT, default_grid
+from samossa.pipeline import P_GRID_DEFAULT, SamossaConfig
 from samossa.panel import TimePanel, load_csv, save_csv
 
 
@@ -94,6 +96,20 @@ class TestSynth:
         assert run("synth", "--kind", "pure_ar", "--alpha", "0.5", "--n", "1", "--t", "50",
                    "--config", str(conf), "-o", str(tmp_path / "custom")) == 0
 
+    def test_alpha_records_the_drawn_order(self, tmp_path):
+        # An explicit alpha owns the order and the root: truth.json records
+        # AR(1) and no lambda_star, and the draw is the AR(1) with root 0.5
+        # that --p 1 --lambda-star 0.5 draws.
+        assert run("synth", "--alpha", "0.5", "--n", "2", "--t", "80", "--seed", "3",
+                   "-o", str(tmp_path / "alpha")) == 0
+        assert run("synth", "--p", "1", "--lambda-star", "0.5", "--n", "2", "--t", "80",
+                   "--seed", "3", "-o", str(tmp_path / "root")) == 0
+        spec = json.loads((tmp_path / "alpha" / "truth.json").read_text())["spec"]
+        assert (spec["ar_order"], spec["lambda_star"], spec["alpha"]) == (1, None, [0.5])
+        for name in ("y.csv", "f.csv", "x.csv"):
+            alpha, root = (tmp_path / "alpha" / name), (tmp_path / "root" / name)
+            assert alpha.read_bytes() == root.read_bytes()
+
 
 class TestFitForecast:
     def test_fit_writes_model(self, synth_dir, tmp_path):
@@ -118,6 +134,21 @@ class TestFitForecast:
         code = run("fit", "--input", str(synth_dir / "y.csv"),
                    "--p", "0,2", "--valid-len", "30", "-o", str(tmp_path / "m.json"))
         assert code == 0
+
+    def test_valid_len_checked_beside_a_fixed_order(self, capsys, synth_dir, tmp_path):
+        # A fixed order reads no validation window, but a bad one is still refused.
+        capsys.readouterr()
+        assert run("fit", "--input", str(synth_dir / "y.csv"), "--p", "1", "--valid-len", "1",
+                   "-o", str(tmp_path / "m.json")) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "samossa: error: ConfigError: valid_len must be an integer >= 2, got 1")
+
+    def test_fit_records_no_window_for_a_fixed_order(self, synth_dir, tmp_path):
+        model_path = tmp_path / "m.json"
+        assert run("fit", "--input", str(synth_dir / "y.csv"), "--p", "1", "--valid-len", "30",
+                   "--L", "20", "--ratio", "3", "-o", str(model_path)) == 0
+        config = json.loads(model_path.read_text())["config"]
+        assert (config["valid_len"], config["shape_ratio"]) == (None, 1)
 
     def test_invalid_L_usage_error(self, synth_dir, tmp_path):
         code = run("fit", "--input", str(synth_dir / "y.csv"), "--L", "0",
@@ -301,9 +332,18 @@ class TestEvalAndGrid:
         assert not out.exists()
 
     @pytest.mark.parametrize("alphas", ["[[NaN], [NaN], [NaN]]", "[[-0.5], [Infinity], [-0.5]]",
-                                        "[[-0.5], [-0.5], [1e999]]"])
+                                        "[[-0.5], [-0.5], [1e999]]",
+                                        '[["-0.5"], [true], ["-5e-1"]]'])
     def test_eval_non_finite_truth_alphas(self, capsys, tmp_path, alphas):
         # A for_err against NaN coefficients would be NaN, which is not JSON.
+        # The alphas follow the model file's number rule, which names the
+        # first entry that is not a finite JSON number (strings and booleans
+        # are not numbers).
+        detail = {"[[NaN], [NaN], [NaN]]": "alphas[0][0] must be a finite number, got nan",
+                  "[[-0.5], [Infinity], [-0.5]]": "alphas[1][0] must be a finite number, got inf",
+                  "[[-0.5], [-0.5], [1e999]]": "alphas[2][0] must be a finite number, got inf",
+                  '[["-0.5"], [true], ["-5e-1"]]':
+                      "alphas[0][0] must be a finite number, got '-0.5'"}[alphas]
         data, out = tmp_path / "data", tmp_path / "report"
         run("synth", "--preset", "forecast", "--n", "3", "--t", "300", "--seed", "5",
             "-o", str(data))
@@ -314,8 +354,8 @@ class TestEvalAndGrid:
                    "--truth-dir", str(data), "-o", str(out)) == 2
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if line.startswith("samossa: error:")] == [
-            f"samossa: error: ParseError: {data / 'truth.json'}: 'alphas' needs one list of "
-            f"finite coefficients per series (3)"]
+            f"samossa: error: ParseError: {data / 'truth.json'}: cannot read 'alphas' "
+            f"(ValueError: {detail})"]
         assert "fitting on" not in err
         assert not out.exists()
 
@@ -661,6 +701,19 @@ class TestHelp:
         for name, sub in subparsers.choices.items():
             built = [(a.option_strings, a.required, a.help) for a in sub._actions[1:]]
             assert built == [(o["flags"], o["required"], o["help"]) for o in declared[name]]
+
+    def test_bare_options_resolve_to_the_library_defaults(self):
+        # The default lattice and the fit defaults are stated once, in the library.
+        def resolved(*argv):
+            return _resolve(_build_parser().parse_args(list(argv)))
+
+        grid = resolved("grid", "--input", "y.csv", "--train-end", "1", "--valid-end", "2",
+                        "-o", "out")
+        assert default_grid(grid.ranks, grid.ratios, grid.ps) == default_grid()
+        assert (grid.ranks, grid.ratios, grid.ps) == (
+            RANK_GRID_DEFAULT, RATIO_GRID_DEFAULT, P_GRID_DEFAULT)
+        assert _pipeline_config(resolved("fit", "--input", "y.csv", "-o", "m.json")) == \
+            SamossaConfig()
 
     def test_help_exit_code(self):
         assert run("--help") == 0

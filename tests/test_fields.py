@@ -5,15 +5,28 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from samossa import (
     ArModel,
     BetaModel,
+    ConfigError,
+    FitError,
     GeneratorSpec,
+    GeneratorTruth,
+    IngestError,
+    RankError,
     RankRule,
     SamossaConfig,
     SamossaError,
+    ShapeError,
+    SpecError,
     SplitSpec,
     TimePanel,
+    fit,
+    for_err,
+    generate,
+    roll,
 )
 
 BAD = ("x", None, True, math.nan, math.inf, 1.5)
@@ -69,3 +82,66 @@ def test_numbers_are_stored_as_plain_python_values(cls, kwargs, stored):
     field, expected = stored
     value = getattr(cls(**kwargs), field)
     assert value == expected and type(value) is type(expected)
+
+
+# One spelling per configuration: a config keeps only the values its kind
+# reads, so two configs that fit or draw the same thing compare equal.
+
+@pytest.mark.parametrize("kind, fields", [
+    ("fixed", dict(k=3, fraction=0.3)), ("energy", dict(fraction=0.9, k=3)),
+    ("universal", dict(k=7)), ("universal", dict(fraction=0.5)),
+])
+def test_rank_rule_refuses_fields_its_kind_does_not_read(kind, fields):
+    with pytest.raises(RankError, match=f"a {kind} rank rule takes no"):
+        RankRule(kind, **fields)
+
+
+def test_config_stores_only_what_the_fit_reads():
+    assert SamossaConfig(p=2, valid_len=30) == SamossaConfig(p=2)
+    assert SamossaConfig(p=[2], valid_len=30).valid_len is None
+    assert SamossaConfig(L=40, shape_ratio=3) == SamossaConfig(L=40)
+    grid = SamossaConfig(p=(0, 1), shape_ratio=3, valid_len=30)
+    assert (grid.shape_ratio, grid.valid_len) == (3, 30)
+    assert replace(grid, p=1) == SamossaConfig(p=1, shape_ratio=3)  # order selection's candidates
+    for bad in (dict(p=2, valid_len=1), dict(L=40, shape_ratio=0)):  # checked, then dropped
+        with pytest.raises(ConfigError):
+            SamossaConfig(**bad)
+
+
+def test_explicit_alpha_owns_the_order_and_the_root():
+    spec = GeneratorSpec(kind="harmonics", n_series=2, length=60, alpha=(0.5,))
+    assert (spec.ar_order, spec.lambda_star) == (1, None)
+    assert spec == replace(spec, ar_order=3, lambda_star=0.9)
+    with pytest.raises(SpecError, match="lambda_star"):  # still checked beside alpha
+        replace(spec, lambda_star=1.5)
+    # AR(1) with root 0.5 is also what ar_order=1, lambda_star=0.5 draws.
+    drawn = generate(spec)
+    same = generate(GeneratorSpec(kind="harmonics", n_series=2, length=60, ar_order=1,
+                                  lambda_star=0.5))
+    for a, b in ((drawn.y, same.y), (drawn.f, same.f), (drawn.x, same.x)):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+_TRUTH = GeneratorTruth(f=TimePanel(("a",), [[0.0] * 4]), x=TimePanel(("a",), [[1.0] * 4]),
+                       alphas=(np.array([0.5]),))
+
+
+def _roll(values):
+    panel = TimePanel(("a",), [np.sin(np.arange(40.0))])
+    return roll(fit(panel, SamossaConfig(L=4, rank=RankRule.fixed(1), p=1)), values)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda v: TimePanel(("a",), [v]), IngestError),
+    (lambda v: ArModel(alpha=v, noise_var_hat=1.0), FitError),
+    (lambda v: BetaModel(beta=v, k_hat=1, resid_rms=0.0), FitError),
+    (lambda v: _roll([v]), IngestError),
+    (lambda v: for_err([v], TimePanel(("a",), [[1.0, 2.0]], t0=3), _TRUTH), ShapeError),
+    (lambda v: GeneratorSpec(kind="pure_ar", alpha=v), SpecError),
+], ids=["TimePanel", "ArModel", "BetaModel", "roll", "for_err", "GeneratorSpec"])
+@pytest.mark.parametrize("flag", [True, np.False_], ids=["bool", "numpy_bool"])
+def test_a_boolean_anywhere_in_a_list_is_refused(make, error, flag):
+    # numpy would promote [0.5, True] to floats; the error names the boolean.
+    make([0.25, 0.5])  # the same call with numbers goes through
+    with pytest.raises(error, match=f"need integers or floats, got {flag!r}"):
+        make([0.5, flag])

@@ -352,6 +352,16 @@ def _grids(entry, min_size):
     return st.one_of(entry, grid, grid.map(tuple))
 
 
+@st.composite
+def _raw_rank(draw):
+    """("raw", kind, k, fraction) for RankRule(kind, k=k, fraction=fraction): the field the
+    kind reads is valid, and half the time the field it does not read is set as well."""
+    kind = draw(st.sampled_from(("fixed", "energy", "universal")))
+    k, fraction, stray = draw(_whole(1)), draw(st.floats(0.01, 1.0)), draw(st.booleans())
+    return ("raw", kind, k if stray or kind == "fixed" else None,
+            fraction if stray or kind == "energy" else None)
+
+
 _ANY = st.one_of(_whole(-1), st.booleans(), st.floats(-1.0, 4.0), st.just("2"))
 _TEXT = st.lists(st.text(max_size=3), min_size=3, max_size=3)
 
@@ -366,7 +376,7 @@ _POOLS = {
     "valid_len": (st.one_of(st.none(), _whole(2), st.integers(5, 9)), _ANY),
     "rank": (st.one_of(st.tuples(st.just("fixed"), _whole(1)),
                        st.tuples(st.just("energy"), st.floats(0.01, 1.0)),
-                       st.just(("universal",))),
+                       st.just(("universal",)), _raw_rank()),
              st.one_of(st.tuples(st.just("fixed"), _ANY),
                        st.tuples(st.just("energy"), st.one_of(
                            st.floats(), st.floats(0.0, 1.0).map(np.float32), st.booleans(),
@@ -384,13 +394,16 @@ def _fields(draw):
 
 def _rank(spec):
     kind, *args = spec
+    if kind == "raw":
+        return RankRule(args[0], k=args[1], fraction=args[2])
     return args[0] if kind == "text" else getattr(RankRule, kind)(*args)
 
 
 @settings(max_examples=150)
 @given(_fields())
 def test_constructed_fields_round_trip(fields):
-    """Either construction raises a typed error, or the fit saves and loads bit for bit."""
+    """Either construction raises a typed error, or the fit saves and loads bit for bit,
+    its config to an equal config (a config holds no value its fit does not read)."""
     try:
         panel = _panel(fields["names"], fields["t0"])
         config = SamossaConfig(rank=_rank(fields["rank"]), **{
