@@ -7,15 +7,19 @@ timestamp parsing; calendars are out of scope.
 CSV conventions: UTF-8, comma-delimited, '.' decimal separator. Wide layout
 is one column per series and one row per timestep, with an optional header
 row of series names. Long layout is (series, t, value) triples. Every CSV
-table the package writes, panels and reports alike, goes through
-:func:`write_rows`. Every JSON document it writes, the model file and each
-CLI output alike, goes through :func:`write_json`, which encodes the whole
-document before it opens the file.
+table the package writes is written here: reports by :func:`write_rows`,
+through the ``csv`` module, and panels by :func:`save_csv`, whose header
+goes through the ``csv`` module and whose body it joins from ``repr`` in
+blocks of time steps, to the bytes the ``csv`` module would write. Every
+JSON document it writes, the model file and each CLI output alike, goes
+through :func:`write_json`, which encodes the whole document before it
+opens the file.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 from collections.abc import Iterable
@@ -316,6 +320,8 @@ def write_rows(path, header, rows) -> None:
     ``rows``, any iterable of cell sequences, is consumed one row at a time.
     A Python float is written as its shortest round-trip text and None as an
     empty cell; turn numpy scalars into Python ones first (``tolist()``).
+    This is the writer of reports; :func:`save_csv` writes a panel's body
+    itself, to the same bytes.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -334,20 +340,44 @@ def write_json(path, doc) -> None:
         fh.write(text)
 
 
-def save_csv(panel: TimePanel, path, layout: str = "wide") -> None:
-    """Write a panel to CSV. Floats use shortest round-trip formatting.
+# Time steps per write in save_csv: the text of one block is in memory at a time.
+_BLOCK = 1024
 
-    An unknown ``layout`` raises ConfigError before the file is opened.
+
+def _first_cell(text: str) -> str:
+    """``text`` as the csv module writes it as the first of several cells, with its comma."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+def save_csv(panel: TimePanel, path, layout: str = "wide") -> None:
+    """Write a panel to CSV, in the bytes :func:`write_rows` would write for its rows.
+
+    The header goes through the ``csv`` module. The body is joined here from
+    ``repr`` of each value, :data:`_BLOCK` time steps per write, so the
+    file's text is never in memory at once. Those are the ``csv`` module's
+    own bytes: it writes a float as its ``repr`` (shortest round-trip text)
+    and never quotes one, and a panel's values are finite floats. The long
+    layout quotes each series name once through the ``csv`` module. An
+    unknown ``layout`` raises ConfigError before the file is opened.
     """
     _check_layout(layout)
-    if layout == "wide":
-        write_rows(path, panel.series_names, (row.tolist() for row in panel.values.T))
-    else:
-        write_rows(path, ("series", "t", "value"), (
-            (name, panel.t0 + j, value)
-            for name, row in zip(panel.series_names, panel.values)
-            for j, value in enumerate(row.tolist())
-        ))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(panel.series_names if layout == "wide"
+                                else ("series", "t", "value"))
+        # Rows come from tolist(): numpy 2 spells repr(np.float64(x)) "np.float64(x)".
+        if layout == "wide":
+            columns = panel.values.T
+            for lo in range(0, panel.length, _BLOCK):
+                fh.write("".join(",".join(map(repr, row)) + "\r\n"
+                                 for row in columns[lo:lo + _BLOCK].tolist()))
+        else:
+            for name, row in zip(panel.series_names, panel.values):
+                cell = _first_cell(name)
+                for lo in range(0, panel.length, _BLOCK):
+                    fh.write("".join(f"{cell}{t},{value!r}\r\n" for t, value
+                                     in enumerate(row[lo:lo + _BLOCK].tolist(), panel.t0 + lo)))
 
 
 def split(panel: TimePanel, spec: SplitSpec) -> tuple[TimePanel, TimePanel, TimePanel]:

@@ -43,6 +43,14 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
+# The deterministic-component fields each kind reads; the spec stores None for the rest.
+_READS = {
+    "harmonics": ("n_fundamentals", "freq_range", "phase_range"),
+    "harmonics_trend": ("n_fundamentals", "freq_range", "phase_range", "slope_range"),
+    "pure_ar": (),
+}
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """What to draw, checked on construction (SpecError): counts are integers >= 1,
@@ -50,15 +58,20 @@ class GeneratorSpec:
     finite reals, ``sigma2`` finite and > 0, and ``lambda_star`` a real in
     (0, 1), or None beside an explicit ``alpha``: a non-empty vector of finite
     reals, stored as a tuple of floats, that owns the AR order and the roots,
-    so the spec then stores ``ar_order`` as its length and ``lambda_star`` as None."""
+    so the spec then stores ``ar_order`` as its length and ``lambda_star`` as None.
+
+    A kind keeps only the deterministic-component fields it reads:
+    ``harmonics`` stores ``slope_range`` as None, and ``pure_ar`` stores
+    ``n_fundamentals`` and all three ranges as None. A field the kind does not
+    read may be None; any other value is still checked, then dropped."""
 
     kind: str                 # harmonics | harmonics_trend | pure_ar
     n_series: int = 10
     length: int = 10_000
-    n_fundamentals: int = 3
-    freq_range: tuple[float, float] = (_TWO_PI / 100.0, _TWO_PI / 50.0)
-    phase_range: tuple[float, float] = (0.0, _TWO_PI)
-    slope_range: tuple[float, float] = (-5e-4, 5e-4)
+    n_fundamentals: int | None = 3
+    freq_range: tuple[float, float] | None = (_TWO_PI / 100.0, _TWO_PI / 50.0)
+    phase_range: tuple[float, float] | None = (0.0, _TWO_PI)
+    slope_range: tuple[float, float] | None = (-5e-4, 5e-4)
     ar_order: int = 2
     lambda_star: float | None = 0.3
     alpha: tuple[float, ...] | None = None   # explicit coefficients override
@@ -66,14 +79,19 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("harmonics", "harmonics_trend", "pure_ar"):
+        if self.kind not in _READS:
             raise SpecError(f"unknown generator kind {self.kind!r}")
-        for name in ("n_series", "length", "n_fundamentals", "ar_order", "seed"):
+        reads = _READS[self.kind]
+        for name in ("n_series", "length", "ar_order", "seed"):
             value = _integer(getattr(self, name), name, 0 if name == "seed" else 1, SpecError)
             object.__setattr__(self, name, value)
-        for name in ("freq_range", "phase_range", "slope_range"):
-            object.__setattr__(self, name, _pair(getattr(self, name), name))
-        if self.kind != "pure_ar":
+        for name in ("n_fundamentals", "freq_range", "phase_range", "slope_range"):
+            value = getattr(self, name)
+            if value is not None or name in reads:
+                value = (_integer(value, name, 1, SpecError) if name == "n_fundamentals"
+                         else _pair(value, name))
+            object.__setattr__(self, name, value if name in reads else None)
+        if "freq_range" in reads:
             lo, hi = self.freq_range
             if not (0.0 < lo <= hi < math.pi):
                 raise SpecError(f"frequency range {self.freq_range} not inside (0, pi)")
@@ -152,11 +170,12 @@ def generate(spec: GeneratorSpec) -> SynthResult:
 
     children = np.random.SeedSequence(spec.seed).spawn(1 + spec.n_series)
     rng_det = np.random.default_rng(children[0])
-    N, T, R = spec.n_series, spec.length, spec.n_fundamentals
+    N, T = spec.n_series, spec.length
 
     if spec.kind == "pure_ar":
         f = np.zeros((N, T))
     else:
+        R = spec.n_fundamentals
         omega = rng_det.uniform(*spec.freq_range, size=R)
         phi = rng_det.uniform(*spec.phase_range, size=R)
         t = np.arange(1, T + 1, dtype=np.float64)

@@ -450,6 +450,18 @@ class TestGoldenOutputs:
         save_csv(load_csv(GOLDEN / "y.csv").window(30, 430), out, layout="long")
         assert out.read_bytes() == (GOLDEN / "y_long.csv").read_bytes()
 
+    # Panels written by the csv module's writerows, before save_csv joined its
+    # own rows: the golden model rolled over the last 50 rows of y.csv.
+    def test_observe_forecast_panels(self, tmp_path):
+        lines = (GOLDEN / "y.csv").read_bytes().splitlines(keepends=True)
+        test_csv = tmp_path / "test.csv"
+        test_csv.write_bytes(b"".join(lines[:1] + lines[-50:]))
+        out = tmp_path / "rolled"
+        assert run("observe-forecast", "--model", str(GOLDEN / "model.json"),
+                   "--test", str(test_csv), "-o", str(out)) == 0
+        for name in ("y_hat.csv", "f_hat.csv", "x_hat.csv"):
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
 
 class TestBadInputs:
     def test_p_comma_list_with_junk(self, capsys, synth_dir, tmp_path):

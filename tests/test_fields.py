@@ -42,7 +42,7 @@ TABLE = [
     (GeneratorSpec, dict(kind="harmonics", n_series=2, length=20, n_fundamentals=1,
                          freq_range=(0.1, 0.2), phase_range=(0.0, 1.0), slope_range=(0.0, 0.0),
                          ar_order=1, lambda_star=0.5, alpha=None, sigma2=0.2, seed=0),
-     {"alpha": {None}, "sigma2": {1.5}}),
+     {"alpha": {None}, "sigma2": {1.5}, "slope_range": {None}}),  # harmonics reads no slope
     (GeneratorSpec, dict(kind="harmonics", alpha=(0.5,), lambda_star=0.5),
      {"alpha": {None}, "lambda_star": {None}}),
     (ArModel, dict(alpha=[0.5], noise_var_hat=0.1, rank_deficient=False),
@@ -75,7 +75,7 @@ def test_every_field_refuses_bad_values_with_a_typed_error():
     (ArModel, dict(alpha=[1, 2], noise_var_hat=np.float32(0.5)), ("noise_var_hat", 0.5)),
     (BetaModel, dict(beta=[1], k_hat=np.int64(2), resid_rms=np.float64(0.25)), ("k_hat", 2)),
     (SplitSpec, dict(train_end=np.int64(1), valid_end=2, test_end=3), ("train_end", 1)),
-    (GeneratorSpec, dict(kind="pure_ar", freq_range=[1, 2]), ("freq_range", (1.0, 2.0))),
+    (GeneratorSpec, dict(kind="harmonics", freq_range=[1, 2]), ("freq_range", (1.0, 2.0))),
     (GeneratorSpec, dict(kind="pure_ar", alpha=np.array([-0.5])), ("alpha", (-0.5,))),
 ])
 def test_numbers_are_stored_as_plain_python_values(cls, kwargs, stored):
@@ -120,6 +120,27 @@ def test_explicit_alpha_owns_the_order_and_the_root():
                                   lambda_star=0.5))
     for a, b in ((drawn.y, same.y), (drawn.f, same.f), (drawn.x, same.x)):
         assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("kind, unread", [
+    ("pure_ar", dict(n_fundamentals=5, freq_range=(4.0, 5.0), phase_range=(0.0, 1.0),
+                     slope_range=(0.0, 1.0))),
+    ("harmonics", dict(slope_range=(0.0, 1.0))),
+])
+def test_spec_stores_only_what_its_kind_draws(kind, unread):
+    spec = GeneratorSpec(kind=kind, n_series=2, length=50)
+    given = GeneratorSpec(kind=kind, n_series=2, length=50, **unread)
+    assert given == spec and all(getattr(spec, name) is None for name in unread)
+    assert replace(spec, seed=3).seed == 3  # None is a value of a field the kind does not read
+    drawn, same = generate(spec), generate(given)
+    for a, b in ((drawn.y, same.y), (drawn.f, same.f), (drawn.x, same.x)):
+        assert a.values.tobytes() == b.values.tobytes()
+    for name in unread:  # checked, then dropped
+        with pytest.raises(SpecError, match=name):
+            GeneratorSpec(kind=kind, **{name: "x"})
+    trend = GeneratorSpec(kind="harmonics_trend", n_series=2, length=50)
+    with pytest.raises(SpecError, match="slope_range"):  # a kind that reads it needs it
+        replace(trend, slope_range=None)
 
 
 _TRUTH = GeneratorTruth(f=TimePanel(("a",), [[0.0] * 4]), x=TimePanel(("a",), [[1.0] * 4]),

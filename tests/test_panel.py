@@ -1,11 +1,12 @@
 import re
 import string
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import samossa
@@ -318,6 +319,76 @@ class TestRoundTrip:
         save_csv(panel, path)
         with pytest.raises(ConfigError, match="unknown layout 'tall'"):
             load_csv(path, layout="tall")
+
+
+def csv_module_bytes(panel, path, layout):
+    """The bytes ``write_rows`` (the csv module) writes for ``panel``: save_csv's oracle."""
+    if layout == "wide":
+        write_rows(path, panel.series_names, panel.values.T.tolist())
+    else:
+        write_rows(path, ("series", "t", "value"), (
+            (name, panel.t0 + j, value)
+            for name, row in zip(panel.series_names, panel.values)
+            for j, value in enumerate(row.tolist())))
+    return path.read_bytes()
+
+
+BLOCK = panel_module._BLOCK
+EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-05, 0.1]
+QUOTED_NAMES = ["a,b", 'say "hi"', "two\nlines", " lead", "café", "数据", ""]
+
+
+@st.composite
+def saved_panels(draw):
+    """A panel of 1-3 series whose length may sit on either side of a write block."""
+    n = draw(st.integers(1, 3))
+    names = draw(st.lists(st.sampled_from(QUOTED_NAMES) | NAMES, min_size=n, max_size=n))
+    length = draw(st.sampled_from([0, 1, 2, 5, BLOCK - 1, BLOCK, BLOCK + 1]))
+    pool = draw(st.lists(st.sampled_from(EDGE_FLOATS) | FINITE, min_size=1, max_size=8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    values = np.random.default_rng(seed).choice(pool, size=(n, length))
+    return TimePanel(tuple(names), values, t0=draw(st.integers(-5, 10**6)))
+
+
+class TestSaveCsvBytes:
+    """``save_csv`` joins the body itself and writes the csv module's bytes."""
+
+    @pytest.mark.parametrize("layout", ["wide", "long"])
+    @given(panel=saved_panels())
+    @example(panel=TimePanel(("x",), np.array([EDGE_FLOATS])))
+    @example(panel=TimePanel(tuple(QUOTED_NAMES), np.zeros((len(QUOTED_NAMES), 0))))
+    @example(panel=TimePanel(tuple(QUOTED_NAMES), np.resize(EDGE_FLOATS, (len(QUOTED_NAMES), 3))))
+    @settings(max_examples=60, deadline=None)
+    def test_same_bytes_as_the_csv_module(self, layout, panel, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("bytes")
+        save_csv(panel, tmp / "got.csv", layout=layout)
+        assert (tmp / "got.csv").read_bytes() == csv_module_bytes(panel, tmp / "want.csv", layout)
+
+    @pytest.mark.parametrize("length", [BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("layout", ["wide", "long"])
+    def test_block_edges(self, tmp_path, layout, length):
+        panel = TimePanel(("a", "b,c"), np.random.default_rng(length).normal(size=(2, length)))
+        save_csv(panel, tmp_path / "got.csv", layout=layout)
+        assert (tmp_path / "got.csv").read_bytes() == csv_module_bytes(
+            panel, tmp_path / "want.csv", layout)
+
+    def test_zero_columns_write_the_header_only(self, tmp_path):
+        save_csv(TimePanel(("a", "b"), np.zeros((2, 0))), tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_bytes() == b"a,b\r\n"
+
+    # The long layout writes a line per value; two series keep its run short.
+    @pytest.mark.parametrize("layout, shape", [("wide", (25, 40_000)), ("long", (2, 40_000))])
+    def test_file_text_is_never_in_memory_at_once(self, tmp_path, layout, shape):
+        panel = TimePanel(tuple(f"s{i}" for i in range(shape[0])),
+                          np.random.default_rng(0).normal(size=shape))
+        tracemalloc.start()
+        try:
+            save_csv(panel, tmp_path / "p.csv", layout=layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "p.csv").stat().st_size
+        assert peak < size / 4, (peak, size)
 
 
 class TestSplit:
