@@ -601,6 +601,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _fail_line("IOError", exc)
         return EXIT_DATA
+    except MemoryError as exc:
+        _fail_line("MemoryError", exc)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

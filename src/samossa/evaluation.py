@@ -49,7 +49,8 @@ __all__ = [
 def _r2_rows(pred: np.ndarray, actual: np.ndarray, names=None) -> list[float | None]:
     """R^2 of every row of ``pred`` against the same row of ``actual`` (N x H).
 
-    This is the zero-variance rule: a row whose actual values are all equal
+    This is the two-point rule: fewer than two columns raise MetricError.
+    It is the zero-variance rule: a row whose actual values are all equal
     has no R^2 and scores None. The test is exact equality, not SST <= 0:
     the mean of a constant window need not round back to its value
     (25 x 0.1 leaves an SST of about 5e-33). Both rows are scaled by 2^-e,
@@ -59,6 +60,8 @@ def _r2_rows(pred: np.ndarray, actual: np.ndarray, names=None) -> list[float | N
     whose SSE is not finite (the forecasts overflow on that scale) raises
     MetricError naming the series: ``names[row]``, or the row index.
     """
+    if actual.shape[1] < 2:
+        raise MetricError("need at least two points for R^2")
     scale = -np.frexp(np.abs(actual).max(axis=1, keepdims=True))[1]
     with np.errstate(over="ignore"):  # an overflow is reported below, by series
         pred, actual = np.ldexp(pred, scale), np.ldexp(actual, scale)
@@ -88,8 +91,6 @@ def r_squared(pred, actual) -> float:
     actual = np.asarray(actual, dtype=np.float64)
     if pred.shape != actual.shape or pred.ndim != 1:
         raise ShapeError(f"shape mismatch {pred.shape} vs {actual.shape}")
-    if pred.shape[0] < 2:
-        raise MetricError("need at least two points for R^2")
     (score,) = _r2_rows(pred[None], actual[None])
     if score is None:
         raise MetricError("actual values have zero variance")
@@ -125,19 +126,10 @@ class MetricReport:
     predictions: np.ndarray | None = None
 
 
-def _truth_window(panel: TimePanel, what: str, lo: int, hi: int) -> TimePanel:
-    """``panel`` at absolute times [lo, hi); ShapeError naming both ranges unless it covers them."""
-    try:
-        return panel.window(lo - panel.t0, hi - panel.t0)
-    except ShapeError:
-        raise ShapeError(f"truth {what} covers t={panel.t0}..{panel.t0 + panel.length - 1}, "
-                         f"scoring needs t={lo}..{hi - 1}") from None
-
-
 def _truth_windows(truth: GeneratorTruth, test: TimePanel,
-                   horizon: int) -> tuple[TimePanel, TimePanel]:
-    """The truth's f over ``horizon`` forecasts from ``test.t0``, and its x from the
-    largest AR order's p steps before them up to their last but one.
+                   horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The truth's f values over ``horizon`` forecasts from ``test.t0``, and its x
+    values from the largest AR order's p steps before them up to their last but one.
 
     ShapeError for no forecasts, or unless ``truth`` has one f row, x row and AR
     model per series of ``test``, f and x name those series in that order, and
@@ -152,8 +144,8 @@ def _truth_windows(truth: GeneratorTruth, test: TimePanel,
             raise ShapeError(f"truth {what} series {list(panel.series_names)} do not match "
                              f"the forecast series {list(names)}")
     p = max(map(len, truth.alphas), default=0)
-    return (_truth_window(truth.f, "f", t0, t0 + horizon),
-            _truth_window(truth.x, "x", t0 - p, t0 + horizon - 1))
+    return (truth.f.values_at(t0, t0 + horizon, "truth f", "scoring"),
+            truth.x.values_at(t0 - p, t0 + horizon - 1, "truth x", "scoring"))
 
 
 def for_err(predictions: np.ndarray, test: TimePanel, truth: GeneratorTruth) -> float:
@@ -174,7 +166,7 @@ def for_err(predictions: np.ndarray, test: TimePanel, truth: GeneratorTruth) -> 
         raise ShapeError(f"{n_series} x {horizon} forecasts for {test.n_series} test series")
     f, x = _truth_windows(truth, test, horizon)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean raises below
-        target = f.values + _ar_dots(truth.alphas, x.values[:, ::-1], horizon)
+        target = f + _ar_dots(truth.alphas, x[:, ::-1], horizon)
         err = float(np.mean((predictions - target) ** 2))
     if not np.isfinite(err):
         raise MetricError(f"for_err is undefined: the mean squared gap is {err!r}")
@@ -199,12 +191,11 @@ def rolling_eval(model: SamossaModel, test: TimePanel,
     The model must already be aligned with the start of the test window
     (fit on everything before it); fitting never recurs during the loop.
     A series whose realized values are all equal has no R^2: it scores
-    None and is left out of the mean. Raises MetricError for a window
-    shorter than two steps or one in which no series varies.
+    None and is left out of the mean. Raises MetricError, after the model
+    has rolled over the window, for a window shorter than two steps or one
+    in which no series varies.
     """
     _check_window(model, test)
-    if test.length < 2:
-        raise MetricError("need at least two points for R^2")
     started = time.perf_counter()
     preds = roll(model, test.values)[0]
     scores = tuple(_r2_rows(preds, test.values, test.series_names))

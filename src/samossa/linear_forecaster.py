@@ -81,15 +81,15 @@ def solve_beta(page: np.ndarray, sub: SvdResult, k_hat: int) -> BetaModel:
     """Regress the raw last row of an L-row Page matrix on its top rows.
 
     ``sub`` is the SVD of ``page[:L-1]``, every triplet or a head holding
-    the ones used; the features are its rank-k_hat truncation (capped at
-    the sub-matrix's size). FitError if the residual RMS is not finite.
+    the ones used; the features are its rank-k_hat truncation, which keeps
+    every triplet ``sub`` holds when k_hat exceeds them. FitError if the
+    residual RMS is not finite.
     """
-    L = page.shape[0]
     if sub.singular_values[0] <= 0.0:
         raise FitError("all-zero feature matrix")
-    features = sub.truncate(min(k_hat, L - 1, page.shape[1]))
+    features = sub.truncate(k_hat)
 
-    targets = page[L - 1, :]
+    targets = page[-1]
     coef, _, _, _ = np.linalg.lstsq(features.T, targets, rcond=_LSTSQ_RCOND)
     fitted = features.T @ coef
     with np.errstate(over="ignore"):  # huge residuals overflow; BetaModel rejects the inf

@@ -40,6 +40,28 @@ from .errors import (
 __all__ = ["TimePanel", "SplitSpec", "load_csv", "save_csv", "split", "write_json", "write_rows"]
 
 
+def _series_names(names, error: type[Exception]) -> tuple[str, ...]:
+    """``names`` as a tuple, or ``error``: the names rule of panels and model files.
+
+    Names are an iterable (not one string) of distinct strings, each of
+    which encodes as UTF-8, so that every file that holds them can be written.
+    """
+    if isinstance(names, str) or not isinstance(names, Iterable):
+        raise error(f"series names must be an iterable of strings, got {names!r}")
+    names = tuple(names)
+    for name in names:
+        if not isinstance(name, str):
+            raise error(f"series names must be strings, got {name!r}")
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise error(f"series name {name!r} is not UTF-8 text") from None
+    if len(set(names)) != len(names):
+        duplicate = next(name for i, name in enumerate(names) if name in names[:i])
+        raise error(f"duplicate series name {duplicate!r}")
+    return names
+
+
 @dataclass(frozen=True)
 class TimePanel:
     """N aligned series of length T.
@@ -49,9 +71,9 @@ class TimePanel:
     :meth:`window` and :func:`split` carry their absolute position so that
     downstream consumers can align forecasts with ground truth.
 
-    Names must be an iterable of strings (not one string), values integers
-    or floats, and ``t0`` an integer (numpy integers convert); anything else
-    raises IngestError on construction. Instances are immutable and safe to
+    Names must follow :func:`_series_names`, values be integers or floats,
+    and ``t0`` an integer (numpy integers convert); anything else raises
+    IngestError on construction. Instances are immutable and safe to
     share across threads.
     """
 
@@ -66,15 +88,9 @@ class TimePanel:
         n, _ = values.shape
         if n < 1:
             raise ShapeError("panel needs at least one series")
-        if isinstance(self.series_names, str) or not isinstance(self.series_names, Iterable):
-            raise IngestError(f"series names must be an iterable of strings, "
-                              f"got {self.series_names!r}")
-        names = tuple(self.series_names)
+        names = _series_names(self.series_names, IngestError)
         if len(names) != n:
             raise ShapeError(f"{len(names)} names for {n} series")
-        for name in names:
-            if not isinstance(name, str):
-                raise IngestError(f"series names must be strings, got {name!r}")
         if not np.all(np.isfinite(values)):
             raise IngestError("panel values must be finite (no NaN/Inf)")
         values = values.copy()
@@ -101,6 +117,18 @@ class TimePanel:
         if not 0 <= lo <= hi <= self.length:
             raise ShapeError(f"window [{lo}, {hi}) outside a panel of length {self.length}")
         return TimePanel(self.series_names, self.values[:, lo:hi], t0=self.t0 + lo)
+
+    def values_at(self, lo: int, hi: int, what: str, needs: str) -> np.ndarray:
+        """The values at absolute times t = lo..hi-1, as a read-only view.
+
+        ShapeError unless the panel covers them, naming both ranges as
+        "<what> covers t=..., <needs> needs t=...".
+        """
+        end = self.t0 + self.length
+        if not self.t0 <= lo <= hi <= end:
+            raise ShapeError(f"{what} covers t={self.t0}..{end - 1}, "
+                             f"{needs} needs t={lo}..{hi - 1}")
+        return self.values[:, lo - self.t0:hi - self.t0]
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ from .errors import (
 from .linear_forecaster import BetaModel
 from .lowrank import RankRule
 from .pagemat import default_L
-from .panel import TimePanel, write_json
+from .panel import TimePanel, _series_names, write_json
 from .ssa_estimator import Decomposition, Stage1
 
 __all__ = [
@@ -475,8 +475,9 @@ def _model_from_doc(doc: dict) -> SamossaModel:
     # and L, so that ragged or short state never reaches the forecasters.
     L = _integer(doc["L"], "L", 2)
     names = doc["series_names"]
-    if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+    if not isinstance(names, list):
         raise ValueError("series_names must be a list of strings")
+    names = _series_names(names, ParseError)
     N = len(names)
     p_used = tuple(_integer(p, "p_used entry", 0) for p in _entries(doc["p_used"], N, "p_used"))
     ar_models = []
@@ -516,7 +517,7 @@ def _model_from_doc(doc: dict) -> SamossaModel:
         ar_models=tuple(ar_models),
         config=SamossaConfig(L=config["L"], rank=RankRule.parse(config["rank"]), p=config["p"],
                              shape_ratio=config["shape_ratio"], valid_len=config["valid_len"]),
-        series_names=tuple(names),
+        series_names=names,
         state=state,
     )
 

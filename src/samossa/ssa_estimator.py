@@ -106,8 +106,7 @@ class Stage1:
         if self.L < 2:
             raise ShapeError(f"need L >= 2 to regress the last row on the rest, got L={self.L}")
         k_hat = _integer(k_hat, "k_hat", 0, RankError)  # before it slices the SVD
-        sub = self._svd(self.L - 1, min(k_hat, self.L - 1, self.page.data.shape[1]))
-        return solve_beta(self.page.data, sub, k_hat)
+        return solve_beta(self.page.data, self._svd(self.L - 1, k_hat), k_hat)
 
 
 def _truncate(panel: TimePanel, origin: int, spectrum: SvdResult, k_hat: int) -> Decomposition:
@@ -146,22 +145,19 @@ def decompose(panel: TimePanel, L: int, rule: RankRule) -> Decomposition:
 def est_err(decomp: Decomposition, truth: TimePanel, n: int) -> float:
     """Mean squared error of the smooth-component estimate for series n.
 
-    ``truth`` is read at the decomposition's own absolute times, found by its
-    ``t0`` as in ``evaluation.for_err``, so it may cover more than the
-    retained window but not less. ``n`` is a 0-based series index.
-    ShapeError for a bad index or series count, or a truth that does not
-    cover the window; MetricError when the error overflows the float range.
+    ``truth`` is read at the decomposition's own absolute times, t0 onwards,
+    by :meth:`TimePanel.values_at`, so it may cover more than the retained
+    window but not less. ``n`` is a 0-based series index. ShapeError for a
+    bad index or series count, or a truth that does not cover the window;
+    MetricError when the error overflows the float range.
     """
     n = _integer(n, "series index", 0, ShapeError)
     if not n < decomp.n_series == truth.n_series:
         raise ShapeError(f"series index {n} for a decomposition of {decomp.n_series} series "
                          f"and a truth of {truth.n_series}")
-    lo = decomp.t0 - truth.t0  # an index, not a window, which would copy every series
-    if not 0 <= lo <= truth.length - decomp.t_eff:
-        raise ShapeError(f"truth covers t={truth.t0}..{truth.t0 + truth.length - 1}, the "
-                         f"decomposition needs t={decomp.t0}..{decomp.t0 + decomp.t_eff - 1}")
+    f = truth.values_at(decomp.t0, decomp.t0 + decomp.t_eff, "truth", "the decomposition")
     with np.errstate(over="ignore"):
-        err = float(np.mean((decomp.f_hat[n] - truth.values[n, lo:lo + decomp.t_eff]) ** 2))
+        err = float(np.mean((decomp.f_hat[n] - f[n]) ** 2))
     if not np.isfinite(err):
         raise MetricError(f"estimation error of series {n} overflows the float range")
     return err

@@ -578,6 +578,34 @@ class TestBadInputs:
         assert err[-1].startswith(f"samossa: error: {kind}: "), err
         assert not model_path.exists()
 
+    def test_duplicate_series_names_are_an_ingest_error(self, capsys, tmp_path):
+        rows = np.random.default_rng(0).normal(size=(60, 3))
+        wide = tmp_path / "dup.csv"
+        wide.write_text("a,a,b\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+        out = tmp_path / "report"
+        assert_fails(capsys, 2, "IngestError", "eval", "--input", str(wide), "--train-end", "40",
+                     "--valid-end", "50", "--test-end", "60", "-o", str(out))
+        assert not out.exists()
+
+    def test_model_name_that_is_not_utf8_is_a_parse_error(self, capsys, tmp_path):
+        doc = json.loads((GOLDEN / "model.json").read_text())
+        doc["series_names"][0] = "\ud800"  # a lone surrogate: no UTF-8 file can hold it
+        model_path, out = tmp_path / "m.json", tmp_path / "f.csv"
+        model_path.write_text(json.dumps(doc))
+        assert_fails(capsys, 2, "ParseError", "forecast", "--model", str(model_path),
+                     "-o", str(out))
+        assert not out.exists()
+
+    def test_memory_error_is_one_error_line(self, capsys, tmp_path, monkeypatch):
+        def exhausted(model, steps):
+            raise MemoryError(f"Unable to allocate the forecasts of {steps} steps")
+
+        monkeypatch.setattr(samossa.pipeline, "forecast_recursive", exhausted)
+        out = tmp_path / "f.csv"
+        assert_fails(capsys, 2, "MemoryError", "forecast", "--model", str(GOLDEN / "model.json"),
+                     "--steps", "300000000", "--recursive", "-o", str(out))
+        assert not out.exists()
+
 
 class TestFig2:
     def test_small_sweep_with_check(self, tmp_path):

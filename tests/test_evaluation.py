@@ -82,6 +82,15 @@ class TestRollingEval:
         assert report.mean_r2 == pytest.approx(np.mean(report.per_series_r2))
         assert all(score <= 1.0 for score in report.per_series_r2)
 
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_short_window_rolls_then_raises(self, steps):
+        # _r2_rows owns the two-point rule, so the model has rolled when it raises.
+        res, train, test = small_benchmark()
+        model = fit(train, SamossaConfig(rank=RankRule.fixed(8), p=1))
+        with pytest.raises(MetricError, match=r"need at least two points for R\^2"):
+            rolling_eval(model, test.window(0, steps))
+        assert model.state.next_t == [test.t0 + steps] * test.n_series
+
     def test_no_test_leakage(self):
         # Mutating future test values must not change the first-step forecast.
         res, train, test = small_benchmark(seed=3)

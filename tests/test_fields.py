@@ -1,6 +1,8 @@
 """Every input type checks its own fields: a bad value is a typed error where it is made."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,19 +17,34 @@ from samossa import (
     GeneratorSpec,
     GeneratorTruth,
     IngestError,
+    MetricError,
+    ParseError,
     RankError,
     RankRule,
     SamossaConfig,
     SamossaError,
+    SearchError,
     ShapeError,
     SpecError,
     SplitSpec,
     TimePanel,
+    characteristic_roots,
+    default_L,
+    diagnostics,
     fit,
+    fit_ar,
     for_err,
     generate,
+    grid_search,
+    hsvt,
+    load_csv,
+    load_model,
+    r_squared,
     roll,
+    rolling_eval,
+    select_rank,
 )
+from samossa import cli
 
 BAD = ("x", None, True, math.nan, math.inf, 1.5)
 
@@ -166,3 +183,71 @@ def test_a_boolean_anywhere_in_a_list_is_refused(make, error, flag):
     make([0.25, 0.5])  # the same call with numbers goes through
     with pytest.raises(error, match=f"need integers or floats, got {flag!r}"):
         make([0.5, flag])
+
+
+def _written(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _model_file(tmp_path, series_names):
+    doc = json.loads((Path(__file__).parent / "data" / "cli_golden" / "model.json").read_text())
+    return _written(tmp_path, "model.json", json.dumps({**doc, "series_names": series_names}))
+
+
+def _fitted():
+    return fit(TimePanel(("a",), [np.sin(np.arange(40.0))]),
+               SamossaConfig(L=4, rank=RankRule.fixed(1), p=1))
+
+
+# Guards of every layer: the call, the error type, and a fragment of its message.
+GUARDS = {
+    "fit_ar_2d": (lambda tmp: fit_ar(np.ones((2, 5)), 1),
+                  ShapeError, "expects a 1-D residual series"),
+    "roots_of_nothing": (lambda tmp: characteristic_roots([]),
+                         ShapeError, "coefficient vector of length >= 1"),
+    "diagnostics_of_order_0": (lambda tmp: diagnostics(ArModel.zero()),
+                               ShapeError, "model of order >= 1"),
+    "hsvt_1d": (lambda tmp: hsvt(np.ones(3), 1), RankError, "expects a 2-D matrix"),
+    "empty_spectrum": (lambda tmp: select_rank([], RankRule.fixed(1), (1, 1)),
+                       RankError, "non-empty 1-D singular spectrum"),
+    "increasing_spectrum": (lambda tmp: select_rank([1.0, 2.0], RankRule.fixed(1), (2, 2)),
+                            RankError, "must be non-increasing"),
+    "universal_empty_shape": (lambda tmp: select_rank([1.0], RankRule.universal(), (0, 5)),
+                              RankError, "invalid shape (0, 5)"),
+    "default_L_no_series": (lambda tmp: default_L(0, 5), ShapeError, "need N >= 1 and T >= 1"),
+    "default_L_ratio_0": (lambda tmp: default_L(5, 5, ratio=0),
+                          ShapeError, "shape ratio must be >= 1"),
+    "panel_of_no_series": (lambda tmp: TimePanel((), np.ones((0, 3))),
+                           ShapeError, "at least one series"),
+    "long_fractional_t": (lambda tmp: load_csv(_written(tmp, "p.csv", "a,1.5,2.0\n"), "long"),
+                          ParseError, "non-integer time index '1.5'"),
+    "long_header_only": (lambda tmp: load_csv(_written(tmp, "p.csv", "series,t,value\n"), "long"),
+                         IngestError, "no data rows"),
+    "model_file_is_a_directory": (lambda tmp: load_model(tmp),
+                                  ParseError, "cannot read model file"),
+    "model_names_not_strings": (lambda tmp: load_model(_model_file(tmp, ["s1", 2, "s3"])),
+                                ParseError, "series names must be strings, got 2"),
+    "model_names_not_a_list": (lambda tmp: load_model(_model_file(tmp, "s1")),
+                               ParseError, "series_names must be a list of strings"),
+    "empty_grid": (lambda tmp: grid_search(None, None, []), SearchError, "empty grid"),
+    "r_squared_one_point": (lambda tmp: r_squared([1.0], [2.0]),
+                            MetricError, "need at least two points for R^2"),
+    "rolling_eval_one_step": (lambda tmp: rolling_eval(_fitted(), TimePanel(("a",), [[0.5]], 41)),
+                              MetricError, "need at least two points for R^2"),
+    "beta_nan": (lambda tmp: BetaModel(beta=[math.nan], k_hat=1, resid_rms=0.0),
+                 FitError, "non-finite regression coefficients"),
+    "ar_nan": (lambda tmp: ArModel(alpha=[math.nan], noise_var_hat=1.0),
+               FitError, "non-finite AR coefficients"),
+    "cli_sigma2_nan": (lambda tmp: cli._resolve(cli._build_parser().parse_args(
+        ["synth", "--sigma2", "nan", "-o", str(tmp)])),
+                       cli._UsageError, "--sigma2 must be finite"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", GUARDS.values(), ids=GUARDS.keys())
+def test_every_guard_raises_its_typed_error(call, error, fragment, tmp_path):
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert fragment in str(info.value)

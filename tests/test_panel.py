@@ -106,11 +106,13 @@ LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 def wide_parts(draw):
     """A well-formed wide file as parts: header (or None), cell rows, line ends, final end.
 
-    A header holds at least one name and may mix names with numbers.
+    A header holds at least one name, may mix names with numbers, and has
+    no two cells alike once stripped (names are distinct).
     """
     width, length = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     rows = [[draw(LITERALS) for _ in range(width)] for _ in range(length)]
-    header = draw(st.none() | st.lists(NAMES | LITERALS, min_size=width, max_size=width)
+    header = draw(st.none() | st.lists(NAMES | LITERALS, min_size=width, max_size=width,
+                                       unique_by=str.strip)
                   .filter(lambda cells: any(cell.startswith("v") for cell in cells)))
     return header, rows, draw(LINE_ENDS), draw(st.booleans())
 
@@ -180,7 +182,7 @@ class TestOneCallParse:
 
     @given(values=st.lists(st.lists(FINITE, min_size=1, max_size=4), min_size=1, max_size=5)
            .filter(lambda rows: len({len(r) for r in rows}) == 1),
-           names=st.lists(NAMES, min_size=4, max_size=4))
+           names=st.lists(NAMES, min_size=4, max_size=4, unique_by=str.strip))
     @settings(max_examples=100)
     def test_saved_panels(self, values, names, tmp_path_factory):
         path = tmp_path_factory.mktemp("saved") / "p.csv"
@@ -342,7 +344,8 @@ QUOTED_NAMES = ["a,b", 'say "hi"', "two\nlines", " lead", "café", "数据", ""]
 def saved_panels(draw):
     """A panel of 1-3 series whose length may sit on either side of a write block."""
     n = draw(st.integers(1, 3))
-    names = draw(st.lists(st.sampled_from(QUOTED_NAMES) | NAMES, min_size=n, max_size=n))
+    names = draw(st.lists(st.sampled_from(QUOTED_NAMES) | NAMES, min_size=n, max_size=n,
+                          unique=True))
     length = draw(st.sampled_from([0, 1, 2, 5, BLOCK - 1, BLOCK, BLOCK + 1]))
     pool = draw(st.lists(st.sampled_from(EDGE_FLOATS) | FINITE, min_size=1, max_size=8))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -503,6 +506,21 @@ class TestInvariants:
     def test_names_must_be_an_iterable_of_strings(self, names):
         with pytest.raises(IngestError, match="series names must be an iterable of strings"):
             TimePanel(names, np.ones((len(names) if isinstance(names, str) else 1, 3)))
+
+    @pytest.mark.parametrize("names, detail", [
+        (("a", "a"), "duplicate series name 'a'"),  # a long file of them would not load
+        (("a", "\ud800"), "series name '\\ud800' is not UTF-8 text"),  # no file could hold it
+    ])
+    def test_names_are_distinct_utf8_text(self, names, detail):
+        with pytest.raises(IngestError) as info:
+            TimePanel(names, np.arange(6.0).reshape(2, 3))
+        assert str(info.value) == detail
+
+    def test_wide_header_with_a_repeated_name_is_refused(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("a,a,b\n1,2,3\n4,5,6\n")
+        with pytest.raises(IngestError, match="duplicate series name 'a'"):
+            load_csv(path)
 
     @pytest.mark.parametrize("values", [[["x", 1.0]], [[True, False]], [[None, 1.0]],
                                         [[1.0], [1.0, 2.0]]])

@@ -358,3 +358,21 @@ class TestSharedDecompositions:
         got = evaluation._score_each(train, grid, valid, catch=evaluation._CONFIG_ERRORS)
         assert got == expected
         assert rolls == [(600, fixed.k, 1)] * 2
+
+    def test_twins_share_a_lag_model_error(self):
+        # s(t) = 1 at every fourth step: at L = 4 every Page column is (0, 0, 0, 2)
+        # or (0, 0, 0, 3), so the lag regression's features are all zero.
+        s = (np.arange(48) % 4 == 3).astype(float)
+        panel = TimePanel(("a", "b"), np.array([2 * s, 3 * s]))
+        train, valid = panel.window(0, 40), panel.window(40, 48)
+        grid = [SamossaConfig(L=4, rank=RankRule.fixed(1), p=1),
+                SamossaConfig(L=4, rank=RankRule.energy(0.9), p=1),
+                SamossaConfig(L=5, rank=RankRule.fixed(1), p=1)]
+        stage = Stage1(train, 4)
+        assert [stage.rank(c.rank) for c in grid[:2]] == [1, 1]
+        got = evaluation._score_each(train, grid, valid, catch=evaluation._CONFIG_ERRORS)
+        assert got[0] is got[1]  # raised once, by the caller's one beta fit for the twins
+        assert isinstance(got[0], FitError) and str(got[0]) == "all-zero feature matrix"
+        assert isinstance(got[2], evaluation.GridEntry)
+        assert [type(r) if isinstance(r, Exception) else r for r in got] == \
+            self.serial(train, valid, grid)
