@@ -170,7 +170,7 @@ def _parse_cell(text: str, row: int, col: int) -> float:
 
 def _read_rows(path) -> list[list[str]]:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return [row for row in csv.reader(fh)]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
@@ -227,7 +227,7 @@ def _load_wide_plain(path) -> TimePanel | None:
             raise _NotPlain
 
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             first = next(fh, "")
             if not first or not _plain_line(first, limit):
                 return None

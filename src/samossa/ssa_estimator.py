@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError, RankError, ShapeError, _integer
-from .linear_forecaster import BetaModel, solve_beta
+from .linear_forecaster import BetaModel, downdate_beta, solve_beta
 from .lowrank import RankRule, SvdResult, select_rank, svd, takes_topk
 from .pagemat import stack, unstack
 from .panel import TimePanel
@@ -59,9 +59,11 @@ class Stage1:
     Nothing in stage 1 depends on the AR order, and the rank rule only picks
     k off one spectrum, so one instance serves every configuration fitted on
     the same panel at the same L. The Page matrix is stacked on
-    construction; SVDs are taken on first use, of the whole matrix for
-    :meth:`spectrum` (so :meth:`rank` and :meth:`decompose`) and of its top
-    L-1 rows for :meth:`beta`, so a decomposition never pays for the second.
+    construction and its SVD taken on first use. :meth:`beta` reads the lag
+    model off that same full SVD by a rank-one downdate
+    (:func:`~samossa.linear_forecaster.downdate_beta`); only where the
+    downdate declines, or the top L-1 rows take a top-k head, does it take
+    an SVD of those rows for :func:`~samossa.linear_forecaster.solve_beta`.
 
     Where :func:`~samossa.lowrank.takes_topk` allows, a rule that reads only
     the top K triplets (``fixed:K``, and the beta fit at rank k_hat) gets an
@@ -102,10 +104,18 @@ class Stage1:
         return _truncate(self.panel, self.page.origin, self.spectrum(rule), self.rank(rule))
 
     def beta(self, k_hat: int) -> BetaModel:
-        """The lag model regressing the last Page row on the top L-1 rows at rank k_hat."""
+        """The lag model regressing the last Page row on the top L-1 rows at rank k_hat.
+
+        From the full dense SVD by :func:`downdate_beta` unless the top rows
+        take a top-k head or the downdate declines; then by :func:`solve_beta`.
+        """
         if self.L < 2:
             raise ShapeError(f"need L >= 2 to regress the last row on the rest, got L={self.L}")
         k_hat = _integer(k_hat, "k_hat", 0, RankError)  # before it slices the SVD
+        if not takes_topk((self.L - 1, self.page.data.shape[1]), k_hat):
+            model = downdate_beta(self._svd(self.L, None), k_hat)
+            if model is not None:
+                return model
         return solve_beta(self.page.data, self._svd(self.L - 1, k_hat), k_hat)
 
 

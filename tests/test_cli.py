@@ -407,9 +407,11 @@ class TestEvalAndGrid:
 
 
 class TestGoldenOutputs:
-    # Files written by the release before stage 1 was shared across configs
-    # (synth --preset forecast --n 3 --t 430 --seed 6): the shared path must
-    # reproduce them byte for byte.
+    # The golden panel y.csv is synth --preset forecast --n 3 --t 430 --seed 6.
+    # best.json was written by the release before stage 1 was shared across
+    # configs; grid.csv and model.json by the first release that reads beta
+    # off the Page matrix's own SVD (a rank-one downdate), which moved beta
+    # and the grid's R^2 in their last bits. Each must be reproduced byte for byte.
     def test_grid_files(self, tmp_path):
         out = tmp_path / "grid"
         assert run("grid", "--input", str(GOLDEN / "y.csv"), "--train-end", "400",
@@ -423,9 +425,11 @@ class TestGoldenOutputs:
                    "-o", str(model_path)) == 0
         assert model_path.read_bytes() == (GOLDEN / "model.json").read_bytes()
 
-    # Tables written before every CSV writer went through panel.write_rows:
-    # report.csv, fig2.csv/fig2.json, a recursive forecast and a long-layout
-    # panel, each from the golden panel or model with the arguments below.
+    # Tables from the golden panel or model with the arguments below.
+    # fig2.csv/fig2.json and the long-layout panel were written before every
+    # CSV writer went through panel.write_rows; report.csv and the recursive
+    # forecast by the release that reads beta off the downdate, through
+    # write_rows.
     def test_eval_report_csv(self, tmp_path):
         out = tmp_path / "eval"
         assert run("eval", "--input", str(GOLDEN / "y.csv"), "--train-end", "370",
@@ -450,8 +454,10 @@ class TestGoldenOutputs:
         save_csv(load_csv(GOLDEN / "y.csv").window(30, 430), out, layout="long")
         assert out.read_bytes() == (GOLDEN / "y_long.csv").read_bytes()
 
-    # Panels written by the csv module's writerows, before save_csv joined its
-    # own rows: the golden model rolled over the last 50 rows of y.csv.
+    # Panels written by the csv module's writerows (panel.write_rows), not by
+    # save_csv's own row joiner: the golden model rolled over the last 50 rows
+    # of y.csv. x_hat.csv dates from before save_csv joined its own rows;
+    # y_hat.csv and f_hat.csv were rewritten when model.json's beta moved.
     def test_observe_forecast_panels(self, tmp_path):
         lines = (GOLDEN / "y.csv").read_bytes().splitlines(keepends=True)
         test_csv = tmp_path / "test.csv"

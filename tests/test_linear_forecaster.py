@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from samossa import BetaModel, FitError, RankError, RankRule, ShapeError, TimePanel
-from samossa.linear_forecaster import fit_beta, forecast_f
+from samossa import evaluation, ssa_estimator
+from samossa.linear_forecaster import downdate_beta, fit_beta, forecast_f, solve_beta
+from samossa.lowrank import svd
 from samossa.pagemat import stack
 from samossa.ssa_estimator import Stage1
+from samossa.synth import forecasting_spec, generate
 
 
 def harmonic_panel(n_series, length, freqs, seed=0):
@@ -119,6 +124,116 @@ class TestFitBeta:
         panel = TimePanel(("a",), np.zeros((1, 30)))
         with pytest.raises(FitError):
             Stage1(panel, 3).beta(1)
+
+
+def page_panel(page):
+    """A one-series panel whose Page matrix at L = len(page) is ``page``."""
+    return TimePanel(("a",), page.T.reshape(1, -1))
+
+
+def same_outcome(got, expected):
+    """Equal bits for two BetaModels, or the same error type and message."""
+    if isinstance(expected, Exception):
+        return type(got) is type(expected) and str(got) == str(expected)
+    return (np.array_equal(got.beta, expected.beta) and got.resid_rms == expected.resid_rms
+            and got.k_hat == expected.k_hat)
+
+
+def outcome(solve, *args):
+    try:
+        return solve(*args)
+    except FitError as exc:
+        return exc
+
+
+class TestDowndate:
+    """beta read off the whole Page matrix's SVD, against lstsq on an SVD of its top rows."""
+
+    @given(rows=st.integers(3, 60), cols=st.integers(2, 90), rank=st.integers(1, 5),
+           noise=st.sampled_from([0.0, 1e-8, 1e-4, 1e-2, 1.0]),
+           exponent=st.sampled_from([-200, 0, 200]), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_lstsq_oracle(self, rows, cols, rank, noise, exponent, seed, data):
+        # Planted singular values 1..10 plus Gaussian noise, all times 2^exponent.
+        rng = np.random.default_rng(seed)
+        rank = min(rank, rows, cols)
+        u, _ = np.linalg.qr(rng.normal(size=(rows, rank)))
+        v, _ = np.linalg.qr(rng.normal(size=(cols, rank)))
+        s = np.sort(rng.uniform(1.0, 10.0, size=rank))[::-1]
+        page = np.ldexp((u * s) @ v.T + noise * rng.normal(size=(rows, cols)), exponent)
+        k_hat = data.draw(st.integers(1, min(rows - 1, cols)), label="k_hat")
+
+        oracle = outcome(solve_beta, page, svd(page[:-1]), k_hat)
+        got = downdate_beta(svd(page), k_hat)
+        shared = outcome(Stage1(page_panel(page), rows).beta, k_hat)
+        if got is None:  # declined: Stage1 falls back to the oracle itself
+            assert same_outcome(shared, oracle)
+            return
+        assert same_outcome(shared, got)
+        assert np.abs(got.beta - oracle.beta).max() <= 1e-9 * np.abs(oracle.beta).max()
+        last_rms = np.sqrt(np.mean(page[-1] ** 2))
+        assert abs(got.resid_rms - oracle.resid_rms) <= 1e-11 * last_rms
+
+    def test_split_tie_declines(self):
+        # The period-3 sawtooth at L = 4 has s_2 = s_3: rank 2 splits the tie.
+        panel = TimePanel(("a",), np.tile([1.0, 2.0, 3.0], 20)[None, :])
+        assert downdate_beta(svd(stack(panel, 4).data), 2) is None
+        model = Stage1(panel, 4).beta(2)
+        assert forecast_f(model, [3.0, 2.0, 1.0]) == pytest.approx(1.0, abs=1e-8)
+
+    def test_rank_past_the_sub_matrix_declines(self):
+        # A rank-2 matrix: its top rows have rank 2, so k_hat = 3 finds no third value.
+        rng = np.random.default_rng(0)
+        page = rng.normal(size=(12, 2)) @ rng.normal(size=(2, 30))
+        full = svd(page)
+        assert downdate_beta(full, 2) is not None
+        assert downdate_beta(full, 3) is None
+        assert same_outcome(Stage1(page_panel(page), 12).beta(3),
+                            solve_beta(page, svd(page[:-1]), 3))
+
+    def test_zero_rank_declines(self):
+        page = np.random.default_rng(1).normal(size=(5, 8))
+        assert downdate_beta(svd(page), 0) is None
+        assert same_outcome(Stage1(page_panel(page), 5).beta(0),
+                            solve_beta(page, svd(page[:-1]), 0))
+
+    def test_all_zero_features_stay_a_fit_error(self):
+        # s(t) = 1 at every fourth step: at L = 4 only the last Page row is non-zero.
+        panel = TimePanel(("a",), (np.arange(48) % 4 == 3).astype(float)[None, :])
+        assert downdate_beta(svd(stack(panel, 4).data), 1) is None
+        with pytest.raises(FitError, match="^all-zero feature matrix$"):
+            Stage1(panel, 4).beta(1)
+
+    def test_benchmark_seed_takes_the_downdate_every_time(self, monkeypatch):
+        # The grid's beta solves (the nine default configs give five (L, k_hat)
+        # pairs on the train panel) and both refits'.
+        answers, fallbacks = [], []
+
+        def recording(full, k_hat):
+            model = downdate_beta(full, k_hat)
+            answers.append(model is not None)
+            return model
+
+        monkeypatch.setattr(ssa_estimator, "downdate_beta", recording)
+        monkeypatch.setattr(ssa_estimator, "solve_beta",
+                            lambda *args: fallbacks.append(args) or solve_beta(*args))
+        evaluation.forecast_benchmark_run(0)
+        assert answers == [True] * 7
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("rule", [RankRule.fixed(4), RankRule.energy(0.9),
+                                      RankRule.universal()], ids=str)
+    @pytest.mark.parametrize("k", [-200, -40, 40, 200])
+    def test_exact_under_powers_of_two(self, rule, k):
+        y = generate(forecasting_spec(n_series=3, length=400, seed=0)).y
+        stage = Stage1(y, 40)
+        k_hat = stage.rank(rule)
+        assert downdate_beta(stage._svd(40, None), k_hat) is not None
+        model = stage.beta(k_hat)
+        scaled = Stage1(TimePanel(y.series_names, np.ldexp(y.values, k)), 40).beta(k_hat)
+        assert np.array_equal(scaled.beta, model.beta)
+        assert scaled.resid_rms == np.ldexp(model.resid_rms, k)
 
 
 class TestForecastF:

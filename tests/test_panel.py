@@ -62,6 +62,18 @@ class TestLoadWide:
         with pytest.raises(IngestError, match=detail):
             load_csv(path)
 
+    @pytest.mark.parametrize("text, names, values", [
+        # Spreadsheet exports start with a UTF-8 byte-order mark; one is stripped.
+        ("\ufeffa,b\n1,2\n3,4\n", ("a", "b"), [[1, 3], [2, 4]]),
+        ("\ufeff1,2\n3,4\n", ("s1", "s2"), [[1, 3], [2, 4]]),
+        ("\ufeff\ufeffa\n1\n", ("\ufeffa",), [[1]]),
+    ])
+    def test_leading_byte_order_mark(self, tmp_path, text, names, values):
+        path = write(tmp_path, text)
+        panel = load_csv(path)
+        assert (panel.series_names, panel.values.tolist()) == (names, values)
+        assert_same_as_csv_module(path)
+
 
 def load_by_csv_module(path):
     """``load_csv(path)`` read by the csv-module path alone."""
@@ -190,6 +202,19 @@ class TestOneCallParse:
         assert panel_module._load_wide_plain(path) is not None
         assert_same_as_csv_module(path)
 
+    @given(parts=wide_parts())
+    @settings(max_examples=50)
+    def test_leading_byte_order_mark_is_stripped(self, parts, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("bom")
+        plain, marked = folder / "plain.csv", folder / "marked.csv"
+        plain.write_text(render(*parts), encoding="utf-8", newline="")
+        marked.write_text("\ufeff" + render(*parts), encoding="utf-8", newline="")
+        assert panel_module._load_wide_plain(marked) is not None
+        assert_same_as_csv_module(marked)
+        got, want = load_csv(marked), load_csv(plain)
+        assert got.series_names == want.series_names
+        assert np.array_equal(got.values, want.values)
+
     @given(data=malformed_files())
     @settings(max_examples=400)
     def test_malformed_files(self, data, tmp_path_factory):
@@ -249,6 +274,12 @@ class TestLoadLong:
         text = "series,t,value\na,1,1\na,2,2\n"
         panel = load_csv(write(tmp_path, text), layout="long")
         assert panel.values.tolist() == [[1, 2]]
+
+    @pytest.mark.parametrize("text", ["\ufeffa,1,1\na,2,2\n",
+                                      "\ufeffseries,t,value\na,1,1\na,2,2\n"])
+    def test_leading_byte_order_mark(self, tmp_path, text):
+        panel = load_csv(write(tmp_path, text), layout="long")
+        assert (panel.series_names, panel.values.tolist()) == (("a",), [[1, 2]])
 
     def test_missing_pair(self, tmp_path):
         text = "a,1,1\na,2,2\nb,1,4\n"

@@ -160,24 +160,39 @@ class TestSvdCallCounts:
         assert len(svd_calls) == 1
 
     def test_fit_beta(self, svd_calls):
+        # beta is read off the whole Page matrix's SVD, the one the rank rule reads.
         train, _ = split_panel()
         Stage1(train, 30).beta(5)
-        assert svd_calls == [(29, 60)]
+        assert svd_calls == [(30, 60)]
         fit_beta(train, 30, RankRule.fixed(5))
-        assert svd_calls[1:] == [(30, 60), (29, 60)]
+        assert svd_calls[1:] == [(30, 60)]
 
-    def test_p_grid_fit_takes_four(self, svd_calls):
+    def test_p_grid_fit_takes_two(self, svd_calls):
         train, _ = split_panel()
         fit(train, SamossaConfig(rank=RankRule.energy(0.9), p=(0, 1, 2, 3), valid_len=25))
-        assert len(svd_calls) == 4  # head full + sub, refit full + sub
+        assert len(svd_calls) == 2  # the head's Page matrix, the refit's
 
-    def test_grid_search_takes_two_per_L(self, svd_calls):
+    def test_grid_search_takes_one_per_L(self, svd_calls):
         train, valid = split_panel()
         grid = default_grid()
         grid_search(train, valid, grid)
         n_L = len({c.resolved_L(train.n_series, train.length) for c in grid})
         assert n_L == 3
-        assert len(svd_calls) == 2 * n_L
+        assert len(svd_calls) == n_L
+
+    def test_top_k_head_keeps_its_sub_matrix_head_for_beta(self, svd_calls, monkeypatch):
+        # 3 x 1300 at L = 60: a 60 x 63 Page matrix. Under a lowered crossover
+        # fixed:3 reads an ARPACK head, which holds too few left vectors for
+        # the downdate, so beta takes a head of the top 59 rows.
+        monkeypatch.setattr(lowrank, "_TOPK_MIN_DIM", 30)
+        dense, original = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: dense.append(a) or original(*a, **kw))
+        panel = generate(forecasting_spec(n_series=3, length=1300, seed=4)).y
+        stage = Stage1(panel, 60)
+        assert stage.decompose(RankRule.fixed(3)).singular_values.shape == (3,)
+        assert stage.beta(3).k_hat == 3
+        assert svd_calls == [(60, 63), (59, 63)]
+        assert dense == []
 
 
 class TestStage1:
