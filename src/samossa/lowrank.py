@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import RankError, _integer, _is_real
 
-__all__ = ["SvdResult", "RankRule", "svd", "takes_topk", "hsvt", "select_rank"]
+__all__ = ["SvdResult", "RankRule", "svd", "downdate", "takes_topk", "hsvt", "select_rank"]
 
 # Singular values below this relative floor count as zero.
 _ZERO_REL = 1e-14
@@ -26,6 +26,16 @@ _TIE_REL = 1e-12
 # of at most 500 rows that the search and the CLI tests fit keep the dense
 # path and its bits.
 _TOPK_MIN_DIM = 600
+
+# downdate divides by the square roots of the top k eigenvalues of the
+# downdated Gram, scaled so that s_1 is in [1/2, 1), and keeps the top k
+# eigenvectors: it answers only when the k-th eigenvalue and the gap below
+# it both exceed this floor, far above eigh's absolute error of about L * eps
+# (1e-13 here). The seven beta solves of forecast_benchmark_run(0) have their
+# smallest eigenvalue at 5.8e-4 and their smallest gap at 6.6e-6, 660 times
+# the floor. A split tie (a period-3 sawtooth's s_2 = s_3) or a k past the
+# rank of the remaining rows falls below it.
+_DOWNDATE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -68,6 +78,38 @@ def svd(matrix: np.ndarray, k: int | None = None) -> SvdResult:
             return head
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     return SvdResult(singular_values=s[:k], left_vectors=u[:, :k], right_vectors=vt[:k].T)
+
+
+def downdate(full: SvdResult, k: int) -> SvdResult | None:
+    """The top k triplets of the matrix ``full`` factors with its last row deleted.
+
+    ``full`` holds every triplet of A = U S V^T. Its top rows A' = U[:-1] S V^T
+    have A'^T A' = V (S^2 - z z^T) V^T with z = S U[-1], a rank-one downdate
+    (Bunch, Nielsen & Sorensen 1978; Gu & Eisenstat 1995). With
+    S^2 - z z^T = W diag(lambda) W^T in descending order, the top k triplets
+    of A' are sqrt(lambda_k), U[:-1] S W_k / sqrt(lambda_k) and V W_k, from
+    one eigendecomposition of the side of S. S is first scaled by a power of
+    two so that s_1 is in [1/2, 1), which is exact and keeps S^2 in range.
+    None when k < 1 or the retained eigenvalues are not clear of the rounding
+    floor ``_DOWNDATE_TOL`` (a zero or tied k-th value); :func:`svd` of the
+    top rows serves those.
+    """
+    s = full.singular_values
+    if k < 1 or not 0.0 < s[0] < np.inf:
+        return None
+    exp = int(np.frexp(s[0])[1])
+    s = np.ldexp(s, -exp)
+    z = s * full.left_vectors[-1]
+    lam, w = np.linalg.eigh(np.diag(s * s) - np.outer(z, z))
+    lam, w = lam[::-1], w[:, ::-1]
+    k = min(k, lam.size)
+    gap = lam[k - 1] - lam[k] if k < lam.size else lam[k - 1]
+    if not (lam[k - 1] > _DOWNDATE_TOL and gap > _DOWNDATE_TOL):
+        return None
+    root, w = np.sqrt(lam[:k]), w[:, :k]
+    return SvdResult(singular_values=np.ldexp(root, exp),
+                     left_vectors=full.left_vectors[:-1] @ (s[:, None] * w) / root,
+                     right_vectors=full.right_vectors @ w)
 
 
 def _arpack(a: np.ndarray, k: int) -> SvdResult | None:

@@ -388,9 +388,12 @@ def save_csv(panel: TimePanel, path, layout: str = "wide") -> None:
     own bytes: it writes a float as its ``repr`` (shortest round-trip text)
     and never quotes one, and a panel's values are finite floats. The long
     layout quotes each series name once through the ``csv`` module. An
-    unknown ``layout`` raises ConfigError before the file is opened.
+    unknown ``layout`` raises ConfigError, and names that :func:`load_csv`
+    would not give back raise IngestError (:func:`_check_savable`), before
+    the file is opened.
     """
     _check_layout(layout)
+    _check_savable(panel.series_names, layout)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(panel.series_names if layout == "wide"
                                 else ("series", "t", "value"))
@@ -406,6 +409,26 @@ def save_csv(panel: TimePanel, path, layout: str = "wide") -> None:
                 for lo in range(0, panel.length, _BLOCK):
                     fh.write("".join(f"{cell}{t},{value!r}\r\n" for t, value
                                      in enumerate(row[lo:lo + _BLOCK].tolist(), panel.t0 + lo)))
+
+
+def _check_savable(names: tuple[str, ...], layout: str) -> None:
+    """IngestError unless :func:`load_csv` reads ``names`` back from a file in ``layout``.
+
+    The readers strip each name, so a name with surrounding whitespace would
+    come back changed. A wide header whose every cell parses as a number
+    would be read as a data row, and a byte-order mark opening a wide file
+    is dropped as one.
+    """
+    for name in names:
+        if name != name.strip():
+            raise IngestError(f"series name {name!r} has surrounding whitespace, which "
+                              f"load_csv strips: it cannot be saved in the {layout} layout")
+    if layout == "wide" and not _column_names(list(names))[1]:
+        raise IngestError(f"series names {list(names)!r} all read as numbers, so a wide header "
+                          f"of them would load as data: save them in the long layout")
+    if layout == "wide" and names[0].startswith("\ufeff"):
+        raise IngestError(f"series name {names[0]!r} opens with a byte-order mark, which "
+                          f"load_csv drops: it cannot be saved first in the wide layout")
 
 
 def split(panel: TimePanel, spec: SplitSpec) -> tuple[TimePanel, TimePanel, TimePanel]:

@@ -87,7 +87,8 @@ class SamossaConfig:
     non-empty list or tuple of them, ``shape_ratio`` an integer >= 1,
     ``valid_len`` None or an integer >= 2. Numpy integers convert to int;
     booleans are refused. A fit has one spelling: an order is stored as an
-    int (``[2]`` as 2), a grid as a tuple, and a field the fit does not read
+    int (``[2]`` and ``[2, 2]`` as 2), a grid as a sorted tuple of distinct
+    orders (``(2, 1, 1)`` as ``(1, 2)``), and a field the fit does not read
     as its default (``valid_len`` beside an order, ``shape_ratio`` beside L).
     """
 
@@ -103,7 +104,7 @@ class SamossaConfig:
         if isinstance(self.p, (list, tuple)):
             if not self.p:
                 raise ConfigError("p must not be an empty grid")
-            p = tuple(_integer(q, "p grid entry", 0, ConfigError) for q in self.p)
+            p = tuple(sorted({_integer(q, "p grid entry", 0, ConfigError) for q in self.p}))
         else:
             p = (_integer(self.p, "p", 0, ConfigError),)
         checked = {

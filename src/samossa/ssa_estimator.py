@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError, RankError, ShapeError, _integer
-from .linear_forecaster import BetaModel, downdate_beta, solve_beta
-from .lowrank import RankRule, SvdResult, select_rank, svd, takes_topk
+from .linear_forecaster import BetaModel, solve_beta
+from .lowrank import RankRule, SvdResult, downdate, select_rank, svd, takes_topk
 from .pagemat import stack, unstack
 from .panel import TimePanel
 
@@ -59,41 +59,41 @@ class Stage1:
     Nothing in stage 1 depends on the AR order, and the rank rule only picks
     k off one spectrum, so one instance serves every configuration fitted on
     the same panel at the same L. The Page matrix is stacked on
-    construction and its SVD taken on first use. :meth:`beta` reads the lag
-    model off that same full SVD by a rank-one downdate
-    (:func:`~samossa.linear_forecaster.downdate_beta`); only where the
-    downdate declines, or the top L-1 rows take a top-k head, does it take
-    an SVD of those rows for :func:`~samossa.linear_forecaster.solve_beta`.
+    construction and its SVD taken on first use. :meth:`beta` solves the
+    lag model (:func:`~samossa.linear_forecaster.solve_beta`) on an SVD of the
+    top L-1 rows: the rank-one downdate of that same full SVD
+    (:func:`~samossa.lowrank.downdate`), or, where the top rows take a top-k
+    head or the downdate declines, an SVD of those rows taken for the call.
 
     Where :func:`~samossa.lowrank.takes_topk` allows, a rule that reads only
     the top K triplets (``fixed:K``, and the beta fit at rank k_hat) gets an
     ARPACK head of that matrix; every other request shares the one full SVD.
     Which SVD serves a request depends only on the matrix and the rule,
-    never on the order of calls. Every SVD taken is kept, heads included,
-    since a head is only K vectors per side. Nothing else matrix-sized is
-    kept. The grid scorer makes each distinct (spectrum, k_hat)
-    decomposition once, in one helper job (``evaluation._score_each``):
-    twin configs share it, and a p grid's order selection is one job.
+    never on the order of calls. Every SVD of the Page matrix taken is kept,
+    heads included, since a head is only K vectors per side. Nothing else
+    matrix-sized is kept. The grid scorer makes each distinct
+    (spectrum, k_hat) decomposition once, in one helper job
+    (``evaluation._score_each``): twin configs share it, and a p grid's
+    order selection is one job.
     """
 
     def __init__(self, panel: TimePanel, L: int):
         self.panel = panel
         self.L = L
         self.page = stack(panel, L)
-        # (rows, k of a top-k head, or None for every triplet) -> SVD of the top rows
-        self._svds: dict[tuple[int, int | None], SvdResult] = {}
+        # k of a top-k head, or None for every triplet -> SVD of the Page matrix
+        self._svds: dict[int | None, SvdResult] = {}
 
-    def _svd(self, rows: int, k: int | None) -> SvdResult:
-        """The SVD of the top ``rows`` Page rows that serves a rule reading ``k`` triplets."""
-        matrix = self.page.data[:rows]
-        key = (rows, k if takes_topk(matrix.shape, k) else None)
+    def _svd(self, k: int | None) -> SvdResult:
+        """The SVD of the Page matrix that serves a rule reading ``k`` triplets."""
+        key = k if takes_topk(self.page.data.shape, k) else None
         if key not in self._svds:
-            self._svds[key] = svd(matrix, k=key[1])
+            self._svds[key] = svd(self.page.data, k=key)
         return self._svds[key]
 
     def spectrum(self, rule: RankRule) -> SvdResult:
         """The SVD of the whole Page matrix that serves ``rule``, one object per matrix or head."""
-        return self._svd(self.L, rule.k if rule.kind == "fixed" else None)
+        return self._svd(rule.k if rule.kind == "fixed" else None)
 
     def rank(self, rule: RankRule) -> int:
         """k_hat under ``rule``, read off the Page matrix's spectrum."""
@@ -106,17 +106,15 @@ class Stage1:
     def beta(self, k_hat: int) -> BetaModel:
         """The lag model regressing the last Page row on the top L-1 rows at rank k_hat.
 
-        From the full dense SVD by :func:`downdate_beta` unless the top rows
-        take a top-k head or the downdate declines; then by :func:`solve_beta`.
+        The SVD of the top rows is the downdate of the full dense SVD unless
+        they take a top-k head or the downdate declines; then their own.
         """
         if self.L < 2:
             raise ShapeError(f"need L >= 2 to regress the last row on the rest, got L={self.L}")
         k_hat = _integer(k_hat, "k_hat", 0, RankError)  # before it slices the SVD
-        if not takes_topk((self.L - 1, self.page.data.shape[1]), k_hat):
-            model = downdate_beta(self._svd(self.L, None), k_hat)
-            if model is not None:
-                return model
-        return solve_beta(self.page.data, self._svd(self.L - 1, k_hat), k_hat)
+        top = self.page.data[:-1]
+        sub = None if takes_topk(top.shape, k_hat) else downdate(self._svd(None), k_hat)
+        return solve_beta(self.page.data, sub or svd(top, max(k_hat, 1)), k_hat)
 
 
 def _truncate(panel: TimePanel, origin: int, spectrum: SvdResult, k_hat: int) -> Decomposition:

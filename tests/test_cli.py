@@ -409,9 +409,10 @@ class TestEvalAndGrid:
 class TestGoldenOutputs:
     # The golden panel y.csv is synth --preset forecast --n 3 --t 430 --seed 6.
     # best.json was written by the release before stage 1 was shared across
-    # configs; grid.csv and model.json by the first release that reads beta
-    # off the Page matrix's own SVD (a rank-one downdate), which moved beta
-    # and the grid's R^2 in their last bits. Each must be reproduced byte for byte.
+    # configs; grid.csv and model.json by the first release that solves beta
+    # by one closed form on an SVD of the top Page rows (the downdate of the
+    # Page matrix's own SVD here), which moved beta and the grid's R^2 in
+    # their last bits. Each must be reproduced byte for byte.
     def test_grid_files(self, tmp_path):
         out = tmp_path / "grid"
         assert run("grid", "--input", str(GOLDEN / "y.csv"), "--train-end", "400",
@@ -428,7 +429,7 @@ class TestGoldenOutputs:
     # Tables from the golden panel or model with the arguments below.
     # fig2.csv/fig2.json and the long-layout panel were written before every
     # CSV writer went through panel.write_rows; report.csv and the recursive
-    # forecast by the release that reads beta off the downdate, through
+    # forecast by the release that solves beta by one closed form, through
     # write_rows.
     def test_eval_report_csv(self, tmp_path):
         out = tmp_path / "eval"
@@ -583,6 +584,21 @@ class TestBadInputs:
         assert [line for line in err if "error" in line] == err[-1:], err
         assert err[-1].startswith(f"samossa: error: {kind}: "), err
         assert not model_path.exists()
+
+    def test_names_a_wide_file_cannot_carry_write_nothing(self, capsys, tmp_path):
+        # Numeric names load from the long layout, but a wide header of them
+        # would read back as a data row.
+        values = np.sin(np.arange(120.0) * np.array([[0.3], [0.7]]))
+        long_csv = tmp_path / "long.csv"
+        save_csv(TimePanel(("1", "2"), values), long_csv, layout="long")
+        out = tmp_path / "decomp"
+        capsys.readouterr()
+        assert run("decompose", "--input", str(long_csv), "--layout", "long", "--L", "6",
+                   "-o", str(out)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [line for line in err if "error" in line] == err[-1:], err
+        assert err[-1].startswith("samossa: error: IngestError: series names ['1', '2']"), err
+        assert not (out / "f_hat.csv").exists()
 
     def test_duplicate_series_names_are_an_ingest_error(self, capsys, tmp_path):
         rows = np.random.default_rng(0).normal(size=(60, 3))

@@ -116,6 +116,11 @@ def test_rank_rule_refuses_fields_its_kind_does_not_read(kind, fields):
 def test_config_stores_only_what_the_fit_reads():
     assert SamossaConfig(p=2, valid_len=30) == SamossaConfig(p=2)
     assert SamossaConfig(p=[2], valid_len=30).valid_len is None
+    assert SamossaConfig(p=(2, 1, 1), valid_len=30) == SamossaConfig(p=[1, 2], valid_len=30)
+    assert SamossaConfig(p=(2, 1, 1)).p == (1, 2)
+    assert SamossaConfig(p=[1, 1], valid_len=30) == SamossaConfig(p=1)
+    assert SamossaConfig(p=[1, 1], valid_len=30).valid_len is None
+    assert type(SamossaConfig(p=[np.int64(3), 3]).p) is int
     assert SamossaConfig(L=40, shape_ratio=3) == SamossaConfig(L=40)
     grid = SamossaConfig(p=(0, 1), shape_ratio=3, valid_len=30)
     assert (grid.shape_ratio, grid.valid_len) == (3, 30)

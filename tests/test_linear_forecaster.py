@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from samossa import BetaModel, FitError, RankError, RankRule, ShapeError, TimePanel
 from samossa import evaluation, ssa_estimator
-from samossa.linear_forecaster import downdate_beta, fit_beta, forecast_f, solve_beta
-from samossa.lowrank import svd
+from samossa.linear_forecaster import fit_beta, forecast_f, solve_beta
+from samossa.lowrank import downdate, svd, takes_topk
 from samossa.pagemat import stack
 from samossa.ssa_estimator import Stage1
 from samossa.synth import forecasting_spec, generate
@@ -131,6 +131,29 @@ def page_panel(page):
     return TimePanel(("a",), page.T.reshape(1, -1))
 
 
+def lstsq_beta(page, k_hat):
+    """The reference: lstsq on the rank-k_hat truncation of the top rows, rebuilt dense."""
+    u, s, vt = np.linalg.svd(page[:-1], full_matrices=False)
+    if s[0] <= 0.0:
+        raise FitError("all-zero feature matrix")
+    features = (u[:, :k_hat] * s[:k_hat]) @ vt[:k_hat]
+    coef = np.linalg.lstsq(features.T, page[-1], rcond=1e-10)[0]
+    rms = np.sqrt(np.mean((features.T @ coef - page[-1]) ** 2))
+    return BetaModel(beta=coef[::-1], k_hat=k_hat, resid_rms=rms)
+
+
+def assert_near_reference(got, page, k_hat):
+    """beta within the top rows' conditioning of the reference's, the RMS within rounding."""
+    reference = lstsq_beta(page, k_hat)
+    s = np.linalg.svd(page[:-1], compute_uv=False)
+    with np.errstate(divide="ignore"):  # an exactly zero k_hat-th value bounds nothing
+        cond = s[0] / s[min(k_hat, s.size) - 1]
+    scale = np.abs(reference.beta).max()
+    assert np.abs(got.beta - reference.beta).max() <= max(1e-9, 1e-14 * cond) * scale
+    last_rms = np.sqrt(np.mean(page[-1] ** 2))
+    assert abs(got.resid_rms - reference.resid_rms) <= 1e-11 * last_rms
+
+
 def same_outcome(got, expected):
     """Equal bits for two BetaModels, or the same error type and message."""
     if isinstance(expected, Exception):
@@ -147,7 +170,7 @@ def outcome(solve, *args):
 
 
 class TestDowndate:
-    """beta read off the whole Page matrix's SVD, against lstsq on an SVD of its top rows."""
+    """beta by one closed form on an SVD of the top rows, against lstsq on rebuilt features."""
 
     @given(rows=st.integers(3, 60), cols=st.integers(2, 90), rank=st.integers(1, 5),
            noise=st.sampled_from([0.0, 1e-8, 1e-4, 1e-2, 1.0]),
@@ -164,21 +187,48 @@ class TestDowndate:
         page = np.ldexp((u * s) @ v.T + noise * rng.normal(size=(rows, cols)), exponent)
         k_hat = data.draw(st.integers(1, min(rows - 1, cols)), label="k_hat")
 
-        oracle = outcome(solve_beta, page, svd(page[:-1]), k_hat)
-        got = downdate_beta(svd(page), k_hat)
-        shared = outcome(Stage1(page_panel(page), rows).beta, k_hat)
-        if got is None:  # declined: Stage1 falls back to the oracle itself
-            assert same_outcome(shared, oracle)
+        stage = Stage1(page_panel(page), rows)
+        assert np.array_equal(stage.page.data, page)
+        page = stage.page.data  # its memory layout, which LAPACK's rounding follows
+        got = outcome(stage.beta, k_hat)
+        # Stage1 solves on the downdate where it answers, else on the top rows' own SVD.
+        sub = downdate(svd(page), k_hat)
+        assert same_outcome(got, outcome(solve_beta, page, sub or svd(page[:-1], k_hat), k_hat))
+        reference = outcome(lstsq_beta, page, k_hat)
+        if isinstance(reference, FitError):
+            assert same_outcome(got, reference)
             return
-        assert same_outcome(shared, got)
-        assert np.abs(got.beta - oracle.beta).max() <= 1e-9 * np.abs(oracle.beta).max()
-        last_rms = np.sqrt(np.mean(page[-1] ** 2))
-        assert abs(got.resid_rms - oracle.resid_rms) <= 1e-11 * last_rms
+        assert_near_reference(got, page, k_hat)
+        if sub is not None:  # the downdate's triplets are the top rows' top k_hat
+            dense = svd(page[:-1], k_hat)
+            k = dense.singular_values.size
+            assert sub.singular_values.shape == (k,)
+            assert np.abs(sub.singular_values - dense.singular_values).max() \
+                <= 1e-12 * dense.singular_values[0]
+            for ours, theirs in ((sub.left_vectors, dense.left_vectors),
+                                 (sub.right_vectors, dense.right_vectors)):
+                # eigh's rounding over the 1e-8 eigenvalue gap the downdate requires
+                assert np.abs(ours @ ours.T - theirs @ theirs.T).max() <= 1e-8
+
+    @pytest.mark.parametrize("rule", [RankRule.fixed(5), RankRule.energy(0.9)], ids=str)
+    def test_arpack_head_matches_lstsq_oracle(self, rule, monkeypatch):
+        # 10 x 36 060 at L = 601: the top rows are 600 x 600, so beta at a small
+        # k_hat reads an ARPACK head of them rather than the downdate.
+        calls = []
+        monkeypatch.setattr(ssa_estimator, "svd",
+                            lambda matrix, k=None: calls.append((matrix.shape, k)) or svd(matrix, k))
+        stage = Stage1(generate(forecasting_spec(n_series=10, length=601 * 60, seed=0)).y, 601)
+        k_hat = stage.rank(rule)
+        assert takes_topk((600, 600), k_hat)
+        calls.clear()
+        model = stage.beta(k_hat)
+        assert calls == [((600, 600), k_hat)]
+        assert_near_reference(model, stage.page.data, k_hat)
 
     def test_split_tie_declines(self):
         # The period-3 sawtooth at L = 4 has s_2 = s_3: rank 2 splits the tie.
         panel = TimePanel(("a",), np.tile([1.0, 2.0, 3.0], 20)[None, :])
-        assert downdate_beta(svd(stack(panel, 4).data), 2) is None
+        assert downdate(svd(stack(panel, 4).data), 2) is None
         model = Stage1(panel, 4).beta(2)
         assert forecast_f(model, [3.0, 2.0, 1.0]) == pytest.approx(1.0, abs=1e-8)
 
@@ -187,40 +237,49 @@ class TestDowndate:
         rng = np.random.default_rng(0)
         page = rng.normal(size=(12, 2)) @ rng.normal(size=(2, 30))
         full = svd(page)
-        assert downdate_beta(full, 2) is not None
-        assert downdate_beta(full, 3) is None
-        assert same_outcome(Stage1(page_panel(page), 12).beta(3),
-                            solve_beta(page, svd(page[:-1]), 3))
+        assert downdate(full, 2) is not None
+        assert downdate(full, 3) is None
+        model = Stage1(page_panel(page), 12).beta(3)
+        assert same_outcome(model, solve_beta(page, svd(page[:-1]), 3))
+        assert_near_reference(model, page, 3)
+        # The third value is rounding, below the 1e-10 s_1 cutoff: the rank-2 model.
+        rank2 = Stage1(page_panel(page), 12).beta(2)
+        assert np.abs(model.beta - rank2.beta).max() <= 1e-9 * np.abs(rank2.beta).max()
 
     def test_zero_rank_declines(self):
         page = np.random.default_rng(1).normal(size=(5, 8))
-        assert downdate_beta(svd(page), 0) is None
-        assert same_outcome(Stage1(page_panel(page), 5).beta(0),
-                            solve_beta(page, svd(page[:-1]), 0))
+        assert downdate(svd(page), 0) is None
+        model = Stage1(page_panel(page), 5).beta(0)
+        assert np.array_equal(model.beta, np.zeros(4)) and model.k_hat == 0
+        assert model.resid_rms == np.sqrt(np.mean(page[-1] ** 2))
 
     def test_all_zero_features_stay_a_fit_error(self):
         # s(t) = 1 at every fourth step: at L = 4 only the last Page row is non-zero.
         panel = TimePanel(("a",), (np.arange(48) % 4 == 3).astype(float)[None, :])
-        assert downdate_beta(svd(stack(panel, 4).data), 1) is None
-        with pytest.raises(FitError, match="^all-zero feature matrix$"):
-            Stage1(panel, 4).beta(1)
+        assert downdate(svd(stack(panel, 4).data), 1) is None
+        for k_hat in (0, 1):
+            with pytest.raises(FitError, match="^all-zero feature matrix$"):
+                Stage1(panel, 4).beta(k_hat)
 
     def test_benchmark_seed_takes_the_downdate_every_time(self, monkeypatch):
         # The grid's beta solves (the nine default configs give five (L, k_hat)
-        # pairs on the train panel) and both refits'.
-        answers, fallbacks = [], []
+        # pairs on the train panel) and both refits': one SVD of each Page
+        # matrix (three Ls, and the refits' panel at its own L), none of its top rows.
+        answers, page_rows, shapes = [], set(), []
 
         def recording(full, k_hat):
-            model = downdate_beta(full, k_hat)
-            answers.append(model is not None)
-            return model
+            sub = downdate(full, k_hat)
+            answers.append(sub is not None)
+            page_rows.add(full.left_vectors.shape[0])
+            return sub
 
-        monkeypatch.setattr(ssa_estimator, "downdate_beta", recording)
-        monkeypatch.setattr(ssa_estimator, "solve_beta",
-                            lambda *args: fallbacks.append(args) or solve_beta(*args))
+        monkeypatch.setattr(ssa_estimator, "downdate", recording)
+        monkeypatch.setattr(ssa_estimator, "svd",
+                            lambda matrix, k=None: shapes.append(matrix.shape) or svd(matrix, k))
         evaluation.forecast_benchmark_run(0)
         assert answers == [True] * 7
-        assert fallbacks == []
+        assert len(shapes) == 4
+        assert {rows for rows, _ in shapes} == page_rows
 
     @pytest.mark.parametrize("rule", [RankRule.fixed(4), RankRule.energy(0.9),
                                       RankRule.universal()], ids=str)
@@ -229,7 +288,7 @@ class TestDowndate:
         y = generate(forecasting_spec(n_series=3, length=400, seed=0)).y
         stage = Stage1(y, 40)
         k_hat = stage.rank(rule)
-        assert downdate_beta(stage._svd(40, None), k_hat) is not None
+        assert downdate(stage.spectrum(RankRule.universal()), k_hat) is not None
         model = stage.beta(k_hat)
         scaled = Stage1(TimePanel(y.series_names, np.ldexp(y.values, k)), 40).beta(k_hat)
         assert np.array_equal(scaled.beta, model.beta)

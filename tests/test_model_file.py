@@ -297,7 +297,7 @@ class TestFieldsCheckedAtConstruction:
     def test_one_order_has_one_spelling(self, tmp_path):
         for p in ([2], (2,), [np.int64(2)]):
             assert SamossaConfig(p=p).p == 2 and type(SamossaConfig(p=p).p) is int
-        assert SamossaConfig(p=[2, 2]).p == (2, 2)  # a grid of two entries stays a grid
+        assert SamossaConfig(p=[2, 2]).p == 2  # a grid of one distinct order is that order
         model = fit(_panel(), SamossaConfig(rank=RankRule.fixed(2), p=[2]))
         path = tmp_path / "model.json"
         save_model(model, path)

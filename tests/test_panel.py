@@ -194,7 +194,7 @@ class TestOneCallParse:
 
     @given(values=st.lists(st.lists(FINITE, min_size=1, max_size=4), min_size=1, max_size=5)
            .filter(lambda rows: len({len(r) for r in rows}) == 1),
-           names=st.lists(NAMES, min_size=4, max_size=4, unique_by=str.strip))
+           names=st.lists(NAMES.map(str.rstrip), min_size=5, max_size=5, unique=True))
     @settings(max_examples=100)
     def test_saved_panels(self, values, names, tmp_path_factory):
         path = tmp_path_factory.mktemp("saved") / "p.csv"
@@ -354,6 +354,75 @@ class TestRoundTrip:
             load_csv(path, layout="tall")
 
 
+# Names the readers strip, parse as numbers or drop a mark from, and names they keep.
+TRAP_NAMES = ["1", "2", "1e3", "nan", "-inf", "1_0", "\u0661", " a", "a ", "a\n", "\ta", "\x1c",
+              "\u2028a", "\ufeffa", "a\ufeff", "", "t", "series", "a,b", 'say "hi"', "two\nlines",
+              "a\x00b", "s1"]
+
+
+@st.composite
+def any_panels(draw):
+    """A panel TimePanel accepts, of 1-3 series and 1-4 time steps, its names often traps."""
+    n, length = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from(TRAP_NAMES) | st.text(max_size=3), min_size=n,
+                          max_size=n, unique=True))
+    values = draw(st.lists(FINITE, min_size=n * length, max_size=n * length))
+    return TimePanel(tuple(names), np.reshape(values, (n, length)),
+                     t0=draw(st.integers(-10**6, 10**6)))
+
+
+class TestSavedPanelsLoadBack:
+    """``save_csv`` refuses, before it opens the file, a panel that ``load_csv``
+    would not give back; every other panel loads back with its names and bits.
+    (A panel of no time steps is written as its header alone, which holds no data
+    to load.)"""
+
+    @pytest.mark.parametrize("layout", ["wide", "long"])
+    @given(panel=any_panels())
+    @example(panel=TimePanel(("1", "2"), np.ones((2, 3))))
+    @example(panel=TimePanel(("1e3",), np.ones((1, 3))))
+    @example(panel=TimePanel((" a",), np.ones((1, 3))))
+    @example(panel=TimePanel(("a\n",), np.ones((1, 3))))
+    @example(panel=TimePanel(("a", "a "), np.ones((2, 3))))
+    @example(panel=TimePanel(("\ufeffa", "b"), np.ones((2, 3))))
+    @settings(max_examples=200, deadline=None)
+    def test_saved_or_refused(self, layout, panel, tmp_path_factory):
+        path = tmp_path_factory.mktemp("trip") / "p.csv"
+        try:
+            save_csv(panel, path, layout=layout)
+        except IngestError:
+            assert not path.exists()
+            return
+        back = load_csv(path, layout=layout)
+        assert back.series_names == panel.series_names
+        assert np.array_equal(back.values, panel.values)
+        assert np.array_equal(np.signbit(back.values), np.signbit(panel.values))
+        if layout == "long":
+            assert back.t0 == panel.t0
+
+    @pytest.mark.parametrize("names, layouts, message", [
+        (("1", "2"), ["wide"], r"series names \['1', '2'\] all read as numbers.*long layout"),
+        (("nan",), ["wide"], r"series names \['nan'\] all read as numbers"),
+        ((" a",), ["wide", "long"], r"series name ' a' has surrounding whitespace.*the {} layout"),
+        (("b", "a\n"), ["wide", "long"], r"series name 'a\\n' has surrounding whitespace"),
+        (("\ufeffa",), ["wide"], r"series name '\\ufeffa' opens with a byte-order mark"),
+    ])
+    def test_refusals_name_the_series_and_the_layout(self, tmp_path, names, layouts, message):
+        panel = TimePanel(names, np.ones((len(names), 2)))
+        for layout in layouts:
+            with pytest.raises(IngestError, match=message.format(layout)):
+                save_csv(panel, tmp_path / "p.csv", layout=layout)
+            assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("names", [("1", "2"), ("\ufeffa",), ("1", "a"), ("a b", "")])
+    def test_long_layout_keeps_what_the_wide_header_cannot(self, tmp_path, names):
+        panel = TimePanel(names, np.arange(2.0 * len(names)).reshape(len(names), 2), t0=-3)
+        save_csv(panel, tmp_path / "p.csv", layout="long")
+        back = load_csv(tmp_path / "p.csv", layout="long")
+        assert (back.series_names, back.t0) == (names, -3)
+        assert np.array_equal(back.values, panel.values)
+
+
 def csv_module_bytes(panel, path, layout):
     """The bytes ``write_rows`` (the csv module) writes for ``panel``: save_csv's oracle."""
     if layout == "wide":
@@ -368,7 +437,7 @@ def csv_module_bytes(panel, path, layout):
 
 BLOCK = panel_module._BLOCK
 EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-05, 0.1]
-QUOTED_NAMES = ["a,b", 'say "hi"', "two\nlines", " lead", "café", "数据", ""]
+QUOTED_NAMES = ["a,b", 'say "hi"', "two\nlines", "in side", "café", "数据", ""]
 
 
 @st.composite
