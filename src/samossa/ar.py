@@ -44,7 +44,8 @@ class ArModel:
     """AR(p) coefficients, most-recent-lag first: x(t) ~ sum_i alpha[i-1] x(t-i).
 
     The order ``p`` is ``len(alpha)``. ``p == 0`` is the degenerate model
-    whose one-step forecast is always 0 (the pure low-rank ablation).
+    whose one-step forecast is always 0 (the pure low-rank ablation):
+    ``fit_ar(x, 0)`` fits one, ``ArModel.zero()`` builds one by hand.
     ``rank_deficient`` flags a fit that fell back to the minimum-norm solution.
     Checked on construction (ShapeError, FitError): ``alpha`` a vector of
     finite integers or floats, ``noise_var_hat`` a finite real and
@@ -104,19 +105,20 @@ class ArDiagnostics:
 
 
 def fit_ar(residuals, p: int) -> ArModel:
-    """Least-squares AR(p) fit to a residual series.
+    """Least-squares AR(p) fit to a residual series, for any order p >= 0.
 
     Regresses x(t+1) on [x(t), ..., x(t-p+1)] over all admissible t. A
     rank-deficient design falls back to the minimum-norm solution and is
     flagged on the model. ``noise_var_hat`` is the mean squared regression
-    residual. FitError for a non-finite residual, or if ``noise_var_hat`` is not finite.
+    residual: at p = 0 the design has no columns, alpha is empty and the
+    estimate is the uncentred mean of x^2 (an AR(0) model forecasts 0).
+    FitError for an order that is not an integer >= 0, fewer than 2p + 1
+    observations, a non-finite residual, or a ``noise_var_hat`` that is not finite.
     """
     x = np.asarray(residuals, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError("fit_ar expects a 1-D residual series")
-    p = _integer(p, "order", error=FitError)
-    if p < 1:
-        raise FitError(f"order must be >= 1, got {p} (use ArModel.zero() for p=0)")
+    p = _integer(p, "order", 0, FitError)
     T = x.shape[0]
     if T < 2 * p + 1:
         raise FitError(f"need at least {2 * p + 1} observations for p={p}, got {T}")
@@ -124,9 +126,11 @@ def fit_ar(residuals, p: int) -> ArModel:
         raise FitError("non-finite residuals")
 
     targets = x[p:]
-    design = np.column_stack([x[p - i: T - i] for i in range(1, p + 1)])
+    design = np.empty((T - p, p))  # column i - 1 holds lag i; no columns at p = 0
+    for i in range(1, p + 1):
+        design[:, i - 1] = x[p - i: T - i]
     alpha, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
-    resid = targets - design @ alpha
+    resid = targets - np.dot(design, alpha)  # matmul takes a slow loop at p <= 1
     with np.errstate(over="ignore"):  # huge residuals overflow; ArModel rejects the inf
         noise_var = float(np.mean(resid**2))
     return ArModel(alpha=alpha, noise_var_hat=noise_var, rank_deficient=bool(rank < p))

@@ -388,11 +388,14 @@ def save_csv(panel: TimePanel, path, layout: str = "wide") -> None:
     own bytes: it writes a float as its ``repr`` (shortest round-trip text)
     and never quotes one, and a panel's values are finite floats. The long
     layout quotes each series name once through the ``csv`` module. An
-    unknown ``layout`` raises ConfigError, and names that :func:`load_csv`
-    would not give back raise IngestError (:func:`_check_savable`), before
-    the file is opened.
+    unknown ``layout`` raises ConfigError, and a panel of no time steps or
+    names that :func:`load_csv` would not give back raise IngestError
+    (:func:`_check_savable`), before the file is opened.
     """
     _check_layout(layout)
+    if not panel.length:
+        raise IngestError(f"a panel of no time steps cannot be saved: the {layout} file would "
+                          f"hold its header alone, and load_csv needs a data row")
     _check_savable(panel.series_names, layout)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(panel.series_names if layout == "wide"

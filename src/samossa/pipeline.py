@@ -170,21 +170,15 @@ class SamossaModel:
 
 def _assemble(panel: TimePanel, config: SamossaConfig, p: int, decomp: Decomposition,
               beta_model: BetaModel) -> SamossaModel:
-    """Stage 2 and the forecast state: one AR(p) fit per series on ``decomp``'s residuals.
+    """Stage 2 and the forecast state: one ``fit_ar(x, p)`` per series on ``decomp``'s residuals.
 
-    Reads nothing of stage 1 but ``decomp`` and ``beta_model`` (which owns L),
-    so it may run on another thread than the one that computed them.
+    Every order goes through ``fit_ar``, 0 included. Reads nothing of stage 1
+    but ``decomp`` and ``beta_model`` (which owns L), so it may run on another
+    thread than the one that computed them.
     """
-    ar_models = []
-    for n in range(panel.n_series):
-        if p == 0:
-            with np.errstate(over="ignore"):  # ArModel rejects an overflowed variance
-                ar_models.append(ArModel.zero(noise_var_hat=float(np.var(decomp.x_hat[n]))))
-        else:
-            ar_models.append(fit_ar(decomp.x_hat[n], p))
     return SamossaModel(
         beta_model=beta_model,
-        ar_models=tuple(ar_models),
+        ar_models=tuple(fit_ar(x, p) for x in decomp.x_hat),
         config=config,
         series_names=panel.series_names,
         state=_State(

@@ -42,36 +42,32 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
+# Every fundamental's phase, and with a trend its slope, is drawn uniformly from these.
+_PHASE_RANGE = (0.0, _TWO_PI)
+_SLOPE_RANGE = (-5e-4, 5e-4)
 
-# The deterministic-component fields each kind reads; the spec stores None for the rest.
-_READS = {
-    "harmonics": ("n_fundamentals", "freq_range", "phase_range"),
-    "harmonics_trend": ("n_fundamentals", "freq_range", "phase_range", "slope_range"),
-    "pure_ar": (),
-}
+_KINDS = ("harmonics", "harmonics_trend", "pure_ar")
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
     """What to draw, checked on construction (SpecError): counts are integers >= 1,
-    the seed an integer >= 0 (numpy integers convert), each range a pair of
+    the seed an integer >= 0 (numpy integers convert), ``freq_range`` a pair of
     finite reals, ``sigma2`` finite and > 0, and ``lambda_star`` a real in
     (0, 1), or None beside an explicit ``alpha``: a non-empty vector of finite
     reals, stored as a tuple of floats, that owns the AR order and the roots,
     so the spec then stores ``ar_order`` as its length and ``lambda_star`` as None.
 
-    A kind keeps only the deterministic-component fields it reads:
-    ``harmonics`` stores ``slope_range`` as None, and ``pure_ar`` stores
-    ``n_fundamentals`` and all three ranges as None. A field the kind does not
-    read may be None; any other value is still checked, then dropped."""
+    ``pure_ar`` keeps none of the deterministic-component fields: it stores
+    ``n_fundamentals`` and ``freq_range`` as None. A field the kind does not
+    read may be None; any other value is still checked, then dropped. Phases
+    and slopes are drawn from fixed ranges, [0, 2 pi) and +/- 5e-4."""
 
     kind: str                 # harmonics | harmonics_trend | pure_ar
     n_series: int = 10
     length: int = 10_000
     n_fundamentals: int | None = 3
     freq_range: tuple[float, float] | None = (_TWO_PI / 100.0, _TWO_PI / 50.0)
-    phase_range: tuple[float, float] | None = (0.0, _TWO_PI)
-    slope_range: tuple[float, float] | None = (-5e-4, 5e-4)
     ar_order: int = 2
     lambda_star: float | None = 0.3
     alpha: tuple[float, ...] | None = None   # explicit coefficients override
@@ -79,19 +75,19 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _READS:
+        if self.kind not in _KINDS:
             raise SpecError(f"unknown generator kind {self.kind!r}")
-        reads = _READS[self.kind]
+        harmonic = self.kind != "pure_ar"  # reads n_fundamentals and freq_range
         for name in ("n_series", "length", "ar_order", "seed"):
             value = _integer(getattr(self, name), name, 0 if name == "seed" else 1, SpecError)
             object.__setattr__(self, name, value)
-        for name in ("n_fundamentals", "freq_range", "phase_range", "slope_range"):
+        for name in ("n_fundamentals", "freq_range"):
             value = getattr(self, name)
-            if value is not None or name in reads:
+            if value is not None or harmonic:
                 value = (_integer(value, name, 1, SpecError) if name == "n_fundamentals"
                          else _pair(value, name))
-            object.__setattr__(self, name, value if name in reads else None)
-        if "freq_range" in reads:
+            object.__setattr__(self, name, value if harmonic else None)
+        if harmonic:
             lo, hi = self.freq_range
             if not (0.0 < lo <= hi < math.pi):
                 raise SpecError(f"frequency range {self.freq_range} not inside (0, pi)")
@@ -177,11 +173,11 @@ def generate(spec: GeneratorSpec) -> SynthResult:
     else:
         R = spec.n_fundamentals
         omega = rng_det.uniform(*spec.freq_range, size=R)
-        phi = rng_det.uniform(*spec.phase_range, size=R)
+        phi = rng_det.uniform(*_PHASE_RANGE, size=R)
         t = np.arange(1, T + 1, dtype=np.float64)
         fundamentals = np.sin(omega[:, None] * t[None, :] + phi[:, None])
         if spec.kind == "harmonics_trend":
-            slopes = rng_det.uniform(*spec.slope_range, size=R)
+            slopes = rng_det.uniform(*_SLOPE_RANGE, size=R)
             fundamentals = fundamentals + slopes[:, None] * t[None, :]
         mixture = rng_det.normal(0.0, 1.0, size=(N, R))
         f = mixture @ fundamentals

@@ -105,11 +105,23 @@ class TestFitAr:
         assert -1.3 <= slope <= -0.7
 
 
-    @pytest.mark.parametrize("order", [1.5, "2", True, np.float64(2.0), 0, -1])
+    @pytest.mark.parametrize("order", [1.5, "2", True, np.float64(2.0), -1])
     def test_order_must_be_an_integer_of_at_least_one(self, order):
         x = np.random.default_rng(3).normal(size=50)
-        with pytest.raises(FitError, match="order must be"):
+        with pytest.raises(FitError, match="order must be an integer >= 0"):
             fit_ar(x, order)
+
+    def test_order_zero_is_the_uncentred_mean_square(self):
+        # AR(0) forecasts 0, so x itself is its one-step error: no centring.
+        x = 0.3 + np.random.default_rng(3).normal(size=50)
+        model = fit_ar(x, 0)
+        assert model.alpha.shape == (0,) and not model.rank_deficient
+        assert model.noise_var_hat == np.mean(x**2) != np.var(x)
+        assert fit_ar(x[:1], 0).noise_var_hat == x[0] ** 2
+        with pytest.raises(FitError, match="need at least 1 observations"):
+            fit_ar(x[:0], 0)
+        with pytest.raises(FitError, match="noise variance"):
+            fit_ar(np.full(5, 1e200), 0)
 
     def test_numpy_integer_order(self):
         x = np.random.default_rng(3).normal(size=50)

@@ -409,10 +409,12 @@ class TestEvalAndGrid:
 class TestGoldenOutputs:
     # The golden panel y.csv is synth --preset forecast --n 3 --t 430 --seed 6.
     # best.json was written by the release before stage 1 was shared across
-    # configs; grid.csv and model.json by the first release that solves beta
-    # by one closed form on an SVD of the top Page rows (the downdate of the
-    # Page matrix's own SVD here), which moved beta and the grid's R^2 in
-    # their last bits. Each must be reproduced byte for byte.
+    # configs; grid.csv by the first release that solves beta by one closed
+    # form on an SVD of the top Page rows (the downdate of the Page matrix's
+    # own SVD here), which moved beta and the grid's R^2 in their last bits;
+    # model.json by the first release that fits AR(0) through fit_ar, which
+    # moved its p = 0 noise_var values to the uncentred mean square. Each
+    # must be reproduced byte for byte, at any BLAS thread count.
     def test_grid_files(self, tmp_path):
         out = tmp_path / "grid"
         assert run("grid", "--input", str(GOLDEN / "y.csv"), "--train-end", "400",
@@ -425,6 +427,21 @@ class TestGoldenOutputs:
         assert run("fit", "--input", str(GOLDEN / "y.csv"), "--p", "grid",
                    "-o", str(model_path)) == 0
         assert model_path.read_bytes() == (GOLDEN / "model.json").read_bytes()
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_fit_and_grid_do_not_depend_on_blas_threads(self, tmp_path, threads):
+        # BLAS reads its thread count when numpy loads, hence a fresh process.
+        env = dict(os.environ, PYTHONPATH=str(Path(samossa.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        y = str(GOLDEN / "y.csv")
+        for argv in (["fit", "--input", y, "--p", "grid", "-o", str(tmp_path / "model.json")],
+                     ["grid", "--input", y, "--train-end", "400", "--valid-end", "430",
+                      "-o", str(tmp_path)]):
+            proc = subprocess.run([sys.executable, "-m", "samossa.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        for name in ("model.json", "grid.csv", "best.json"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
     # Tables from the golden panel or model with the arguments below.
     # fig2.csv/fig2.json and the long-layout panel were written before every

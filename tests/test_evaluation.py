@@ -267,6 +267,27 @@ class TestForErr:
         with pytest.raises(ShapeError, match="4 x 0 forecasts"):
             for_err(np.empty((4, 0)), test.window(0, 0), truth)
 
+    @pytest.mark.parametrize("alphas, message", [
+        (("ab", "cd"), r"alphas\[0\] are not an array of numbers"),
+        ((None, None), r"alphas\[0\] are not an array of numbers"),
+        (([0.5], [[0.5, 0.1]]), r"alphas\[1\] must be a vector, got shape \(1, 2\)"),
+        (None, "must be a list or tuple of vectors, got NoneType"),
+    ], ids=["text", "none", "2-d", "no-tuple"])
+    def test_alphas_checked_on_construction(self, alphas, message):
+        panel = TimePanel(("a", "b"), np.zeros((2, 4)))
+        with pytest.raises(ShapeError, match=message):
+            GeneratorTruth(f=panel, x=panel, alphas=alphas)
+
+    def test_alphas_stored_as_read_only_floats(self):
+        panel = TimePanel(("a", "b"), np.zeros((2, 4)))
+        given = [[1], np.array([0.5, -0.25])]
+        truth = GeneratorTruth(f=panel, x=panel, alphas=given)
+        assert type(truth.alphas) is tuple
+        assert [a.tolist() for a in truth.alphas] == [[1.0], [0.5, -0.25]]
+        assert all(a.dtype == np.float64 and not a.flags.writeable for a in truth.alphas)
+        given[1][0] = 9.0  # the truth keeps its own copy
+        assert truth.alphas[1][0] == 0.5
+
 
 def plain_r2(pred, actual) -> float:
     """R^2 of one series, written out: the reference the batched scores must equal."""

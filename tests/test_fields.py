@@ -57,9 +57,9 @@ TABLE = [
     (SamossaConfig, dict(L=10, rank=RankRule.fixed(2), p=1, shape_ratio=1, valid_len=5),
      {"L": {None}, "valid_len": {None}}),
     (GeneratorSpec, dict(kind="harmonics", n_series=2, length=20, n_fundamentals=1,
-                         freq_range=(0.1, 0.2), phase_range=(0.0, 1.0), slope_range=(0.0, 0.0),
-                         ar_order=1, lambda_star=0.5, alpha=None, sigma2=0.2, seed=0),
-     {"alpha": {None}, "sigma2": {1.5}, "slope_range": {None}}),  # harmonics reads no slope
+                         freq_range=(0.1, 0.2), ar_order=1, lambda_star=0.5, alpha=None,
+                         sigma2=0.2, seed=0),
+     {"alpha": {None}, "sigma2": {1.5}}),
     (GeneratorSpec, dict(kind="harmonics", alpha=(0.5,), lambda_star=0.5),
      {"alpha": {None}, "lambda_star": {None}}),
     (ArModel, dict(alpha=[0.5], noise_var_hat=0.1, rank_deficient=False),
@@ -145,9 +145,7 @@ def test_explicit_alpha_owns_the_order_and_the_root():
 
 
 @pytest.mark.parametrize("kind, unread", [
-    ("pure_ar", dict(n_fundamentals=5, freq_range=(4.0, 5.0), phase_range=(0.0, 1.0),
-                     slope_range=(0.0, 1.0))),
-    ("harmonics", dict(slope_range=(0.0, 1.0))),
+    ("pure_ar", dict(n_fundamentals=5, freq_range=(4.0, 5.0))),
 ])
 def test_spec_stores_only_what_its_kind_draws(kind, unread):
     spec = GeneratorSpec(kind=kind, n_series=2, length=50)
@@ -161,8 +159,8 @@ def test_spec_stores_only_what_its_kind_draws(kind, unread):
         with pytest.raises(SpecError, match=name):
             GeneratorSpec(kind=kind, **{name: "x"})
     trend = GeneratorSpec(kind="harmonics_trend", n_series=2, length=50)
-    with pytest.raises(SpecError, match="slope_range"):  # a kind that reads it needs it
-        replace(trend, slope_range=None)
+    with pytest.raises(SpecError, match="freq_range"):  # a kind that reads it needs it
+        replace(trend, freq_range=None)
 
 
 _TRUTH = GeneratorTruth(f=TimePanel(("a",), [[0.0] * 4]), x=TimePanel(("a",), [[1.0] * 4]),
@@ -181,7 +179,9 @@ def _roll(values):
     (lambda v: _roll([v]), IngestError),
     (lambda v: for_err([v], TimePanel(("a",), [[1.0, 2.0]], t0=3), _TRUTH), ShapeError),
     (lambda v: GeneratorSpec(kind="pure_ar", alpha=v), SpecError),
-], ids=["TimePanel", "ArModel", "BetaModel", "roll", "for_err", "GeneratorSpec"])
+    (lambda v: GeneratorTruth(f=_TRUTH.f, x=_TRUTH.x, alphas=(v,)), ShapeError),
+], ids=["TimePanel", "ArModel", "BetaModel", "roll", "for_err", "GeneratorSpec",
+        "GeneratorTruth"])
 @pytest.mark.parametrize("flag", [True, np.False_], ids=["bool", "numpy_bool"])
 def test_a_boolean_anywhere_in_a_list_is_refused(make, error, flag):
     # numpy would promote [0.5, True] to floats; the error names the boolean.

@@ -362,8 +362,8 @@ TRAP_NAMES = ["1", "2", "1e3", "nan", "-inf", "1_0", "\u0661", " a", "a ", "a\n"
 
 @st.composite
 def any_panels(draw):
-    """A panel TimePanel accepts, of 1-3 series and 1-4 time steps, its names often traps."""
-    n, length = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    """A panel TimePanel accepts, of 1-3 series and 0-4 time steps, its names often traps."""
+    n, length = draw(st.integers(1, 3)), draw(st.integers(0, 4))
     names = draw(st.lists(st.sampled_from(TRAP_NAMES) | st.text(max_size=3), min_size=n,
                           max_size=n, unique=True))
     values = draw(st.lists(FINITE, min_size=n * length, max_size=n * length))
@@ -373,9 +373,8 @@ def any_panels(draw):
 
 class TestSavedPanelsLoadBack:
     """``save_csv`` refuses, before it opens the file, a panel that ``load_csv``
-    would not give back; every other panel loads back with its names and bits.
-    (A panel of no time steps is written as its header alone, which holds no data
-    to load.)"""
+    would not give back, a panel of no time steps among them; every other panel
+    loads back with its names and bits."""
 
     @pytest.mark.parametrize("layout", ["wide", "long"])
     @given(panel=any_panels())
@@ -385,6 +384,7 @@ class TestSavedPanelsLoadBack:
     @example(panel=TimePanel(("a\n",), np.ones((1, 3))))
     @example(panel=TimePanel(("a", "a "), np.ones((2, 3))))
     @example(panel=TimePanel(("\ufeffa", "b"), np.ones((2, 3))))
+    @example(panel=TimePanel(("a", "b"), np.zeros((2, 0))))
     @settings(max_examples=200, deadline=None)
     def test_saved_or_refused(self, layout, panel, tmp_path_factory):
         path = tmp_path_factory.mktemp("trip") / "p.csv"
@@ -393,6 +393,7 @@ class TestSavedPanelsLoadBack:
         except IngestError:
             assert not path.exists()
             return
+        assert panel.length, "a panel of no time steps was saved"
         back = load_csv(path, layout=layout)
         assert back.series_names == panel.series_names
         assert np.array_equal(back.values, panel.values)
@@ -413,6 +414,12 @@ class TestSavedPanelsLoadBack:
             with pytest.raises(IngestError, match=message.format(layout)):
                 save_csv(panel, tmp_path / "p.csv", layout=layout)
             assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("layout", ["wide", "long"])
+    def test_a_panel_of_no_time_steps_is_refused(self, tmp_path, layout):
+        with pytest.raises(IngestError, match=f"no time steps.*the {layout} file"):
+            save_csv(TimePanel(("a", "b"), np.zeros((2, 0))), tmp_path / "p.csv", layout=layout)
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("names", [("1", "2"), ("\ufeffa",), ("1", "a"), ("a b", "")])
     def test_long_layout_keeps_what_the_wide_header_cannot(self, tmp_path, names):
@@ -442,11 +449,13 @@ QUOTED_NAMES = ["a,b", 'say "hi"', "two\nlines", "in side", "café", "数据", "
 
 @st.composite
 def saved_panels(draw):
-    """A panel of 1-3 series whose length may sit on either side of a write block."""
+    """A panel of 1-3 series whose length may sit on either side of a write block
+    (save_csv refuses a panel of no time steps)."""
     n = draw(st.integers(1, 3))
-    names = draw(st.lists(st.sampled_from(QUOTED_NAMES) | NAMES, min_size=n, max_size=n,
+    savable = NAMES.filter(lambda name: name == name.strip())  # load_csv strips names
+    names = draw(st.lists(st.sampled_from(QUOTED_NAMES) | savable, min_size=n, max_size=n,
                           unique=True))
-    length = draw(st.sampled_from([0, 1, 2, 5, BLOCK - 1, BLOCK, BLOCK + 1]))
+    length = draw(st.sampled_from([1, 2, 5, BLOCK - 1, BLOCK, BLOCK + 1]))
     pool = draw(st.lists(st.sampled_from(EDGE_FLOATS) | FINITE, min_size=1, max_size=8))
     seed = draw(st.integers(0, 2**32 - 1))
     values = np.random.default_rng(seed).choice(pool, size=(n, length))
@@ -459,7 +468,7 @@ class TestSaveCsvBytes:
     @pytest.mark.parametrize("layout", ["wide", "long"])
     @given(panel=saved_panels())
     @example(panel=TimePanel(("x",), np.array([EDGE_FLOATS])))
-    @example(panel=TimePanel(tuple(QUOTED_NAMES), np.zeros((len(QUOTED_NAMES), 0))))
+    @example(panel=TimePanel(tuple(QUOTED_NAMES), np.zeros((len(QUOTED_NAMES), 1))))
     @example(panel=TimePanel(tuple(QUOTED_NAMES), np.resize(EDGE_FLOATS, (len(QUOTED_NAMES), 3))))
     @settings(max_examples=60, deadline=None)
     def test_same_bytes_as_the_csv_module(self, layout, panel, tmp_path_factory):
@@ -474,10 +483,6 @@ class TestSaveCsvBytes:
         save_csv(panel, tmp_path / "got.csv", layout=layout)
         assert (tmp_path / "got.csv").read_bytes() == csv_module_bytes(
             panel, tmp_path / "want.csv", layout)
-
-    def test_zero_columns_write_the_header_only(self, tmp_path):
-        save_csv(TimePanel(("a", "b"), np.zeros((2, 0))), tmp_path / "p.csv")
-        assert (tmp_path / "p.csv").read_bytes() == b"a,b\r\n"
 
     # The long layout writes a line per value; two series keep its run short.
     @pytest.mark.parametrize("layout, shape", [("wide", (25, 40_000)), ("long", (2, 40_000))])

@@ -21,6 +21,7 @@ from samossa.ar import fit_ar
 from samossa.linear_forecaster import forecast_f
 from samossa.panel import load_csv
 from samossa.pipeline import (
+    P_GRID_DEFAULT,
     fit,
     forecast_recursive,
     forecast_step,
@@ -124,6 +125,60 @@ class TestFit:
         panel = TimePanel(("a", "b", "c"), values)
         with pytest.raises(error, match="overflows|non-finite"):
             fit(panel, SamossaConfig(rank=rank, p=p, valid_len=20))
+
+
+EQUIVARIANCE_CONFIGS = [SamossaConfig(rank=rank, p=p)
+                        for rank in (RankRule.energy(0.9), RankRule.universal(), RankRule.fixed(5))
+                        for p in (2, P_GRID_DEFAULT)]
+EQUIVARIANCE_IDS = [f"{c.rank}-p{c.p if isinstance(c.p, int) else 'grid'}"
+                    for c in EQUIVARIANCE_CONFIGS]
+
+
+def fitted_bits(model):
+    """Everything a fit produces, as bytes and numbers: beta, the AR models, k_hat, p and state."""
+    return (model.beta_model.beta.tobytes(), model.k_hat, model.p_used,
+            [(m.alpha.tobytes(), m.noise_var_hat, m.rank_deficient) for m in model.ar_models],
+            model.state.obs_lags.tobytes(), model.state.resid_lags.tobytes())
+
+
+class TestEquivariance:
+    """A fit does not depend on the clock, the order of the series or a power-of-two scale."""
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        return generate(forecasting_spec(n_series=8, length=2000, seed=3)).y
+
+    @pytest.mark.parametrize("config", EQUIVARIANCE_CONFIGS, ids=EQUIVARIANCE_IDS)
+    def test_shifting_t0_changes_no_bit(self, panel, config):
+        model = fit(panel, config)
+        shifted = fit(TimePanel(panel.series_names, panel.values, t0=panel.t0 + 999), config)
+        assert fitted_bits(shifted) == fitted_bits(model)
+        assert shifted.state.next_t == [t + 999 for t in model.state.next_t]
+
+    @pytest.mark.parametrize("config", EQUIVARIANCE_CONFIGS, ids=EQUIVARIANCE_IDS)
+    def test_permuting_the_series_permutes_the_ar_models(self, panel, config):
+        order = [3, 0, 7, 5, 1, 6, 2, 4]
+        model = fit(panel, config)
+        permuted = fit(TimePanel(tuple(panel.series_names[n] for n in order),
+                                 panel.values[order]), config)
+        assert permuted.k_hat == model.k_hat
+        assert permuted.p_used == tuple(model.p_used[n] for n in order)
+        beta = model.beta_model.beta
+        assert np.max(np.abs(permuted.beta_model.beta - beta)) <= 1e-13 * np.max(np.abs(beta))
+        alphas = np.array([model.ar_models[n].alpha for n in order])
+        got = np.array([m.alpha for m in permuted.ar_models])
+        assert np.max(np.abs(got - alphas)) <= 1e-13 * np.max(np.abs(alphas))
+
+    @pytest.mark.parametrize("k", [-200, -40, 40, 200])
+    @pytest.mark.parametrize("config", EQUIVARIANCE_CONFIGS, ids=EQUIVARIANCE_IDS)
+    def test_power_of_two_scaling_scales_only_the_noise_variance(self, panel, config, k):
+        model = fit(panel, config)
+        scaled = fit(TimePanel(panel.series_names, np.ldexp(panel.values, k)), config)
+        assert scaled.beta_model.beta.tobytes() == model.beta_model.beta.tobytes()
+        assert (scaled.k_hat, scaled.p_used) == (model.k_hat, model.p_used)
+        for got, want in zip(scaled.ar_models, model.ar_models):
+            assert got.alpha.tobytes() == want.alpha.tobytes()
+            assert got.noise_var_hat == np.ldexp(want.noise_var_hat, 2 * k)
 
 
 class TestForecastProtocol:

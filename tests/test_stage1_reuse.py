@@ -147,11 +147,6 @@ class TestForecastBenchmarkOracle:
         assert test.length == test_len
         assert got == expected
 
-    def test_grid_without_order_zero(self):
-        grid = [SamossaConfig(rank=RankRule.fixed(5), p=1)]
-        with pytest.raises(SearchError):
-            forecast_benchmark_run(0, n_series=3, train_len=600, grid=grid)
-
 
 class TestSvdCallCounts:
     def test_decompose_takes_one(self, svd_calls):
@@ -356,8 +351,8 @@ class TestSharedDecompositions:
         for L in Ls:  # the twins agree on k_hat, so they could share
             assert len({e.k_hat for e, c in zip(expected, grid) if c.L == L and c.p == 0}) == 1
         assert len(rolls) == len(set(rolls)) == len(Ls) * 3
-        assert Counter(fits) == {1: len(Ls) * train.n_series, 2: len(Ls) * train.n_series,
-                                 300: len(Ls)}
+        assert Counter(fits) == {0: len(Ls) * train.n_series, 1: len(Ls) * train.n_series,
+                                 2: len(Ls) * train.n_series, 300: len(Ls)}
 
     def test_top_k_head_is_not_merged_with_the_full_spectrum(self, monkeypatch):
         # 10 x 36 000 at L = 600: a 600 x 600 Page matrix, where fixed:K takes

@@ -122,8 +122,8 @@ class TestGenerate:
             GeneratorSpec(kind="harmonics", **{field: value})
 
     @pytest.mark.parametrize("field, value", [
-        ("freq_range", "ab"), ("freq_range", (0.1,)), ("phase_range", None),
-        ("slope_range", (0.0, float("nan"))), ("slope_range", (0.0, True)),
+        ("freq_range", "ab"), ("freq_range", (0.1,)), ("freq_range", None),
+        ("freq_range", (0.0, float("nan"))), ("freq_range", (0.0, True)),
         ("alpha", ("a",)), ("alpha", ()), ("alpha", (0.5, float("inf"))), ("alpha", 0.5),
         ("alpha", (True,)),
     ])
