@@ -14,6 +14,7 @@ from .ar import (
     companion_matrix,
     diagnostics,
     fit_ar,
+    fit_ar_rows,
     forecast_ar,
 )
 from .errors import (

@@ -1,11 +1,14 @@
 """Per-series AR(p) identification, forecasting, and stationarity analysis.
 
 Stage 2 of the pipeline: fit an autoregressive model to the residuals left
-by the low-rank stage, by ordinary least squares on lagged values. The
-analysis half of the module exposes the companion matrix, characteristic
-roots, the controllability Gramian and its sibling, the moving-average
-expansion of the process, and the sub-gaussian variance proxy built from
-them; these quantities control identification accuracy.
+by the low-rank stage, by ordinary least squares on lagged values:
+:func:`fit_ar_rows` solves the lag-Gram normal equations of every series of
+a panel in batched calls, and sends a series whose Gram is too close to
+singular to ``lstsq`` on its explicit design; :func:`fit_ar` is its one-row
+call. The analysis half of the module exposes the companion matrix,
+characteristic roots, the controllability Gramian and its sibling, the
+moving-average expansion of the process, and the sub-gaussian variance
+proxy built from them; these quantities control identification accuracy.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ __all__ = [
     "ArModel",
     "ArDiagnostics",
     "fit_ar",
+    "fit_ar_rows",
     "forecast_ar",
     "characteristic_roots",
     "companion_matrix",
@@ -37,6 +41,19 @@ __all__ = [
 
 # Roots closer than this are treated as repeated (below eigensolver accuracy).
 _ROOT_TOL = 1e-9
+
+# fit_ar_rows solves a row's normal equations only while the smallest
+# eigenvalue of its scaled lag Gram D^T D exceeds this fraction of the
+# largest: kappa(D)^2 < 1e6 bounds alpha's error near 1e6 eps, and lstsq's
+# rank of D is p by a wide margin. Every other row goes to lstsq. The fits of
+# forecast_benchmark_run(0) have their smallest ratio at 0.208.
+_GRAM_TOL = 1e-6
+
+# fit_ar_rows fits blocks of rows of about this many values (512 KiB), so its
+# two work arrays stay in cache and add no Page-sized temporary beside stage
+# 1: on a benchmark seed, whole-panel blocks raised the peak RSS by 2.4 MB
+# and took no less time.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -104,27 +121,80 @@ class ArDiagnostics:
     est_err_budget: float
 
 
-def fit_ar(residuals, p: int) -> ArModel:
-    """Least-squares AR(p) fit to a residual series, for any order p >= 0.
+def fit_ar_rows(residuals, p: int) -> tuple[ArModel, ...]:
+    """Least-squares AR(p) fits of every row of an N x T residual array, for any order p >= 0.
 
-    Regresses x(t+1) on [x(t), ..., x(t-p+1)] over all admissible t. A
+    Row n regresses x(t) on [x(t-1), ..., x(t-p)] over t in [p, T), through
+    its (p+1) x (p+1) lag Gram. Each row is first scaled by 2^-e, e the
+    exponent of its largest |x|, which is exact, so alpha does not depend on
+    the row's scale. The p x p normal equations are solved by batched calls
+    over blocks of rows. ``noise_var_hat`` is the mean squared residual
+    x(t) - sum_i alpha_i x(t-i), taken on the unscaled row: at p = 0 alpha
+    is empty and it is the uncentred mean of x^2 (an AR(0) model forecasts 0). A row whose lag Gram has its smallest eigenvalue at or
+    below ``_GRAM_TOL`` times its largest, or whose ``noise_var_hat`` is not
+    finite, is fitted by ``lstsq`` on its explicit design instead: a
     rank-deficient design falls back to the minimum-norm solution and is
-    flagged on the model. ``noise_var_hat`` is the mean squared regression
-    residual: at p = 0 the design has no columns, alpha is empty and the
-    estimate is the uncentred mean of x^2 (an AR(0) model forecasts 0).
-    FitError for an order that is not an integer >= 0, fewer than 2p + 1
-    observations, a non-finite residual, or a ``noise_var_hat`` that is not finite.
+    flagged on the model, so only such a row carries ``rank_deficient``.
+    A row's model does not depend on the other rows.
+    ShapeError unless ``residuals`` is 2-D. FitError for residuals that are
+    not integers or floats, an order that is not an integer >= 0, fewer than
+    2p + 1 observations, a non-finite residual, or a ``noise_var_hat`` that
+    is not finite.
     """
-    x = np.asarray(residuals, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError("fit_ar expects a 1-D residual series")
+    X = _float_array(residuals, "residuals", FitError)
+    if X.ndim != 2:
+        raise ShapeError(f"fit_ar_rows expects an N x T residual array, got shape {X.shape}")
     p = _integer(p, "order", 0, FitError)
-    T = x.shape[0]
+    n, T = X.shape
     if T < 2 * p + 1:
         raise FitError(f"need at least {2 * p + 1} observations for p={p}, got {T}")
-    if not np.isfinite(x).all():  # lstsq would print a LAPACK complaint before failing
+    peak = np.maximum(X.max(axis=1), -X.min(axis=1))  # max |x| per row; a nan propagates
+    if not np.isfinite(peak).all():  # lstsq would print a LAPACK complaint before failing
         raise FitError("non-finite residuals")
 
+    step = max(1, _BLOCK // T)  # rows per block; a row's model does not depend on its block
+    return tuple(model for lo in range(0, n, step)
+                 for model in _fit_block(X[lo:lo + step], peak[lo:lo + step], p))
+
+
+def _fit_block(X: np.ndarray, peak: np.ndarray, p: int) -> list[ArModel]:
+    """:func:`fit_ar_rows` of checked rows whose largest |x| are ``peak``."""
+    n, T = X.shape
+    alpha, solved = np.zeros((n, p)), np.ones(n, dtype=bool)
+    # work[0] holds the scaled rows, then the residuals; work[1] each lag product.
+    # A sum over a slice of their rows is pairwise and row by row, so a row's
+    # model does not depend on the other rows.
+    work = np.empty((2, n, T))
+    if p > 0:
+        # Scaled rows lie in (-1, 1), so every Gram entry is finite and at most T.
+        scaled = np.ldexp(X, -np.frexp(peak)[1][:, None], out=work[0])
+        gram = np.empty((n, p + 1, p + 1))  # index i is lag i; lag 0 is the target
+        for d in range(p + 1):
+            # Entry (i, i + d) sums x(k + d) x(k) over k in [p - d - i, T - d - i): the
+            # window shared by every i, plus i terms below it and p - d - i above.
+            prod = np.multiply(scaled[:, d:], scaled[:, :T - d], out=work[1, :, :T - d])
+            shared = prod[:, p - d:T - p].sum(axis=1)
+            for i in range(p - d + 1):
+                gram[:, i, i + d] = gram[:, i + d, i] = (
+                    shared + prod[:, p - d - i:p - d].sum(axis=1)
+                    + prod[:, T - p:T - d - i].sum(axis=1))
+        normal = gram[:, 1:, 1:]
+        eig = np.linalg.eigvalsh(normal)  # ascending
+        solved = eig[:, 0] > _GRAM_TOL * eig[:, -1]
+        alpha[solved] = np.linalg.solve(normal[solved], gram[solved, 1:, :1])[..., 0]
+    resid = work[0, :, :T - p]
+    np.copyto(resid, X[:, p:])
+    for i in range(1, p + 1):
+        resid -= np.multiply(alpha[:, i - 1:i], X[:, p - i:T - i], out=work[1, :, :T - p])
+    with np.errstate(over="ignore"):  # huge residuals overflow; such a row goes to lstsq
+        noise_var = np.mean(np.square(resid, out=resid), axis=1)
+    return [ArModel(alpha=a, noise_var_hat=v) if ok and np.isfinite(v) else _lstsq_fit(x, p)
+            for x, a, v, ok in zip(X, alpha, noise_var, solved)]
+
+
+def _lstsq_fit(x: np.ndarray, p: int) -> ArModel:
+    """The AR(p) fit of one checked series by ``lstsq`` on its explicit lag design."""
+    T = x.shape[0]
     targets = x[p:]
     design = np.empty((T - p, p))  # column i - 1 holds lag i; no columns at p = 0
     for i in range(1, p + 1):
@@ -136,14 +206,30 @@ def fit_ar(residuals, p: int) -> ArModel:
     return ArModel(alpha=alpha, noise_var_hat=noise_var, rank_deficient=bool(rank < p))
 
 
+def fit_ar(residuals, p: int) -> ArModel:
+    """Least-squares AR(p) fit to one residual series: :func:`fit_ar_rows` of one row.
+
+    ShapeError unless ``residuals`` is 1-D; every other rule is
+    :func:`fit_ar_rows`'.
+    """
+    x = _float_array(residuals, "residuals", FitError)
+    if x.ndim != 1:
+        raise ShapeError("fit_ar expects a 1-D residual series")
+    return fit_ar_rows(x[None], p)[0]
+
+
 def forecast_ar(model: ArModel, recent_residuals) -> float:
     """One-step conditional-mean forecast from the last p residuals.
 
     ``recent_residuals`` is most-recent-first: [x(t-1), ..., x(t-p)].
+    ShapeError unless they are p integers or floats; FitError for a
+    non-finite one.
     """
-    lags = np.asarray(recent_residuals, dtype=np.float64)
+    lags = _float_array(recent_residuals, "lagged residuals", ShapeError)
     if lags.shape != (model.p,):
         raise ShapeError(f"expected {model.p} lagged residuals, got shape {lags.shape}")
+    if not np.isfinite(lags).all():
+        raise FitError("non-finite lagged residuals")
     return float(model.alpha @ lags)
 
 

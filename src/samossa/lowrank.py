@@ -8,7 +8,9 @@ import numpy as np
 
 from .errors import RankError, _integer, _is_real
 
-__all__ = ["SvdResult", "RankRule", "svd", "downdate", "takes_topk", "hsvt", "select_rank"]
+__all__ = [
+    "SvdResult", "RankRule", "Downdate", "svd", "downdate", "takes_topk", "hsvt", "select_rank",
+]
 
 # Singular values below this relative floor count as zero.
 _ZERO_REL = 1e-14
@@ -80,36 +82,61 @@ def svd(matrix: np.ndarray, k: int | None = None) -> SvdResult:
     return SvdResult(singular_values=s[:k], left_vectors=u[:, :k], right_vectors=vt[:k].T)
 
 
-def downdate(full: SvdResult, k: int) -> SvdResult | None:
-    """The top k triplets of the matrix ``full`` factors with its last row deleted.
+@dataclass(frozen=True)
+class Downdate:
+    """The eigensystem of one full SVD's rank-one downdate, from :func:`downdate`.
+
+    ``scale`` is the power-of-two exponent S was divided by; ``lam`` and
+    ``vectors`` the eigenvalues of S^2 - z z^T in descending order and their
+    eigenvectors, both None when s_1 is not positive and finite.
+    """
+
+    full: SvdResult
+    scale: int
+    lam: np.ndarray | None
+    vectors: np.ndarray | None
+
+    def head(self, k: int) -> SvdResult | None:
+        """The top k triplets of the top rows, or None when they are not clear of rounding.
+
+        None when k < 1 or the k-th eigenvalue or the gap below it is at or
+        below the rounding floor ``_DOWNDATE_TOL`` (a zero or tied k-th
+        value); :func:`svd` of the top rows serves those.
+        """
+        lam = self.lam
+        if k < 1 or lam is None:
+            return None
+        k = min(k, lam.size)
+        gap = lam[k - 1] - lam[k] if k < lam.size else lam[k - 1]
+        if not (lam[k - 1] > _DOWNDATE_TOL and gap > _DOWNDATE_TOL):
+            return None
+        s = np.ldexp(self.full.singular_values, -self.scale)
+        root, w = np.sqrt(lam[:k]), self.vectors[:, :k]
+        return SvdResult(singular_values=np.ldexp(root, self.scale),
+                         left_vectors=self.full.left_vectors[:-1] @ (s[:, None] * w) / root,
+                         right_vectors=self.full.right_vectors @ w)
+
+
+def downdate(full: SvdResult) -> Downdate:
+    """Every top-k SVD of the matrix ``full`` factors with its last row deleted, from one ``eigh``.
 
     ``full`` holds every triplet of A = U S V^T. Its top rows A' = U[:-1] S V^T
     have A'^T A' = V (S^2 - z z^T) V^T with z = S U[-1], a rank-one downdate
     (Bunch, Nielsen & Sorensen 1978; Gu & Eisenstat 1995). With
     S^2 - z z^T = W diag(lambda) W^T in descending order, the top k triplets
-    of A' are sqrt(lambda_k), U[:-1] S W_k / sqrt(lambda_k) and V W_k, from
-    one eigendecomposition of the side of S. S is first scaled by a power of
-    two so that s_1 is in [1/2, 1), which is exact and keeps S^2 in range.
-    None when k < 1 or the retained eigenvalues are not clear of the rounding
-    floor ``_DOWNDATE_TOL`` (a zero or tied k-th value); :func:`svd` of the
-    top rows serves those.
+    of A' are sqrt(lambda_k), U[:-1] S W_k / sqrt(lambda_k) and V W_k, so one
+    eigendecomposition of the side of S serves every k, read by
+    :meth:`Downdate.head`. S is first scaled by a power of two so that s_1 is
+    in [1/2, 1), which is exact and keeps S^2 in range.
     """
     s = full.singular_values
-    if k < 1 or not 0.0 < s[0] < np.inf:
-        return None
+    if not 0.0 < s[0] < np.inf:
+        return Downdate(full=full, scale=0, lam=None, vectors=None)
     exp = int(np.frexp(s[0])[1])
     s = np.ldexp(s, -exp)
     z = s * full.left_vectors[-1]
     lam, w = np.linalg.eigh(np.diag(s * s) - np.outer(z, z))
-    lam, w = lam[::-1], w[:, ::-1]
-    k = min(k, lam.size)
-    gap = lam[k - 1] - lam[k] if k < lam.size else lam[k - 1]
-    if not (lam[k - 1] > _DOWNDATE_TOL and gap > _DOWNDATE_TOL):
-        return None
-    root, w = np.sqrt(lam[:k]), w[:, :k]
-    return SvdResult(singular_values=np.ldexp(root, exp),
-                     left_vectors=full.left_vectors[:-1] @ (s[:, None] * w) / root,
-                     right_vectors=full.right_vectors @ w)
+    return Downdate(full=full, scale=exp, lam=lam[::-1], vectors=w[:, ::-1])
 
 
 def _arpack(a: np.ndarray, k: int) -> SvdResult | None:

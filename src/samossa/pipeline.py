@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ar import ArModel, fit_ar
+from .ar import ArModel, fit_ar_rows
 from .errors import (
     ConfigError,
     IngestError,
@@ -170,15 +170,15 @@ class SamossaModel:
 
 def _assemble(panel: TimePanel, config: SamossaConfig, p: int, decomp: Decomposition,
               beta_model: BetaModel) -> SamossaModel:
-    """Stage 2 and the forecast state: one ``fit_ar(x, p)`` per series on ``decomp``'s residuals.
+    """Stage 2 and the forecast state: ``fit_ar_rows(x_hat, p)`` on ``decomp``'s residuals.
 
-    Every order goes through ``fit_ar``, 0 included. Reads nothing of stage 1
-    but ``decomp`` and ``beta_model`` (which owns L), so it may run on another
-    thread than the one that computed them.
+    One batched fit of every series, for every order, 0 included. Reads
+    nothing of stage 1 but ``decomp`` and ``beta_model`` (which owns L), so it
+    may run on another thread than the one that computed them.
     """
     return SamossaModel(
         beta_model=beta_model,
-        ar_models=tuple(fit_ar(x, p) for x in decomp.x_hat),
+        ar_models=fit_ar_rows(decomp.x_hat, p),
         config=config,
         series_names=panel.series_names,
         state=_State(

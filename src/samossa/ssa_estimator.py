@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MetricError, RankError, ShapeError, _integer
 from .linear_forecaster import BetaModel, solve_beta
-from .lowrank import RankRule, SvdResult, downdate, select_rank, svd, takes_topk
+from .lowrank import Downdate, RankRule, SvdResult, downdate, select_rank, svd, takes_topk
 from .pagemat import stack, unstack
 from .panel import TimePanel
 
@@ -61,17 +61,20 @@ class Stage1:
     the same panel at the same L. The Page matrix is stacked on
     construction and its SVD taken on first use. :meth:`beta` solves the
     lag model (:func:`~samossa.linear_forecaster.solve_beta`) on an SVD of the
-    top L-1 rows: the rank-one downdate of that same full SVD
-    (:func:`~samossa.lowrank.downdate`), or, where the top rows take a top-k
-    head or the downdate declines, an SVD of those rows taken for the call.
+    top L-1 rows: a head of the rank-one downdate of that same full SVD, or,
+    where the top rows take a top-k head or the downdate declines, an SVD of
+    those rows taken for the call. The downdate's eigensystem
+    (:func:`~samossa.lowrank.downdate`) is computed once, on first use, and
+    kept beside the full SVD, so every k_hat reads its head off one ``eigh``.
 
     Where :func:`~samossa.lowrank.takes_topk` allows, a rule that reads only
     the top K triplets (``fixed:K``, and the beta fit at rank k_hat) gets an
     ARPACK head of that matrix; every other request shares the one full SVD.
     Which SVD serves a request depends only on the matrix and the rule,
     never on the order of calls. Every SVD of the Page matrix taken is kept,
-    heads included, since a head is only K vectors per side. Nothing else
-    matrix-sized is kept. The grid scorer makes each distinct
+    heads included, since a head is only K vectors per side, and so is the
+    downdate, whose eigenvectors are a square of the full SVD's smaller side.
+    Nothing else matrix-sized is kept. The grid scorer makes each distinct
     (spectrum, k_hat) decomposition once, in one helper job
     (``evaluation._score_each``): twin configs share it, and a p grid's
     order selection is one job.
@@ -83,6 +86,7 @@ class Stage1:
         self.page = stack(panel, L)
         # k of a top-k head, or None for every triplet -> SVD of the Page matrix
         self._svds: dict[int | None, SvdResult] = {}
+        self._downdate: Downdate | None = None  # of the full SVD, on first use
 
     def _svd(self, k: int | None) -> SvdResult:
         """The SVD of the Page matrix that serves a rule reading ``k`` triplets."""
@@ -106,14 +110,19 @@ class Stage1:
     def beta(self, k_hat: int) -> BetaModel:
         """The lag model regressing the last Page row on the top L-1 rows at rank k_hat.
 
-        The SVD of the top rows is the downdate of the full dense SVD unless
-        they take a top-k head or the downdate declines; then their own.
+        The SVD of the top rows is a head of the full dense SVD's downdate,
+        whose eigensystem this stage computes once, unless they take a top-k
+        head or the downdate declines; then their own.
         """
         if self.L < 2:
             raise ShapeError(f"need L >= 2 to regress the last row on the rest, got L={self.L}")
         k_hat = _integer(k_hat, "k_hat", 0, RankError)  # before it slices the SVD
         top = self.page.data[:-1]
-        sub = None if takes_topk(top.shape, k_hat) else downdate(self._svd(None), k_hat)
+        sub = None
+        if not takes_topk(top.shape, k_hat):
+            if self._downdate is None:
+                self._downdate = downdate(self._svd(None))
+            sub = self._downdate.head(k_hat)
         return solve_beta(self.page.data, sub or svd(top, max(k_hat, 1)), k_hat)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from samossa import (
     ArModel,
@@ -10,7 +12,14 @@ from samossa import (
     NonStationaryError,
     ShapeError,
 )
-from samossa.ar import characteristic_roots, companion_matrix, diagnostics, fit_ar, forecast_ar
+from samossa.ar import (
+    characteristic_roots,
+    companion_matrix,
+    diagnostics,
+    fit_ar,
+    fit_ar_rows,
+    forecast_ar,
+)
 
 
 def simulate_ar(alpha, eta):
@@ -135,6 +144,100 @@ class TestFitAr:
             fit_ar(x, 2)
         with pytest.raises(FitError, match="noise variance"):
             ArModel.zero(noise_var_hat=math.inf)
+
+
+def lag_design(x, p):
+    """The explicit least-squares problem of an AR(p >= 1) fit: lags 1..p, and the targets."""
+    T = len(x)
+    return np.column_stack([x[p - i:T - i] for i in range(1, p + 1)]), x[p:]
+
+
+def lstsq_fit(x, p):
+    """The reference fit: lstsq on the explicit design, (alpha, noise_var_hat, rank_deficient)."""
+    design, targets = lag_design(x, p)
+    alpha, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
+    resid = targets - np.dot(design, alpha)
+    with np.errstate(over="ignore"):
+        return alpha, float(np.mean(resid**2)), bool(rank < p)
+
+
+def ar_series(kind, T, seed):
+    """White noise, a near-unit-root AR(1), or a noisy sinusoid, of length T."""
+    rng = np.random.default_rng(seed)
+    eta = rng.normal(size=T)
+    if kind == "noise":
+        return eta
+    if kind == "unit_root":
+        return simulate_ar([rng.uniform(0.99, 0.9999)], eta)
+    t = np.arange(T)
+    return rng.uniform(1.0, 10.0) * np.sin(rng.uniform(0.05, 3.0) * t + rng.uniform(0, 6)) + eta
+
+
+class TestFitArRows:
+    """One batched lag-Gram solve per call; the rows it cannot trust go to lstsq."""
+
+    @given(kind=st.sampled_from(["noise", "unit_root", "sinusoid"]), p=st.integers(1, 3),
+           T=st.integers(7, 3000), scale=st.sampled_from([1e-150, 1.0, 1e150]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_lstsq_oracle(self, kind, p, T, scale, seed):
+        x = scale * ar_series(kind, T, seed)
+        model = fit_ar_rows(x[None], p)[0]
+        alpha, noise_var, rank_deficient = lstsq_fit(x, p)
+        eps = np.finfo(float).eps
+        kappa = np.linalg.cond(lag_design(x, p)[0])
+        assert np.abs(model.alpha - alpha).max() <= \
+            16 * eps * kappa**2 * max(1.0, np.abs(alpha).max())
+        assert abs(model.noise_var_hat - noise_var) <= 1e-13 * noise_var
+        assert model.rank_deficient == rank_deficient
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    def test_a_rows_model_does_not_depend_on_the_other_rows(self, p):
+        rng = np.random.default_rng(p)
+        # 20 000 steps make blocks of three rows, so the order also moves rows across blocks.
+        rows = [ar_series(kind, 20_000, seed) for seed, kind in
+                enumerate(["noise", "unit_root", "sinusoid"] * 3)]
+        rows[4] = np.zeros(20_000)  # a declining row among them
+        X = np.array(rows) * np.ldexp(1.0, rng.integers(-60, 60, size=(len(rows), 1)))
+        order = rng.permutation(len(X))
+        batched, permuted = fit_ar_rows(X, p), fit_ar_rows(X[order], p)
+        for n, model in enumerate(batched):
+            for other in (fit_ar(X[n], p), permuted[list(order).index(n)]):
+                assert model.alpha.tobytes() == other.alpha.tobytes()
+                assert model.noise_var_hat == other.noise_var_hat
+                assert model.rank_deficient == other.rank_deficient
+
+    @pytest.mark.parametrize("x, p", [
+        (np.zeros(50), 2),
+        (0.8 ** np.arange(200.0), 2),  # an exact AR(1): the two lags are collinear
+        (np.sin(0.3 * np.arange(300.0)), 3),  # x(t) = 2cos(0.3) x(t-1) - x(t-2)
+        (1e-170 * 0.8 ** np.arange(200.0), 2),
+    ], ids=["zeros", "exact_ar1", "sinusoid", "tiny_exact_ar1"])
+    def test_a_singular_gram_declines_to_lstsq(self, x, p, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        model = fit_ar(x, p)
+        monkeypatch.undo()
+        alpha, noise_var, rank_deficient = lstsq_fit(x, p)
+        assert calls == [1]
+        assert model.alpha.tobytes() == alpha.tobytes()
+        assert model.noise_var_hat == noise_var and model.rank_deficient == rank_deficient
+
+    def test_an_overflowing_noise_variance_declines_to_lstsq(self, monkeypatch):
+        x = 1e200 * np.random.default_rng(4).normal(size=300)
+        assert not np.isfinite(lstsq_fit(x, 2)[1])
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        with pytest.raises(FitError, match="noise variance"):
+            fit_ar(x, 2)
+        assert calls == [1]
+
+    def test_well_conditioned_rows_take_no_lstsq(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "lstsq", None)  # any call would fail
+        X = np.array([ar_series(kind, 500, 7) for kind in ("noise", "unit_root", "sinusoid")])
+        assert not any(model.rank_deficient for model in fit_ar_rows(X, 2))
 
 
 class TestForecastAr:

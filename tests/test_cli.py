@@ -409,9 +409,9 @@ class TestEvalAndGrid:
 class TestGoldenOutputs:
     # The golden panel y.csv is synth --preset forecast --n 3 --t 430 --seed 6.
     # best.json was written by the release before stage 1 was shared across
-    # configs; grid.csv by the first release that solves beta by one closed
-    # form on an SVD of the top Page rows (the downdate of the Page matrix's
-    # own SVD here), which moved beta and the grid's R^2 in their last bits;
+    # configs; grid.csv by the first release that fits every series' AR model
+    # by one batched solve of its lag Gram (fit_ar_rows), which moved the
+    # grid's R^2 in its last bits;
     # model.json by the first release that fits AR(0) through fit_ar, which
     # moved its p = 0 noise_var values to the uncentred mean square. Each
     # must be reproduced byte for byte, at any BLAS thread count.
@@ -444,10 +444,11 @@ class TestGoldenOutputs:
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
     # Tables from the golden panel or model with the arguments below.
-    # fig2.csv/fig2.json and the long-layout panel were written before every
-    # CSV writer went through panel.write_rows; report.csv and the recursive
-    # forecast by the release that solves beta by one closed form, through
-    # write_rows.
+    # fig2.csv, fig2.json and report.csv were written by the first release
+    # that fits AR by its lag Gram, which moved the AR errors and one R^2 in
+    # their last bits; the long-layout panel before every CSV writer went
+    # through panel.write_rows; the recursive forecast by the release that
+    # solves beta by one closed form, through write_rows.
     def test_eval_report_csv(self, tmp_path):
         out = tmp_path / "eval"
         assert run("eval", "--input", str(GOLDEN / "y.csv"), "--train-end", "370",

@@ -441,10 +441,10 @@ class TestGridSearch:
         # such as a TypeError stops the search instead of being recorded.
         import samossa.pipeline
 
-        def broken_fit_ar(residuals, p):
+        def broken_fit_ar_rows(residuals, p):
             raise TypeError("bug")
 
-        monkeypatch.setattr(samossa.pipeline, "fit_ar", broken_fit_ar)
+        monkeypatch.setattr(samossa.pipeline, "fit_ar_rows", broken_fit_ar_rows)
         res, train, test = small_benchmark(seed=8)
         with pytest.raises(TypeError):
             grid_search(train, test, [SamossaConfig(rank=RankRule.fixed(5), p=1)])

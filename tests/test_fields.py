@@ -33,7 +33,9 @@ from samossa import (
     diagnostics,
     fit,
     fit_ar,
+    fit_ar_rows,
     for_err,
+    forecast_ar,
     generate,
     grid_search,
     hsvt,
@@ -210,6 +212,26 @@ def _fitted():
 GUARDS = {
     "fit_ar_2d": (lambda tmp: fit_ar(np.ones((2, 5)), 1),
                   ShapeError, "expects a 1-D residual series"),
+    "fit_ar_strings": (lambda tmp: fit_ar(["a", "b", "c", "d"], 1),
+                       FitError, "residuals are not an array of numbers"),
+    "fit_ar_booleans": (lambda tmp: fit_ar(np.array([True, False, True, False]), 1),
+                        FitError, "need integers or floats, got bool"),
+    "fit_ar_complex": (lambda tmp: fit_ar(np.array([1.0, 2.0j, 3.0, 4.0]), 1),
+                       FitError, "need integers or floats, got complex128"),
+    "fit_ar_rows_1d": (lambda tmp: fit_ar_rows(np.ones(5), 1),
+                       ShapeError, "expects an N x T residual array, got shape (5,)"),
+    "fit_ar_rows_objects": (lambda tmp: fit_ar_rows([[1.0, None, 2.0]], 0),
+                            FitError, "residuals are not an array of numbers"),
+    "forecast_ar_string": (lambda tmp: forecast_ar(ArModel(alpha=[0.5], noise_var_hat=1.0), ["a"]),
+                           ShapeError, "lagged residuals are not an array of numbers"),
+    "forecast_ar_boolean": (lambda tmp: forecast_ar(ArModel(alpha=[0.5], noise_var_hat=1.0),
+                                                    [True]),
+                            ShapeError, "need integers or floats, got bool"),
+    "forecast_ar_none": (lambda tmp: forecast_ar(ArModel(alpha=[0.5], noise_var_hat=1.0), [None]),
+                         ShapeError, "need integers or floats, got object"),
+    "forecast_ar_nan": (lambda tmp: forecast_ar(ArModel(alpha=[0.5], noise_var_hat=1.0),
+                                                [math.nan]),
+                        FitError, "non-finite lagged residuals"),
     "roots_of_nothing": (lambda tmp: characteristic_roots([]),
                          ShapeError, "coefficient vector of length >= 1"),
     "diagnostics_of_order_0": (lambda tmp: diagnostics(ArModel.zero()),
