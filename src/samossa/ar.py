@@ -129,9 +129,10 @@ def fit_ar_rows(residuals, p: int) -> tuple[ArModel, ...]:
     exponent of its largest |x|, which is exact, so alpha does not depend on
     the row's scale. The p x p normal equations are solved by batched calls
     over blocks of rows. ``noise_var_hat`` is the mean squared residual
-    x(t) - sum_i alpha_i x(t-i), taken on the unscaled row: at p = 0 alpha
-    is empty and it is the uncentred mean of x^2 (an AR(0) model forecasts 0). A row whose lag Gram has its smallest eigenvalue at or
-    below ``_GRAM_TOL`` times its largest, or whose ``noise_var_hat`` is not
+    x(t) - sum_i alpha_i x(t-i), taken on the unscaled row. At p = 0 alpha
+    is empty, and it is the uncentred mean of x^2: an AR(0) model forecasts
+    0. A row whose lag Gram has its smallest eigenvalue at or below
+    ``_GRAM_TOL`` times its largest, or whose ``noise_var_hat`` is not
     finite, is fitted by ``lstsq`` on its explicit design instead: a
     rank-deficient design falls back to the minimum-norm solution and is
     flagged on the model, so only such a row carries ``rank_deficient``.

@@ -323,7 +323,8 @@ def _cmd_fit(opts: argparse.Namespace) -> int:
 
 def _cmd_forecast(opts: argparse.Namespace) -> int:
     if opts.steps > 1 and not opts.recursive:
-        raise _UsageError("multi-step forecasting feeds predictions back; pass --recursive to opt in")
+        raise _UsageError("multi-step forecasting feeds predictions back; "
+                          "pass --recursive to opt in")
     model = pipeline.load_model(opts.model)
     preds = pipeline.forecast_recursive(model, opts.steps)
     out_panel = TimePanel(model.series_names, preds, t0=model.state.next_t[0])

@@ -153,8 +153,9 @@ def _truth_windows(truth: GeneratorTruth, test: TimePanel,
     """
     names, t0 = test.series_names, test.t0
     if {truth.f.n_series, truth.x.n_series, len(truth.alphas)} != {len(names)} or not horizon:
-        raise ShapeError(f"{len(names)} x {horizon} forecasts against a truth of {truth.f.n_series} "
-                         f"f series, {truth.x.n_series} x series and {len(truth.alphas)} AR models")
+        raise ShapeError(f"{len(names)} x {horizon} forecasts against a truth of "
+                         f"{truth.f.n_series} f series, {truth.x.n_series} x series and "
+                         f"{len(truth.alphas)} AR models")
     for what, panel in (("f", truth.f), ("x", truth.x)):
         if panel.series_names != names:
             raise ShapeError(f"truth {what} series {list(panel.series_names)} do not match "

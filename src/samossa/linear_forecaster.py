@@ -8,8 +8,8 @@ lagged raw observations to forecast one step ahead.
 The regression is the minimum-norm solve on the top k_hat singular triplets
 of the top L-1 rows (Golub & Van Loan 5.5), read in closed form by
 :func:`solve_beta` from any SVD of those rows that holds them: the
-rank-one downdate of the whole Page matrix's SVD
-(:func:`~samossa.lowrank.downdate`), a dense SVD, or a top-k head.
+rank-one downdate of the whole Page matrix's SVD, a dense SVD, or a top-k
+head, as :meth:`~samossa.lowrank.PageSvds.top_rows` picks.
 """
 
 from __future__ import annotations

@@ -1,4 +1,9 @@
-"""SVD, hard singular value thresholding, and data-driven rank selection."""
+"""SVD, hard singular value thresholding, and data-driven rank selection.
+
+:class:`PageSvds` alone decides which SVD of a Page matrix serves stage 1:
+the spectrum a rank rule reads, and the top-row triplets the lag model's
+beta is solved on.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ import numpy as np
 from .errors import RankError, _integer, _is_real
 
 __all__ = [
-    "SvdResult", "RankRule", "Downdate", "svd", "downdate", "takes_topk", "hsvt", "select_rank",
+    "SvdResult", "RankRule", "PageSvds", "svd", "takes_topk", "hsvt", "select_rank",
 ]
 
 # Singular values below this relative floor count as zero.
@@ -29,14 +34,15 @@ _TIE_REL = 1e-12
 # path and its bits.
 _TOPK_MIN_DIM = 600
 
-# downdate divides by the square roots of the top k eigenvalues of the
-# downdated Gram, scaled so that s_1 is in [1/2, 1), and keeps the top k
-# eigenvectors: it answers only when the k-th eigenvalue and the gap below
-# it both exceed this floor, far above eigh's absolute error of about L * eps
-# (1e-13 here). The seven beta solves of forecast_benchmark_run(0) have their
-# smallest eigenvalue at 5.8e-4 and their smallest gap at 6.6e-6, 660 times
-# the floor. A split tie (a period-3 sawtooth's s_2 = s_3) or a k past the
-# rank of the remaining rows falls below it.
+# A PageSvds downdate head divides by the square roots of the top k
+# eigenvalues of the downdated Gram, scaled so that s_1 is in [1/2, 1), and
+# keeps the top k eigenvectors: it answers only when the k-th eigenvalue and
+# the gap below it both exceed this floor, far above eigh's absolute error of
+# about L * eps (1e-13 here). The seven beta solves of
+# forecast_benchmark_run(0) have their smallest eigenvalue at 5.8e-4 and their
+# smallest gap at 6.6e-6, 660 times the floor. A split tie (a period-3
+# sawtooth's s_2 = s_3) or a k past the rank of the remaining rows falls
+# below it.
 _DOWNDATE_TOL = 1e-8
 
 
@@ -82,61 +88,80 @@ def svd(matrix: np.ndarray, k: int | None = None) -> SvdResult:
     return SvdResult(singular_values=s[:k], left_vectors=u[:, :k], right_vectors=vt[:k].T)
 
 
-@dataclass(frozen=True)
-class Downdate:
-    """The eigensystem of one full SVD's rank-one downdate, from :func:`downdate`.
+class PageSvds:
+    """The SVDs stage 1 takes of one Page matrix A, each computed once, on first use.
 
-    ``scale`` is the power-of-two exponent S was divided by; ``lam`` and
-    ``vectors`` the eigenvalues of S^2 - z z^T in descending order and their
-    eigenvectors, both None when s_1 is not positive and finite.
+    :meth:`for_rule` gives the SVD of A that serves a rank rule: a K-head for
+    ``fixed:K`` where :func:`takes_topk` allows, else the one dense SVD.
+    :meth:`top_rows` gives the top k triplets of A[:-1], for the lag
+    regression. The answer depends only on A and the request, never on the
+    order of calls. Every SVD taken is kept (a head is only K vectors per
+    side), and so is the dense SVD's downdate eigensystem, a square of A's
+    smaller side; nothing else matrix-sized is.
     """
 
-    full: SvdResult
-    scale: int
-    lam: np.ndarray | None
-    vectors: np.ndarray | None
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        # k of a top-k head, or None for every triplet -> SVD of A
+        self._svds: dict[int | None, SvdResult] = {}
+        # (scale, lam, vectors) of the dense SVD's downdate, on first use
+        self._eigen: tuple[int, np.ndarray | None, np.ndarray | None] | None = None
 
-    def head(self, k: int) -> SvdResult | None:
-        """The top k triplets of the top rows, or None when they are not clear of rounding.
+    def _svd(self, k: int | None) -> SvdResult:
+        key = k if takes_topk(self.matrix.shape, k) else None
+        if key not in self._svds:
+            self._svds[key] = svd(self.matrix, k=key)
+        return self._svds[key]
 
-        None when k < 1 or the k-th eigenvalue or the gap below it is at or
-        below the rounding floor ``_DOWNDATE_TOL`` (a zero or tied k-th
-        value); :func:`svd` of the top rows serves those.
+    def for_rule(self, rule: RankRule) -> SvdResult:
+        """The SVD of A that serves ``rule``, one object per matrix or head."""
+        return self._svd(rule.k if rule.kind == "fixed" else None)
+
+    def top_rows(self, k: int) -> SvdResult:
+        """The top k >= 0 triplets of A[:-1] (at least one): an ARPACK head where
+        :func:`takes_topk` allows, else the dense SVD's downdate head, unless it
+        declines, else :func:`svd` of A[:-1]."""
+        top = self.matrix[:-1]
+        head = None if takes_topk(top.shape, k) else self._downdate_head(k)
+        return head or svd(top, max(k, 1))
+
+    def _downdate_head(self, k: int) -> SvdResult | None:
+        """The top k triplets of A[:-1] off the dense SVD of A, or None if not clear of rounding.
+
+        The dense SVD A = U S V^T gives A' = A[:-1] = U[:-1] S V^T, and
+        A'^T A' = V (S^2 - z z^T) V^T with z = S U[-1], a rank-one downdate
+        (Bunch, Nielsen & Sorensen 1978; Gu & Eisenstat 1995). With
+        S^2 - z z^T = W diag(lambda) W^T in descending order, the top k
+        triplets of A' are sqrt(lambda_k), U[:-1] S W_k / sqrt(lambda_k) and
+        V W_k, so one eigendecomposition of the side of S, taken on the first
+        call, serves every k. S is first scaled by a power of two so that s_1
+        is in [1/2, 1), which is exact and keeps S^2 in range. None when
+        k < 1, s_1 is not positive and finite, or the k-th eigenvalue or the
+        gap below it is at or below the rounding floor ``_DOWNDATE_TOL`` (a
+        zero or tied k-th value).
         """
-        lam = self.lam
+        full = self._svd(None)
+        if self._eigen is None:
+            s = full.singular_values
+            self._eigen = (0, None, None)
+            if 0.0 < s[0] < np.inf:
+                exp = int(np.frexp(s[0])[1])
+                s = np.ldexp(s, -exp)
+                z = s * full.left_vectors[-1]
+                lam, w = np.linalg.eigh(np.diag(s * s) - np.outer(z, z))
+                self._eigen = (exp, lam[::-1], w[:, ::-1])
+        scale, lam, vectors = self._eigen
         if k < 1 or lam is None:
             return None
         k = min(k, lam.size)
         gap = lam[k - 1] - lam[k] if k < lam.size else lam[k - 1]
         if not (lam[k - 1] > _DOWNDATE_TOL and gap > _DOWNDATE_TOL):
             return None
-        s = np.ldexp(self.full.singular_values, -self.scale)
-        root, w = np.sqrt(lam[:k]), self.vectors[:, :k]
-        return SvdResult(singular_values=np.ldexp(root, self.scale),
-                         left_vectors=self.full.left_vectors[:-1] @ (s[:, None] * w) / root,
-                         right_vectors=self.full.right_vectors @ w)
-
-
-def downdate(full: SvdResult) -> Downdate:
-    """Every top-k SVD of the matrix ``full`` factors with its last row deleted, from one ``eigh``.
-
-    ``full`` holds every triplet of A = U S V^T. Its top rows A' = U[:-1] S V^T
-    have A'^T A' = V (S^2 - z z^T) V^T with z = S U[-1], a rank-one downdate
-    (Bunch, Nielsen & Sorensen 1978; Gu & Eisenstat 1995). With
-    S^2 - z z^T = W diag(lambda) W^T in descending order, the top k triplets
-    of A' are sqrt(lambda_k), U[:-1] S W_k / sqrt(lambda_k) and V W_k, so one
-    eigendecomposition of the side of S serves every k, read by
-    :meth:`Downdate.head`. S is first scaled by a power of two so that s_1 is
-    in [1/2, 1), which is exact and keeps S^2 in range.
-    """
-    s = full.singular_values
-    if not 0.0 < s[0] < np.inf:
-        return Downdate(full=full, scale=0, lam=None, vectors=None)
-    exp = int(np.frexp(s[0])[1])
-    s = np.ldexp(s, -exp)
-    z = s * full.left_vectors[-1]
-    lam, w = np.linalg.eigh(np.diag(s * s) - np.outer(z, z))
-    return Downdate(full=full, scale=exp, lam=lam[::-1], vectors=w[:, ::-1])
+        s = np.ldexp(full.singular_values, -scale)
+        root, w = np.sqrt(lam[:k]), vectors[:, :k]
+        return SvdResult(singular_values=np.ldexp(root, scale),
+                         left_vectors=full.left_vectors[:-1] @ (s[:, None] * w) / root,
+                         right_vectors=full.right_vectors @ w)
 
 
 def _arpack(a: np.ndarray, k: int) -> SvdResult | None:

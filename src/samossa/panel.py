@@ -284,10 +284,13 @@ def _load_long(rows: list[list[str]]) -> TimePanel:
                 f"ragged row {lineno}: long layout needs (series, t, value) triples"
             )
         name = row[0].strip()
-        t_raw = _parse_cell(row[1], row=lineno, col=2)
-        if t_raw != int(t_raw):
-            raise ParseError(f"non-integer time index {row[1]!r} at row {lineno}")
-        t = int(t_raw)
+        try:
+            t = int(row[1])  # exact however large; 3.0 or 1e3 only if its float is an integer
+        except ValueError:
+            t_raw = _parse_cell(row[1], row=lineno, col=2)
+            if t_raw != int(t_raw):
+                raise ParseError(f"non-integer time index {row[1]!r} at row {lineno}") from None
+            t = int(t_raw)
         value = _parse_cell(row[2], row=lineno, col=3)
         if name not in triples:
             triples[name] = {}
@@ -319,10 +322,10 @@ def load_csv(path, layout: str = "wide") -> TimePanel:
 
     A wide file that is UTF-8 with no quote character, no blank line, every
     row as wide as the first and every value finite (what ``save_csv`` writes
-    unless a series name needs quoting) is parsed by one ``np.loadtxt`` call. Every other file, and the
-    long layout, is read cell by cell through the csv module, which alone
-    reports errors. Both paths give the same names and the same bits, so
-    values and errors do not depend on which one ran.
+    unless a series name needs quoting) is parsed by one ``np.loadtxt`` call.
+    Every other file, and the long layout, is read cell by cell through the
+    csv module, which alone reports errors. Both paths give the same names
+    and the same bits, so values and errors do not depend on which one ran.
     """
     _check_layout(layout)
     if layout == "wide":

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MetricError, RankError, ShapeError, _integer
 from .linear_forecaster import BetaModel, solve_beta
-from .lowrank import Downdate, RankRule, SvdResult, downdate, select_rank, svd, takes_topk
+from .lowrank import PageSvds, RankRule, SvdResult, select_rank
 from .pagemat import stack, unstack
 from .panel import TimePanel
 
@@ -58,24 +58,10 @@ class Stage1:
 
     Nothing in stage 1 depends on the AR order, and the rank rule only picks
     k off one spectrum, so one instance serves every configuration fitted on
-    the same panel at the same L. The Page matrix is stacked on
-    construction and its SVD taken on first use. :meth:`beta` solves the
-    lag model (:func:`~samossa.linear_forecaster.solve_beta`) on an SVD of the
-    top L-1 rows: a head of the rank-one downdate of that same full SVD, or,
-    where the top rows take a top-k head or the downdate declines, an SVD of
-    those rows taken for the call. The downdate's eigensystem
-    (:func:`~samossa.lowrank.downdate`) is computed once, on first use, and
-    kept beside the full SVD, so every k_hat reads its head off one ``eigh``.
-
-    Where :func:`~samossa.lowrank.takes_topk` allows, a rule that reads only
-    the top K triplets (``fixed:K``, and the beta fit at rank k_hat) gets an
-    ARPACK head of that matrix; every other request shares the one full SVD.
-    Which SVD serves a request depends only on the matrix and the rule,
-    never on the order of calls. Every SVD of the Page matrix taken is kept,
-    heads included, since a head is only K vectors per side, and so is the
-    downdate, whose eigenvectors are a square of the full SVD's smaller side.
-    Nothing else matrix-sized is kept. The grid scorer makes each distinct
-    (spectrum, k_hat) decomposition once, in one helper job
+    the same panel at the same L. The Page matrix is stacked on construction;
+    which SVD of it serves a rule or the lag model, and when each is taken,
+    is :class:`~samossa.lowrank.PageSvds`' to decide. The grid scorer makes
+    each distinct (spectrum, k_hat) decomposition once, in one helper job
     (``evaluation._score_each``): twin configs share it, and a p grid's
     order selection is one job.
     """
@@ -84,20 +70,11 @@ class Stage1:
         self.panel = panel
         self.L = L
         self.page = stack(panel, L)
-        # k of a top-k head, or None for every triplet -> SVD of the Page matrix
-        self._svds: dict[int | None, SvdResult] = {}
-        self._downdate: Downdate | None = None  # of the full SVD, on first use
-
-    def _svd(self, k: int | None) -> SvdResult:
-        """The SVD of the Page matrix that serves a rule reading ``k`` triplets."""
-        key = k if takes_topk(self.page.data.shape, k) else None
-        if key not in self._svds:
-            self._svds[key] = svd(self.page.data, k=key)
-        return self._svds[key]
+        self.svds = PageSvds(self.page.data)
 
     def spectrum(self, rule: RankRule) -> SvdResult:
         """The SVD of the whole Page matrix that serves ``rule``, one object per matrix or head."""
-        return self._svd(rule.k if rule.kind == "fixed" else None)
+        return self.svds.for_rule(rule)
 
     def rank(self, rule: RankRule) -> int:
         """k_hat under ``rule``, read off the Page matrix's spectrum."""
@@ -108,22 +85,11 @@ class Stage1:
         return _truncate(self.panel, self.page.origin, self.spectrum(rule), self.rank(rule))
 
     def beta(self, k_hat: int) -> BetaModel:
-        """The lag model regressing the last Page row on the top L-1 rows at rank k_hat.
-
-        The SVD of the top rows is a head of the full dense SVD's downdate,
-        whose eigensystem this stage computes once, unless they take a top-k
-        head or the downdate declines; then their own.
-        """
+        """The lag model regressing the last Page row on the top L-1 rows at rank k_hat."""
         if self.L < 2:
             raise ShapeError(f"need L >= 2 to regress the last row on the rest, got L={self.L}")
         k_hat = _integer(k_hat, "k_hat", 0, RankError)  # before it slices the SVD
-        top = self.page.data[:-1]
-        sub = None
-        if not takes_topk(top.shape, k_hat):
-            if self._downdate is None:
-                self._downdate = downdate(self._svd(None))
-            sub = self._downdate.head(k_hat)
-        return solve_beta(self.page.data, sub or svd(top, max(k_hat, 1)), k_hat)
+        return solve_beta(self.page.data, self.svds.top_rows(k_hat), k_hat)
 
 
 def _truncate(panel: TimePanel, origin: int, spectrum: SvdResult, k_hat: int) -> Decomposition:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import samossa
-from samossa.cli import COMMANDS, _build_parser, _pipeline_config, _resolve, main
+from samossa import synth
+from samossa.cli import COMMANDS, _build_parser, _load_truth, _pipeline_config, _resolve, main
 from samossa.evaluation import RANK_GRID_DEFAULT, RATIO_GRID_DEFAULT, default_grid
 from samossa.pipeline import P_GRID_DEFAULT, SamossaConfig
 from samossa.panel import TimePanel, load_csv, save_csv
@@ -69,6 +70,28 @@ class TestSynth:
                    "--alpha", "-0.5", "--sigma2", "1.0", "--seed", "3", "-o", str(out))
         assert code == 0
         assert load_csv(out / "y.csv").values.shape == (2, 100)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("flags, spec", [
+        (["--preset", "fig2", "--lambda-star", "0.6", "--n", "3", "--t", "120"],
+         lambda seed: synth.estimation_spec(0.6, n_series=3, length=120, seed=seed)),
+        (["--preset", "forecast", "--n", "4", "--t", "90"],
+         lambda seed: synth.forecasting_spec(n_series=4, length=90, seed=seed)),
+        (["--alpha", "-5e-1,0.2", "--n", "2", "--t", "80"],
+         lambda seed: synth.GeneratorSpec(kind="harmonics", n_series=2, length=80,
+                                          alpha=(-0.5, 0.2), seed=seed)),
+    ], ids=["fig2", "forecast", "alpha"])
+    def test_truth_reads_back(self, tmp_path, flags, spec, seed):
+        # What --truth-dir scoring reads is what the generator drew, bit for bit.
+        out = tmp_path / "truth"
+        assert run("synth", *flags, "--seed", str(seed), "-o", str(out)) == 0
+        want, got = synth.generate(spec(seed)), _load_truth(str(out))
+        for panel, truth in ((got.f, want.f), (got.x, want.x)):
+            assert (panel.series_names, panel.t0) == (truth.series_names, truth.t0)
+            assert panel.values.shape == truth.values.shape
+            assert panel.values.tobytes() == truth.values.tobytes()
+        assert [a.tobytes() for a in got.alphas] == [np.asarray(a, float).tobytes()
+                                                     for a in want.alphas]
 
     def test_bad_preset(self, tmp_path):
         assert run("synth", "--preset", "nope", "-o", str(tmp_path / "x")) == 1

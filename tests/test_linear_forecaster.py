@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from samossa import BetaModel, FitError, RankError, RankRule, ShapeError, TimePanel
-from samossa import evaluation, pipeline, ssa_estimator
+from samossa import evaluation, lowrank, pipeline
 from samossa.ar import fit_ar_rows
 from samossa.linear_forecaster import fit_beta, forecast_f, solve_beta
-from samossa.lowrank import Downdate, downdate, svd, takes_topk
+from samossa.lowrank import PageSvds, svd, takes_topk
 from samossa.pagemat import stack
 from samossa.ssa_estimator import Stage1
 from samossa.synth import forecasting_spec, generate
@@ -193,7 +193,7 @@ class TestDowndate:
         page = stage.page.data  # its memory layout, which LAPACK's rounding follows
         got = outcome(stage.beta, k_hat)
         # Stage1 solves on the downdate where it answers, else on the top rows' own SVD.
-        sub = downdate(svd(page)).head(k_hat)
+        sub = PageSvds(page)._downdate_head(k_hat)
         assert same_outcome(got, outcome(solve_beta, page, sub or svd(page[:-1], k_hat), k_hat))
         reference = outcome(lstsq_beta, page, k_hat)
         if isinstance(reference, FitError):
@@ -216,7 +216,7 @@ class TestDowndate:
         # 10 x 36 060 at L = 601: the top rows are 600 x 600, so beta at a small
         # k_hat reads an ARPACK head of them rather than the downdate.
         calls = []
-        monkeypatch.setattr(ssa_estimator, "svd",
+        monkeypatch.setattr(lowrank, "svd",
                             lambda matrix, k=None: calls.append((matrix.shape, k)) or svd(matrix, k))
         stage = Stage1(generate(forecasting_spec(n_series=10, length=601 * 60, seed=0)).y, 601)
         k_hat = stage.rank(rule)
@@ -229,7 +229,7 @@ class TestDowndate:
     def test_split_tie_declines(self):
         # The period-3 sawtooth at L = 4 has s_2 = s_3: rank 2 splits the tie.
         panel = TimePanel(("a",), np.tile([1.0, 2.0, 3.0], 20)[None, :])
-        assert downdate(svd(stack(panel, 4).data)).head(2) is None
+        assert PageSvds(stack(panel, 4).data)._downdate_head(2) is None
         model = Stage1(panel, 4).beta(2)
         assert forecast_f(model, [3.0, 2.0, 1.0]) == pytest.approx(1.0, abs=1e-8)
 
@@ -237,9 +237,9 @@ class TestDowndate:
         # A rank-2 matrix: its top rows have rank 2, so k_hat = 3 finds no third value.
         rng = np.random.default_rng(0)
         page = rng.normal(size=(12, 2)) @ rng.normal(size=(2, 30))
-        eigensystem = downdate(svd(page))
-        assert eigensystem.head(2) is not None
-        assert eigensystem.head(3) is None
+        svds = PageSvds(page)
+        assert svds._downdate_head(2) is not None
+        assert svds._downdate_head(3) is None
         model = Stage1(page_panel(page), 12).beta(3)
         assert same_outcome(model, solve_beta(page, svd(page[:-1]), 3))
         assert_near_reference(model, page, 3)
@@ -249,7 +249,7 @@ class TestDowndate:
 
     def test_zero_rank_declines(self):
         page = np.random.default_rng(1).normal(size=(5, 8))
-        assert downdate(svd(page)).head(0) is None
+        assert PageSvds(page)._downdate_head(0) is None
         model = Stage1(page_panel(page), 5).beta(0)
         assert np.array_equal(model.beta, np.zeros(4)) and model.k_hat == 0
         assert model.resid_rms == np.sqrt(np.mean(page[-1] ** 2))
@@ -257,7 +257,7 @@ class TestDowndate:
     def test_all_zero_features_stay_a_fit_error(self):
         # s(t) = 1 at every fourth step: at L = 4 only the last Page row is non-zero.
         panel = TimePanel(("a",), (np.arange(48) % 4 == 3).astype(float)[None, :])
-        assert downdate(svd(stack(panel, 4).data)).head(1) is None
+        assert PageSvds(stack(panel, 4).data)._downdate_head(1) is None
         for k_hat in (0, 1):
             with pytest.raises(FitError, match="^all-zero feature matrix$"):
                 Stage1(panel, 4).beta(k_hat)
@@ -268,20 +268,20 @@ class TestDowndate:
         # matrix (three Ls, and the refits' panel at its own L), none of its
         # top rows, and one eigh per SVD, whose downdate serves every k_hat.
         answers, page_rows, shapes, eighs, lstsqs, ar_fits = [], set(), [], [], [], []
-        head, eigh, lstsq = Downdate.head, np.linalg.eigh, np.linalg.lstsq
+        head, eigh, lstsq = PageSvds._downdate_head, np.linalg.eigh, np.linalg.lstsq
 
         def recording_head(self, k_hat):
             sub = head(self, k_hat)
             answers.append(sub is not None)
-            page_rows.add(self.full.left_vectors.shape[0])
+            page_rows.add(self.matrix.shape[0])
             return sub
 
         def recording_fit(residuals, p):
             ar_fits.append(p)
             return fit_ar_rows(residuals, p)
 
-        monkeypatch.setattr(Downdate, "head", recording_head)
-        monkeypatch.setattr(ssa_estimator, "svd",
+        monkeypatch.setattr(PageSvds, "_downdate_head", recording_head)
+        monkeypatch.setattr(lowrank, "svd",
                             lambda matrix, k=None: shapes.append(matrix.shape) or svd(matrix, k))
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
         monkeypatch.setattr(np.linalg, "lstsq",
@@ -301,7 +301,7 @@ class TestDowndate:
         y = generate(forecasting_spec(n_series=3, length=400, seed=0)).y
         stage = Stage1(y, 40)
         k_hat = stage.rank(rule)
-        assert downdate(stage.spectrum(RankRule.universal())).head(k_hat) is not None
+        assert stage.svds._downdate_head(k_hat) is not None
         model = stage.beta(k_hat)
         scaled = Stage1(TimePanel(y.series_names, np.ldexp(y.values, k)), 40).beta(k_hat)
         assert np.array_equal(scaled.beta, model.beta)

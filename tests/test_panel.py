@@ -368,7 +368,7 @@ def any_panels(draw):
                           max_size=n, unique=True))
     values = draw(st.lists(FINITE, min_size=n * length, max_size=n * length))
     return TimePanel(tuple(names), np.reshape(values, (n, length)),
-                     t0=draw(st.integers(-10**6, 10**6)))
+                     t0=draw(st.integers(-2**80, 2**80)))
 
 
 class TestSavedPanelsLoadBack:
@@ -385,6 +385,8 @@ class TestSavedPanelsLoadBack:
     @example(panel=TimePanel(("a", "a "), np.ones((2, 3))))
     @example(panel=TimePanel(("\ufeffa", "b"), np.ones((2, 3))))
     @example(panel=TimePanel(("a", "b"), np.zeros((2, 0))))
+    @example(panel=TimePanel(("a",), [[1.0, 2.0]], t0=2**53 + 1))  # past float's integers
+    @example(panel=TimePanel(("a",), [[1.0, 2.0]], t0=2**70))  # both times one float
     @settings(max_examples=200, deadline=None)
     def test_saved_or_refused(self, layout, panel, tmp_path_factory):
         path = tmp_path_factory.mktemp("trip") / "p.csv"

@@ -1,8 +1,12 @@
+import ast
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import samossa
 from samossa import RankRule, ShapeError, TimePanel, default_L
 from samossa.ssa_estimator import decompose, est_err
 from samossa.synth import estimation_spec, generate
@@ -15,6 +19,23 @@ def harmonic_panel(n_series=4, length=512, n_fund=2, seed=0):
                      zip(rng.uniform(0.05, 0.3, n_fund), rng.uniform(0, 6.28, n_fund))])
     values = rng.normal(size=(n_series, n_fund)) @ fund
     return TimePanel(tuple(f"s{i}" for i in range(n_series)), values)
+
+
+def test_lowrank_owns_every_svd():
+    # Which SVD serves stage 1 is decided in lowrank alone: only lowrank.py
+    # takes an SVD or an eigensystem, and ssa_estimator.py names no SVD routine.
+    package = Path(samossa.__file__).parent
+    pattern = re.compile(r"\blinalg\.(svd|eigh)\b|\blinalg import\b|\bsvds\(")
+    owners = sorted(p.name for p in package.glob("*.py")
+                    if pattern.search(p.read_text(encoding="utf-8")))
+    assert owners == ["lowrank.py"]
+    tree = ast.parse((package / "ssa_estimator.py").read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert not {"svd", "takes_topk"} & names
+    assert not [name for name in names if "downdate" in name.lower()]
 
 
 class TestDecompose:
