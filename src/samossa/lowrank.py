@@ -37,13 +37,22 @@ _TOPK_MIN_DIM = 600
 # A PageSvds downdate head divides by the square roots of the top k
 # eigenvalues of the downdated Gram, scaled so that s_1 is in [1/2, 1), and
 # keeps the top k eigenvectors: it answers only when the k-th eigenvalue and
-# the gap below it both exceed this floor, far above eigh's absolute error of
-# about L * eps (1e-13 here). The seven beta solves of
+# the gap below it both exceed this floor, far above the secular roots'
+# absolute error of a few eps (within 2.2e-16 of eigh's on the benchmark's
+# heads, 1.4e-15 on random ones). The seven beta solves of
 # forecast_benchmark_run(0) have their smallest eigenvalue at 5.8e-4 and their
 # smallest gap at 6.6e-6, 660 times the floor. A split tie (a period-3
 # sawtooth's s_2 = s_3) or a k past the rank of the remaining rows falls
 # below it.
 _DOWNDATE_TOL = 1e-8
+
+# The rounding bound on a downdate head's vectors: it declines when an entry
+# of W_k^T W_k - I exceeds this. Heads that answer measure at most 1.1e-15 on
+# the benchmark and 1.4e-14 on 3 000 random heads with poles clustered down
+# to an ulp apart; the few of those whose poles an ulp apart cannot be
+# resolved measure 8e-5 and more. At 1e-10 a vector error stays well inside
+# the 1e-8 that the head's subspace is tested to.
+_ORTHO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -96,16 +105,14 @@ class PageSvds:
     :meth:`top_rows` gives the top k triplets of A[:-1], for the lag
     regression. The answer depends only on A and the request, never on the
     order of calls. Every SVD taken is kept (a head is only K vectors per
-    side), and so is the dense SVD's downdate eigensystem, a square of A's
-    smaller side; nothing else matrix-sized is.
+    side), and nothing else: a downdate head is worked out on each request,
+    in O(k r) time and memory for r singular values.
     """
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
         # k of a top-k head, or None for every triplet -> SVD of A
         self._svds: dict[int | None, SvdResult] = {}
-        # (scale, lam, vectors) of the dense SVD's downdate, on first use
-        self._eigen: tuple[int, np.ndarray | None, np.ndarray | None] | None = None
 
     def _svd(self, k: int | None) -> SvdResult:
         key = k if takes_topk(self.matrix.shape, k) else None
@@ -133,35 +140,104 @@ class PageSvds:
         (Bunch, Nielsen & Sorensen 1978; Gu & Eisenstat 1995). With
         S^2 - z z^T = W diag(lambda) W^T in descending order, the top k
         triplets of A' are sqrt(lambda_k), U[:-1] S W_k / sqrt(lambda_k) and
-        V W_k, so one eigendecomposition of the side of S, taken on the first
-        call, serves every k. S is first scaled by a power of two so that s_1
-        is in [1/2, 1), which is exact and keeps S^2 in range. None when
-        k < 1, s_1 is not positive and finite, or the k-th eigenvalue or the
-        gap below it is at or below the rounding floor ``_DOWNDATE_TOL`` (a
-        zero or tied k-th value).
+        V W_k. The top k + 1 eigenvalues and the top k eigenvectors are
+        :func:`_secular_head`'s roots of the downdate's secular equation, in
+        O(k r) for r singular values. S is first scaled by a power of two so
+        that s_1 is in [1/2, 1), which is exact and keeps S^2 in range. None
+        when k < 1, s_1 is not positive and finite, the secular form cannot
+        certify the head, or the k-th eigenvalue or the gap below it is at or
+        below the rounding floor ``_DOWNDATE_TOL`` (a zero or tied k-th value).
         """
         full = self._svd(None)
-        if self._eigen is None:
-            s = full.singular_values
-            self._eigen = (0, None, None)
-            if 0.0 < s[0] < np.inf:
-                exp = int(np.frexp(s[0])[1])
-                s = np.ldexp(s, -exp)
-                z = s * full.left_vectors[-1]
-                lam, w = np.linalg.eigh(np.diag(s * s) - np.outer(z, z))
-                self._eigen = (exp, lam[::-1], w[:, ::-1])
-        scale, lam, vectors = self._eigen
-        if k < 1 or lam is None:
+        s = full.singular_values
+        if k < 1 or not 0.0 < s[0] < np.inf:
             return None
-        k = min(k, lam.size)
+        scale = int(np.frexp(s[0])[1])
+        s = np.ldexp(s, -scale)
+        k = min(k, s.size)
+        head = _secular_head(s * s, s * full.left_vectors[-1], k)
+        if head is None:
+            return None
+        lam, w = head
         gap = lam[k - 1] - lam[k] if k < lam.size else lam[k - 1]
         if not (lam[k - 1] > _DOWNDATE_TOL and gap > _DOWNDATE_TOL):
             return None
-        s = np.ldexp(full.singular_values, -scale)
-        root, w = np.sqrt(lam[:k]), vectors[:, :k]
+        root = np.sqrt(lam[:k])
         return SvdResult(singular_values=np.ldexp(root, scale),
                          left_vectors=full.left_vectors[:-1] @ (s[:, None] * w) / root,
                          right_vectors=full.right_vectors @ w)
+
+
+def _secular_head(d: np.ndarray, z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The top min(k + 1, r) eigenvalues of diag(d) - z z^T and its top k eigenvectors.
+
+    ``d`` holds r values in descending order. Each eigenvalue is a root of
+    the secular equation 1 = sum_j z_j^2 / (d_j - lambda), root i the only
+    one between the poles d_{i+1} and d_i (between d_r - |z|^2 and d_r for
+    the last), and its eigenvector is proportional to z / (d - lambda_i)
+    (Bunch, Nielsen & Sorensen 1978). A root is found as an offset tau from
+    its nearer pole d_o, so every difference d_j - lambda_i is read as
+    (d_j - d_o) - tau to full relative accuracy (Gu & Eisenstat 1995), by
+    Newton's method on the pole-free form tau (1 - R(tau)) + z_o^2, with R
+    the sum over the other poles, safeguarded by bisection. None when
+    a bracketing pole is tied or has a zero z_j (the roots no longer
+    interlace the poles one to one), when a vector is not finite, or when
+    W_k^T W_k is off the identity by more than ``_ORTHO_TOL``.
+    """
+    r, m = d.size, min(k + 1, d.size)
+    z2 = z * z
+    rows = np.arange(m)
+    lower = np.append(d[1:m + 1], d[-1] - z2.sum())[:m]
+    if not (np.all(z[:m + 1] != 0.0) and np.all(lower < d[:m])):
+        return None
+    with np.errstate(all="ignore"):  # a bracket too narrow to resolve ends in the checks below
+        mid = 0.5 * (lower + d[:m])
+        nearer_lower = (1.0 - (z2 / (d - mid[:, None])).sum(axis=1) < 0.0) & (rows + 1 < r)
+        origin = rows + nearer_lower
+        delta = d - d[origin][:, None]  # d_j - d_o, exact near d_o
+        side = np.where(nearer_lower, 1.0, -1.0)  # tau's sign: above or below its pole
+        far = np.where(nearer_lower, d[:m] - d[origin], lower - d[origin])
+        lo, hi = np.minimum(far, 0.0), np.maximum(far, 0.0)
+        # R(tau) sums every pole but the origin: its z^2 is 0 in the sum, and its
+        # delta 1, so that no term divides by zero.
+        others = np.tile(z2, (m, 1))
+        others[rows, origin] = 0.0
+        delta_r = delta.copy()
+        delta_r[rows, origin] = 1.0
+        z2_o = z2[origin]
+
+        def pole_free(tau):
+            t = delta_r - tau[:, None]
+            q = others / t
+            rest = 1.0 - q.sum(axis=1)
+            return tau * rest + z2_o, rest - tau * (q / t).sum(axis=1)
+
+        # From the middle of its bracket a head's slowest root takes 5 to 8
+        # steps to an ulp on the benchmark and at most 22 on 1 800 random
+        # planted-rank heads, but for 22 of them that reach the cap of 30
+        # with a root whose steps wander within a few ulps of it. A root stops
+        # on its own test, so no root's bits depend on m.
+        tau, active = 0.5 * (lo + hi), np.ones(m, dtype=bool)
+        for _ in range(30):
+            g, slope = pole_free(tau)
+            above = side * g > 0.0  # the root lies above tau
+            lo, hi = np.where(above, tau, lo), np.where(above, hi, tau)
+            guess = tau - g / slope  # a Newton step, or a halving where it leaves the bracket
+            guess = np.where((lo <= guess) & (guess <= hi), guess, 0.5 * (lo + hi))
+            ulp = np.finfo(np.float64).eps * np.abs(guess)
+            moving = (np.abs(guess - tau) > ulp) & (hi - lo > 4.0 * ulp)
+            tau = np.where(active, guess, tau)
+            active &= moving
+            if not active.any():
+                break
+        lam = d[origin] + tau
+        w = (z / (delta[:k] - tau[:k, None])).T
+        w /= np.sqrt((w * w).sum(axis=0))
+    if not np.all(np.isfinite(w)):
+        return None
+    if np.abs(w.T @ w - np.eye(k)).max() > _ORTHO_TOL:
+        return None
+    return lam, w
 
 
 def _arpack(a: np.ndarray, k: int) -> SvdResult | None:
@@ -280,8 +356,10 @@ def select_rank(singular_values, rule: RankRule, shape: tuple[int, int]) -> int:
 
     ``shape`` is the (rows, cols) of the matrix the spectrum came from; only
     the universal-threshold rule uses it. Threshold-based rules never split
-    a tied group of singular values. Raises RankError when the spectrum is
-    all zero or not finite, or its energy overflows.
+    a tied group of singular values. The energy rule sums the squares of
+    s / 2^e, with e the exponent of s_1: the power of two is exact, so k
+    does not depend on the spectrum's scale, and no square overflows.
+    Raises RankError when the spectrum is all zero or not finite.
     """
     s = np.asarray(singular_values, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
@@ -298,10 +376,7 @@ def select_rank(singular_values, rule: RankRule, shape: tuple[int, int]) -> int:
         return min(rule.k, n_positive)
 
     if rule.kind == "energy":
-        with np.errstate(over="ignore"):
-            energy = np.cumsum(s**2)
-        if not np.isfinite(energy[-1]):
-            raise RankError(f"spectral energy overflows (largest singular value {s[0]:.3g})")
+        energy = np.cumsum(np.ldexp(s, -int(np.frexp(s[0])[1])) ** 2)
         k = int(np.searchsorted(energy, rule.fraction * energy[-1] - 1e-15 * energy[-1])) + 1
         k = min(k, n_positive)
         return _extend_ties(s, k, n_positive)

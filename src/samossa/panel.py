@@ -273,6 +273,21 @@ def _long_header(row: list[str]) -> bool:
     return False
 
 
+def _time_index(text: str, lineno: int) -> int:
+    """The time a non-literal spelling such as 3.0 or 1e3 names: its float, where
+    that is an integer and equals the decimal value written, so no spelling
+    silently names another time (9007199254740993.0 reads as ...992.0)."""
+    from decimal import Decimal  # only non-literal spellings need it; keeps import time
+
+    value = _parse_cell(text, row=lineno, col=2)
+    if value != int(value):
+        raise ParseError(f"non-integer time index {text!r} at row {lineno}") from None
+    if Decimal(text) != value:
+        raise ParseError(f"time index {text!r} at row {lineno} is not exact as a float; "
+                         "write it as an integer") from None
+    return int(value)
+
+
 def _load_long(rows: list[list[str]]) -> TimePanel:
     start = 1 if _long_header(rows[0]) else 0
     triples: dict[str, dict[int, float]] = {}
@@ -285,12 +300,9 @@ def _load_long(rows: list[list[str]]) -> TimePanel:
             )
         name = row[0].strip()
         try:
-            t = int(row[1])  # exact however large; 3.0 or 1e3 only if its float is an integer
+            t = int(row[1])  # exact however large
         except ValueError:
-            t_raw = _parse_cell(row[1], row=lineno, col=2)
-            if t_raw != int(t_raw):
-                raise ParseError(f"non-integer time index {row[1]!r} at row {lineno}") from None
-            t = int(t_raw)
+            t = _time_index(row[1], lineno)
         value = _parse_cell(row[2], row=lineno, col=3)
         if name not in triples:
             triples[name] = {}

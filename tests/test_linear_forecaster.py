@@ -208,8 +208,67 @@ class TestDowndate:
                 <= 1e-12 * dense.singular_values[0]
             for ours, theirs in ((sub.left_vectors, dense.left_vectors),
                                  (sub.right_vectors, dense.right_vectors)):
-                # eigh's rounding over the 1e-8 eigenvalue gap the downdate requires
+                # the oracle SVD's rounding over the 1e-8 eigenvalue gap the downdate requires
                 assert np.abs(ours @ ours.T - theirs @ theirs.T).max() <= 1e-8
+
+    @given(r=st.integers(2, 40), rank=st.integers(1, 40),
+           noise=st.sampled_from([0.0, 1e-8, 1e-3]), exponent=st.sampled_from([-200, 0, 200]),
+           ties=st.integers(0, 3), zeros=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    @settings(max_examples=400)
+    def test_head_matches_eigh_oracle(self, r, rank, noise, exponent, ties, zeros, seed, data):
+        # r singular values: `rank` planted in [1, 10], `ties` of them copied
+        # exactly onto others, and noise values (exact zeros at noise 0), all
+        # times 2^exponent; the last left-vector row u of an orthonormal basis,
+        # `zeros` of its entries set to exactly 0.
+        rng = np.random.default_rng(seed)
+        rank = min(rank, r)
+        planted = rng.uniform(1.0, 10.0, size=rank)
+        planted[rng.integers(0, rank, size=ties)] = planted[rng.integers(0, rank, size=ties)]
+        s = np.ldexp(np.sort(np.append(planted, noise * rng.uniform(size=r - rank)))[::-1],
+                     exponent)
+        left = np.linalg.qr(rng.normal(size=(r + 1, r)))[0]
+        left[-1, rng.integers(0, r, size=zeros)] = 0.0
+        k = data.draw(st.integers(1, r - 1), label="k")
+        # The oracle: eigh of the same scaled diag(s^2) - z z^T.
+        scale = int(np.frexp(s[0])[1])
+        s_hat = np.ldexp(s, -scale)
+        d, z = s_hat * s_hat, s_hat * left[-1]
+        lam, w = np.linalg.eigh(np.diag(d) - np.outer(z, z))
+        lam, w = lam[::-1], w[:, ::-1]
+
+        head = lowrank._secular_head(d, z, k)
+        svds = PageSvds(np.zeros((r + 1, r)))
+        svds._svds[None] = lowrank.SvdResult(s, left, np.eye(r))  # so right vectors are W_k
+        sub = svds._downdate_head(k)
+        if head is None:
+            assert sub is None
+            return
+        values, vectors = head
+        assert values.shape == (k + 1,) and vectors.shape == (r, k)
+        assert np.abs(values - lam[:k + 1]).max() <= 1e-14
+        gap = lam[k - 1] - lam[k]
+        if sub is None:  # declined by the rounding floor on the k-th value or its gap
+            assert min(values[k - 1], values[k - 1] - values[k]) <= lowrank._DOWNDATE_TOL
+            return
+        assert min(lam[k - 1], gap) > 0.5 * lowrank._DOWNDATE_TOL
+        assert np.array_equal(np.ldexp(sub.singular_values, -scale), np.sqrt(values[:k]))
+        ours, theirs = sub.right_vectors, w[:, :k]
+        assert np.abs(ours @ ours.T - theirs @ theirs.T).max() <= 1e-8
+
+    def test_unresolved_vectors_decline(self, monkeypatch):
+        # Three poles an ulp apart, none tied and no z_j zero: the top two
+        # roots cannot be told apart in floating point, and their vectors
+        # come out 2e-4 off orthogonal, so the head takes the fallback SVD.
+        s = np.array([0.75, np.nextafter(0.75, 0), np.nextafter(np.nextafter(0.75, 0), 0)])
+        left = np.vstack([np.eye(3), [-7.28833380531324e-09, -0.0012019823542437917,
+                                      -0.46992272470079455]])
+        svds = PageSvds(np.zeros((4, 3)))
+        svds._svds[None] = lowrank.SvdResult(s, left, np.eye(3))
+        assert np.all(np.diff(s) < 0) and np.all(left[-1] != 0)
+        assert svds._downdate_head(2) is None
+        monkeypatch.setattr(lowrank, "_ORTHO_TOL", 1.0)
+        assert svds._downdate_head(2) is not None
 
     @pytest.mark.parametrize("rule", [RankRule.fixed(5), RankRule.energy(0.9)], ids=str)
     def test_arpack_head_matches_lstsq_oracle(self, rule, monkeypatch):
@@ -266,7 +325,7 @@ class TestDowndate:
         # The grid's beta solves (the nine default configs give five (L, k_hat)
         # pairs on the train panel) and both refits': one SVD of each Page
         # matrix (three Ls, and the refits' panel at its own L), none of its
-        # top rows, and one eigh per SVD, whose downdate serves every k_hat.
+        # top rows, and no eigh: each head is read off the secular equation.
         answers, page_rows, shapes, eighs, lstsqs, ar_fits = [], set(), [], [], [], []
         head, eigh, lstsq = PageSvds._downdate_head, np.linalg.eigh, np.linalg.lstsq
 
@@ -289,7 +348,7 @@ class TestDowndate:
         monkeypatch.setattr(pipeline, "fit_ar_rows", recording_fit)
         evaluation.forecast_benchmark_run(0)
         assert answers == [True] * 7
-        assert len(shapes) == len(eighs) == 4
+        assert len(shapes) == 4 and eighs == []
         assert {rows for rows, _ in shapes} == page_rows
         # Stage 2: one batched fit per (decomposition, order), every row by its lag Gram.
         assert len(ar_fits) == 26 and lstsqs == []

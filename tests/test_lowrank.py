@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from samossa import RankError, RankRule
 from samossa.lowrank import hsvt, select_rank, svd
+from samossa.pagemat import stack
+from samossa.synth import forecasting_spec, generate
+
+RULES = (RankRule.fixed(5), RankRule.energy(0.9), RankRule.universal())
+
+# The spectrum of a 3 x 400 forecasting panel (seed 3) at L = 34: energy:0.9
+# picks 13 of its 34 values. Scaled by 2^-560 its squares underflowed, and
+# by 2^600 they overflowed, when the energy was summed unscaled.
+PANEL_SPECTRUM = svd(stack(generate(forecasting_spec(n_series=3, length=400, seed=3)).y,
+                           34).data).singular_values
 
 
 class TestHsvt:
@@ -90,12 +100,28 @@ class TestSelectRank:
                 select_rank(s, rule, (2, 2))
 
     def test_energy_overflow(self):
-        # s^2 overflows: the cumulative energy is inf and inf - inf is NaN,
-        # which once picked k off a meaningless comparison.
+        # s^2 overflows, which once ended in a RankError (and before that in
+        # a k picked off inf - inf): the energy of s / 2^e picks s's own k.
         s = [3e201, 2e201, 1e200]
-        with pytest.raises(RankError, match="energy overflows"):
-            select_rank(s, RankRule.energy(0.9), (3, 3))
+        assert select_rank(s, RankRule.energy(0.9), (3, 3)) == 2
+        assert select_rank([3.0, 2.0, 0.1], RankRule.energy(0.9), (3, 3)) == 2
         assert select_rank(s, RankRule.fixed(2), (3, 3)) == 2
+
+    @given(s=st.lists(st.one_of(st.just(0.0), st.floats(1e-30, 1e30)), min_size=1,
+                      max_size=40).map(lambda v: np.sort(v)[::-1]).filter(lambda s: s[0] > 0),
+           k=st.integers(-1000, 1000), rule=st.sampled_from(RULES), extra=st.integers(0, 60))
+    @example(s=PANEL_SPECTRUM, k=-560, rule=RankRule.energy(0.9), extra=1)
+    @example(s=PANEL_SPECTRUM, k=600, rule=RankRule.energy(0.9), extra=1)
+    @settings(max_examples=300)
+    def test_same_rank_at_every_power_of_two(self, s, k, rule, extra):
+        # Where the scaled spectrum stays normal, scaling is exact and k must not move.
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(s, k)
+        normal = (scaled == 0.0) | ((np.abs(scaled) >= np.finfo(np.float64).tiny)
+                                    & np.isfinite(scaled))
+        assume(np.all(normal))
+        shape = (s.size, s.size + extra)
+        assert select_rank(scaled, rule, shape) == select_rank(s, rule, shape)
 
     def test_tied_group_never_split(self):
         # Threshold would land inside the tied pair; both stay.

@@ -288,12 +288,28 @@ class TestLoadLong:
 
     @pytest.mark.parametrize("text, missing", [
         ("a,1,1\na,2,2\nb,2,4\nb,1,5\nc,1,6\n", "('c', 2)"),
-        ("a,1,1\na,1e300,2\n", "('a', 2)"),  # a wide file read as long can span this
+        ("a,1,1\na,1" + "0" * 300 + ",2\n", "('a', 2)"),  # 10^300, past 2^63
         ("a,-5e18,1\na,5e18,2\nb,1,3\n", "('a', -4999999999999999999)"),
     ])
     def test_gap_found_before_allocating(self, tmp_path, text, missing):
         with pytest.raises(IngestError, match=re.escape(f"missing (series, t) pair {missing}")):
             load_csv(write(tmp_path, text), layout="long")
+
+    @pytest.mark.parametrize("cell, message", [
+        ("9007199254740993.0", "time index '9007199254740993.0' at row 2 is not exact as a "
+                               "float; write it as an integer"),
+        ("1e300", "time index '1e300' at row 2 is not exact as a float; write it as an integer"),
+        ("2.5", "non-integer time index '2.5' at row 2"),
+    ])
+    def test_time_spelling_must_name_its_float(self, tmp_path, cell, message):
+        with pytest.raises(ParseError) as info:
+            load_csv(write(tmp_path, f"a,1,1\na,{cell},2\n"), layout="long")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("cell", ["2.0", "2e0", " 2. ", "+0.2e1", "2_0e-1"])
+    def test_exact_time_spellings_load(self, tmp_path, cell):
+        panel = load_csv(write(tmp_path, f"a,1,1\na,{cell},2\n"), layout="long")
+        assert (panel.t0, panel.values.tolist()) == (1, [[1.0, 2.0]])
 
     def test_duplicate_pair(self, tmp_path):
         text = "a,1,1\na,1,2\n"
