@@ -12,7 +12,11 @@ in ``pipeline.fit`` both go through ``_score_each`` and ``_best``.
 from __future__ import annotations
 
 import contextvars
+import ctypes
+import functools
 import itertools
+import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -254,9 +258,73 @@ class GridEntry:
 _CONFIG_ERRORS = (SamossaError, np.linalg.LinAlgError)
 
 
+@functools.cache
+def _blas_threads_getter():
+    """numpy's bundled OpenBLAS thread-count getter, or None where it cannot be found.
+
+    Opened on first use, not on import. The symbol is looked up through
+    numpy's core extension, whose dependencies include the BLAS it loaded.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+        getter = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter
+
+
+def _workers() -> int:
+    """How many stage-1 jobs run at once: usable cores // BLAS threads, at least 1.
+
+    The BLAS thread count is read, never set: OpenBLAS keeps one count for
+    the whole process, so pinning it from a worker would change the
+    caller's threads, and its SVD bits, too. Where the count cannot be
+    read the answer is 1. Concurrent SVDs pay only at one BLAS thread per
+    core; at the default count each SVD already fills the cores.
+    """
+    getter = _blas_threads_getter()
+    threads = getter() if getter is not None else 0
+    if threads < 1:
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, cores // threads)
+
+
+def _run_jobs(jobs, workers: int) -> list:
+    """Each of ``jobs`` called with a stop event on one of ``workers`` threads; their results in order.
+
+    Every job runs under a copy of the caller's context (its ``np.errstate``
+    included). A job that raises sets the stop event before its error is
+    read, and a job that finds the event set may return early: the call
+    then raises, so no early result is returned. The first error in
+    ``jobs`` order propagates, after the queued jobs are cancelled and the
+    running ones joined: no thread outlives the call.
+    """
+    stop = threading.Event()
+
+    def run(job):
+        try:
+            return job(stop)
+        except BaseException:
+            stop.set()
+            raise
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(contextvars.copy_context().run, run, job) for job in jobs]
+        return [future.result() for future in futures]
+    finally:
+        stop.set()
+        pool.shutdown(cancel_futures=True)
+
+
 def _score_decomposition(panel: TimePanel, configs, members, origin: int, spectrum: SvdResult,
                          beta_model: BetaModel, window: TimePanel, catch) -> dict:
-    """One helper job: stage 2 of the configs whose indices are ``members``.
+    """Stage 2 of the configs whose indices are ``members``.
 
     Makes the decomposition at ``beta_model``'s k_hat of ``spectrum``, then
     fits and rolls each distinct order once over ``window``. Returns {config
@@ -277,27 +345,71 @@ def _score_decomposition(panel: TimePanel, configs, members, origin: int, spectr
     return results
 
 
+def _score_L(panel: TimePanel, L: int, configs, members, window: TimePanel, catch,
+             stop: threading.Event) -> dict | None:
+    """One worker job: stages 1 and 2 of the configs whose indices are ``members``, all at L.
+
+    Builds the Stage1, reads each config's spectrum and k_hat, groups the
+    configs by (spectrum, k_hat) and solves each group's lag model; then
+    drops the Stage1 (each group keeps only its spectrum) and scores each
+    group with :func:`_score_decomposition`. Returns {config index:
+    GridEntry or the error in ``catch`` that stopped it}, or None once
+    ``stop`` is set: it starts neither stage after that.
+    """
+    if stop.is_set():
+        return None
+    results: dict = {}
+    stage = None
+    twins: dict[tuple[int, int], tuple[SvdResult, list]] = {}  # (spectrum id, k_hat)
+    for idx in members:
+        try:
+            if stage is None:
+                stage = Stage1(panel, L)
+            spectrum = stage.spectrum(configs[idx].rank)
+            k_hat = stage.rank(configs[idx].rank)
+        except catch as exc:
+            results[idx] = exc
+        else:
+            twins.setdefault((id(spectrum), k_hat), (spectrum, []))[1].append(idx)
+    groups = []
+    for (_, k_hat), (spectrum, twin) in twins.items():
+        try:
+            groups.append((spectrum, stage.beta(k_hat), twin))
+        except catch as exc:
+            results.update(dict.fromkeys(twin, exc))
+    origin = stage.page.origin if stage is not None else 0
+    del stage  # stage 2 reads only the groups' spectra, not the Page matrix
+    for spectrum, beta_model, twin in groups:
+        if stop.is_set():
+            return None
+        results.update(_score_decomposition(panel, configs, twin, origin, spectrum, beta_model,
+                                            window, catch))
+    return results
+
+
 def _score_each(panel: TimePanel, configs, window: TimePanel,
                 catch=()) -> list:
     """Fit every config, one AR order each, on ``panel`` and score it over ``window``.
 
     Returns, in input order, one GridEntry per config, or the exception in
     ``catch`` that stopped it, whichever thread raised it; any other
-    exception propagates, with the pending work cancelled and the helper
-    thread joined. A config whose p is a grid fails with a ConfigError:
-    only ``pipeline.fit`` turns a grid into an order.
+    exception propagates, with the queued work cancelled, no job starting a
+    stage after it, and every worker joined. A config whose p is a grid
+    fails with a ConfigError: only ``pipeline.fit`` turns a grid into an order.
 
-    The unit of work is one distinct decomposition. The calling thread
-    resolves each config's L, then visits the L's in first-seen order with
-    one live Stage1, dropped before the next is built. There it reads each
-    config's spectrum and k_hat (the SVDs, which release the GIL), groups
-    the configs by (spectrum, k_hat), solves each group's lag model and
-    submits the group as one job to one helper thread, under a copy of the
-    caller's context (its ``np.errstate`` included). The job holds the
-    spectrum, not the Stage1, and its decomposition dies with it. Twin
+    The unit of work is one Page matrix. The calling thread resolves each
+    config's L and submits one job per distinct L, in first-seen order, to
+    :func:`_workers` threads (see :func:`_run_jobs`), under a copy of the
+    caller's context (its ``np.errstate`` included). Each job (``_score_L``)
+    builds that L's Stage1, reads each config's spectrum and k_hat (the
+    SVDs, which release the GIL), groups the configs by (spectrum, k_hat),
+    solves each group's lag model, drops the Stage1, and runs each group's
+    stage 2: the decomposition, then each distinct AR order's fit and roll.
+    So at most one Stage1 and one decomposition are alive per worker. Twin
     configs, such as two rules that pick the same k_hat off one spectrum,
     share its scores and errors. Each step does the arithmetic of a serial
-    fit, so every score is bit-identical to ``rolling_eval(fit(...))``.
+    fit, so every score is bit-identical to ``rolling_eval(fit(...))``,
+    whatever the number of workers.
     """
     results: dict = {}  # config index -> GridEntry or caught error
     groups: dict[int, list[int]] = {}  # L -> config indices
@@ -312,35 +424,10 @@ def _score_each(panel: TimePanel, configs, window: TimePanel,
         else:
             groups.setdefault(L, []).append(idx)
 
-    jobs = []
-    helper = ThreadPoolExecutor(max_workers=1)
-    try:
-        for L, members in groups.items():
-            stage = None  # the previous L's is released before this one's is built
-            twins: dict[tuple[int, int], tuple[SvdResult, list]] = {}  # (spectrum id, k_hat)
-            for idx in members:
-                try:
-                    if stage is None:
-                        stage = Stage1(panel, L)
-                    spectrum = stage.spectrum(configs[idx].rank)  # the SVDs, beside the helper
-                    k_hat = stage.rank(configs[idx].rank)
-                except catch as exc:
-                    results[idx] = exc
-                else:
-                    twins.setdefault((id(spectrum), k_hat), (spectrum, []))[1].append(idx)
-            for (_, k_hat), (spectrum, twin) in twins.items():
-                try:
-                    beta_model = stage.beta(k_hat)
-                except catch as exc:
-                    results.update(dict.fromkeys(twin, exc))
-                    continue
-                jobs.append(helper.submit(
-                    contextvars.copy_context().run, _score_decomposition,
-                    panel, configs, twin, stage.page.origin, spectrum, beta_model, window, catch))
-        for job in jobs:
-            results.update(job.result())
-    finally:
-        helper.shutdown(cancel_futures=True)
+    jobs = [functools.partial(_score_L, panel, L, configs, members, window, catch)
+            for L, members in groups.items()]
+    for done in _run_jobs(jobs, _workers()):
+        results.update(done)
     return [results[idx] for idx in range(len(configs))]
 
 
@@ -367,13 +454,14 @@ def grid_search(train: TimePanel, valid: TimePanel,
 
     Stage 1 is computed once per resolved L, not once per config: configs
     are fitted grouped by L, and every rank rule and AR order at that L
-    shares one Stage1 on ``train``. Only one is alive at a time. Stage 2
-    runs once per distinct decomposition and AR order, on one helper thread
-    beside stage 1 (see ``_score_each``): configs whose rules pick the same
-    k_hat off the same spectrum share one decomposition and each score, with
-    scores bit-identical to fitting each config alone. A failing config's
-    error is handled the same on either thread, and an exception that
-    propagates leaves no thread running.
+    shares one Stage1 on ``train``. Each L is one job, stage 1 and stage 2,
+    on a pool of ``_workers()`` threads (see ``_score_each``), so at most
+    one Stage1 per worker is alive. Stage 2 runs once per distinct
+    decomposition and AR order: configs whose rules pick the same k_hat off
+    the same spectrum share one decomposition and each score, with scores
+    bit-identical to fitting each config alone, whatever the number of
+    workers. A failing config's error is handled the same on any thread,
+    and an exception that propagates leaves no thread running.
     """
     grid = list(grid)
     if not grid:

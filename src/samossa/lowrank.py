@@ -366,7 +366,7 @@ def select_rank(singular_values, rule: RankRule, shape: tuple[int, int]) -> int:
         raise RankError("need a non-empty 1-D singular spectrum")
     if not np.all(np.isfinite(s)):
         raise RankError("non-finite singular spectrum")
-    if np.any(np.diff(s) > _TIE_REL * max(s[0], 1.0)):
+    if np.any(np.diff(s) > _TIE_REL * s[0]):
         raise RankError("singular values must be non-increasing")
     if s[0] <= 0.0:
         raise RankError("all-zero spectrum")

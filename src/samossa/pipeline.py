@@ -4,9 +4,12 @@ Fitting runs the two stages in order: low-rank decomposition of the stacked
 Page matrix, then a lag regression for the smooth component and one AR fit
 per series on the residuals. Stage 1 (the decomposition and the lag
 regression) depends only on the panel and L, so it is computed once per
-(panel, L) and shared by every candidate AR order. Stage 2 (``_assemble``)
-reads nothing of stage 1 but the decomposition and the lag model, which is
-what lets the grid scorer run it on a helper thread. The fitted model carries
+(panel, L) and shared by every candidate AR order, and a p-grid fit may run
+the whole panel's stage 1 on a worker beside its order selection. Stage 2
+(``_assemble``) reads nothing of stage 1 but the decomposition and the lag
+model, so it may run on another thread than the caller's: the grid scorer
+runs each Page matrix's stage 1 and stage 2 as one job on a pool of workers
+(``evaluation._score_each``). The fitted model carries
 its forecast state as two blocks, one most-recent-first row per series: the
 last L-1 observations (N x (L-1)) and the last residuals (N x max p, where
 series n uses its first p_n columns and the rest stay exactly 0).
@@ -190,7 +193,7 @@ def _assemble(panel: TimePanel, config: SamossaConfig, p: int, decomp: Decomposi
 
 
 def _order(panel: TimePanel, config: SamossaConfig) -> int:
-    """The AR order to fit: ``config.p``, or the winner of its grid.
+    """The winner of the p grid ``config.p``.
 
     Order selection is one more grid search, of one single-order config per
     grid entry: each is fitted on the head with one shared stage 1 and
@@ -198,8 +201,6 @@ def _order(panel: TimePanel, config: SamossaConfig) -> int:
     R^2 and ranking, so ties go to the smaller order. The head's stage 1 is
     released on return.
     """
-    if isinstance(config.p, int):
-        return config.p
     from .evaluation import _best, _score_each  # evaluation imports this module
 
     v = config.valid_len
@@ -220,23 +221,35 @@ def fit(panel: TimePanel, config: SamossaConfig | None = None) -> SamossaModel:
     ``valid_len`` a grid uses min(25, max(2, T // 10)) for a panel of
     length T, and the model's config records it.
 
-    The fit selects the order, then runs stage 1 (decomposition, then the
-    lag model) and stage 2 (the AR fits) on the calling thread. A p grid's
-    order selection is a grid search on the head (see
-    :func:`~samossa.evaluation.grid_search`): every candidate shares one
-    decomposition there, so the selection is one helper-thread job that
-    fits and rolls each candidate order; one more :class:`Stage1` on the
-    whole panel serves the final fit. The model is bit-identical to a
-    serial fit.
+    The fit selects the order, runs stage 1 (decomposition, then the lag
+    model) on the whole panel and stage 2 (the AR fits) at that order. A p
+    grid's order selection is a grid search on the head (see
+    :func:`~samossa.evaluation.grid_search`), where every candidate shares
+    one decomposition. The whole panel's stage 1 does not depend on the
+    order, so with at least two workers (``evaluation._workers``) it runs as
+    a job beside the order selection; otherwise after it. Either way an
+    order-selection error wins over a stage-1 error, as in a serial fit, no
+    thread outlives the call, and the model is bit-identical to a serial fit.
     """
     config = config or SamossaConfig()
     if not isinstance(config.p, int) and config.valid_len is None:
         config = replace(config, valid_len=min(25, max(2, panel.length // 10)))
     L = config.resolved_L(panel.n_series, panel.length)
-    p = _order(panel, config)
-    stage = Stage1(panel, L)
-    decomp = stage.decompose(config.rank)
-    return _assemble(panel, config, p, decomp, stage.beta(decomp.k_hat))
+
+    def stage1() -> tuple[Decomposition, BetaModel]:
+        stage = Stage1(panel, L)
+        decomp = stage.decompose(config.rank)
+        return decomp, stage.beta(decomp.k_hat)
+
+    from .evaluation import _run_jobs, _workers  # evaluation imports this module
+
+    if isinstance(config.p, int):
+        p, whole = config.p, stage1()
+    elif _workers() < 2:
+        p, whole = _order(panel, config), stage1()  # order selection first: its error wins
+    else:
+        p, whole = _run_jobs([lambda stop: _order(panel, config), lambda stop: stage1()], 2)
+    return _assemble(panel, config, p, *whole)
 
 
 def _series(model: SamossaModel, n) -> int:

@@ -60,10 +60,10 @@ class Stage1:
     k off one spectrum, so one instance serves every configuration fitted on
     the same panel at the same L. The Page matrix is stacked on construction;
     which SVD of it serves a rule or the lag model, and when each is taken,
-    is :class:`~samossa.lowrank.PageSvds`' to decide. The grid scorer makes
-    each distinct (spectrum, k_hat) decomposition once, in one helper job
-    (``evaluation._score_each``): twin configs share it, and a p grid's
-    order selection is one job.
+    is :class:`~samossa.lowrank.PageSvds`' to decide. The grid scorer builds
+    one per L in one worker job (``evaluation._score_each``), which makes
+    each distinct (spectrum, k_hat) decomposition once: twin configs share
+    it, and a p grid's order selection is one job.
     """
 
     def __init__(self, panel: TimePanel, L: int):

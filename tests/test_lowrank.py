@@ -123,6 +123,30 @@ class TestSelectRank:
         shape = (s.size, s.size + extra)
         assert select_rank(scaled, rule, shape) == select_rank(s, rule, shape)
 
+    @pytest.mark.parametrize("s", [[1.0, 5.0, 2.0], [1e-100, 5e-100, 2e-100]])
+    def test_rising_spectrum_refused_at_any_scale(self, s):
+        with pytest.raises(RankError, match="non-increasing"):
+            select_rank(s, RankRule.energy(0.9), (3, 3))
+
+    @given(s=st.one_of(st.lists(st.floats(1e-30, 1e30), min_size=2, max_size=8),
+                       st.lists(st.floats(1e-30, 1e30), min_size=2, max_size=8).map(
+                           lambda v: sorted(v, reverse=True))),
+           k=st.integers(-1000, 1000))
+    @example(s=[1.0, 1.0 + 2e-12], k=-400)  # a rise of twice the tie tolerance
+    @example(s=[1.0, 1.0 + 5e-13], k=-400)  # a rise within it
+    @settings(max_examples=200)
+    def test_order_check_does_not_depend_on_scale(self, s, k):
+        def verdict(values):
+            try:
+                return select_rank(values, RankRule.fixed(1), (len(values), len(values)))
+            except RankError as exc:
+                return str(exc)
+
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(s, k)
+        assume(np.all(scaled >= np.finfo(np.float64).tiny) and np.all(np.isfinite(scaled)))
+        assert verdict(scaled) == verdict(np.array(s))
+
     def test_tied_group_never_split(self):
         # Threshold would land inside the tied pair; both stay.
         s = [10.0, 6.0, 6.0, 0.01]

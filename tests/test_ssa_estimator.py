@@ -38,6 +38,31 @@ def test_lowrank_owns_every_svd():
     assert not [name for name in names if "downdate" in name.lower()]
 
 
+def test_threads_start_in_one_pool_helper():
+    # Only evaluation._run_jobs, the stage-1 worker pool, and figure2_experiment
+    # build an executor; nothing in the package starts a thread or process of its own.
+    package = Path(samossa.__file__).parent
+    starters = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread", "Process", "fork"}
+    owners, imported = set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported |= {alias.name.split(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name in starters:
+                        owners.add((path.name, func.name, name))
+    assert not {"multiprocessing", "_thread", "subprocess"} & imported
+    assert sorted(owners) == [("evaluation.py", "_run_jobs", "ThreadPoolExecutor"),
+                              ("evaluation.py", "figure2_experiment", "ThreadPoolExecutor")]
+
+
 class TestDecompose:
     def test_noiseless_recovery(self):
         panel = harmonic_panel(n_series=2, length=512, n_fund=2)

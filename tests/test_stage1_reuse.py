@@ -48,6 +48,11 @@ def svd_calls(monkeypatch):
     return calls
 
 
+def set_workers(monkeypatch, workers):
+    """Run every pool of the grid scorer and p-grid fit on ``workers`` threads."""
+    monkeypatch.setattr(evaluation, "_workers", lambda: workers)
+
+
 def split_panel(n_series=3, length=630, valid_len=30, seed=3):
     res = generate(forecasting_spec(n_series=n_series, length=length, seed=seed))
     names = res.y.series_names
@@ -83,7 +88,8 @@ class TestGridSearchOracle:
         _, entries = grid_search(train, valid, grid)
         assert [e.config for e in entries] == [grid[0], grid[2], grid[3]]
 
-    def test_one_live_stage1_per_L_in_first_seen_order(self, monkeypatch):
+    @staticmethod
+    def live_stage1s(monkeypatch, workers):
         # Resolved L: 42, 30, 42 (explicit, equal to the ratio config's), an
         # unstackable 10**9, 24, 30. The groups interleave in grid order.
         train, valid = split_panel()
@@ -100,10 +106,21 @@ class TestGridSearchOracle:
                 built.append((weakref.ref(self), L))
 
         monkeypatch.setattr(evaluation, "Stage1", Tracked)
+        set_workers(monkeypatch, workers)
         _, entries = grid_search(train, valid, grid)
-        assert [L for _, L in built] == [42, 30, 24]
-        assert alive_at_build == [0, 0, 0, 0]  # L = 10**9 is tried once, and fails alone
         assert [e.config for e in entries] == grid[:3] + grid[4:]
+        return [L for _, L in built], alive_at_build
+
+    def test_one_live_stage1_per_L_in_first_seen_order(self, monkeypatch):
+        built, alive_at_build = self.live_stage1s(monkeypatch, workers=1)
+        assert built == [42, 30, 24]
+        assert alive_at_build == [0, 0, 0, 0]  # L = 10**9 is tried once, and fails alone
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_at_most_one_live_stage1_per_worker(self, monkeypatch, workers):
+        built, alive_at_build = self.live_stage1s(monkeypatch, workers)
+        assert sorted(built) == [24, 30, 42]
+        assert len(alive_at_build) == 4 and max(alive_at_build) <= workers - 1
 
     def test_p_grid_configs(self):
         # A searched config takes one AR order: a grid-valued one fails and is left out.
@@ -207,14 +224,14 @@ class TestStage1:
 
 
 class TestPipelinedScoring:
-    """Stage 2 of each config runs on one helper thread; the outcome is the serial one."""
+    """Stage 2 of each config runs on a worker thread; the outcome is the serial one."""
 
     def test_matches_serial_oracle_with_failures_on_both_threads(self):
         train, valid = split_panel()
         rule = RankRule.fixed(5)
         grid = [SamossaConfig(L=30, rank=rule, p=1),
                 SamossaConfig(L=10**9, rank=rule, p=1),  # unstackable: fails in stage 1
-                SamossaConfig(L=30, rank=rule, p=300),  # 2p + 1 > T_eff: fails on the helper
+                SamossaConfig(L=30, rank=rule, p=300),  # 2p + 1 > T_eff: fails in stage 2
                 SamossaConfig(L=30, rank=RankRule.universal(), p=2),
                 SamossaConfig(rank=RankRule.energy(0.9), p=2),
                 SamossaConfig(L=30, rank=rule, p=0),
@@ -234,47 +251,106 @@ class TestPipelinedScoring:
         assert [r.config for r in got if not isinstance(r, Exception)] == [
             c for c, e in zip(grid, expected) if not isinstance(e, type)]
 
-    def test_other_errors_propagate_and_pending_work_is_cancelled(self, monkeypatch):
+    @staticmethod
+    def broken_stage2(monkeypatch, workers, slow_stage1=0.0):
+        """Search twelve L's with a stage 2 that raises; the stage-2 calls and Stage1s built.
+
+        With ``slow_stage1``, building every Stage1 but the first job's
+        (L = 20) waits until stage 2 has been called, then that many seconds more.
+        """
         train, valid = split_panel()
-        calls = []
+        calls, built = [], []
 
         def broken(residuals, p):
             calls.append(p)
             time.sleep(0.05)
             raise RuntimeError("bug in stage 2")
 
+        class Counted(Stage1):
+            def __init__(self, panel, L):
+                built.append(L)
+                if slow_stage1 and L != 20:
+                    deadline = time.monotonic() + 10.0
+                    while not calls and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                    time.sleep(slow_stage1)
+                super().__init__(panel, L)
+
         monkeypatch.setattr(pipeline, "fit_ar_rows", broken)
+        monkeypatch.setattr(evaluation, "Stage1", Counted)
+        set_workers(monkeypatch, workers)
         # Twelve distinct L's: twelve jobs queued, not one job for twelve twins.
         grid = [SamossaConfig(L=L, rank=RankRule.fixed(5), p=1) for L in range(20, 32)]
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="bug in stage 2"):
             grid_search(train, valid, grid)
         assert threading.active_count() == threads
+        return calls, built
+
+    def test_other_errors_propagate_and_pending_work_is_cancelled(self, monkeypatch):
+        calls, _ = self.broken_stage2(monkeypatch, workers=1)
         assert len(calls) <= 2  # the failed task and at most the one running when it was read
 
-    def test_no_other_decomposition_alive_when_one_is_built(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_an_error_stops_every_worker(self, monkeypatch, workers):
+        calls, built = self.broken_stage2(monkeypatch, workers)
+        # Only the jobs already running when the first error was raised got as
+        # far as stage 2; no queued job started even its stage 1.
+        assert 1 <= len(calls) <= workers
+        assert len(built) <= workers
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_no_stage2_starts_after_an_error(self, monkeypatch, workers):
+        # The first job's stage 2 fails while the other running jobs are still
+        # in stage 1: none of them starts its stage 2.
+        calls, built = self.broken_stage2(monkeypatch, workers, slow_stage1=0.2)
+        assert calls == [1]
+        assert sorted(built) == list(range(20, 20 + workers))
+
+    @staticmethod
+    def live_decompositions(monkeypatch, workers, ratios):
+        """Alive Decompositions and Stage1s at each Decomposition and Stage1 build."""
         train, valid = split_panel()
         original = pipeline.fit_ar_rows
 
-        def slow(residuals, p):  # the helper lags behind stage 1
+        def slow(residuals, p):  # stage 2 lags behind stage 1
             time.sleep(0.01)
             return original(residuals, p)
 
         monkeypatch.setattr(pipeline, "fit_ar_rows", slow)
+        set_workers(monkeypatch, workers)
         grid = [SamossaConfig(rank=RankRule.fixed(k), p=p, shape_ratio=ratio)
-                for ratio in (1, 3) for k in (2, 3, 4, 5) for p in (1, 2)]
-        built, alive_at_build = [], []
+                for ratio in ratios for k in (2, 3, 4, 5) for p in (1, 2)]
+        alive_at_build = {Decomposition: [], Stage1: []}
 
-        class Tracked(Decomposition):
-            def __init__(self, *args, **kwargs):
-                alive_at_build.append(sum(ref() is not None for ref in built))
-                super().__init__(*args, **kwargs)
-                built.append(weakref.ref(self))
+        def tracked(cls, module):
+            built = []
 
-        monkeypatch.setattr(ssa_estimator, "Decomposition", Tracked)
+            class Tracked(cls):
+                def __init__(self, *args, **kwargs):
+                    alive_at_build[cls].append(sum(ref() is not None for ref in built))
+                    super().__init__(*args, **kwargs)
+                    built.append(weakref.ref(self))
+
+            monkeypatch.setattr(module, cls.__name__, Tracked)
+
+        tracked(Decomposition, ssa_estimator)
+        tracked(Stage1, evaluation)
         _, entries = grid_search(train, valid, grid)
-        assert len(built) == 8 and len(entries) == 16
-        assert max(alive_at_build) == 0  # each lives only inside the job that makes it
+        assert len(entries) == 8 * len(ratios) and len(alive_at_build[Stage1]) == len(ratios)
+        assert len(alive_at_build[Decomposition]) == 4 * len(ratios)
+        return alive_at_build
+
+    def test_no_other_decomposition_alive_when_one_is_built(self, monkeypatch):
+        alive_at_build = self.live_decompositions(monkeypatch, workers=1, ratios=(1, 3))
+        assert max(alive_at_build[Decomposition]) == 0  # each lives only inside its job
+        assert max(alive_at_build[Stage1]) == 0
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_at_most_one_decomposition_alive_per_worker(self, monkeypatch, workers):
+        alive_at_build = self.live_decompositions(monkeypatch, workers, ratios=(1, 3, 5))
+        assert max(alive_at_build[Decomposition]) <= workers - 1
+        assert max(alive_at_build[Stage1]) <= workers - 1
 
     def test_stage2_runs_on_the_helper_under_the_callers_errstate(self, monkeypatch):
         train, valid = split_panel()
@@ -294,7 +370,7 @@ class TestPipelinedScoring:
 
 
 class TestSharedDecompositions:
-    """Configs whose rules pick the same k_hat off one spectrum share one helper job."""
+    """Configs whose rules pick the same k_hat off one spectrum share one decomposition."""
 
     @staticmethod
     def twin_grid(train, Ls, orders):
