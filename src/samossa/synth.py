@@ -11,7 +11,12 @@ Two families of deterministic components, plus a pure-noise mode:
 
 Each series observes a standard-normal mixture of the fundamentals plus an
 independent AR noise path started from (approximately) its stationary
-distribution via a discarded burn-in.
+distribution via a discarded burn-in of 10 ceil(1 / (1 - lambda)) steps,
+lambda the largest root modulus (at most 10^6 steps, else SpecError). The
+paths run x(t) = sum_i alpha_i x(t-i) + eta(t) from zero lags in numpy alone,
+for all series at once: time is cut into blocks, each block runs from zero
+lags, and the true lags are carried in through a table of the block's
+response to them (``_simulate_ar``).
 
 Randomness: one 64-bit master seed feeds a ``numpy.random.SeedSequence``;
 child 0 drives the deterministic component's draws (frequencies, phases,
@@ -47,6 +52,11 @@ _PHASE_RANGE = (0.0, _TWO_PI)
 _SLOPE_RANGE = (-5e-4, 5e-4)
 
 _KINDS = ("harmonics", "harmonics_trend", "pure_ar")
+
+# At most this many burn-in steps: a root near 1 would need more than memory
+# holds (10^6 steps take every root modulus below 0.99999).
+_MAX_BURN = 10**6
+_BLOCK = 64  # time steps per block of the AR simulation
 
 
 @dataclass(frozen=True)
@@ -143,26 +153,75 @@ def ar_from_lambda_star(p: int, lambda_star: float) -> np.ndarray:
     raise SpecError(f"root placement only defined for p in {{1, 2}}, got p={p}")
 
 
-def _simulate_ar(alpha: np.ndarray, sigma: float, length: int, rng: np.random.Generator,
-                 lambda_star: float) -> np.ndarray:
-    from scipy.signal import lfilter  # scipy.signal takes about a second to import
+def _run_lags(z: np.ndarray, alpha: np.ndarray, start: int) -> None:
+    """z[j] += sum_i alpha_i z[j-i] for j = start, ..., len(z)-1, in place: lags
+    that fall before row 0 count as zero."""
+    for j in range(start, len(z)):
+        for i in range(1, min(alpha.size, j) + 1):
+            z[j] += alpha[i - 1] * z[j - i]
 
-    burn = 10 * math.ceil(1.0 / (1.0 - lambda_star))
-    eta = rng.normal(0.0, sigma, size=length + burn)
-    # x(t) = sum_i alpha_i x(t-i) + eta(t) from zero initial state.
-    denom = np.concatenate(([1.0], -alpha))
-    x = lfilter([1.0], denom, eta)
-    return x[burn:]
+
+def _simulate_ar(alpha: np.ndarray, x: np.ndarray, block: int = _BLOCK) -> None:
+    """Overwrite each row of ``x`` (N, M), the innovations eta, with the AR path
+    x(t) = sum_i alpha_i x(t-i) + eta(t) they drive from zero initial state.
+
+    Time is cut into blocks of at most ``block`` steps, stored time-in-block
+    first, so each step of the recursion is one axpy over every block of every
+    series, run from zero lags. The true lags enter a block through its
+    response to unit initial lags (a block x p table): the p values before
+    each block are carried block to block, then added in. Elementwise numpy
+    only, so the bits depend on no BLAS kernel or thread count.
+    """
+    p = alpha.size
+    N, M = x.shape
+    # Rows p + j: time j of a block whose lag m (row p - m) alone is 1.
+    response = np.zeros((p + block, p))
+    response[p - 1 - np.arange(p), np.arange(p)] = 1.0
+    _run_lags(response, alpha, p)
+    # A block scales its lags' rounding by the table's row sums. It ends before
+    # they pass 4 sum_i |alpha_i| (row 0's, one step of the plain recursion),
+    # which keeps the rounding near the plain recursion's when roots crowd
+    # near the unit circle; the presets keep the whole block.
+    sums = np.maximum.accumulate(np.abs(response[p:]).sum(axis=1))
+    block = int(np.count_nonzero(sums <= 4.0 * sums[0]))
+    full, tail = divmod(M, block)
+    n_blocks = full + (tail > 0)
+
+    # z[j, n, b] = eta[n, b * block + j], zero past M.
+    z = np.zeros((block, N, n_blocks))
+    for n in range(N):
+        z[:, n, :full] = x[n, :full * block].reshape(full, block).T
+    z[:tail, :, -1] = x[:, full * block:].T
+    _run_lags(z, alpha, 1)
+    # lags[m - 1, :, b] = x(b * block - m): block b - 1 run from zero lags, at
+    # row p + block - m of the table's time axis, plus its response to its lags.
+    carry = response[p + block - 1 - np.arange(p)]
+    lags = np.zeros((p, N, n_blocks))
+    q = min(p, block)  # lags past the block's length are older blocks' values
+    lags[:q, :, 1:] = z[block - 1 - np.arange(q), :, :-1]
+    for b in range(1, n_blocks):
+        for m in range(p):
+            lags[:, :, b] += carry[:, m, None] * lags[m, :, b - 1]
+    for j in range(block):
+        for m in range(p):
+            z[j] += response[p + j, m] * lags[m]
+
+    for n in range(N):
+        x[n, :full * block].reshape(full, block)[:] = z[:, n, :full].T
+    x[:, full * block:] = z[:tail, :, -1].T
 
 
 def generate(spec: GeneratorSpec) -> SynthResult:
     """Draw one synthetic panel: observations, truth components, and alphas."""
     alpha = (np.array(spec.alpha) if spec.alpha is not None
              else ar_from_lambda_star(spec.ar_order, spec.lambda_star))
-    roots = characteristic_roots(alpha)
-    lam = float(np.abs(roots[0]))
+    lam = float(np.abs(characteristic_roots(alpha)[0]))
     if lam >= 1.0:
         raise SpecError(f"explicit alpha is non-stationary (root modulus {lam})")
+    burn = 10 * math.ceil(1.0 / (1.0 - lam))
+    if burn > _MAX_BURN:
+        raise SpecError(f"AR root modulus {lam} needs a burn-in of {burn} steps, "
+                        f"more than {_MAX_BURN}")
 
     children = np.random.SeedSequence(spec.seed).spawn(1 + spec.n_series)
     rng_det = np.random.default_rng(children[0])
@@ -183,10 +242,11 @@ def generate(spec: GeneratorSpec) -> SynthResult:
         f = mixture @ fundamentals
 
     sigma = math.sqrt(spec.sigma2)
-    x = np.empty((N, T))
+    eta = np.empty((N, burn + T))
     for n in range(N):
-        rng_n = np.random.default_rng(children[1 + n])
-        x[n] = _simulate_ar(alpha, sigma, T, rng_n, lam)
+        eta[n] = np.random.default_rng(children[1 + n]).normal(0.0, sigma, size=burn + T)
+    _simulate_ar(alpha, eta)
+    x = eta[:, burn:]
 
     names = tuple(f"s{n + 1}" for n in range(N))
     return SynthResult(

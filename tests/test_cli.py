@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -461,7 +462,10 @@ class TestEvalAndGrid:
 
 
 class TestGoldenOutputs:
-    # The golden panel y.csv is synth --preset forecast --n 3 --t 430 --seed 6.
+    # The golden panel y.csv is synth --preset forecast --n 3 --t 430 --seed 6,
+    # written by the releases that simulated the AR noise with scipy's lfilter;
+    # synth's numpy simulation rounds differently, so today's synth no longer
+    # writes it byte for byte. It stays an input, and so do the goldens below.
     # best.json was written by the release before stage 1 was shared across
     # configs; grid.csv and model.json by the first release that reads the
     # downdate head's eigenpairs off the secular equation instead of an
@@ -497,9 +501,30 @@ class TestGoldenOutputs:
         for name in ("model.json", "grid.csv", "best.json"):
             assert_golden(tmp_path / name, name)
 
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_synth_and_fig2_do_not_depend_on_blas_threads(self, tmp_path, threads):
+        # The AR simulation is elementwise numpy, so a synthetic panel, and the
+        # fig2 tables drawn from such panels, are the same bytes at any BLAS
+        # thread count: the panel matches one drawn in this process.
+        env = dict(os.environ, PYTHONPATH=str(Path(samossa.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        synth_argv = ["synth", "--preset", "forecast", "--n", "3", "--t", "430", "--seed", "6"]
+        assert run(*synth_argv, "-o", str(tmp_path / "here")) == 0
+        for argv in ([*synth_argv, "-o", str(tmp_path / "synth")],
+                     ["fig2", "--nt", "300,600", "--seeds", "2", "-o", str(tmp_path / "fig2")]):
+            proc = subprocess.run([sys.executable, "-m", "samossa.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+        for name in ("y.csv", "f.csv", "x.csv", "truth.json"):
+            assert (tmp_path / "synth" / name).read_bytes() == \
+                (tmp_path / "here" / name).read_bytes(), name
+        for name in ("fig2.csv", "fig2.json"):
+            assert_golden(tmp_path / "fig2" / name, name)
+
     # Tables from the golden panel or model with the arguments below.
-    # fig2.csv and fig2.json were written by the first release that fits AR
-    # by its lag Gram, which moved the AR errors in their last bits; the
+    # fig2.csv and fig2.json were written by the first release that simulates
+    # the AR noise with numpy alone, which moved the panels, and with them the
+    # errors, in their last bits (at most 1e-14 relative); the
     # long-layout panel before every CSV writer went through
     # panel.write_rows; report.csv, and the recursive forecast from the
     # golden model.json, by the release that reads the downdate head off the
@@ -802,16 +827,44 @@ class TestConfigFile:
         assert not out.exists()
 
 
-def test_import_loads_no_scipy():
-    # scipy takes about a second to import; the package imports it only
-    # where a call needs it, so a CLI process that does not pays nothing.
-    code = ("import sys, samossa, samossa.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_import_loads_no_scipy(tmp_path):
+    # scipy takes about a second and 70 MB to import; the package needs it
+    # only for the top-k SVD, so neither a CLI start nor a synthetic panel
+    # (library or CLI) loads it.
     env = dict(os.environ, PYTHONPATH=str(Path(samossa.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    synth_argv = ["synth", "--preset", "forecast", "--n", "3", "--t", "430",
+                  "-o", str(tmp_path / "d")]
+    for code in ("import samossa, samossa.cli",
+                 "from samossa import synth; "
+                 "synth.generate(synth.forecasting_spec(n_series=3, length=430))",
+                 f"from samossa.cli import main; assert main({synth_argv!r}) == 0"):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; {code}; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", code
+
+
+def test_only_the_topk_svd_imports_scipy():
+    # lowrank._arpack imports scipy for ARPACK's top-k SVD; nothing else in
+    # the package imports it, at module level or inside a function.
+    def scipy_imports(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from scipy_imports(child, child.name)
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = ([child.module or ""] if isinstance(child, ast.ImportFrom)
+                         else [alias.name for alias in child.names])
+                if any(name.split(".")[0] == "scipy" for name in names):
+                    yield where
+            else:
+                yield from scipy_imports(child, where)
+
+    package = Path(samossa.__file__).parent
+    importers = {(path.name, where) for path in sorted(package.glob("*.py"))
+                 for where in scipy_imports(ast.parse(path.read_text(encoding="utf-8")), None)}
+    assert importers == {("lowrank.py", "_arpack")}
 
 
 class TestHelp:
