@@ -430,7 +430,6 @@ def _cmd_fig2(opts: argparse.Namespace) -> int:
         p=opts.p,
         sigma2=opts.sigma2,
         base_seed=opts.seed,
-        threads=opts.threads or os.cpu_count(),
     )
     os.makedirs(opts.out, exist_ok=True)
     write_rows(os.path.join(opts.out, "fig2.csv"),
@@ -545,7 +544,6 @@ COMMANDS = {
         replace(_SIGMA2, help="innovation variance of the AR noise "
                               "(the reference error levels are at 0.04)"),
         replace(_SEED, help="base RNG seed"),
-        Option(("--threads",), _number(int, 1), "worker threads (default: all cores)"),
         Option(("--check",), _switch, "exit 3 unless errors decay with slope in band"),
         _OUT,
     ),

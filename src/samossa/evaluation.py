@@ -275,7 +275,7 @@ def _blas_threads_getter():
 
 
 def _workers() -> int:
-    """How many stage-1 jobs run at once: usable cores // BLAS threads, at least 1.
+    """How many jobs :func:`_run_jobs` runs at once: usable cores // BLAS threads, at least 1.
 
     The BLAS thread count is read, never set: OpenBLAS keeps one count for
     the whole process, so pinning it from a worker would change the
@@ -294,26 +294,30 @@ def _workers() -> int:
     return max(1, cores // threads)
 
 
-def _run_jobs(jobs, workers: int) -> list:
-    """Each of ``jobs`` called with a stop event on one of ``workers`` threads; their results in order.
+def _run_jobs(jobs) -> list:
+    """Each of ``jobs`` called with a stop event on min(len(jobs), W) threads; the results in order.
 
-    Every job runs under a copy of the caller's context (its ``np.errstate``
-    included). A job that raises sets the stop event before its error is
-    read, and a job that finds the event set may return early: the call
-    then raises, so no early result is returned. The first error in
-    ``jobs`` order propagates, after the queued jobs are cancelled and the
-    running ones joined: no thread outlives the call.
+    The package's one job runner, with W from :func:`_workers`: at W = 1 the
+    jobs run in order on one thread. Every job runs under a copy of the
+    caller's context (its ``np.errstate`` included). A job that raises sets
+    the stop event before its error is read; a job that starts after that
+    returns None at once, and one that finds the event set may return
+    early: the call then raises, so no early result is returned. The first
+    error in ``jobs`` order propagates, after the queued jobs are cancelled
+    and the running ones joined: no thread outlives the call.
     """
     stop = threading.Event()
 
     def run(job):
+        if stop.is_set():
+            return None
         try:
             return job(stop)
         except BaseException:
             stop.set()
             raise
 
-    pool = ThreadPoolExecutor(max_workers=workers)
+    pool = ThreadPoolExecutor(max_workers=max(1, min(len(jobs), _workers())))
     try:
         futures = [pool.submit(contextvars.copy_context().run, run, job) for job in jobs]
         return [future.result() for future in futures]
@@ -354,10 +358,8 @@ def _score_L(panel: TimePanel, L: int, configs, members, window: TimePanel, catc
     drops the Stage1 (each group keeps only its spectrum) and scores each
     group with :func:`_score_decomposition`. Returns {config index:
     GridEntry or the error in ``catch`` that stopped it}, or None once
-    ``stop`` is set: it starts neither stage after that.
+    ``stop`` is set: it starts no stage 2 after that.
     """
-    if stop.is_set():
-        return None
     results: dict = {}
     stage = None
     twins: dict[tuple[int, int], tuple[SvdResult, list]] = {}  # (spectrum id, k_hat)
@@ -399,8 +401,7 @@ def _score_each(panel: TimePanel, configs, window: TimePanel,
 
     The unit of work is one Page matrix. The calling thread resolves each
     config's L and submits one job per distinct L, in first-seen order, to
-    :func:`_workers` threads (see :func:`_run_jobs`), under a copy of the
-    caller's context (its ``np.errstate`` included). Each job (``_score_L``)
+    :func:`_run_jobs`, which sizes the pool. Each job (``_score_L``)
     builds that L's Stage1, reads each config's spectrum and k_hat (the
     SVDs, which release the GIL), groups the configs by (spectrum, k_hat),
     solves each group's lag model, drops the Stage1, and runs each group's
@@ -426,7 +427,7 @@ def _score_each(panel: TimePanel, configs, window: TimePanel,
 
     jobs = [functools.partial(_score_L, panel, L, configs, members, window, catch)
             for L, members in groups.items()]
-    for done in _run_jobs(jobs, _workers()):
+    for done in _run_jobs(jobs):
         results.update(done)
     return [results[idx] for idx in range(len(configs))]
 
@@ -455,7 +456,7 @@ def grid_search(train: TimePanel, valid: TimePanel,
     Stage 1 is computed once per resolved L, not once per config: configs
     are fitted grouped by L, and every rank rule and AR order at that L
     shares one Stage1 on ``train``. Each L is one job, stage 1 and stage 2,
-    on a pool of ``_workers()`` threads (see ``_score_each``), so at most
+    on the pool of ``_run_jobs`` (see ``_score_each``), so at most
     one Stage1 per worker is alive. Stage 2 runs once per distinct
     decomposition and AR order: configs whose rules pick the same k_hat off
     the same spectrum share one decomposition and each score, with scores
@@ -526,7 +527,7 @@ def _fig2_point(lambda_star: float, nt: int, seed: int, n_series: int,
 
 def figure2_experiment(lambda_stars, nt_values, n_seeds: int, n_series: int = 10,
                        rank: RankRule = RankRule.fixed(6), p: int = 2, sigma2: float = 0.2,
-                       base_seed: int = 0, threads: int | None = None) -> Fig2Report:
+                       base_seed: int = 0) -> Fig2Report:
     """Estimation-error rate sweep over panel size.
 
     For every (lambda_star, N*T, seed) triple: draw the harmonics + AR(2)
@@ -535,14 +536,14 @@ def figure2_experiment(lambda_stars, nt_values, n_seeds: int, n_series: int = 10
     are shared across sweep points so each trajectory sees a fixed
     generator as N*T grows. Slopes are least-squares fits of
     log(median est_err) against log(N*T).
+
+    Each point is one job of :func:`_run_jobs`, so its rows, sorted, and
+    its errors are a serial sweep's at any number of workers.
     """
-    tasks = [(lam, nt, base_seed + s)
-             for lam, nt, s in itertools.product(lambda_stars, nt_values, range(n_seeds))]
-    with ThreadPoolExecutor(max_workers=threads or 1) as pool:
-        rows = tuple(sorted(
-            pool.map(lambda args: _fig2_point(*args, n_series, rank, p, sigma2), tasks),
-            key=lambda r: (r.lambda_star, r.nt, r.seed),
-        ))
+    points = itertools.product(lambda_stars, nt_values, range(base_seed, base_seed + n_seeds))
+    jobs = [lambda stop, point=point: _fig2_point(*point, n_series, rank, p, sigma2)
+            for point in points]
+    rows = tuple(sorted(_run_jobs(jobs), key=lambda r: (r.lambda_star, r.nt, r.seed)))
     medians = {name: {lam: _medians((r.nt, getattr(r, name)) for r in rows if r.lambda_star == lam)
                       for lam in lambda_stars}
                for name in ("est_err", "alpha_err")}

@@ -226,10 +226,10 @@ def fit(panel: TimePanel, config: SamossaConfig | None = None) -> SamossaModel:
     grid's order selection is a grid search on the head (see
     :func:`~samossa.evaluation.grid_search`), where every candidate shares
     one decomposition. The whole panel's stage 1 does not depend on the
-    order, so with at least two workers (``evaluation._workers``) it runs as
-    a job beside the order selection; otherwise after it. Either way an
-    order-selection error wins over a stage-1 error, as in a serial fit, no
-    thread outlives the call, and the model is bit-identical to a serial fit.
+    order, so the two are jobs of one ``evaluation._run_jobs`` call. At any
+    number of workers an order-selection error wins over a stage-1 error, as
+    in a serial fit, and at one worker no whole-panel Stage1 starts after it;
+    no thread outlives the call, and the model is bit-identical to a serial fit.
     """
     config = config or SamossaConfig()
     if not isinstance(config.p, int) and config.valid_len is None:
@@ -241,14 +241,12 @@ def fit(panel: TimePanel, config: SamossaConfig | None = None) -> SamossaModel:
         decomp = stage.decompose(config.rank)
         return decomp, stage.beta(decomp.k_hat)
 
-    from .evaluation import _run_jobs, _workers  # evaluation imports this module
+    from .evaluation import _run_jobs  # evaluation imports this module
 
     if isinstance(config.p, int):
         p, whole = config.p, stage1()
-    elif _workers() < 2:
-        p, whole = _order(panel, config), stage1()  # order selection first: its error wins
     else:
-        p, whole = _run_jobs([lambda stop: _order(panel, config), lambda stop: stage1()], 2)
+        p, whole = _run_jobs([lambda stop: _order(panel, config), lambda stop: stage1()])
     return _assemble(panel, config, p, *whole)
 
 

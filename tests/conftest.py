@@ -6,12 +6,12 @@ failure reproduces on the next run and the suite takes the same time on
 every run; ``deadline=None`` because shared machines time examples unevenly.
 A test's own ``@settings`` (``max_examples`` mostly) still applies on top.
 
-The package starts threads (the stage-1 worker pool of the grid scorer and
-of a p-grid fit, ``figure2_experiment``) and must join every one before it
-returns, on success and on error alike; ``no_leaked_threads`` holds every
-test to that. The pool's size follows the BLAS thread count (one worker at
-the default count on a two-core machine); tests that need other sizes set
-``evaluation._workers``.
+The package starts threads (``evaluation._run_jobs``, the one pool, which
+runs the grid scorer, a p-grid fit and ``figure2_experiment``) and must join
+every one before it returns, on success and on error alike;
+``no_leaked_threads`` holds every test to that. The pool's size follows the
+BLAS thread count (one worker at the default count on a two-core machine);
+tests that need other sizes set ``evaluation._workers``.
 """
 
 import threading

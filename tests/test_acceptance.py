@@ -2,7 +2,6 @@
 PASS/FAIL line. Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
-import os
 import time
 
 import numpy as np
@@ -28,8 +27,6 @@ from samossa.pagemat import stack
 from samossa.pipeline import fit, forecast_step, load_model, observe, save_model
 from samossa.ssa_estimator import decompose, est_err
 from samossa.synth import GeneratorSpec, estimation_spec, generate
-
-THREADS = os.cpu_count()
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -63,7 +60,6 @@ def fig2_sweep():
         rank=RankRule.fixed(6),
         p=2,
         sigma2=0.04,
-        threads=THREADS,
     )
 
 

@@ -537,8 +537,7 @@ class TestGoldenOutputs:
 
     def test_fig2_files(self, tmp_path):
         out = tmp_path / "fig2"
-        assert run("fig2", "--nt", "300,600", "--seeds", "2", "--threads", "1",
-                   "-o", str(out)) == 0
+        assert run("fig2", "--nt", "300,600", "--seeds", "2", "-o", str(out)) == 0
         for name in ("fig2.csv", "fig2.json"):
             assert_golden(out / name, name)
 
@@ -594,7 +593,7 @@ class TestBadInputs:
         # sigma2 = 1e308 draws values near 1e154, whose squared errors overflow.
         out = tmp_path / "f"
         assert_fails(capsys, 2, "MetricError", "fig2", "--lambda-stars", "0.3", "--nt", "300",
-                     "--seeds", "1", "--threads", "1", "--sigma2", "1e308", "-o", str(out))
+                     "--seeds", "1", "--sigma2", "1e308", "-o", str(out))
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", [["--min-r2", "-1e9"], ["--min-r2=-1e9"]],
@@ -733,7 +732,7 @@ class TestFig2:
     def test_small_sweep_with_check(self, tmp_path):
         out = tmp_path / "fig2"
         code = run("fig2", "--lambda-stars", "0.3", "--nt", "3000,30000",
-                   "--seeds", "2", "--threads", "1", "--check", "-o", str(out))
+                   "--seeds", "2", "--check", "-o", str(out))
         assert code == 0
         lines = (out / "fig2.csv").read_text().strip().splitlines()
         assert len(lines) == 5
@@ -745,13 +744,23 @@ class TestFig2:
         out = tmp_path / "fig2"
         capsys.readouterr()
         assert run("fig2", "--lambda-stars", "0.95", "--nt", "300,600", "--seeds", "1",
-                   "--threads", "1", "--check", "-o", str(out)) == 3
+                   "--check", "-o", str(out)) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert [line for line in err if "error" in line] == err[-1:]
         assert err[-1].startswith("samossa: error: AssertionFailure: ")
         assert "est_err did not decay for lambda_star=0.95" in err[-1]
         assert "outside [-0.75, -0.25] for lambda_star=0.95" in err[-1]
         assert (out / "fig2.csv").exists() and (out / "fig2.json").exists()
+
+    def test_no_threads_option(self, capsys, tmp_path):
+        # The sweep sizes its pool like the grid scorer; neither a flag nor a
+        # config entry names a thread count.
+        out, cfg = tmp_path / "fig2", tmp_path / "conf.json"
+        cfg.write_text(json.dumps({"threads": 2}))
+        for extra in (["--threads", "2"], ["--config", str(cfg)]):
+            assert_usage_error(capsys, "fig2", "--nt", "300", "--seeds", "1", *extra,
+                               "-o", str(out))
+        assert not out.exists()
 
 
 class TestConfigFile:

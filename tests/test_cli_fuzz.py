@@ -7,8 +7,8 @@ without damage, and mutations of the golden model file. Whatever the
 input, the exit code is a documented one; a non-zero exit prints exactly
 one ``samossa: error: Kind: detail`` line and no traceback; and an exit of
 0 writes only finite numbers. Options that size the work (``--n``/``--t``
-for synth, ``--nt``/``--seeds``/``--threads`` for fig2) are always given,
-from small values, so that no example runs a full-size experiment.
+for synth, ``--nt``/``--seeds`` for fig2) are always given, from small
+values, so that no example runs a full-size experiment.
 """
 
 import contextlib
@@ -45,7 +45,7 @@ _GOOD = {
     "p": ("1", "2"), "ps": ("0,1", "2"), "ratios": ("1,3", "1"), "steps": ("1", "3"),
     "seed": ("0", "1"), "min_r2": ("0.5", "-0.5"), "preset": ("fig2", "forecast"),
     "kind": ("harmonics", "harmonics_trend", "pure_ar"), "n": ("1", "3"), "t": ("3", "40"),
-    "nt": ("300", "40,300"), "seeds": ("1", "2"), "threads": ("1", "2"),
+    "nt": ("300", "40,300"), "seeds": ("1", "2"),
     "lambda_star": ("0.3", "0.95"), "lambda_stars": ("0.3", "0.3,0.95"),
     "alpha": ("-0.5", "0.5,0.3"), "sigma2": ("0.2", "1e308"),
 }
@@ -61,11 +61,11 @@ _BAD = {
     "ps": ("-1", "x"), "ratios": ("0", "x"), "steps": ("0", "x"),
     "seed": ("-1", "99999999999999999999", "x"), "min_r2": ("2", "nan", "x"),
     "preset": ("x",), "kind": ("x",), "n": ("0", "x"), "t": ("1", "0", "x"),
-    "nt": ("2", "0", "x"), "seeds": ("0",), "threads": ("0",),
+    "nt": ("2", "0", "x"), "seeds": ("0",),
     "lambda_star": ("1", "0", "nan", "x"), "lambda_stars": ("1", "x"), "alpha": ("2", "x"),
     "sigma2": ("0", "-1", "inf", "x"),
 }
-_ALWAYS = {"synth": ("n", "t", "out"), "fig2": ("nt", "seeds", "threads", "out")}
+_ALWAYS = {"synth": ("n", "t", "out"), "fig2": ("nt", "seeds", "out")}
 _BAD_CONFIGS = (b"[1]", b"not json", b"\xff", b'{"nokey": 1}', b'{"seed": true}', b'{"rank": 5}',
                 b'{"layout": null}', b'{"input": []}')
 _CELLS = ("nan", "inf", "-inf", "x", "", "1e999", " 1")

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,9 +15,12 @@ from samossa import (
     ShapeError,
     StateError,
     TimePanel,
+    evaluation,
 )
 from samossa.evaluation import (
+    Fig2Row,
     GeneratorTruth,
+    _fig2_point,
     _r2_rows,
     default_grid,
     figure2_experiment,
@@ -459,11 +463,7 @@ class TestFigure2Driver:
         # Strongly autocorrelated noise at the largest sweep size: the error
         # level shifts with the second-root placement, so the assertion is
         # the order-of-magnitude band around the 8.5e-3 reference value.
-        import os
-
-        report = figure2_experiment(
-            [0.95], [3_000_000], n_seeds=10, sigma2=0.04, threads=os.cpu_count(),
-        )
+        report = figure2_experiment([0.95], [3_000_000], n_seeds=10, sigma2=0.04)
         med = report.median_est_err[0.95][3_000_000]
         assert 8.5e-4 <= med <= 8.5e-2
 
@@ -476,7 +476,33 @@ class TestFigure2Driver:
         assert len(report.rows) == 6
         assert report.rows == tuple(sorted(report.rows, key=lambda r: (r.lambda_star, r.nt, r.seed)))
 
-    def test_threaded_matches_serial(self):
-        serial = figure2_experiment([0.3], [3000], n_seeds=2, threads=None)
-        threaded = figure2_experiment([0.3], [3000], n_seeds=2, threads=2)
-        assert serial.rows == threaded.rows
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_rows_match_a_serial_loop(self, monkeypatch, workers):
+        monkeypatch.setattr(evaluation, "_workers", lambda: workers)
+        lambda_stars, nts, seeds = [0.95, 0.3], [600, 300], range(5, 7)
+        expected = sorted((_fig2_point(lam, nt, seed, 10, RankRule.fixed(6), 2, 0.2)
+                           for lam in lambda_stars for nt in nts for seed in seeds),
+                          key=lambda r: (r.lambda_star, r.nt, r.seed))
+        assert figure2_experiment(lambda_stars, nts, n_seeds=2, base_seed=5).rows == \
+            tuple(expected)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_error_in_task_order_propagates(self, monkeypatch, workers):
+        # Points (0.3, 300, 1) and (0.3, 600, 0) fail; the first in task order
+        # is slow, so from W = 2 on the other one fails first.
+        monkeypatch.setattr(evaluation, "_workers", lambda: workers)
+        started = []
+
+        def point(lam, nt, seed, *rest):
+            started.append((nt, seed))
+            if (nt, seed) == (300, 1):
+                time.sleep(0.2)
+            if (nt, seed) in ((300, 1), (600, 0)):
+                raise ValueError(f"point {nt}, {seed} failed")
+            return Fig2Row(lambda_star=lam, nt=nt, seed=seed, est_err=1.0, alpha_err=1.0)
+
+        monkeypatch.setattr(evaluation, "_fig2_point", point)
+        with pytest.raises(ValueError, match="point 300, 1 failed"):
+            figure2_experiment([0.3], [300, 600, 900], n_seeds=2)
+        if workers == 1:  # no point starts after the error
+            assert started == [(300, 0), (300, 1)]

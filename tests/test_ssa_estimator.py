@@ -39,17 +39,21 @@ def test_lowrank_owns_every_svd():
 
 
 def test_threads_start_in_one_pool_helper():
-    # Only evaluation._run_jobs, the stage-1 worker pool, and figure2_experiment
-    # build an executor; nothing in the package starts a thread or process of its own.
+    # Only evaluation._run_jobs, the package's one job runner, builds an
+    # executor, and only it asks _workers how large; nothing in the package
+    # starts a thread or process of its own.
     package = Path(samossa.__file__).parent
-    starters = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread", "Process", "fork"}
-    owners, imported = set(), set()
+    starters = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread", "Process", "fork",
+                "_workers"}
+    owners, imported, sizings = set(), set(), 0
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported |= {alias.name.split(".")[0] for node in ast.walk(tree)
                      if isinstance(node, ast.Import) for alias in node.names}
         imported |= {node.module.split(".")[0] for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and node.module}
+        sizings += sum(getattr(node.func, "attr", getattr(node.func, "id", None)) == "_workers"
+                       for node in ast.walk(tree) if isinstance(node, ast.Call))
         for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -60,7 +64,8 @@ def test_threads_start_in_one_pool_helper():
                         owners.add((path.name, func.name, name))
     assert not {"multiprocessing", "_thread", "subprocess"} & imported
     assert sorted(owners) == [("evaluation.py", "_run_jobs", "ThreadPoolExecutor"),
-                              ("evaluation.py", "figure2_experiment", "ThreadPoolExecutor")]
+                              ("evaluation.py", "_run_jobs", "_workers")]
+    assert sizings == 1  # that call, and no other anywhere in the package
 
 
 class TestDecompose:

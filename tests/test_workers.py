@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 import samossa
-from samossa import ConfigError, RankError, RankRule, SamossaConfig, SearchError, TimePanel
+from samossa import (ConfigError, FitError, RankError, RankRule, SamossaConfig, SearchError,
+                     TimePanel)
 from samossa import evaluation, pipeline
 from samossa.evaluation import default_grid, forecast_benchmark_run, grid_search, rolling_eval
 from samossa.pipeline import fit
@@ -31,7 +32,7 @@ WORKERS = [1, 2, 3]
 
 @pytest.fixture(params=WORKERS)
 def workers(request, monkeypatch):
-    """Every pool the grid scorer and a p-grid fit start gets this many threads."""
+    """Every pool of ``evaluation._run_jobs`` gets up to this many threads."""
     monkeypatch.setattr(evaluation, "_workers", lambda: request.param)
     return request.param
 
@@ -177,14 +178,20 @@ class TestPGridFitErrors:
         monkeypatch.setattr(pipeline, "Stage1", Failing)
         return built_on
 
-    def test_order_selection_error_wins(self, workers, monkeypatch):
+    @pytest.mark.parametrize("p, valid_len, error, match", [
+        ((0, 1), 600, ConfigError, "valid_len=600 unusable"),
+        ((1, 300), 25, FitError, "p=300"),  # in the head's stage 2
+    ], ids=["valid_len", "order"])
+    def test_order_selection_error_wins(self, workers, monkeypatch, p, valid_len, error, match):
         train, _ = forecast_panel()
-        self.failing_whole_panel(monkeypatch, train.length)
-        config = SamossaConfig(rank=RankRule.fixed(5), p=(0, 1), valid_len=train.length)
+        built_on = self.failing_whole_panel(monkeypatch, train.length)
+        config = SamossaConfig(rank=RankRule.fixed(5), p=p, valid_len=valid_len)
         threads = threading.active_count()
-        with pytest.raises(ConfigError, match="valid_len"):
+        with pytest.raises(error, match=match):
             fit(train, config)
         assert threading.active_count() == threads
+        if workers == 1:  # the stage-1 job starts after the error and returns at once
+            assert built_on == []
 
     def test_whole_panel_stage1_error(self, workers, monkeypatch):
         train, _ = forecast_panel()
@@ -194,8 +201,8 @@ class TestPGridFitErrors:
         with pytest.raises(RankError, match="whole-panel stage 1 failed"):
             fit(train, config)
         assert threading.active_count() == threads
-        # Beside order selection on a worker from W = 2 on, after it on the caller below.
-        assert built_on == [workers == 1]
+        # On a pool thread at every W: beside order selection from W = 2 on, after it at 1.
+        assert built_on == [False]
 
 
 def fresh(code, threads):
