@@ -355,10 +355,11 @@ def _score_L(panel: TimePanel, L: int, configs, members, window: TimePanel, catc
 
     Builds the Stage1, reads each config's spectrum and k_hat, groups the
     configs by (spectrum, k_hat) and solves each group's lag model; then
-    drops the Stage1 (each group keeps only its spectrum) and scores each
-    group with :func:`_score_decomposition`. Returns {config index:
-    GridEntry or the error in ``catch`` that stopped it}, or None once
-    ``stop`` is set: it starts no stage 2 after that.
+    drops the Stage1 (each group keeps only its spectrum: a Gram spectrum
+    holds the Page matrix in place of the dense SVD's right vectors, of the
+    same size) and scores each group with :func:`_score_decomposition`.
+    Returns {config index: GridEntry or the error in ``catch`` that stopped
+    it}, or None once ``stop`` is set: it starts no stage 2 after that.
     """
     results: dict = {}
     stage = None
@@ -380,7 +381,7 @@ def _score_L(panel: TimePanel, L: int, configs, members, window: TimePanel, catc
         except catch as exc:
             results.update(dict.fromkeys(twin, exc))
     origin = stage.page.origin if stage is not None else 0
-    del stage  # stage 2 reads only the groups' spectra, not the Page matrix
+    del stage  # stage 2 reads only the groups' spectra (a Gram one holds the Page matrix)
     for spectrum, beta_model, twin in groups:
         if stop.is_set():
             return None
@@ -403,9 +404,10 @@ def _score_each(panel: TimePanel, configs, window: TimePanel,
     config's L and submits one job per distinct L, in first-seen order, to
     :func:`_run_jobs`, which sizes the pool. Each job (``_score_L``)
     builds that L's Stage1, reads each config's spectrum and k_hat (the
-    SVDs, which release the GIL), groups the configs by (spectrum, k_hat),
-    solves each group's lag model, drops the Stage1, and runs each group's
-    stage 2: the decomposition, then each distinct AR order's fit and roll.
+    factorisations, which release the GIL), groups the configs by
+    (spectrum, k_hat), solves each group's lag model, drops the Stage1, and
+    runs each group's stage 2: the decomposition, then each distinct AR
+    order's fit and roll.
     So at most one Stage1 and one decomposition are alive per worker. Twin
     configs, such as two rules that pick the same k_hat off one spectrum,
     share its scores and errors. Each step does the arithmetic of a serial

@@ -7,10 +7,12 @@ lagged raw observations to forecast one step ahead.
 
 The regression is the minimum-norm solve on the top k_hat singular triplets
 of the top L-1 rows (Golub & Van Loan 5.5), read in closed form by
-:func:`solve_beta` from any SVD of those rows that holds them: the head of
-the rank-one downdate of the whole Page matrix's SVD, read off the top
-roots of its secular equation with no eigendecomposition, a dense SVD, or
-a top-k head, as :meth:`~samossa.lowrank.PageSvds.top_rows` picks.
+:func:`solve_beta` from any factorisation of those rows that holds them, as
+:meth:`~samossa.lowrank.PageSvds.top_rows` picks: the head of the rank-one
+downdate of the whole Page matrix's spectrum, read off the top roots of its
+secular equation, where that spectrum is the Page Gram's eigendecomposition
+(where certified at k_hat) or else its dense SVD; or a dense SVD or top-k
+head of the top rows themselves. Right vectors are computed on request.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def solve_beta(page: np.ndarray, sub: SvdResult, k_hat: int) -> BetaModel:
     """Regress the raw last row b of an L-row Page matrix on its top rows at rank k_hat.
 
     ``sub`` is an SVD of ``page[:L-1]`` holding at least its top k_hat
-    triplets, or every one it has. With U_k S_k V_k^T the triplets kept (the
+    triplets, or every one it has; it gives the right vectors of the k kept. With U_k S_k V_k^T the triplets kept (the
     top k_hat whose values exceed ``_LSTSQ_RCOND`` * s_1), the minimum-norm
     coefficients are U_k S_k^-1 V_k^T b and the fitted row is V_k V_k^T b.
     FitError for an all-zero ``page[:L-1]`` or a residual RMS that is not
@@ -98,7 +100,7 @@ def solve_beta(page: np.ndarray, sub: SvdResult, k_hat: int) -> BetaModel:
     if s[0] <= 0.0:
         raise FitError("all-zero feature matrix")
     k = int(np.sum(s[:k_hat] > _LSTSQ_RCOND * s[0]))
-    v, targets = sub.right_vectors[:, :k], page[-1]
+    v, targets = sub.right_vectors(k), page[-1]
     proj = v.T @ targets
     coef = sub.left_vectors[:, :k] @ (proj / s[:k])
     with np.errstate(over="ignore"):  # huge residuals overflow; BetaModel rejects the inf

@@ -4,7 +4,7 @@ Builds the stacked Page matrix of the observations, truncates it to the
 selected rank, and reads the smooth component and the residuals back out of
 the matrix cells. :class:`Stage1` holds everything stage 1 computes for one
 (panel, L), so that every rank rule and AR order fitted on that panel shares
-one stacking and one SVD of each matrix.
+one stacking and one factorisation of each matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +32,11 @@ class Decomposition:
     diagnostic s_khat * sqrt(khat) / sqrt(N * T_eff) (reported only; no
     guarantee is gated on it). ``singular_values`` is the spectrum stage 1
     computed: every value, or under ``fixed:K`` on a large Page matrix only
-    the top K.
+    the top K. Where the Page matrix's Gram spectrum served the rule (see
+    :class:`~samossa.lowrank.PageSvds`), its values below about
+    sqrt(4 r eps) s_1, for r Page rows, are rounding noise of the Gram and
+    not the matrix's; the certificate that let it serve puts s_khat and the
+    value after it above that floor, so ``balance`` reads a certified value.
     """
 
     f_hat: np.ndarray
@@ -54,12 +58,13 @@ class Decomposition:
 
 
 class Stage1:
-    """Stage 1 of one (panel, L): the stacked Page matrix and its SVDs, computed once.
+    """Stage 1 of one (panel, L): the stacked Page matrix and its factorisations, computed once.
 
     Nothing in stage 1 depends on the AR order, and the rank rule only picks
     k off one spectrum, so one instance serves every configuration fitted on
     the same panel at the same L. The Page matrix is stacked on construction;
-    which SVD of it serves a rule or the lag model, and when each is taken,
+    which factorisation of it serves a rule or the lag model (its Gram
+    spectrum, its dense SVD or a top-k head), and when each is taken,
     is :class:`~samossa.lowrank.PageSvds`' to decide. The grid scorer builds
     one per L in one worker job (``evaluation._score_each``), which makes
     each distinct (spectrum, k_hat) decomposition once: twin configs share
@@ -73,7 +78,7 @@ class Stage1:
         self.svds = PageSvds(self.page.data)
 
     def spectrum(self, rule: RankRule) -> SvdResult:
-        """The SVD of the whole Page matrix that serves ``rule``, one object per matrix or head."""
+        """The spectrum of the whole Page matrix that serves ``rule``, one object per factorisation."""
         return self.svds.for_rule(rule)
 
     def rank(self, rule: RankRule) -> int:
@@ -95,8 +100,8 @@ class Stage1:
 def _truncate(panel: TimePanel, origin: int, spectrum: SvdResult, k_hat: int) -> Decomposition:
     """The decomposition of ``panel`` at rank ``k_hat`` of ``spectrum``, with no Stage1.
 
-    ``spectrum`` is an SVD (every triplet, or a head of at least k_hat) of
-    the stacked Page matrix of ``panel`` after its first ``origin`` values;
+    ``spectrum`` is a factorisation (every value, or a head of at least
+    k_hat) of the stacked Page matrix of ``panel`` after its first ``origin`` values;
     L is its number of rows.
     """
     s = spectrum.singular_values
@@ -119,8 +124,9 @@ def decompose(panel: TimePanel, L: int, rule: RankRule) -> Decomposition:
 
     The rank is chosen once, on the full stacked Page matrix, and recorded
     as ``k_hat`` for reuse by the forecasting fit. Residuals are defined as
-    observation minus estimate over the retained window. Takes one SVD; use
-    :class:`Stage1` directly to decompose one panel under several rules.
+    observation minus estimate over the retained window. Takes one
+    factorisation; use :class:`Stage1` directly to decompose one panel under
+    several rules.
     """
     return Stage1(panel, L).decompose(rule)
 

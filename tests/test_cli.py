@@ -467,12 +467,12 @@ class TestGoldenOutputs:
     # synth's numpy simulation rounds differently, so today's synth no longer
     # writes it byte for byte. It stays an input, and so do the goldens below.
     # best.json was written by the release before stage 1 was shared across
-    # configs; grid.csv and model.json by the first release that reads the
-    # downdate head's eigenpairs off the secular equation instead of an
-    # eigendecomposition, which moved beta, the grid's R^2 and the noise
-    # variances by at most 1e-15 of max(1, |value|). Each must be reproduced
-    # byte for byte, at any BLAS thread count; assert_golden reports how far
-    # a mismatch moved.
+    # configs; grid.csv and model.json by the first release that reads stage
+    # 1's spectrum and beta's downdate head off the scaled Page Gram's
+    # eigendecomposition where a certificate allows, which moved beta, the
+    # grid's R^2 and the noise variances by at most 5.9e-15 of max(1,
+    # |value|) and 5.3e-13 of |value|. Each must be reproduced byte for byte,
+    # at any BLAS thread count; assert_golden reports how far a mismatch moved.
     def test_grid_files(self, tmp_path):
         out = tmp_path / "grid"
         assert run("grid", "--input", str(GOLDEN / "y.csv"), "--train-end", "400",
@@ -526,9 +526,12 @@ class TestGoldenOutputs:
     # the AR noise with numpy alone, which moved the panels, and with them the
     # errors, in their last bits (at most 1e-14 relative); the
     # long-layout panel before every CSV writer went through
-    # panel.write_rows; report.csv, and the recursive forecast from the
-    # golden model.json, by the release that reads the downdate head off the
-    # secular equation (moves of at most 9e-15 of max(1, |value|)).
+    # panel.write_rows; report.csv by the release that reads the downdate
+    # head off the secular equation (moves of at most 9e-15 of max(1,
+    # |value|)); the recursive forecast from the golden model.json by the
+    # release that reads stage 1 off the Page Gram, which moved model.json
+    # and with it the forecast by at most 2.1e-14 of max(1, |value|) and
+    # 2.8e-13 of |value|.
     def test_eval_report_csv(self, tmp_path):
         out = tmp_path / "eval"
         assert run("eval", "--input", str(GOLDEN / "y.csv"), "--train-end", "370",
@@ -556,7 +559,7 @@ class TestGoldenOutputs:
     # save_csv's own row joiner: the golden model rolled over the last 50 rows
     # of y.csv. x_hat.csv dates from before save_csv joined its own rows;
     # y_hat.csv and f_hat.csv were rewritten when model.json's beta moved,
-    # last by the secular-equation head.
+    # last by the Page Gram release (at most 1.3e-14 of max(1, |value|)).
     def test_observe_forecast_panels(self, tmp_path):
         lines = (GOLDEN / "y.csv").read_bytes().splitlines(keepends=True)
         test_csv = tmp_path / "test.csv"

@@ -207,7 +207,7 @@ class TestDowndate:
             assert np.abs(sub.singular_values - dense.singular_values).max() \
                 <= 1e-12 * dense.singular_values[0]
             for ours, theirs in ((sub.left_vectors, dense.left_vectors),
-                                 (sub.right_vectors, dense.right_vectors)):
+                                 (sub.right_vectors(), dense.right_vectors())):
                 # the oracle SVD's rounding over the 1e-8 eigenvalue gap the downdate requires
                 assert np.abs(ours @ ours.T - theirs @ theirs.T).max() <= 1e-8
 
@@ -253,7 +253,7 @@ class TestDowndate:
             return
         assert min(lam[k - 1], gap) > 0.5 * lowrank._DOWNDATE_TOL
         assert np.array_equal(np.ldexp(sub.singular_values, -scale), np.sqrt(values[:k]))
-        ours, theirs = sub.right_vectors, w[:, :k]
+        ours, theirs = sub.right_vectors(), w[:, :k]
         assert np.abs(ours @ ours.T - theirs @ theirs.T).max() <= 1e-8
 
     def test_unresolved_vectors_decline(self, monkeypatch):
@@ -323,9 +323,9 @@ class TestDowndate:
 
     def test_benchmark_seed_takes_the_downdate_every_time(self, monkeypatch):
         # The grid's beta solves (the nine default configs give five (L, k_hat)
-        # pairs on the train panel) and both refits': one SVD of each Page
-        # matrix (three Ls, and the refits' panel at its own L), none of its
-        # top rows, and no eigh: each head is read off the secular equation.
+        # pairs on the train panel) and both refits': one eigh of each Page
+        # matrix's Gram (three Ls, and the refits' panel at its own L), no SVD
+        # of it or of its top rows: each head is read off the secular equation.
         answers, page_rows, shapes, eighs, lstsqs, ar_fits = [], set(), [], [], [], []
         head, eigh, lstsq = PageSvds._downdate_head, np.linalg.eigh, np.linalg.lstsq
 
@@ -348,8 +348,8 @@ class TestDowndate:
         monkeypatch.setattr(pipeline, "fit_ar_rows", recording_fit)
         evaluation.forecast_benchmark_run(0)
         assert answers == [True] * 7
-        assert len(shapes) == 4 and eighs == []
-        assert {rows for rows, _ in shapes} == page_rows
+        assert shapes == [] and len(eighs) == 4
+        assert {rows for rows, _ in eighs} == page_rows
         # Stage 2: one batched fit per (decomposition, order), every row by its lag Gram.
         assert len(ar_fits) == 26 and lstsqs == []
 

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from samossa import RankError, RankRule
-from samossa.lowrank import hsvt, select_rank, svd
+from samossa import RankError, RankRule, lowrank
+from samossa.lowrank import PageSvds, hsvt, select_rank, svd
 from samossa.pagemat import stack
+from samossa.ssa_estimator import Stage1
 from samossa.synth import forecasting_spec, generate
 
 RULES = (RankRule.fixed(5), RankRule.energy(0.9), RankRule.universal())
@@ -71,7 +72,8 @@ class TestSvdResult:
         A = rng.normal(size=(7, 4))
         result = svd(A)
         np.testing.assert_allclose(result.left_vectors.T @ result.left_vectors, np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(result.right_vectors.T @ result.right_vectors, np.eye(4), atol=1e-12)
+        right = result.right_vectors()
+        np.testing.assert_allclose(right.T @ right, np.eye(4), atol=1e-12)
 
 
 class TestSelectRank:
@@ -186,3 +188,75 @@ class TestSelectRank:
     def test_parse_roundtrip(self):
         for text in ("fixed:5", "energy:0.9", "universal"):
             assert str(RankRule.parse(text)) == text
+
+
+class TestGramCertificate:
+    """The Gram spectrum serves a rule only where it picks the dense SVD's k_hat."""
+
+    @given(rows=st.integers(2, 40), extra=st.integers(0, 40), rank=st.integers(1, 40),
+           noise=st.sampled_from([0.0, 1e-12, 1e-8, 1e-5, 1e-2, 1.0]),
+           ties=st.integers(0, 3), exponent=st.sampled_from([-600, -200, 0, 200, 600]),
+           k=st.integers(1, 40), fraction=st.sampled_from([0.5, 0.8, 0.9, 0.99, 0.999, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_gram_answers_only_with_the_dense_rank(self, rows, extra, rank, noise, ties,
+                                                    exponent, k, fraction, seed):
+        # `rank` values planted in [1, 10], `ties` of them copied exactly onto
+        # others, the rest noise (exact zeros at noise 0: a noiseless
+        # spectrum), all times 2^exponent, on random singular vectors.
+        rng = np.random.default_rng(seed)
+        rank, cols = min(rank, rows), rows + extra
+        planted = rng.uniform(1.0, 10.0, size=rank)
+        planted[rng.integers(0, rank, size=ties)] = planted[rng.integers(0, rank, size=ties)]
+        s = np.sort(np.append(planted, noise * rng.uniform(size=rows - rank)))[::-1]
+        u = np.linalg.qr(rng.normal(size=(rows, rows)))[0]
+        v = np.linalg.qr(rng.normal(size=(cols, rows)))[0]
+        a = np.ldexp((u * s) @ v.T, exponent)
+        svds, dense = PageSvds(a), svd(a)
+        for rule in (RankRule.fixed(k), RankRule.energy(fraction), RankRule.universal()):
+            served, k_hat = svds.for_rule(rule), select_rank(dense.singular_values, rule, a.shape)
+            assert select_rank(served.singular_values, rule, a.shape) == k_hat
+            if served.matrix is not None:  # the Gram spectrum answered
+                want = dense.truncate(k_hat)
+                assert np.abs(served.truncate(k_hat) - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_energy_threshold_within_the_error_declines(self):
+        # Squared values 3, 2, 1: the first holds exactly half the energy, so
+        # energy:0.5 reads a cumulative sum that meets its target to rounding.
+        s = np.sqrt([3.0, 2.0, 1.0])
+        assert select_rank(s, RankRule.energy(0.5), (3, 4)) == 1
+        assert not lowrank._gram_answers(s, RankRule.energy(0.5), (3, 4))
+        assert lowrank._gram_answers(s, RankRule.energy(0.4), (3, 4))
+
+    def test_universal_threshold_within_the_error_declines(self):
+        # Five values whose second equals the threshold omega * median(s).
+        omega = lowrank._omega(5 / 6)
+        for second, answers in ((omega, False), (1.5 * omega, True)):
+            s = np.array([10.0, second, 1.0, 0.5, 0.2])
+            assert select_rank(s, RankRule.universal(), (5, 6)) == 1 + (second > omega)
+            assert lowrank._gram_answers(s, RankRule.universal(), (5, 6)) is answers
+
+    def test_gram_serves_a_noisy_panel(self):
+        # A 20 x 60 Page matrix of a forecasting panel: every rule reads the Gram spectrum.
+        svds = PageSvds(stack(generate(forecasting_spec(n_series=3, length=400, seed=3)).y,
+                              20).data)
+        for rule in RULES:
+            assert svds.for_rule(rule).matrix is not None
+
+    def test_noiseless_panel_declines(self):
+        # Two noiseless series of 4 000 harmonics plus trends at L = 63: a 63 x 126
+        # Page matrix with 14 values above the zero floor. Its Gram values
+        # below about 1e-7 s_1 are rounding noise: 34 of them count as positive,
+        # and universal's threshold lies among them (k_hat 21 where this was
+        # written). The certificate declines, so the dense SVD serves.
+        f = generate(forecasting_spec(n_series=2, length=4000, seed=1)).f
+        page = stack(f, 63).data
+        rule = RankRule.universal()
+        gram = lowrank._gram_svd(page).singular_values
+        assert page.shape == (63, 126)
+        assert select_rank(svd(page).singular_values, rule, page.shape) == 14
+        assert select_rank(gram, rule, page.shape) > 14
+        assert not lowrank._gram_answers(gram, rule, page.shape)
+        stage = Stage1(f, 63)
+        assert stage.spectrum(rule).matrix is None
+        assert stage.rank(rule) == 14

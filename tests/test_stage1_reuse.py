@@ -32,19 +32,23 @@ from samossa.synth import forecasting_spec, generate
 
 @pytest.fixture()
 def svd_calls(monkeypatch):
-    """Count lowrank.svd calls, wrapping it in every samossa module that holds it."""
+    """Count stage 1's factorisations, Gram spectrum or SVD, by the shape of the matrix:
+    lowrank.svd and lowrank._gram_svd, each wrapped in every samossa module that holds it."""
     calls = []
-    original = lowrank.svd
 
-    def counted(matrix, *args, **kwargs):
-        calls.append(np.shape(matrix))
-        return original(matrix, *args, **kwargs)
+    def counting(original):
+        def counted(matrix, *args, **kwargs):
+            calls.append(np.shape(matrix))
+            return original(matrix, *args, **kwargs)
+        return counted
 
-    for name, module in list(sys.modules.items()):
-        if name == "samossa" or name.startswith("samossa."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    for original in (lowrank.svd, lowrank._gram_svd):
+        counted = counting(original)
+        for name, module in list(sys.modules.items()):
+            if name == "samossa" or name.startswith("samossa."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
     return calls
 
 
@@ -191,6 +195,16 @@ class TestSvdCallCounts:
         n_L = len({c.resolved_L(train.n_series, train.length) for c in grid})
         assert n_L == 3
         assert len(svd_calls) == n_L
+
+    def test_grid_search_takes_no_dense_svd(self, monkeypatch):
+        # Every rule of the default grid reads a certified Gram spectrum, and
+        # every beta the Gram's downdate head: LAPACK's SVD is never called.
+        dense, original = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: dense.append(a) or original(*a, **kw))
+        train, valid = split_panel()
+        _, entries = grid_search(train, valid, default_grid())
+        assert len(entries) == len(default_grid())
+        assert dense == []
 
     def test_top_k_head_keeps_its_sub_matrix_head_for_beta(self, svd_calls, monkeypatch):
         # 3 x 1300 at L = 60: a 60 x 63 Page matrix. Under a lowered crossover
