@@ -235,8 +235,16 @@ def forecast_ar(model: ArModel, recent_residuals) -> float:
 
 
 def companion_matrix(alpha) -> np.ndarray:
-    """p x p companion matrix: alpha on the first row, shifted identity below."""
-    alpha = np.asarray(alpha, dtype=np.float64)
+    """p x p companion matrix: alpha on the first row, shifted identity below.
+
+    ShapeError unless ``alpha`` is a vector of p >= 1 integers or floats;
+    FitError for a non-finite one.
+    """
+    alpha = _float_array(alpha, "AR coefficients", ShapeError)
+    if alpha.ndim != 1 or alpha.shape[0] < 1:
+        raise ShapeError("need a coefficient vector of length >= 1")
+    if not np.isfinite(alpha).all():
+        raise FitError("non-finite AR coefficients")
     p = alpha.shape[0]
     A = np.zeros((p, p))
     A[0, :] = alpha
@@ -248,12 +256,10 @@ def companion_matrix(alpha) -> np.ndarray:
 def characteristic_roots(alpha) -> np.ndarray:
     """Roots of z^p - sum_i alpha_i z^(p-i), sorted by modulus descending.
 
-    Computed as companion-matrix eigenvalues. The process is stationary iff
-    all roots lie strictly inside the unit circle.
+    Computed as companion-matrix eigenvalues, with :func:`companion_matrix`'s
+    checks. The process is stationary iff all roots lie strictly inside the
+    unit circle.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.ndim != 1 or alpha.shape[0] < 1:
-        raise ShapeError("need a coefficient vector of length >= 1")
     roots = np.linalg.eigvals(companion_matrix(alpha))
     order = np.lexsort((-roots.imag, -roots.real, -np.abs(roots)))
     return roots[order]
@@ -274,19 +280,21 @@ def _ma_by_unrolling(alpha: np.ndarray, K: int) -> np.ndarray:
 def diagnostics(model: ArModel, sigma: float | None = None, K: int = 200) -> ArDiagnostics:
     """Stationarity diagnostics for a fitted AR model.
 
-    ``sigma`` is the innovation standard deviation; defaults to the fitted
-    sqrt(noise_var_hat). ``K`` is the number of moving-average coefficients
-    to expand, an integer >= 1 (ShapeError otherwise). Both Gramians come
-    from one linear solve, and a zero root is allowed. Raises
-    NonStationaryError when the dominant root modulus is >= 1, and
-    DegenerateRootsError when two roots are closer than 1e-9 (the
-    partial-fraction constants are then ill-defined).
+    ``sigma`` is the innovation standard deviation, a finite real >= 0
+    (FitError otherwise), by default the fitted sqrt(noise_var_hat). ``K``
+    is the number of moving-average coefficients to expand, an integer >= 1
+    (ShapeError otherwise). Both Gramians come from one linear solve, and a
+    zero root is allowed. Raises NonStationaryError when the dominant root
+    modulus is >= 1, and DegenerateRootsError when two roots are closer than
+    1e-9 (the partial-fraction constants are then ill-defined).
     """
     if model.p < 1:
         raise ShapeError("diagnostics need a model of order >= 1")
     K = _integer(K, "K", 1, ShapeError)
     if sigma is None:
         sigma = math.sqrt(max(model.noise_var_hat, 0.0))
+    elif not (_is_real(sigma) and sigma >= 0.0):
+        raise FitError(f"innovation sd must be a finite real >= 0, got {sigma!r}")
     A = companion_matrix(model.alpha)
     roots = characteristic_roots(model.alpha)
     lambda_star = float(np.abs(roots[0]))

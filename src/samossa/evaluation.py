@@ -89,10 +89,11 @@ def r_squared(pred, actual) -> float:
     """Coefficient of determination: 1 - SSE/SST about the actual mean.
 
     Raises MetricError for a window of fewer than two points, with zero
-    variance (all values equal), or whose SST is not a positive finite number.
+    variance (all values equal), or whose SST is not a positive finite number;
+    ShapeError unless both are vectors of one length of integers or floats.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.float64)
+    pred = _float_array(pred, "predictions", ShapeError)
+    actual = _float_array(actual, "actual values", ShapeError)
     if pred.shape != actual.shape or pred.ndim != 1:
         raise ShapeError(f"shape mismatch {pred.shape} vs {actual.shape}")
     (score,) = _r2_rows(pred[None], actual[None])

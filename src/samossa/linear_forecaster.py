@@ -113,8 +113,12 @@ def forecast_f(model: BetaModel, lags) -> float:
     """One-step forecast of the smooth component from raw lagged values.
 
     ``lags`` is most-recent-first: [y(t-1), y(t-2), ..., y(t-(L-1))].
+    ShapeError unless they are L-1 integers or floats; FitError for a
+    non-finite one.
     """
-    lags = np.asarray(lags, dtype=np.float64)
+    lags = _float_array(lags, "lags", ShapeError)
     if lags.shape != (model.L - 1,):
         raise ShapeError(f"expected {model.L - 1} lags, got shape {lags.shape}")
+    if not np.isfinite(lags).all():
+        raise FitError("non-finite lags")
     return float(model.beta @ lags)

@@ -7,8 +7,8 @@ first factorised through its scaled Gram matrix, by one symmetric
 eigendecomposition; that spectrum serves a rule only where a certificate
 shows that every comparison the rule makes clears the Gram's rounding
 error, and otherwise the dense SVD does. Right vectors are computed on
-request, for the columns asked for. :func:`svd` and :func:`hsvt` stay dense:
-they are the oracle.
+request, for the columns asked for. :func:`svd` and :func:`hsvt` are the
+dense oracle, save a certified top-k head of a large matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankError, _integer, _is_real
+from .errors import RankError, _float_array, _integer, _is_real
 
 __all__ = [
     "SvdResult", "RankRule", "PageSvds", "svd", "takes_topk", "hsvt", "select_rank",
@@ -30,15 +30,27 @@ _ZERO_REL = 1e-14
 # rules never split one (the retained subspace would be ill-defined).
 _TIE_REL = 1e-12
 
-# svd(matrix, k) takes k ARPACK triplets instead of every LAPACK triplet
+# svd(matrix, k) takes a top-k head (_krylov) instead of every LAPACK triplet
 # from this smaller side up, while k is at most a tenth of it. At 1 BLAS
-# thread the dense SVD of a square Page-like matrix takes 0.088 s at 500,
-# 0.15 s at 600 and 0.60 s at 1000; ARPACK with k = 6 takes 0.006 s, 0.009 s
-# and 0.023 s. On pure noise, where no gap speeds ARPACK up, it costs as much
-# as the dense call at k = 60 of 600 and k = 100 of 1000. Elsewhere fixed:K
-# reads the whole spectrum like every other rule: the Gram's where certified,
-# else the dense SVD's.
+# thread the dense SVD of a square Page-like matrix (fig2's sigma^2) takes
+# 0.08 s at 500, 0.13 s at 600 and 0.58 s at 1000, and the head at k = 6
+# 7 ms, 11 ms and 14 ms. Where no gap at k lets it certify, it declines after
+# 0.02-0.24 s (k a tenth of the side, past the rank) or 0.06-0.40 s (pure
+# noise), and the dense SVD is paid on top.
 _TOPK_MIN_DIM = 600
+
+# The head (_krylov) adds k + _KRYLOV_EXTRA vectors to its basis a step, up to
+# 1 / _KRYLOV_SHARE of the smaller side, and answers once R = A V - U S has
+# ||R||_F (s_k + s_{k+1}) < _KRYLOV_TOL s_1 (s_k - s_{k+1}): its truncation is
+# then within _KRYLOV_TOL s_1 (Wedin, the (k+1)-th Ritz value for the true
+# one), and a near-tie at k never passes. The 601 Page matrices the fig2 bench
+# workload draws for seeds 0-9 (1732 x 1730, k = 6) all answered, 505 at 3
+# steps and the last at 32, in 40 ms median and 57 ms p90 at 1 BLAS thread
+# (ARPACK: 54-77 ms). A fixed 4 or 7 steps leaves 48 or 11 of them (a weak
+# 6th value at the noise edge) to the dense SVD, 3 s and 109 MB each.
+_KRYLOV_EXTRA = 6
+_KRYLOV_SHARE = 3
+_KRYLOV_TOL = 1e-10
 
 # The Gram path's eigenvalue error, in units of r * eps * lambda_1 for an
 # r-row Page matrix (Golub & Van Loan 8.6: the cross-product matrix loses
@@ -132,20 +144,25 @@ def takes_topk(shape: tuple[int, int], k: int | None) -> bool:
 def svd(matrix: np.ndarray, k: int | None = None) -> SvdResult:
     """Deterministic SVD; right vectors come back as columns.
 
-    Without ``k``, every triplet from one dense LAPACK call. With ``k``, the
-    top k triplets: from ARPACK when :func:`takes_topk` says so, started
-    from a fixed Gaussian vector, otherwise the dense result sliced to k
-    (every triplet when k reaches the smaller side). The dense path is the
-    oracle. It also serves a matrix whose k-th value is at or below the zero
-    floor, whose positive values must be counted exactly.
+    Without ``k``, every triplet from one dense LAPACK call. With ``k`` (an
+    integer >= 1), the top k triplets: the certified block Krylov head when
+    :func:`takes_topk` says so, otherwise the dense result sliced to k (every
+    triplet when k reaches the smaller side). The dense path is the oracle.
+    It also serves a matrix whose k-th value is at or below the zero floor,
+    whose positive values must be counted exactly. RankError unless
+    ``matrix`` is a non-empty 2-D array of finite numbers.
     """
-    a = np.asarray(matrix, dtype=np.float64)
-    if k is not None and k < 1:
-        raise RankError(f"need k >= 1 singular triplets, got {k}")
+    a = _float_array(matrix, "matrix entries", RankError)
+    if a.ndim != 2 or a.size == 0:
+        raise RankError(f"svd expects a 2-D matrix of at least one entry, got shape {a.shape}")
+    if k is not None:
+        k = _integer(k, "k", 1, RankError)
     if takes_topk(a.shape, k):
-        head = _arpack(a, k)
+        head = _krylov(a, k)
         if head is not None and head.singular_values[-1] > _ZERO_REL * head.singular_values[0]:
             return head
+    if not np.isfinite(a).all():  # LAPACK spins on an inf
+        raise RankError("svd of a non-finite matrix")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     return SvdResult(singular_values=s[:k], left_vectors=u[:, :k], right=vt[:k].T)
 
@@ -219,7 +236,7 @@ class PageSvds:
         return self._rules[rule]
 
     def top_rows(self, k: int) -> SvdResult:
-        """The top k >= 0 triplets of A[:-1] (at least one): an ARPACK head where
+        """The top k >= 0 triplets of A[:-1] (at least one): a block Krylov head where
         :func:`takes_topk` allows, else the downdate head of A's Gram spectrum or
         dense SVD, unless it declines, else :func:`svd` of A[:-1]."""
         top = self.matrix[:-1]
@@ -419,21 +436,47 @@ def _secular_head(d: np.ndarray, z: np.ndarray, k: int) -> tuple[np.ndarray, np.
     return lam, w
 
 
-def _arpack(a: np.ndarray, k: int) -> SvdResult | None:
-    """The top k triplets from ARPACK, or None if it fails (a zero matrix does)."""
-    from scipy.sparse.linalg import ArpackError, svds  # scipy is slow to import
+def _krylov(a: np.ndarray, k: int) -> SvdResult | None:
+    """The top k triplets of A from a block Krylov head, or None where ``_KRYLOV_TOL`` fails.
 
-    # ARPACK iterates on a^T a, whose entries overflow or underflow for
-    # extreme magnitudes; scaling by a power of two is exact.
-    exp = int(np.frexp(np.abs(a).max())[1])
-    start = np.random.default_rng(0).standard_normal(min(a.shape))
-    try:
-        u, s, vt = svds(np.ldexp(a, -exp), k=k, solver="arpack", v0=start)
-    except ArpackError:  # no convergence, or no Krylov space to grow
+    Block Golub-Kahan-Lanczos (Musco & Musco 2015; Halko, Martinsson & Tropp
+    2011, Alg. 4.4) from a seed-0 Gaussian block W: a QR after every product,
+    Ritz triplets from the SVD of the small Q^T A P, certified on the stored
+    A P. The bases fill buffers sized for the last step, so nothing grows.
+    Products are scaled by 2^-e, e the exponent of max |A W|: exact, so the
+    bits do not depend on A's scale. None for a zero or non-finite A too.
+    """
+    (m, n), width = a.shape, k + _KRYLOV_EXTRA
+    rows = (min(m, n) // (_KRYLOV_SHARE * width) + 1) * width
+    (q, ap), p, t = np.empty((2, rows, m)), np.empty((rows, n)), np.empty((rows, rows))
+    y = np.random.default_rng(0).standard_normal((width, n)) @ a.T
+    peak = np.abs(y).max()
+    if not 0.0 < peak < np.inf:
         return None
-    order = np.argsort(s)[::-1]
-    return SvdResult(singular_values=np.ldexp(s[order], exp), left_vectors=u[:, order],
-                     right=vt[order].T)
+    e = -int(np.frexp(peak)[1])
+    y = np.ldexp(y, e)
+    for lo in range(0, rows, width):
+        hi = lo + width
+        q[lo:hi] = _orthonormal(y, q[:lo])
+        z = np.ldexp(q[lo:hi] @ a, e)
+        t[lo:hi, :lo] = z @ p[:lo].T
+        p[lo:hi] = _orthonormal(z, p[:lo])
+        ap[lo:hi] = y = np.ldexp(p[lo:hi] @ a.T, e)
+        t[:hi, lo:hi] = q[:hi] @ y.T
+        w, s, vt = np.linalg.svd(t[:hi, :hi])
+        u = w[:, :k].T @ q[:hi]
+        resid = np.linalg.norm(vt[:k] @ ap[:hi] - s[:k, None] * u)
+        if resid * (s[k - 1] + s[k]) < _KRYLOV_TOL * s[0] * (s[k - 1] - s[k]):
+            return SvdResult(singular_values=np.ldexp(s[:k], -e), left_vectors=u.T,
+                             right=(vt[:k] @ p[:hi]).T)
+    return None  # not certified (a NaN, or a tie at k, fails too)
+
+
+def _orthonormal(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning ``block``'s rows projected off the orthonormal rows of ``basis``."""
+    for _ in range(2):
+        block = block - (block @ basis.T) @ basis
+    return np.linalg.qr(block.T)[0].T
 
 
 @dataclass(frozen=True)
@@ -509,12 +552,12 @@ def hsvt(matrix: np.ndarray, k: int) -> np.ndarray:
     Keeps the top k singular triplets and zeroes the rest; by Eckart-Young
     this is the Frobenius-optimal rank-k approximation.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise RankError("hsvt expects a 2-D matrix")
-    if not 1 <= k <= min(matrix.shape):
-        raise RankError(f"k={k} out of range for shape {matrix.shape}")
-    return svd(matrix).truncate(k)
+    k = _integer(k, "k", 1, RankError)
+    full = svd(matrix)
+    if k > full.singular_values.size:
+        raise RankError(f"k={k} out of range for a matrix of {full.singular_values.size} "
+                        "singular values")
+    return full.truncate(k)
 
 
 def _omega(beta: float) -> float:
@@ -540,7 +583,7 @@ def select_rank(singular_values, rule: RankRule, shape: tuple[int, int]) -> int:
     does not depend on the spectrum's scale, and no square overflows.
     Raises RankError when the spectrum is all zero or not finite.
     """
-    s = np.asarray(singular_values, dtype=np.float64)
+    s = _float_array(singular_values, "singular values", RankError)
     if s.ndim != 1 or s.size == 0:
         raise RankError("need a non-empty 1-D singular spectrum")
     if not np.all(np.isfinite(s)):
@@ -561,9 +604,10 @@ def select_rank(singular_values, rule: RankRule, shape: tuple[int, int]) -> int:
         return _extend_ties(s, k, n_positive)
 
     # universal threshold
-    rows, cols = shape
-    if rows < 1 or cols < 1:
-        raise RankError(f"invalid shape {shape}")
+    try:
+        rows, cols = (_integer(n, "a shape entry", 1) for n in shape)
+    except (TypeError, ValueError):  # not a pair of positive integers
+        raise RankError(f"invalid shape {shape!r}") from None
     beta = min(rows, cols) / max(rows, cols)
     threshold = _omega(beta) * float(np.median(s))
     k = int(np.sum(s > threshold))

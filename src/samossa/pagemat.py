@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, _integer
 from .panel import TimePanel
 
 __all__ = [
@@ -45,9 +45,11 @@ def stack(panel: TimePanel, L: int) -> StackedPage:
 
     When L does not divide the length, the trailing L*floor(T/L) entries of
     every series are used (recent data is favored for forecasting) and
-    ``origin`` records the dropped prefix length.
+    ``origin`` records the dropped prefix length. ShapeError unless L is an
+    integer in [1, T].
     """
     N, T = panel.values.shape
+    L = _integer(L, "segment length L", error=ShapeError)
     if L < 1 or L > T:
         raise ShapeError(f"segment length L={L} invalid for series of length {T}")
     M = T // L
@@ -60,8 +62,13 @@ def unstack(data: np.ndarray, n_series: int) -> np.ndarray:
     """Per-series values (N x L*M) read back out of a stacked Page matrix.
 
     The inverse of :func:`stack`: row n is series n's retained window.
+    ShapeError unless ``n_series`` is an integer >= 1 that divides the
+    column count.
     """
+    n_series = _integer(n_series, "series count", 1, ShapeError)
     L, cols = data.shape
+    if cols % n_series:
+        raise ShapeError(f"{cols} Page columns do not split evenly among {n_series} series")
     return data.T.reshape(n_series, L * (cols // n_series))
 
 
@@ -69,8 +76,11 @@ def default_L(N: int, T: int, ratio: int = 1) -> int:
     """Default segment length: floor(sqrt(N*T / ratio)), clamped to [1, T].
 
     ``ratio`` is the target columns/rows shape of the stacked Page matrix
-    (1 gives a square matrix; 3 or 5 give wider ones).
+    (1 gives a square matrix; 3 or 5 give wider ones). ShapeError unless
+    all three are integers.
     """
+    N, T, ratio = (_integer(value, name, error=ShapeError)
+                   for value, name in ((N, "N"), (T, "T"), (ratio, "shape ratio")))
     if N < 1 or T < 1:
         raise ShapeError("need N >= 1 and T >= 1")
     if ratio < 1:

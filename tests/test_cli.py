@@ -840,16 +840,21 @@ class TestConfigFile:
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # scipy takes about a second and 70 MB to import; the package needs it
-    # only for the top-k SVD, so neither a CLI start nor a synthetic panel
-    # (library or CLI) loads it.
+    # scipy takes about a second and 70 MB to import, and the package needs
+    # numpy alone: neither a CLI start, a synthetic panel (library or CLI)
+    # nor a top-k SVD above the crossover loads it.
     env = dict(os.environ, PYTHONPATH=str(Path(samossa.__file__).parents[1]))
     synth_argv = ["synth", "--preset", "forecast", "--n", "3", "--t", "430",
                   "-o", str(tmp_path / "d")]
     for code in ("import samossa, samossa.cli",
                  "from samossa import synth; "
                  "synth.generate(synth.forecasting_spec(n_series=3, length=430))",
-                 f"from samossa.cli import main; assert main({synth_argv!r}) == 0"):
+                 f"from samossa.cli import main; assert main({synth_argv!r}) == 0",
+                 "import samossa.cli, numpy as np; from samossa import lowrank; "
+                 "rng = np.random.default_rng(0); "
+                 "a = rng.normal(size=(600, 2)) @ rng.normal(size=(2, 620)); "
+                 "assert lowrank.takes_topk(a.shape, 2) and lowrank._krylov(a, 2) is not None; "
+                 "assert lowrank.svd(a, k=2).singular_values.shape == (2,)"):
         proc = subprocess.run(
             [sys.executable, "-c", f"import sys; {code}; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
@@ -858,25 +863,24 @@ def test_import_loads_no_scipy(tmp_path):
         assert proc.stdout.strip() == "[]", code
 
 
-def test_only_the_topk_svd_imports_scipy():
-    # lowrank._arpack imports scipy for ARPACK's top-k SVD; nothing else in
-    # the package imports it, at module level or inside a function.
-    def scipy_imports(node, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from scipy_imports(child, child.name)
-            elif isinstance(child, (ast.Import, ast.ImportFrom)):
-                names = ([child.module or ""] if isinstance(child, ast.ImportFrom)
-                         else [alias.name for alias in child.names])
-                if any(name.split(".")[0] == "scipy" for name in names):
-                    yield where
-            else:
-                yield from scipy_imports(child, where)
+def test_package_imports_only_the_stdlib_and_numpy():
+    # numpy is the one runtime dependency (pyproject.toml): every import in
+    # the package, at module level or inside a function, is of the standard
+    # library, numpy, or the package itself.
+    def outside(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                yield node.module
+            elif isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
 
+    allowed = set(sys.stdlib_module_names) | {"numpy", "samossa"}
     package = Path(samossa.__file__).parent
-    importers = {(path.name, where) for path in sorted(package.glob("*.py"))
-                 for where in scipy_imports(ast.parse(path.read_text(encoding="utf-8")), None)}
-    assert importers == {("lowrank.py", "_arpack")}
+    found = {(path.name, name) for path in sorted(package.glob("*.py"))
+             for name in outside(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found and {(path, name) for path, name in found
+                      if name.split(".")[0] not in allowed} == set()
+    assert ("lowrank.py", "numpy") in found
 
 
 class TestHelp:

@@ -29,6 +29,7 @@ from samossa import (
     SplitSpec,
     TimePanel,
     characteristic_roots,
+    companion_matrix,
     default_L,
     diagnostics,
     fit,
@@ -36,6 +37,7 @@ from samossa import (
     fit_ar_rows,
     for_err,
     forecast_ar,
+    forecast_f,
     generate,
     grid_search,
     hsvt,
@@ -234,6 +236,24 @@ GUARDS = {
                         FitError, "non-finite lagged residuals"),
     "roots_of_nothing": (lambda tmp: characteristic_roots([]),
                          ShapeError, "coefficient vector of length >= 1"),
+    "roots_nan": (lambda tmp: characteristic_roots([math.nan]),
+                  FitError, "non-finite AR coefficients"),
+    "roots_strings": (lambda tmp: characteristic_roots(["a"]),
+                      ShapeError, "AR coefficients are not an array of numbers"),
+    "companion_2d": (lambda tmp: companion_matrix(np.ones((2, 2))),
+                     ShapeError, "coefficient vector of length >= 1"),
+    "diagnostics_sigma_nan": (lambda tmp: diagnostics(ArModel(alpha=[0.5], noise_var_hat=1.0),
+                                                      sigma=math.nan),
+                              FitError, "innovation sd must be a finite real >= 0, got nan"),
+    "diagnostics_sigma_string": (lambda tmp: diagnostics(ArModel(alpha=[0.5], noise_var_hat=1.0),
+                                                         sigma="a"),
+                                 FitError, "innovation sd must be a finite real >= 0, got 'a'"),
+    "forecast_f_nan": (lambda tmp: forecast_f(BetaModel(beta=[0.5], k_hat=1, resid_rms=0.0),
+                                              [math.nan]),
+                       FitError, "non-finite lags"),
+    "forecast_f_string": (lambda tmp: forecast_f(BetaModel(beta=[0.5], k_hat=1, resid_rms=0.0),
+                                                 ["a"]),
+                          ShapeError, "lags are not an array of numbers"),
     "diagnostics_of_order_0": (lambda tmp: diagnostics(ArModel.zero()),
                                ShapeError, "model of order >= 1"),
     "hsvt_1d": (lambda tmp: hsvt(np.ones(3), 1), RankError, "expects a 2-D matrix"),
@@ -261,6 +281,8 @@ GUARDS = {
     "empty_grid": (lambda tmp: grid_search(None, None, []), SearchError, "empty grid"),
     "r_squared_one_point": (lambda tmp: r_squared([1.0], [2.0]),
                             MetricError, "need at least two points for R^2"),
+    "r_squared_strings": (lambda tmp: r_squared(["a"], ["b"]),
+                          ShapeError, "predictions are not an array of numbers"),
     "rolling_eval_one_step": (lambda tmp: rolling_eval(_fitted(), TimePanel(("a",), [[0.5]], 41)),
                               MetricError, "need at least two points for R^2"),
     "beta_nan": (lambda tmp: BetaModel(beta=[math.nan], k_hat=1, resid_rms=0.0),

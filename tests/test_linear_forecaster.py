@@ -271,9 +271,9 @@ class TestDowndate:
         assert svds._downdate_head(2) is not None
 
     @pytest.mark.parametrize("rule", [RankRule.fixed(5), RankRule.energy(0.9)], ids=str)
-    def test_arpack_head_matches_lstsq_oracle(self, rule, monkeypatch):
+    def test_topk_head_matches_lstsq_oracle(self, rule, monkeypatch):
         # 10 x 36 060 at L = 601: the top rows are 600 x 600, so beta at a small
-        # k_hat reads an ARPACK head of them rather than the downdate.
+        # k_hat reads a top-k svd of them rather than the downdate.
         calls = []
         monkeypatch.setattr(lowrank, "svd",
                             lambda matrix, k=None: calls.append((matrix.shape, k)) or svd(matrix, k))

@@ -190,6 +190,39 @@ class TestSelectRank:
             assert str(RankRule.parse(text)) == text
 
 
+NAN_MATRIX = np.full((3, 3), np.nan)
+BIG_NAN_MATRIX = np.full((lowrank._TOPK_MIN_DIM, lowrank._TOPK_MIN_DIM), np.nan)
+
+# Bad input at the module's public entries, and the fragment of its RankError.
+BAD_INPUTS = {
+    "svd_nan": (lambda: svd(NAN_MATRIX), "non-finite matrix"),
+    "hsvt_nan": (lambda: hsvt(NAN_MATRIX, 1), "non-finite matrix"),
+    "svd_inf": (lambda: svd(np.array([[1.0, np.inf], [0.0, 1.0]])), "non-finite matrix"),
+    "topk_svd_nan": (lambda: svd(BIG_NAN_MATRIX, k=2), "non-finite matrix"),
+    "svd_1d": (lambda: svd(np.ones(3)), "expects a 2-D matrix"),
+    "svd_empty": (lambda: svd(np.zeros((0, 3))), "expects a 2-D matrix"),
+    "svd_string": (lambda: svd("abc"), "not an array of numbers"),
+    "hsvt_string": (lambda: hsvt("abc", 1), "not an array of numbers"),
+    "svd_fractional_k": (lambda: svd(np.eye(3), k=1.5), "k must be an integer"),
+    "hsvt_fractional_k": (lambda: hsvt(np.eye(3), 1.5), "k must be an integer"),
+    "svd_boolean_k": (lambda: svd(np.eye(3), k=True), "k must be an integer"),
+    "hsvt_boolean_k": (lambda: hsvt(np.eye(3), True), "k must be an integer"),
+    "select_rank_strings": (lambda: select_rank(["a"], RankRule.fixed(1), (1, 1)),
+                            "singular values are not an array of numbers"),
+    "select_rank_string_shape": (lambda: select_rank([1.0], RankRule.universal(), "ab"),
+                                 "invalid shape 'ab'"),
+    "select_rank_scalar_shape": (lambda: select_rank([1.0], RankRule.universal(), 3),
+                                 "invalid shape 3"),
+}
+
+
+@pytest.mark.parametrize("call, fragment", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_is_a_rank_error(call, fragment):
+    with pytest.raises(RankError) as info:
+        call()
+    assert fragment in str(info.value)
+
+
 class TestGramCertificate:
     """The Gram spectrum serves a rule only where it picks the dense SVD's k_hat."""
 

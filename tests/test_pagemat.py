@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samossa import ShapeError, TimePanel
+from samossa import RankRule, ShapeError, TimePanel
 from samossa.pagemat import default_L, stack, unstack
+from samossa.ssa_estimator import decompose
 
 
 def _one_series(series) -> TimePanel:
@@ -180,3 +181,27 @@ class TestOperatorNormScaling:
                 q = pg.data.shape[1]
                 worst = max(worst, op / (diag.sigma_x * np.sqrt(q)))
         assert worst <= 3.0
+
+
+PANEL = _one_series(np.arange(40.0))
+
+# Bad sizes at the module's entries, and the fragment of their ShapeError.
+BAD_SIZES = {
+    "stack_fractional_L": (lambda: stack(PANEL, 2.5), "segment length L must be an integer"),
+    "stack_string_L": (lambda: stack(PANEL, "3"), "segment length L must be an integer"),
+    "decompose_float_L": (lambda: decompose(PANEL, 20.0, RankRule.fixed(1)),
+                          "segment length L must be an integer"),
+    "default_L_fractional_N": (lambda: default_L(2.5, 10), "N must be an integer"),
+    "default_L_string_ratio": (lambda: default_L(2, 10, ratio="3"),
+                               "shape ratio must be an integer"),
+    "unstack_uneven_columns": (lambda: unstack(np.zeros((3, 5)), 2),
+                               "5 Page columns do not split evenly among 2 series"),
+    "unstack_no_series": (lambda: unstack(np.zeros((3, 4)), 0), "series count must be an integer"),
+}
+
+
+@pytest.mark.parametrize("call, fragment", BAD_SIZES.values(), ids=BAD_SIZES.keys())
+def test_bad_size_is_a_shape_error(call, fragment):
+    with pytest.raises(ShapeError) as info:
+        call()
+    assert fragment in str(info.value)

@@ -27,7 +27,7 @@ from samossa.linear_forecaster import fit_beta
 from samossa.lowrank import takes_topk
 from samossa.pipeline import fit
 from samossa.ssa_estimator import Decomposition, Stage1, decompose
-from samossa.synth import forecasting_spec, generate
+from samossa.synth import estimation_spec, forecasting_spec, generate
 
 
 @pytest.fixture()
@@ -200,25 +200,30 @@ class TestSvdCallCounts:
         # Every rule of the default grid reads a certified Gram spectrum, and
         # every beta the Gram's downdate head: LAPACK's SVD is never called.
         dense, original = [], np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: dense.append(a) or original(*a, **kw))
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kw: dense.append(a.shape) or original(a, **kw))
         train, valid = split_panel()
         _, entries = grid_search(train, valid, default_grid())
         assert len(entries) == len(default_grid())
         assert dense == []
 
     def test_top_k_head_keeps_its_sub_matrix_head_for_beta(self, svd_calls, monkeypatch):
-        # 3 x 1300 at L = 60: a 60 x 63 Page matrix. Under a lowered crossover
-        # fixed:3 reads an ARPACK head, which holds too few left vectors for
-        # the downdate, so beta takes a head of the top 59 rows.
+        # The noiseless estimation panel, 3 x 1300 at L = 60: a 60 x 63 Page
+        # matrix whose s_5 is 0.035 of s_4. Under a lowered crossover fixed:4
+        # reads a top-k head, which holds too few left vectors for the
+        # downdate, so beta takes a head of the top 59 rows. Both heads
+        # answer: no dense SVD is of a Page-sized matrix, only the heads' own
+        # of their small Q^T A.
         monkeypatch.setattr(lowrank, "_TOPK_MIN_DIM", 30)
         dense, original = [], np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: dense.append(a) or original(*a, **kw))
-        panel = generate(forecasting_spec(n_series=3, length=1300, seed=4)).y
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kw: dense.append(a.shape) or original(a, **kw))
+        panel = generate(estimation_spec(0.3, n_series=3, length=1300, seed=4)).f
         stage = Stage1(panel, 60)
-        assert stage.decompose(RankRule.fixed(3)).singular_values.shape == (3,)
-        assert stage.beta(3).k_hat == 3
+        assert stage.decompose(RankRule.fixed(4)).singular_values.shape == (4,)
+        assert stage.beta(4).k_hat == 4
         assert svd_calls == [(60, 63), (59, 63)]
-        assert dense == []
+        assert dense and all(rows < 59 for rows, _ in dense)
 
 
 class TestStage1:
@@ -446,7 +451,7 @@ class TestSharedDecompositions:
 
     def test_top_k_head_is_not_merged_with_the_full_spectrum(self, monkeypatch):
         # 10 x 36 000 at L = 600: a 600 x 600 Page matrix, where fixed:K takes
-        # an ARPACK head whose bits differ from the full SVD's at the same k_hat.
+        # a top-k head whose bits differ from the full SVD's at the same k_hat.
         train, valid = split_panel(n_series=10, length=36_030, valid_len=30)
         grid = self.twin_grid(train, [600], orders=(1,))
         stage, (energy, fixed) = Stage1(train, 600), (c.rank for c in grid)
