@@ -26,6 +26,7 @@ from .errors import (
     _float_array,
     _integer,
     _is_real,
+    _mean_square,
 )
 
 __all__ = [
@@ -129,13 +130,14 @@ def fit_ar_rows(residuals, p: int) -> tuple[ArModel, ...]:
     exponent of its largest |x|, which is exact, so alpha does not depend on
     the row's scale. The p x p normal equations are solved by batched calls
     over blocks of rows. ``noise_var_hat`` is the mean squared residual
-    x(t) - sum_i alpha_i x(t-i), taken on the unscaled row. At p = 0 alpha
-    is empty, and it is the uncentred mean of x^2: an AR(0) model forecasts
-    0. A row whose lag Gram has its smallest eigenvalue at or below
-    ``_GRAM_TOL`` times its largest, or whose ``noise_var_hat`` is not
-    finite, is fitted by ``lstsq`` on its explicit design instead: a
-    rank-deficient design falls back to the minimum-norm solution and is
-    flagged on the model, so only such a row carries ``rank_deficient``.
+    x(t) - sum_i alpha_i x(t-i) of the unscaled row, not finite only where
+    that mean passes the float range. At p = 0 alpha is empty, and it is
+    the uncentred mean of x^2: an AR(0) model forecasts 0. A row whose lag
+    Gram has its smallest eigenvalue at or below ``_GRAM_TOL`` times its
+    largest, or whose ``noise_var_hat`` is not finite, is fitted by
+    ``lstsq`` on its explicit design instead: a rank-deficient design falls
+    back to the minimum-norm solution and is flagged on the model, so only
+    such a row carries ``rank_deficient``.
     A row's model does not depend on the other rows.
     ShapeError unless ``residuals`` is 2-D. FitError for residuals that are
     not integers or floats, an order that is not an integer >= 0, fewer than
@@ -162,10 +164,11 @@ def _fit_block(X: np.ndarray, peak: np.ndarray, p: int) -> list[ArModel]:
     """:func:`fit_ar_rows` of checked rows whose largest |x| are ``peak``."""
     n, T = X.shape
     alpha, solved = np.zeros((n, p)), np.ones(n, dtype=bool)
-    # work[0] holds the scaled rows, then the residuals; work[1] each lag product.
-    # A sum over a slice of their rows is pairwise and row by row, so a row's
-    # model does not depend on the other rows.
+    # work[0] holds the scaled rows, then the residuals; work[1] each lag product,
+    # then the squared residuals. A sum over a slice of their rows is pairwise
+    # and row by row, so a row's model does not depend on the other rows.
     work = np.empty((2, n, T))
+    resid = X  # at p = 0 the residuals are the rows themselves
     if p > 0:
         # Scaled rows lie in (-1, 1), so every Gram entry is finite and at most T.
         scaled = np.ldexp(X, -np.frexp(peak)[1][:, None], out=work[0])
@@ -183,12 +186,12 @@ def _fit_block(X: np.ndarray, peak: np.ndarray, p: int) -> list[ArModel]:
         eig = np.linalg.eigvalsh(normal)  # ascending
         solved = eig[:, 0] > _GRAM_TOL * eig[:, -1]
         alpha[solved] = np.linalg.solve(normal[solved], gram[solved, 1:, :1])[..., 0]
-    resid = work[0, :, :T - p]
-    np.copyto(resid, X[:, p:])
-    for i in range(1, p + 1):
-        resid -= np.multiply(alpha[:, i - 1:i], X[:, p - i:T - i], out=work[1, :, :T - p])
-    with np.errstate(over="ignore"):  # huge residuals overflow; such a row goes to lstsq
-        noise_var = np.mean(np.square(resid, out=resid), axis=1)
+        resid = work[0, :, :T - p]
+        np.copyto(resid, X[:, p:])
+        for i in range(1, p + 1):
+            resid -= np.multiply(alpha[:, i - 1:i], X[:, p - i:T - i], out=work[1, :, :T - p])
+    # A mean that truly overflows sends its row to lstsq, where it stays inf.
+    noise_var = _mean_square(resid, axis=1, out=work[1, :, :T - p])
     return [ArModel(alpha=a, noise_var_hat=v) if ok and np.isfinite(v) else _lstsq_fit(x, p)
             for x, a, v, ok in zip(X, alpha, noise_var, solved)]
 
@@ -202,8 +205,7 @@ def _lstsq_fit(x: np.ndarray, p: int) -> ArModel:
         design[:, i - 1] = x[p - i: T - i]
     alpha, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
     resid = targets - np.dot(design, alpha)  # matmul takes a slow loop at p <= 1
-    with np.errstate(over="ignore"):  # huge residuals overflow; ArModel rejects the inf
-        noise_var = float(np.mean(resid**2))
+    noise_var = float(_mean_square(resid))  # ArModel rejects an inf
     return ArModel(alpha=alpha, noise_var_hat=noise_var, rank_deficient=bool(rank < p))
 
 

@@ -105,3 +105,27 @@ def _float_array(values, what: str, error: type[Exception]) -> np.ndarray:
     if bad is not None:
         raise error(f"{what} are not an array of numbers: need integers or floats, got {bad}")
     return array.astype(np.float64, copy=False)
+
+
+def _mean_square(values: np.ndarray, axis: int | None = None, out: np.ndarray | None = None):
+    """The mean of the squares of ``values`` (along ``axis``), inf only where that mean
+    overflows the float range.
+
+    The plain mean first, with the squares written to ``out`` if given. Where
+    it is not finite, the mean is taken again of the values scaled by 2^-e,
+    e the exponent of their largest |x| (per row along ``axis`` = 1), and
+    scaled back by 4^e: powers of two are exact, so a mean in range keeps the
+    bits of the same values scaled into range.
+    """
+    with np.errstate(over="ignore"):
+        mean = np.mean(np.square(values, out=out), axis=axis)
+        bad = ~np.isfinite(mean)
+        if not bad.any():
+            return mean
+        rows = values.reshape(1, -1) if axis is None else values[bad]
+        exp = np.frexp(np.abs(rows).max(axis=1))[1]
+        again = np.ldexp(np.mean(np.square(np.ldexp(rows, -exp[:, None])), axis=1), 2 * exp)
+    if axis is None:
+        return again[0]
+    mean[bad] = again
+    return mean

@@ -25,7 +25,7 @@ import numpy as np
 
 from .ar import fit_ar
 from .errors import (ConfigError, MetricError, SamossaError, SearchError, ShapeError, StateError,
-                     _float_array)
+                     _float_array, _mean_square)
 from .linear_forecaster import BetaModel
 from .lowrank import RankRule, SvdResult
 from .pagemat import default_L
@@ -189,7 +189,7 @@ def for_err(predictions: np.ndarray, test: TimePanel, truth: GeneratorTruth) -> 
     f, x = _truth_windows(truth, test, horizon)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean raises below
         target = f + _ar_dots(truth.alphas, x[:, ::-1], horizon)
-        err = float(np.mean((predictions - target) ** 2))
+        err = float(_mean_square(predictions - target))
     if not np.isfinite(err):
         raise MetricError(f"for_err is undefined: the mean squared gap is {err!r}")
     return err

@@ -9,10 +9,10 @@ The regression is the minimum-norm solve on the top k_hat singular triplets
 of the top L-1 rows (Golub & Van Loan 5.5), read in closed form by
 :func:`solve_beta` from any factorisation of those rows that holds them, as
 :meth:`~samossa.lowrank.PageSvds.top_rows` picks: the head of the rank-one
-downdate of the whole Page matrix's spectrum, read off the top roots of its
-secular equation, where that spectrum is the Page Gram's eigendecomposition
-(where certified at k_hat) or else its dense SVD; or a dense SVD or top-k
-head of the top rows themselves. Right vectors are computed on request.
+downdate of the whole Page matrix's Gram spectrum, read off the top roots
+of its secular equation, where that head is certified at k_hat; else an SVD
+(dense, or a top-k head) of the top rows themselves. Right vectors are
+computed on request.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, RankError, ShapeError, _float_array, _integer, _is_real
+from .errors import (FitError, RankError, ShapeError, _float_array, _integer, _is_real,
+                     _mean_square)
 from .lowrank import RankRule, SvdResult
 from .panel import TimePanel
 
@@ -103,8 +104,8 @@ def solve_beta(page: np.ndarray, sub: SvdResult, k_hat: int) -> BetaModel:
     v, targets = sub.right_vectors(k), page[-1]
     proj = v.T @ targets
     coef = sub.left_vectors[:, :k] @ (proj / s[:k])
-    with np.errstate(over="ignore"):  # huge residuals overflow; BetaModel rejects the inf
-        rms = float(np.sqrt(np.mean((targets - v @ proj) ** 2)))
+    with np.errstate(over="ignore"):  # BetaModel rejects a residual RMS past the float range
+        rms = float(np.sqrt(_mean_square(targets - v @ proj)))
     # Page rows are oldest-first; flip so beta is most-recent-lag first.
     return BetaModel(beta=coef[::-1], k_hat=k_hat, resid_rms=rms)
 

@@ -2,13 +2,15 @@
 
 :class:`PageSvds` alone decides which factorisation of a Page matrix serves
 stage 1: the spectrum a rank rule reads, and the top-row triplets the lag
-model's beta is solved on. A Page matrix with no more rows than columns is
-first factorised through its scaled Gram matrix, by one symmetric
-eigendecomposition; that spectrum serves a rule only where a certificate
-shows that every comparison the rule makes clears the Gram's rounding
-error, and otherwise the dense SVD does. Right vectors are computed on
-request, for the columns asked for. :func:`svd` and :func:`hsvt` are the
-dense oracle, save a certified top-k head of a large matrix.
+model's beta is solved on. Every Page matrix is served by its certified
+Gram, else by the dense SVD (the oracle), and beta by the Gram's downdate
+head, else by an SVD of the top rows. The Gram factorisation is one
+symmetric eigendecomposition of the scaled Gram matrix, of a tall matrix's
+R factor after a QR; it serves a rule only where a certificate shows that
+every comparison the rule makes clears its rounding error. Right vectors
+are computed on request, for the columns asked for. :func:`svd` and
+:func:`hsvt` are the dense oracle, save a certified top-k head of a large
+matrix.
 """
 
 from __future__ import annotations
@@ -53,15 +55,18 @@ _KRYLOV_SHARE = 3
 _KRYLOV_TOL = 1e-10
 
 # The Gram path's eigenvalue error, in units of r * eps * lambda_1 for an
-# r-row Page matrix (Golub & Van Loan 8.6: the cross-product matrix loses
-# the values below about sqrt(r eps) s_1). A scratch study compared eigh of
-# the scaled Gram with the squares of the dense SVD's values on 451 matrices
-# of 2 to 500 rows (Gaussian, planted rank plus noise from 1e-16 to 1e-1,
-# geometric decay over up to 20 decades, rows scaled by 2^-300 to 2^300, and
-# Page matrices of forecasting and noiseless estimation panels, the
-# benchmark's among them): the largest error was 0.98 of that unit (0.054
-# from 223 rows up) and the 99th percentile 0.58. Four times that worst case
-# gives the bound a certificate clears.
+# r x r Gram, r = min(rows, cols) (Golub & Van Loan 8.6: the cross-product
+# matrix loses the values below about sqrt(r eps) s_1). A scratch study
+# compared eigh of the scaled Gram with the squares of the dense SVD's values
+# on 451 wide matrices of 2 to 500 rows (Gaussian, planted rank plus noise
+# from 1e-16 to 1e-1, geometric decay over up to 20 decades, rows scaled by
+# 2^-300 to 2^300, and Page matrices of forecasting and noiseless estimation
+# panels, the benchmark's among them): the largest error was 0.98 of that
+# unit (0.054 from 223 rows up) and the 99th percentile 0.58. On 500 tall
+# ones through the QR (the same kinds, 1 to 300 columns under up to 20 000
+# rows, and 32 Page matrices, 499 x 475 among them) it was 1.33 (at 3
+# columns; 0.098 from r = 223 up). Four times the wide worst case gives the
+# bound a certificate clears.
 _GRAM_ERR = 4.0
 
 # The Gram's rounding turns its top-k eigenvectors toward the rest by an
@@ -81,21 +86,8 @@ _GRAM_ANGLE = 1e-9
 # the head answers only where that is at most this. The seven heads of
 # forecast_benchmark_run(0) read at most 3.8e-13 (their smallest eigenvalue
 # is 5.8e-4 of the largest), far inside it, and 1e-11 keeps beta a hundred
-# times inside TestDowndate's 1e-9. A dense downdate head turns the dense
-# SVD's right vectors instead, to eps s'_1 / s'_k as before.
+# times inside TestDowndate's 1e-9.
 _GRAM_BETA = 1e-11
-
-# A PageSvds downdate head divides by the square roots of the top k
-# eigenvalues of the downdated Gram, scaled so that s_1 is in [1/2, 1), and
-# keeps the top k eigenvectors: it answers only when the k-th eigenvalue and
-# the gap below it both exceed this floor, far above the secular roots'
-# absolute error of a few eps (within 2.2e-16 of eigh's on the benchmark's
-# heads, 1.4e-15 on random ones). The seven beta solves of
-# forecast_benchmark_run(0) have their smallest eigenvalue at 5.8e-4 and their
-# smallest gap at 6.6e-6, 660 times the floor. A split tie (a period-3
-# sawtooth's s_2 = s_3) or a k past the rank of the remaining rows falls
-# below it.
-_DOWNDATE_TOL = 1e-8
 
 # The rounding bound on a downdate head's vectors: it declines when an entry
 # of W_k^T W_k - I exceeds this. Heads that answer measure at most 1.1e-15 on
@@ -168,39 +160,45 @@ def svd(matrix: np.ndarray, k: int | None = None) -> SvdResult:
 
 
 def _gram_svd(matrix: np.ndarray) -> SvdResult | None:
-    """Every singular value of a matrix A of rows <= cols and its left vectors, off its Gram.
+    """Every singular value of a matrix A and its left vectors, off the Gram of its smaller side.
 
     A is scaled by 2^-e, with e the exponent of max |A|, which is exact and
-    keeps G = A A^T in range; one eigh of G gives U and s = 2^e sqrt(lambda),
-    negative rounding read as 0. Values below about sqrt(r eps) s_1 are
-    rounding noise (``_GRAM_ERR``): :func:`_gram_answers` decides where the
-    result may serve. Right vectors come on request from A. None for a zero
-    or non-finite A.
+    keeps the Gram in range. A tall A is first factorised as Q R (T. F.
+    Chan 1982), so the Gram is always r x r for r = min(rows, cols): one
+    eigh of G = B B^T, with B the scaled A or its R, gives U_B and s = 2^e
+    sqrt(lambda), negative rounding read as 0, and A's left vectors are U_B
+    or Q U_B. Values below about sqrt(r eps) s_1 are rounding noise
+    (``_GRAM_ERR``): :func:`_gram_answers` decides where the result may
+    serve. Right vectors come on request from A. None for a zero or
+    non-finite A.
     """
     peak = np.abs(matrix).max()
     if not 0.0 < peak < np.inf:
         return None
     exp = int(np.frexp(peak)[1])
     scaled = np.ldexp(matrix, -exp)
-    lam, u = np.linalg.eigh(scaled @ scaled.T)
+    rows, cols = matrix.shape
+    q, b = np.linalg.qr(scaled) if rows > cols else (None, scaled)
+    lam, u = np.linalg.eigh(b @ b.T)
+    u = u[:, ::-1]
     return SvdResult(singular_values=np.ldexp(np.sqrt(np.maximum(lam[::-1], 0.0)), exp),
-                     left_vectors=u[:, ::-1], matrix=matrix)
+                     left_vectors=u if q is None else q @ u, matrix=matrix)
 
 
 class PageSvds:
     """The factorisations stage 1 takes of one Page matrix A, each computed once, on first use.
 
     :meth:`for_rule` gives the spectrum of A that serves a rank rule: a
-    K-head for ``fixed:K`` where :func:`takes_topk` allows; else, for A with
-    no more rows than columns, its Gram spectrum where :func:`_gram_answers`
-    certifies it for the rule; else the one dense SVD. :meth:`top_rows`
-    gives the top k triplets of A[:-1], for the lag regression. The answer
-    depends only on A and the request, never on the order of calls. Every
-    factorisation taken is kept (a head is only K vectors per side, and the
-    Gram spectrum holds r x r left vectors and a reference to A), with the
-    one that serves each rule asked for, and nothing else: a downdate head
-    is worked out on each request, in O(k r) time and memory for r singular
-    values, plus the products that give its vectors.
+    K-head for ``fixed:K`` where :func:`takes_topk` allows; else A's Gram
+    spectrum where :func:`_gram_answers` certifies it for the rule; else the
+    one dense SVD. :meth:`top_rows` gives the top k triplets of A[:-1], for
+    the lag regression. The answer depends only on A and the request, never
+    on the order of calls. Every factorisation taken is kept (a head is only
+    K vectors per side, and the Gram spectrum holds r left vectors of A, for
+    r = min(rows, cols), and a reference to A), with the one that serves
+    each rule asked for, and nothing else: a downdate head is worked out on
+    each request, in O(k r) time and memory, plus the products that give its
+    vectors.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -216,11 +214,9 @@ class PageSvds:
         return self._svds[key]
 
     def _gram(self) -> SvdResult | None:
-        """The Gram spectrum of A, or None where A has more rows than columns, or is zero
-        or not finite."""
+        """The Gram spectrum of A, or None where A is zero or not finite."""
         if "gram" not in self._svds:
-            rows, cols = self.matrix.shape
-            self._svds["gram"] = _gram_svd(self.matrix) if rows <= cols else None
+            self._svds["gram"] = _gram_svd(self.matrix)
         return self._svds["gram"]
 
     def for_rule(self, rule: RankRule) -> SvdResult:
@@ -237,76 +233,59 @@ class PageSvds:
 
     def top_rows(self, k: int) -> SvdResult:
         """The top k >= 0 triplets of A[:-1] (at least one): a block Krylov head where
-        :func:`takes_topk` allows, else the downdate head of A's Gram spectrum or
-        dense SVD, unless it declines, else :func:`svd` of A[:-1]."""
+        :func:`takes_topk` allows, else the downdate head of A's Gram spectrum, unless
+        it declines, else :func:`svd` of A[:-1]."""
         top = self.matrix[:-1]
         head = None if takes_topk(top.shape, k) else self._downdate_head(k)
         return head or svd(top, max(k, 1))
 
     def _downdate_head(self, k: int) -> SvdResult | None:
-        """The top k triplets of A[:-1] off a spectrum of A, or None if not clear of rounding.
+        """The top k triplets of A[:-1] off A's Gram spectrum, or None if not clear of rounding.
 
-        The spectrum is A's Gram spectrum where it is certified to truncate
-        at k (:func:`_clears_floor`) and its head answers, else the dense SVD.
-        Either gives A = U S V^T, so A' = A[:-1] = U[:-1] S V^T, and A'^T A' =
+        The Gram spectrum gives A = U S V^T (U with r = min(rows, cols)
+        orthonormal columns), so A' = A[:-1] = U[:-1] S V^T, and A'^T A' =
         V (S^2 - z z^T) V^T with z = S U[-1], a rank-one downdate (Bunch,
         Nielsen & Sorensen 1978; Gu & Eisenstat 1995). With S^2 - z z^T =
         W diag(lambda) W^T in descending order, the top k values of A' are
         sqrt(lambda_k), its left vectors U[:-1] S W_k / sqrt(lambda_k), and
-        its right vectors V W_k off the dense SVD, or on request A'^T U'_k /
-        s'_k off the Gram spectrum, which keeps no V. The top k + 1
+        its right vectors, on request, A'^T U'_k / s'_k. The top k + 1
         eigenvalues and the top k eigenvectors are :func:`_secular_head`'s
-        roots of the downdate's secular equation, in O(k r) for r singular
-        values. S is first scaled by a power of two so that s_1 is in
-        [1/2, 1), which is exact and keeps S^2 in range. None when k < 1, s_1
-        is not positive and finite, the secular form cannot certify the head,
-        or the k-th eigenvalue or the gap below it is at or below the
-        rounding floor ``_DOWNDATE_TOL`` (a zero or tied k-th value); off the
-        Gram spectrum, at or below eps / ``_GRAM_BETA`` and eps /
-        ``_GRAM_ANGLE``.
+        roots of the downdate's secular equation, in O(k r). S is first
+        scaled by a power of two so that s_1 is in [1/2, 1), which is exact
+        and keeps S^2 in range. None when k < 1, A has no Gram spectrum, a
+        truncation of it at k is not clear of its rounding
+        (:func:`_clears_floor`), the secular form cannot certify the head,
+        or the k-th eigenvalue is at or below eps / ``_GRAM_BETA`` or the
+        gap below it at or below eps / ``_GRAM_ANGLE`` (a zero or tied k-th
+        value).
         """
-        if k < 1:
+        gram = None if k < 1 else self._gram()
+        if gram is None or not _clears_floor(gram.singular_values, k, min(self.matrix.shape)):
             return None
-        gram = self._gram()
-        if gram is not None and _clears_floor(gram.singular_values, k, self.matrix.shape[0]):
-            eps = np.finfo(np.float64).eps
-            head = self._downdate(gram, k, eps / _GRAM_BETA, eps / _GRAM_ANGLE)
-            if head is not None:
-                return head
-        return self._downdate(self._svd(None), k, _DOWNDATE_TOL, _DOWNDATE_TOL)
-
-    def _downdate(self, full: SvdResult, k: int, value_tol: float,
-                  gap_tol: float) -> SvdResult | None:
-        """The downdate head at k off the spectrum ``full`` of A, or None where the k-th
-        eigenvalue is at or below ``value_tol`` or the gap below it at or below ``gap_tol``."""
-        s = full.singular_values
-        if not 0.0 < s[0] < np.inf:
-            return None
+        s = gram.singular_values
         scale = int(np.frexp(s[0])[1])
         s = np.ldexp(s, -scale)
-        k = min(k, s.size)
-        head = _secular_head(s * s, s * full.left_vectors[-1], k)
+        head = _secular_head(s * s, s * gram.left_vectors[-1], k)
         if head is None:
             return None
         lam, w = head
-        gap = lam[k - 1] - lam[k] if k < lam.size else lam[k - 1]
-        if not (lam[k - 1] > value_tol and gap > gap_tol):
+        eps = np.finfo(np.float64).eps
+        if not (lam[k - 1] > eps / _GRAM_BETA and lam[k - 1] - lam[k] > eps / _GRAM_ANGLE):
             return None
         root = np.sqrt(lam[:k])
-        values = np.ldexp(root, scale)
-        left = full.left_vectors[:-1] @ (s[:, None] * w) / root
-        if full.matrix is None:  # the dense SVD's right vectors, turned by W
-            return SvdResult(singular_values=values, left_vectors=left, right=full.right @ w)
-        return SvdResult(singular_values=values, left_vectors=left, matrix=self.matrix[:-1])
+        return SvdResult(singular_values=np.ldexp(root, scale),
+                         left_vectors=gram.left_vectors[:-1] @ (s[:, None] * w) / root,
+                         matrix=self.matrix[:-1])
 
 
-def _gram_error(rows: int) -> float:
-    """The bound on a Gram eigenvalue's error of an r-row matrix, relative to lambda_1."""
-    return _GRAM_ERR * rows * np.finfo(np.float64).eps
+def _gram_error(r: int) -> float:
+    """The bound on a Gram eigenvalue's error, relative to lambda_1, for an r x r Gram:
+    r = min(rows, cols) of the matrix it factorises."""
+    return _GRAM_ERR * r * np.finfo(np.float64).eps
 
 
-def _clears_floor(s: np.ndarray, k: int, rows: int) -> bool:
-    """Whether a truncation at k of the Gram values ``s`` of an r-row matrix is clear of its rounding.
+def _clears_floor(s: np.ndarray, k: int, r: int) -> bool:
+    """Whether a truncation at k of the Gram values ``s`` is clear of the rounding of an r x r Gram.
 
     The (k+1)-th value must exceed the floor sqrt(error) * s_1 under which
     Gram values are noise (``_GRAM_ERR``), so that the residual A - A_k that
@@ -320,7 +299,7 @@ def _clears_floor(s: np.ndarray, k: int, rows: int) -> bool:
         return False
     x = s / s[0]
     eps = np.finfo(np.float64).eps
-    return bool(x[k] > np.sqrt(_gram_error(rows))
+    return bool(x[k] > np.sqrt(_gram_error(r))
                 and x[k - 1] ** 2 - x[k] ** 2 > eps / _GRAM_ANGLE)
 
 
@@ -328,10 +307,11 @@ def _gram_answers(s: np.ndarray, rule: RankRule, shape: tuple[int, int]) -> bool
     """Whether the Gram values ``s`` of a matrix of ``shape`` decide ``rule`` as the dense SVD would.
 
     Each Gram eigenvalue s_j^2 is within e = ``_GRAM_ERR`` r eps s_1^2 of
-    the exact one (r = rows). The Gram answers only when every comparison
-    :func:`select_rank` makes at its k_hat clears that error, and the
-    truncation at k_hat clears the floor (:func:`_clears_floor`), which also
-    puts s_k_hat and the gap below it far above the zero and tie tests':
+    the exact one, with r = min(rows, cols) the Gram's size. The Gram
+    answers only when every comparison :func:`select_rank` makes at its
+    k_hat clears that error, and the truncation at k_hat clears the floor
+    (:func:`_clears_floor`), which also puts s_k_hat and the gap below it
+    far above the zero and tie tests':
 
     - ``fixed:K``: nothing more (s_K is above the floor, so no zero value
       caps K);
@@ -343,16 +323,16 @@ def _gram_answers(s: np.ndarray, rule: RankRule, shape: tuple[int, int]) -> bool
       values above it (so the threshold is at least s_{k_hat+1}, above the
       floor).
     """
-    rows = shape[0]
+    r = min(shape)
     k = select_rank(s, rule, shape)
-    if not _clears_floor(s, k, rows):
+    if not _clears_floor(s, k, r):
         return False
-    err = _gram_error(rows)
+    err = _gram_error(r)
     lam = (s / s[0]) ** 2
     if rule.kind == "energy":
         energy = np.cumsum(lam)
         target = (rule.fraction - 1e-15) * energy[-1]
-        margin = rows * err
+        margin = r * err
         above = energy[k - 1] - target > (k * err + margin)
         below = k == 1 or target - energy[k - 2] > ((k - 1) * err + margin)
         return bool(above and below)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MetricError, RankError, ShapeError, _integer
+from .errors import MetricError, RankError, ShapeError, _integer, _mean_square
 from .linear_forecaster import BetaModel, solve_beta
 from .lowrank import PageSvds, RankRule, SvdResult, select_rank
 from .pagemat import stack, unstack
@@ -34,9 +34,10 @@ class Decomposition:
     computed: every value, or under ``fixed:K`` on a large Page matrix only
     the top K. Where the Page matrix's Gram spectrum served the rule (see
     :class:`~samossa.lowrank.PageSvds`), its values below about
-    sqrt(4 r eps) s_1, for r Page rows, are rounding noise of the Gram and
-    not the matrix's; the certificate that let it serve puts s_khat and the
-    value after it above that floor, so ``balance`` reads a certified value.
+    sqrt(4 r eps) s_1, for r the Page matrix's smaller side, are rounding
+    noise of the Gram and not the matrix's; the certificate that let it
+    serve puts s_khat and the value after it above that floor, so
+    ``balance`` reads a certified value.
     """
 
     f_hat: np.ndarray
@@ -145,8 +146,8 @@ def est_err(decomp: Decomposition, truth: TimePanel, n: int) -> float:
         raise ShapeError(f"series index {n} for a decomposition of {decomp.n_series} series "
                          f"and a truth of {truth.n_series}")
     f = truth.values_at(decomp.t0, decomp.t0 + decomp.t_eff, "truth", "the decomposition")
-    with np.errstate(over="ignore"):
-        err = float(np.mean((decomp.f_hat[n] - f[n]) ** 2))
+    with np.errstate(over="ignore"):  # a gap past the float range is an inf
+        err = float(_mean_square(decomp.f_hat[n] - f[n]))
     if not np.isfinite(err):
         raise MetricError(f"estimation error of series {n} overflows the float range")
     return err

@@ -234,6 +234,22 @@ class TestFitArRows:
             fit_ar(x, 2)
         assert calls == [1]
 
+    @pytest.mark.parametrize("kind", ["noise", "exact_ar1_then_a_jump"])
+    def test_a_squared_residual_past_the_float_range_is_no_error(self, kind, monkeypatch):
+        # Scaled by 2^510, the residuals square past the float range but their
+        # mean does not: white noise (the lag Gram's solve) and an exact AR(1)
+        # with a last step of 5, whose collinear lags go to lstsq.
+        x = ar_series("noise", 300, 4)
+        if kind != "noise":
+            x = 0.8 ** np.arange(200.0)
+            x[-1] = 5.0
+        calls, lstsq = [], np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        model, scaled = fit_ar(x, 2), fit_ar(np.ldexp(x, 510), 2)
+        assert len(calls) == (0 if kind == "noise" else 2)
+        assert scaled.alpha.tobytes() == model.alpha.tobytes()
+        assert scaled.noise_var_hat == np.ldexp(model.noise_var_hat, 1020)
+
     def test_well_conditioned_rows_take_no_lstsq(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "lstsq", None)  # any call would fail
         X = np.array([ar_series(kind, 500, 7) for kind in ("noise", "unit_root", "sinusoid")])

@@ -467,12 +467,14 @@ class TestGoldenOutputs:
     # synth's numpy simulation rounds differently, so today's synth no longer
     # writes it byte for byte. It stays an input, and so do the goldens below.
     # best.json was written by the release before stage 1 was shared across
-    # configs; grid.csv and model.json by the first release that reads stage
-    # 1's spectrum and beta's downdate head off the scaled Page Gram's
-    # eigendecomposition where a certificate allows, which moved beta, the
-    # grid's R^2 and the noise variances by at most 5.9e-15 of max(1,
-    # |value|) and 5.3e-13 of |value|. Each must be reproduced byte for byte,
-    # at any BLAS thread count; assert_golden reports how far a mismatch moved.
+    # configs; model.json by the first release that reads stage 1's spectrum
+    # and beta's downdate head off the scaled Page Gram's eigendecomposition
+    # where a certificate allows, which moved beta and the noise variances by
+    # at most 5.9e-15 of max(1, |value|) and 5.3e-13 of |value|; grid.csv by
+    # the first release that takes the Gram of a tall Page matrix through a
+    # QR, which moved the grid's R^2 by at most 6.2e-16 of max(1, |value|)
+    # and 4.3e-14 of |value|. Each must be reproduced byte for byte, at any
+    # BLAS thread count; assert_golden reports how far a mismatch moved.
     def test_grid_files(self, tmp_path):
         out = tmp_path / "grid"
         assert run("grid", "--input", str(GOLDEN / "y.csv"), "--train-end", "400",
@@ -522,16 +524,15 @@ class TestGoldenOutputs:
             assert_golden(tmp_path / "fig2" / name, name)
 
     # Tables from the golden panel or model with the arguments below.
-    # fig2.csv and fig2.json were written by the first release that simulates
-    # the AR noise with numpy alone, which moved the panels, and with them the
-    # errors, in their last bits (at most 1e-14 relative); the
+    # fig2.csv, fig2.json and report.csv were written by the first release
+    # that takes the Gram of a tall Page matrix through a QR, which moved
+    # fig2's errors by at most 6.0e-15 of max(1, |value|) and 1.2e-14 of
+    # |value|, and report.csv's by at most 7.8e-16 and 4.7e-15; the
     # long-layout panel before every CSV writer went through
-    # panel.write_rows; report.csv by the release that reads the downdate
-    # head off the secular equation (moves of at most 9e-15 of max(1,
-    # |value|)); the recursive forecast from the golden model.json by the
-    # release that reads stage 1 off the Page Gram, which moved model.json
-    # and with it the forecast by at most 2.1e-14 of max(1, |value|) and
-    # 2.8e-13 of |value|.
+    # panel.write_rows; the recursive forecast from the golden model.json by
+    # the release that reads stage 1 off the Page Gram, which moved
+    # model.json and with it the forecast by at most 2.1e-14 of max(1,
+    # |value|) and 2.8e-13 of |value|.
     def test_eval_report_csv(self, tmp_path):
         out = tmp_path / "eval"
         assert run("eval", "--input", str(GOLDEN / "y.csv"), "--train-end", "370",
@@ -593,10 +594,11 @@ class TestBadInputs:
                            "--sigma2", "abc", "-o", str(tmp_path / "f"))
 
     def test_fig2_overflowing_error_writes_nothing(self, capsys, tmp_path):
-        # sigma2 = 1e308 draws values near 1e154, whose squared errors overflow.
+        # sigma2 = 1.7e308 draws values near 1e154, whose mean squared error
+        # (about 2.1e308; 1.2e308 at sigma2 = 1e308) overflows.
         out = tmp_path / "f"
         assert_fails(capsys, 2, "MetricError", "fig2", "--lambda-stars", "0.3", "--nt", "300",
-                     "--seeds", "1", "--sigma2", "1e308", "-o", str(out))
+                     "--seeds", "1", "--sigma2", "1.7e308", "-o", str(out))
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", [["--min-r2", "-1e9"], ["--min-r2=-1e9"]],

@@ -265,6 +265,16 @@ class TestForErr:
         with pytest.raises(MetricError, match="for_err is undefined"):
             for_err(preds, test, GeneratorTruth(f=res.f, x=res.x, alphas=alphas))
 
+    def test_a_squared_gap_past_the_float_range_is_no_error(self):
+        # One forecast 1.5 * 2^512 off: its squared gap overflows, the mean of
+        # the 40 (1.0e307) does not, and the other gaps are far below its ulp.
+        res = generate(forecasting_spec(n_series=2, length=60, seed=0))
+        test = TimePanel(res.y.series_names, res.y.values[:, 40:], t0=41)
+        preds = test.values.copy()
+        preds[1, 7] += 1.5 * 2.0 ** 512
+        got = for_err(preds, test, GeneratorTruth(f=res.f, x=res.x, alphas=res.alphas))
+        assert got == pytest.approx(np.ldexp(2.25 / 40, 1024), rel=1e-15)
+
     def test_no_forecasts(self):
         res, _, test = small_benchmark(seed=7)
         truth = GeneratorTruth(f=res.f, x=res.x, alphas=res.alphas)

@@ -208,7 +208,7 @@ class TestDowndate:
                 <= 1e-12 * dense.singular_values[0]
             for ours, theirs in ((sub.left_vectors, dense.left_vectors),
                                  (sub.right_vectors(), dense.right_vectors())):
-                # the oracle SVD's rounding over the 1e-8 eigenvalue gap the downdate requires
+                # the oracle SVD's rounding over the eigenvalue gap the downdate requires
                 assert np.abs(ours @ ours.T - theirs @ theirs.T).max() <= 1e-8
 
     @given(r=st.integers(2, 40), rank=st.integers(1, 40),
@@ -238,8 +238,9 @@ class TestDowndate:
         lam, w = lam[::-1], w[:, ::-1]
 
         head = lowrank._secular_head(d, z, k)
+        # The same spectrum served as a Gram spectrum (its matrix only gives the shape).
         svds = PageSvds(np.zeros((r + 1, r)))
-        svds._svds[None] = lowrank.SvdResult(s, left, np.eye(r))  # so right vectors are W_k
+        svds._svds["gram"] = lowrank.SvdResult(s, left, matrix=svds.matrix)
         sub = svds._downdate_head(k)
         if head is None:
             assert sub is None
@@ -247,42 +248,38 @@ class TestDowndate:
         values, vectors = head
         assert values.shape == (k + 1,) and vectors.shape == (r, k)
         assert np.abs(values - lam[:k + 1]).max() <= 1e-14
+        eps = np.finfo(np.float64).eps
+        value_floor, gap_floor = eps / lowrank._GRAM_BETA, eps / lowrank._GRAM_ANGLE
         gap = lam[k - 1] - lam[k]
-        if sub is None:  # declined by the rounding floor on the k-th value or its gap
-            assert min(values[k - 1], values[k - 1] - values[k]) <= lowrank._DOWNDATE_TOL
+        if sub is None:  # declined by the Gram's floor at k, or the k-th value's or its gap's
+            assert (not lowrank._clears_floor(s, k, r) or values[k - 1] <= value_floor
+                    or values[k - 1] - values[k] <= gap_floor)
             return
-        assert min(lam[k - 1], gap) > 0.5 * lowrank._DOWNDATE_TOL
+        assert lam[k - 1] > 0.5 * value_floor and gap > 0.5 * gap_floor
         assert np.array_equal(np.ldexp(sub.singular_values, -scale), np.sqrt(values[:k]))
-        ours, theirs = sub.right_vectors(), w[:, :k]
-        assert np.abs(ours @ ours.T - theirs @ theirs.T).max() <= 1e-8
+        assert np.abs(vectors @ vectors.T - w[:, :k] @ w[:, :k].T).max() <= 1e-8
 
     def test_unresolved_vectors_decline(self, monkeypatch):
         # Three poles an ulp apart, none tied and no z_j zero: the top two
         # roots cannot be told apart in floating point, and their vectors
-        # come out 2e-4 off orthogonal, so the head takes the fallback SVD.
+        # come out 2e-4 off orthogonal, so the head declines.
         s = np.array([0.75, np.nextafter(0.75, 0), np.nextafter(np.nextafter(0.75, 0), 0)])
-        left = np.vstack([np.eye(3), [-7.28833380531324e-09, -0.0012019823542437917,
-                                      -0.46992272470079455]])
-        svds = PageSvds(np.zeros((4, 3)))
-        svds._svds[None] = lowrank.SvdResult(s, left, np.eye(3))
-        assert np.all(np.diff(s) < 0) and np.all(left[-1] != 0)
-        assert svds._downdate_head(2) is None
+        z = s * np.array([-7.28833380531324e-09, -0.0012019823542437917, -0.46992272470079455])
+        assert np.all(np.diff(s) < 0) and np.all(z != 0)
+        assert lowrank._secular_head(s * s, z, 2) is None
         monkeypatch.setattr(lowrank, "_ORTHO_TOL", 1.0)
-        assert svds._downdate_head(2) is not None
+        assert lowrank._secular_head(s * s, z, 2) is not None
 
     @pytest.mark.parametrize("rule", [RankRule.fixed(5), RankRule.energy(0.9)], ids=str)
-    def test_topk_head_matches_lstsq_oracle(self, rule, monkeypatch):
+    def test_topk_head_matches_lstsq_oracle(self, rule, census):
         # 10 x 36 060 at L = 601: the top rows are 600 x 600, so beta at a small
         # k_hat reads a top-k svd of them rather than the downdate.
-        calls = []
-        monkeypatch.setattr(lowrank, "svd",
-                            lambda matrix, k=None: calls.append((matrix.shape, k)) or svd(matrix, k))
         stage = Stage1(generate(forecasting_spec(n_series=10, length=601 * 60, seed=0)).y, 601)
         k_hat = stage.rank(rule)
         assert takes_topk((600, 600), k_hat)
-        calls.clear()
+        census.taken.clear()
         model = stage.beta(k_hat)
-        assert calls == [((600, 600), k_hat)]
+        assert census.taken == [("topk", (600, 600))] and census.heads == []
         assert_near_reference(model, stage.page.data, k_hat)
 
     def test_split_tie_declines(self):
@@ -293,17 +290,20 @@ class TestDowndate:
         assert forecast_f(model, [3.0, 2.0, 1.0]) == pytest.approx(1.0, abs=1e-8)
 
     def test_rank_past_the_sub_matrix_declines(self):
-        # A rank-2 matrix: its top rows have rank 2, so k_hat = 3 finds no third value.
+        # A rank-2 matrix: its Gram's third value is rounding, so neither a
+        # truncation at k = 2 (whose residual is that rounding) nor one past it
+        # clears the floor, and beta reads an SVD of the top rows.
         rng = np.random.default_rng(0)
         page = rng.normal(size=(12, 2)) @ rng.normal(size=(2, 30))
         svds = PageSvds(page)
-        assert svds._downdate_head(2) is not None
-        assert svds._downdate_head(3) is None
+        assert not lowrank._clears_floor(svds._gram().singular_values, 2, 12)
+        assert svds._downdate_head(2) is None and svds._downdate_head(3) is None
         model = Stage1(page_panel(page), 12).beta(3)
         assert same_outcome(model, solve_beta(page, svd(page[:-1]), 3))
         assert_near_reference(model, page, 3)
         # The third value is rounding, below the 1e-10 s_1 cutoff: the rank-2 model.
         rank2 = Stage1(page_panel(page), 12).beta(2)
+        assert same_outcome(rank2, solve_beta(page, svd(page[:-1]), 2))
         assert np.abs(model.beta - rank2.beta).max() <= 1e-9 * np.abs(rank2.beta).max()
 
     def test_zero_rank_declines(self):
@@ -321,35 +321,24 @@ class TestDowndate:
             with pytest.raises(FitError, match="^all-zero feature matrix$"):
                 Stage1(panel, 4).beta(k_hat)
 
-    def test_benchmark_seed_takes_the_downdate_every_time(self, monkeypatch):
+    def test_benchmark_seed_takes_the_downdate_every_time(self, census, monkeypatch):
         # The grid's beta solves (the nine default configs give five (L, k_hat)
-        # pairs on the train panel) and both refits': one eigh of each Page
-        # matrix's Gram (three Ls, and the refits' panel at its own L), no SVD
-        # of it or of its top rows: each head is read off the secular equation.
-        answers, page_rows, shapes, eighs, lstsqs, ar_fits = [], set(), [], [], [], []
-        head, eigh, lstsq = PageSvds._downdate_head, np.linalg.eigh, np.linalg.lstsq
-
-        def recording_head(self, k_hat):
-            sub = head(self, k_hat)
-            answers.append(sub is not None)
-            page_rows.add(self.matrix.shape[0])
-            return sub
+        # pairs on the train panel) and both refits': one Gram factorisation of
+        # each Page matrix (three Ls, and the refits' panel at its own L), no
+        # SVD of it or of its top rows: each head is read off the secular equation.
+        lstsqs, ar_fits, lstsq = [], [], np.linalg.lstsq
 
         def recording_fit(residuals, p):
             ar_fits.append(p)
             return fit_ar_rows(residuals, p)
 
-        monkeypatch.setattr(PageSvds, "_downdate_head", recording_head)
-        monkeypatch.setattr(lowrank, "svd",
-                            lambda matrix, k=None: shapes.append(matrix.shape) or svd(matrix, k))
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda *args, **kwargs: lstsqs.append(1) or lstsq(*args, **kwargs))
         monkeypatch.setattr(pipeline, "fit_ar_rows", recording_fit)
         evaluation.forecast_benchmark_run(0)
-        assert answers == [True] * 7
-        assert shapes == [] and len(eighs) == 4
-        assert {rows for rows, _ in eighs} == page_rows
+        assert [answered for _, answered in census.heads] == [True] * 7
+        assert census.count("gram") == len(census.taken) == 4
+        assert {shape for shape, _ in census.heads} == {shape for _, shape in census.taken}
         # Stage 2: one batched fit per (decomposition, order), every row by its lag Gram.
         assert len(ar_fits) == 26 and lstsqs == []
 

@@ -226,24 +226,31 @@ def test_bad_input_is_a_rank_error(call, fragment):
 class TestGramCertificate:
     """The Gram spectrum serves a rule only where it picks the dense SVD's k_hat."""
 
-    @given(rows=st.integers(2, 40), extra=st.integers(0, 40), rank=st.integers(1, 40),
+    @given(rows=st.integers(2, 40), cols=st.integers(1, 80), rank=st.integers(1, 40),
            noise=st.sampled_from([0.0, 1e-12, 1e-8, 1e-5, 1e-2, 1.0]),
            ties=st.integers(0, 3), exponent=st.sampled_from([-600, -200, 0, 200, 600]),
            k=st.integers(1, 40), fraction=st.sampled_from([0.5, 0.8, 0.9, 0.99, 0.999, 1.0]),
            seed=st.integers(0, 2**32 - 1))
+    # The shape of a 25 x 10 000 panel's order-selection Page matrix (cli_online's).
+    @example(rows=499, cols=475, rank=10, noise=1e-2, ties=0, exponent=0, k=10, fraction=0.9,
+             seed=3)
+    @example(rows=499, cols=475, rank=20, noise=1e-8, ties=1, exponent=200, k=12, fraction=0.99,
+             seed=4)
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_gram_answers_only_with_the_dense_rank(self, rows, extra, rank, noise, ties,
+    def test_gram_answers_only_with_the_dense_rank(self, rows, cols, rank, noise, ties,
                                                     exponent, k, fraction, seed):
         # `rank` values planted in [1, 10], `ties` of them copied exactly onto
         # others, the rest noise (exact zeros at noise 0: a noiseless
-        # spectrum), all times 2^exponent, on random singular vectors.
+        # spectrum), all times 2^exponent, on random singular vectors. The
+        # matrix is wide or tall, down to a single column.
         rng = np.random.default_rng(seed)
-        rank, cols = min(rank, rows), rows + extra
+        r = min(rows, cols)
+        rank = min(rank, r)
         planted = rng.uniform(1.0, 10.0, size=rank)
         planted[rng.integers(0, rank, size=ties)] = planted[rng.integers(0, rank, size=ties)]
-        s = np.sort(np.append(planted, noise * rng.uniform(size=rows - rank)))[::-1]
-        u = np.linalg.qr(rng.normal(size=(rows, rows)))[0]
-        v = np.linalg.qr(rng.normal(size=(cols, rows)))[0]
+        s = np.sort(np.append(planted, noise * rng.uniform(size=r - rank)))[::-1]
+        u = np.linalg.qr(rng.normal(size=(rows, r)))[0]
+        v = np.linalg.qr(rng.normal(size=(cols, r)))[0]
         a = np.ldexp((u * s) @ v.T, exponent)
         svds, dense = PageSvds(a), svd(a)
         for rule in (RankRule.fixed(k), RankRule.energy(fraction), RankRule.universal()):

@@ -126,6 +126,25 @@ class TestFit:
         with pytest.raises(error, match="overflows|non-finite"):
             fit(panel, SamossaConfig(rank=rank, p=p, valid_len=20))
 
+    @pytest.mark.parametrize("rank", [RankRule.energy(0.9), RankRule.universal(),
+                                      RankRule.fixed(5)], ids=str)
+    def test_fits_until_the_noise_variance_overflows(self, rank):
+        # The forecasting panel scaled by 2^510: squared residuals of beta's
+        # regression and of the AR fits overflow, but their means do not, and the
+        # fit keeps every bit. By 2^600 the means themselves pass 1.8e308.
+        y = generate(forecasting_spec(n_series=3, length=400, seed=3)).y
+        config = SamossaConfig(rank=rank, p=2)
+        model = fit(y, config)
+        scaled = fit(TimePanel(y.series_names, np.ldexp(y.values, 510)), config)
+        assert scaled.k_hat == model.k_hat
+        assert scaled.beta_model.beta.tobytes() == model.beta_model.beta.tobytes()
+        assert scaled.beta_model.resid_rms == np.ldexp(model.beta_model.resid_rms, 510)
+        for got, want in zip(scaled.ar_models, model.ar_models):
+            assert got.alpha.tobytes() == want.alpha.tobytes()
+            assert got.noise_var_hat == np.ldexp(want.noise_var_hat, 1020)
+        with pytest.raises(FitError, match="non-finite"):
+            fit(TimePanel(y.series_names, np.ldexp(y.values, 600)), config)
+
 
 EQUIVARIANCE_CONFIGS = [SamossaConfig(rank=rank, p=p)
                         for rank in (RankRule.energy(0.9), RankRule.universal(), RankRule.fixed(5))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import samossa
-from samossa import RankRule, ShapeError, TimePanel, default_L
+from samossa import MetricError, RankRule, ShapeError, TimePanel, default_L
 from samossa.ssa_estimator import decompose, est_err
 from samossa.synth import estimation_spec, generate
 
@@ -164,6 +164,21 @@ class TestEstErr:
             est_err(decomp, retained, 0)
         relabelled = TimePanel(panel.series_names, panel.values[:, 3:], t0=4)
         assert est_err(decomp, relabelled, 0) == est_err(decomp, panel, 0)
+
+    def test_overflows_only_where_the_mean_does(self):
+        # The estimation panel scaled by 2^512: every squared gap overflows,
+        # but the errors (about 2e307) do not, and scale exactly. By 2^600
+        # the error itself passes the float range.
+        res = generate(estimation_spec(0.3, n_series=3, length=400, seed=1))
+        decomp = decompose(res.y, 34, RankRule.fixed(6))
+        scaled = {k: (decompose(TimePanel(res.y.series_names, np.ldexp(res.y.values, k)), 34,
+                                RankRule.fixed(6)),
+                      TimePanel(res.f.series_names, np.ldexp(res.f.values, k)))
+                  for k in (512, 600)}
+        for n in range(3):
+            assert est_err(*scaled[512], n) == np.ldexp(est_err(decomp, res.f, n), 1024)
+        with pytest.raises(MetricError, match="estimation error of series 0 overflows"):
+            est_err(*scaled[600], 0)
 
 
 class TestRateAndMonotonicity:

@@ -5,17 +5,17 @@ did before stage 1 was shared, and require exact equality (``==``, not a
 tolerance) with the shared path.
 """
 
-import sys
 import threading
 import time
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from samossa import (ConfigError, FitError, RankRule, SamossaConfig, SearchError, TimePanel,
-                     lowrank)
+                     default_L, lowrank)
 from samossa import evaluation, pipeline, ssa_estimator
 from samossa.evaluation import (
     default_grid,
@@ -28,28 +28,6 @@ from samossa.lowrank import takes_topk
 from samossa.pipeline import fit
 from samossa.ssa_estimator import Decomposition, Stage1, decompose
 from samossa.synth import estimation_spec, forecasting_spec, generate
-
-
-@pytest.fixture()
-def svd_calls(monkeypatch):
-    """Count stage 1's factorisations, Gram spectrum or SVD, by the shape of the matrix:
-    lowrank.svd and lowrank._gram_svd, each wrapped in every samossa module that holds it."""
-    calls = []
-
-    def counting(original):
-        def counted(matrix, *args, **kwargs):
-            calls.append(np.shape(matrix))
-            return original(matrix, *args, **kwargs)
-        return counted
-
-    for original in (lowrank.svd, lowrank._gram_svd):
-        counted = counting(original)
-        for name, module in list(sys.modules.items()):
-            if name == "samossa" or name.startswith("samossa."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counted)
-    return calls
 
 
 def set_workers(monkeypatch, workers):
@@ -170,60 +148,76 @@ class TestForecastBenchmarkOracle:
 
 
 class TestSvdCallCounts:
-    def test_decompose_takes_one(self, svd_calls):
+    def test_decompose_takes_one(self, census):
         train, _ = split_panel()
         decompose(train, 30, RankRule.energy(0.9))
-        assert len(svd_calls) == 1
+        assert census.taken == [("gram", (30, 60))]
 
-    def test_fit_beta(self, svd_calls):
-        # beta is read off the whole Page matrix's SVD, the one the rank rule reads.
+    def test_fit_beta(self, census):
+        # beta is read off the whole Page matrix's Gram, the one the rank rule reads.
         train, _ = split_panel()
         Stage1(train, 30).beta(5)
-        assert svd_calls == [(30, 60)]
+        assert census.taken == [("gram", (30, 60))]
         fit_beta(train, 30, RankRule.fixed(5))
-        assert svd_calls[1:] == [(30, 60)]
+        assert census.taken[1:] == [("gram", (30, 60))]
+        assert census.heads == [((30, 60), True)] * 2
 
-    def test_p_grid_fit_takes_two(self, svd_calls):
+    def test_p_grid_fit_takes_two(self, census):
         train, _ = split_panel()
         fit(train, SamossaConfig(rank=RankRule.energy(0.9), p=(0, 1, 2, 3), valid_len=25))
-        assert len(svd_calls) == 2  # the head's Page matrix, the refit's
+        assert len(census.taken) == 2  # the head's Page matrix, the refit's
 
-    def test_grid_search_takes_one_per_L(self, svd_calls):
+    def test_grid_search_takes_one_per_L(self, census):
         train, valid = split_panel()
         grid = default_grid()
         grid_search(train, valid, grid)
         n_L = len({c.resolved_L(train.n_series, train.length) for c in grid})
         assert n_L == 3
-        assert len(svd_calls) == n_L
+        assert len(census.taken) == n_L
 
-    def test_grid_search_takes_no_dense_svd(self, monkeypatch):
+    def test_grid_search_takes_no_dense_svd(self, census):
         # Every rule of the default grid reads a certified Gram spectrum, and
-        # every beta the Gram's downdate head: LAPACK's SVD is never called.
-        dense, original = [], np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda a, **kw: dense.append(a.shape) or original(a, **kw))
+        # every beta the Gram's downdate head: no SVD is taken.
         train, valid = split_panel()
         _, entries = grid_search(train, valid, default_grid())
         assert len(entries) == len(default_grid())
-        assert dense == []
+        assert census.count("gram") == len(census.taken)
+        assert census.heads and all(answered for _, answered in census.heads)
 
-    def test_top_k_head_keeps_its_sub_matrix_head_for_beta(self, svd_calls, monkeypatch):
+    def test_top_k_head_keeps_its_sub_matrix_head_for_beta(self, census, monkeypatch):
         # The noiseless estimation panel, 3 x 1300 at L = 60: a 60 x 63 Page
         # matrix whose s_5 is 0.035 of s_4. Under a lowered crossover fixed:4
         # reads a top-k head, which holds too few left vectors for the
         # downdate, so beta takes a head of the top 59 rows. Both heads
-        # answer: no dense SVD is of a Page-sized matrix, only the heads' own
-        # of their small Q^T A.
+        # answer: no dense SVD of a Page-sized matrix is taken.
         monkeypatch.setattr(lowrank, "_TOPK_MIN_DIM", 30)
-        dense, original = [], np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda a, **kw: dense.append(a.shape) or original(a, **kw))
         panel = generate(estimation_spec(0.3, n_series=3, length=1300, seed=4)).f
         stage = Stage1(panel, 60)
         assert stage.decompose(RankRule.fixed(4)).singular_values.shape == (4,)
         assert stage.beta(4).k_hat == 4
-        assert svd_calls == [(60, 63), (59, 63)]
-        assert dense and all(rows < 59 for rows, _ in dense)
+        assert census.taken == [("topk", (60, 63)), ("topk", (59, 63))]
+        assert census.heads == []
+
+
+class TestRouteCensus:
+    """Every Page matrix of a workload-shaped input is served by its certified Gram,
+    tall ones too: no dense SVD is taken."""
+
+    def test_tall_order_selection_takes_the_gram(self, census):
+        # A --p grid fit of 25 x 1 000: its order selection reads a 156 x 150
+        # Page matrix, the refit a 158 x 150 one.
+        y = generate(forecasting_spec(n_series=25, length=1000, seed=3)).y
+        fit(y, SamossaConfig(p=(0, 1, 2, 3)))
+        assert sorted(census.taken) == [("gram", (156, 150)), ("gram", (158, 150))]
+        assert census.heads and all(answered for _, answered in census.heads)
+
+    def test_estimate_shape_takes_the_gram(self, census):
+        # The smoke estimate part's input: 10 x 18 000 at the default L, a
+        # 424 x 420 Page matrix under fixed:6, below the top-k crossover.
+        spec = replace(estimation_spec(0.3, n_series=10, length=18_000, seed=0), sigma2=0.04)
+        panel = generate(spec).y
+        decompose(panel, default_L(10, 18_000), RankRule.fixed(6))
+        assert census.taken == [("gram", (424, 420))]
 
 
 class TestStage1:
