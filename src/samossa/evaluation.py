@@ -24,14 +24,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ar import fit_ar
-from .errors import (ConfigError, MetricError, SamossaError, SearchError, ShapeError, StateError,
-                     _float_array, _mean_square)
-from .linear_forecaster import BetaModel
-from .lowrank import RankRule, SvdResult
+from .errors import (ConfigError, MetricError, SamossaError, SearchError, ShapeError, SpecError,
+                     StateError, _float_array, _integer, _mean_square)
+from .lowrank import RankRule
 from .pagemat import default_L
 from .panel import TimePanel
 from .pipeline import P_GRID_DEFAULT, SamossaConfig, SamossaModel, _ar_dots, _assemble, roll
-from .ssa_estimator import Stage1, _truncate, decompose, est_err
+from .ssa_estimator import Stage1, decompose, est_err
 from .synth import GeneratorSpec, estimation_spec, forecasting_spec, generate
 
 __all__ = [
@@ -327,67 +326,49 @@ def _run_jobs(jobs) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _score_decomposition(panel: TimePanel, configs, members, origin: int, spectrum: SvdResult,
-                         beta_model: BetaModel, window: TimePanel, catch) -> dict:
-    """Stage 2 of the configs whose indices are ``members``.
-
-    Makes the decomposition at ``beta_model``'s k_hat of ``spectrum``, then
-    fits and rolls each distinct order once over ``window``. Returns {config
-    index: GridEntry, or the error in ``catch`` that stopped its order}.
-    """
-    decomp = _truncate(panel, origin, spectrum, beta_model.k_hat)
-    scores, results = {}, {}
-    for idx in members:
-        p = configs[idx].p
-        if p not in scores:
-            try:
-                model = _assemble(panel, configs[idx], p, decomp, beta_model)
-                scores[p] = rolling_eval(model, window).mean_r2
-            except catch as exc:
-                scores[p] = exc
-        results[idx] = (scores[p] if isinstance(scores[p], Exception) else
-                        GridEntry(config=configs[idx], mean_r2=scores[p], k_hat=beta_model.k_hat))
-    return results
-
-
 def _score_L(panel: TimePanel, L: int, configs, members, window: TimePanel, catch,
              stop: threading.Event) -> dict | None:
     """One worker job: stages 1 and 2 of the configs whose indices are ``members``, all at L.
 
-    Builds the Stage1, reads each config's spectrum and k_hat, groups the
-    configs by (spectrum, k_hat) and solves each group's lag model; then
-    drops the Stage1 (each group keeps only its spectrum: a Gram spectrum
-    holds the Page matrix in place of the dense SVD's right vectors, of the
-    same size) and scores each group with :func:`_score_decomposition`.
-    Returns {config index: GridEntry or the error in ``catch`` that stopped
-    it}, or None once ``stop`` is set: it starts no stage 2 after that.
+    Keeps one Stage1 for the whole job and groups the configs by (spectrum,
+    k_hat); per group it solves the lag model, makes the decomposition, fits
+    and rolls each distinct AR order once over ``window``, and drops the
+    decomposition. Returns {config index: GridEntry or the error in ``catch``
+    that stopped it}, or None once ``stop`` is set: it starts no group after that.
     """
+    try:
+        stage = Stage1(panel, L)
+    except catch as exc:
+        return dict.fromkeys(members, exc)
     results: dict = {}
-    stage = None
-    twins: dict[tuple[int, int], tuple[SvdResult, list]] = {}  # (spectrum id, k_hat)
+    twins: dict[tuple[int, int], list[int]] = {}  # (spectrum id, k_hat) -> config indices
     for idx in members:
+        rule = configs[idx].rank
         try:
-            if stage is None:
-                stage = Stage1(panel, L)
-            spectrum = stage.spectrum(configs[idx].rank)
-            k_hat = stage.rank(configs[idx].rank)
+            twins.setdefault((id(stage.spectrum(rule)), stage.rank(rule)), []).append(idx)
         except catch as exc:
             results[idx] = exc
-        else:
-            twins.setdefault((id(spectrum), k_hat), (spectrum, []))[1].append(idx)
-    groups = []
-    for (_, k_hat), (spectrum, twin) in twins.items():
-        try:
-            groups.append((spectrum, stage.beta(k_hat), twin))
-        except catch as exc:
-            results.update(dict.fromkeys(twin, exc))
-    origin = stage.page.origin if stage is not None else 0
-    del stage  # stage 2 reads only the groups' spectra (a Gram one holds the Page matrix)
-    for spectrum, beta_model, twin in groups:
+    for (_, k_hat), twin in twins.items():
         if stop.is_set():
             return None
-        results.update(_score_decomposition(panel, configs, twin, origin, spectrum, beta_model,
-                                            window, catch))
+        try:
+            beta_model = stage.beta(k_hat)
+        except catch as exc:
+            results.update(dict.fromkeys(twin, exc))
+            continue
+        decomp = stage.decompose(configs[twin[0]].rank)
+        scores: dict = {}  # p -> mean R^2 or caught error
+        for idx in twin:
+            p = configs[idx].p
+            if p not in scores:
+                try:
+                    model = _assemble(panel, configs[idx], p, decomp, beta_model)
+                    scores[p] = rolling_eval(model, window).mean_r2
+                except catch as exc:
+                    scores[p] = exc
+            results[idx] = (scores[p] if isinstance(scores[p], Exception) else
+                            GridEntry(config=configs[idx], mean_r2=scores[p], k_hat=k_hat))
+        del decomp  # at most one decomposition alive per worker: none outlives its group
     return results
 
 
@@ -403,12 +384,9 @@ def _score_each(panel: TimePanel, configs, window: TimePanel,
 
     The unit of work is one Page matrix. The calling thread resolves each
     config's L and submits one job per distinct L, in first-seen order, to
-    :func:`_run_jobs`, which sizes the pool. Each job (``_score_L``)
-    builds that L's Stage1, reads each config's spectrum and k_hat (the
-    factorisations, which release the GIL), groups the configs by
-    (spectrum, k_hat), solves each group's lag model, drops the Stage1, and
-    runs each group's stage 2: the decomposition, then each distinct AR
-    order's fit and roll.
+    :func:`_run_jobs`, which sizes the pool. Each job (``_score_L``) keeps
+    its L's Stage1 until its last group is scored, and makes and drops one
+    group's decomposition at a time (the factorisations release the GIL).
     So at most one Stage1 and one decomposition are alive per worker. Twin
     configs, such as two rules that pick the same k_hat off one spectrum,
     share its scores and errors. Each step does the arithmetic of a serial
@@ -456,16 +434,14 @@ def grid_search(train: TimePanel, valid: TimePanel,
     :func:`default_grid` does); any other exception propagates. Raises
     SearchError (with per-config failures attached) if no config finishes.
 
-    Stage 1 is computed once per resolved L, not once per config: configs
-    are fitted grouped by L, and every rank rule and AR order at that L
-    shares one Stage1 on ``train``. Each L is one job, stage 1 and stage 2,
-    on the pool of ``_run_jobs`` (see ``_score_each``), so at most
-    one Stage1 per worker is alive. Stage 2 runs once per distinct
-    decomposition and AR order: configs whose rules pick the same k_hat off
-    the same spectrum share one decomposition and each score, with scores
-    bit-identical to fitting each config alone, whatever the number of
-    workers. A failing config's error is handled the same on any thread,
-    and an exception that propagates leaves no thread running.
+    Stage 1 is computed once per resolved L, not once per config: every
+    rank rule and AR order at that L shares one Stage1 on ``train``, kept
+    for that L's one job (see ``_score_each``). Stage 2 runs once per
+    distinct decomposition and AR order: configs whose rules pick the same
+    k_hat off the same spectrum share one decomposition and each score.
+    Scores are bit-identical to fitting each config alone, whatever the
+    number of workers; a failing config's error is handled the same on any
+    thread, and an exception that propagates leaves no thread running.
     """
     grid = list(grid)
     if not grid:
@@ -515,6 +491,13 @@ class Fig2Report:
     median_alpha_err: dict[float, dict[int, float]]
 
 
+def _seeds(n_seeds, base_seed) -> range:
+    """``n_seeds`` seeds from ``base_seed``; SpecError unless the count is an integer >= 1
+    and the first seed one >= 0."""
+    base_seed = _integer(base_seed, "base seed", 0, SpecError)
+    return range(base_seed, base_seed + _integer(n_seeds, "seed count", 1, SpecError))
+
+
 def _fig2_point(lambda_star: float, nt: int, seed: int, n_series: int,
                 rank: RankRule, p: int, sigma2: float) -> Fig2Row:
     length = nt // n_series
@@ -523,8 +506,10 @@ def _fig2_point(lambda_star: float, nt: int, seed: int, n_series: int,
     L = default_L(n_series, length)
     decomp = decompose(result.y, L, rank)
     err = est_err(decomp, result.f, n=0)
-    model = fit_ar(decomp.x_hat[0], p)
-    alpha_err = float(np.linalg.norm(model.alpha - result.alphas[0]))
+    fitted, truth = fit_ar(decomp.x_hat[0], p).alpha, result.alphas[0]
+    order = max(fitted.size, truth.size)  # an AR(p) is an AR(q > p) with trailing zeros
+    alpha_err = float(np.linalg.norm(np.pad(fitted, (0, order - fitted.size))
+                                     - np.pad(truth, (0, order - truth.size))))
     return Fig2Row(lambda_star=lambda_star, nt=nt, seed=seed, est_err=err, alpha_err=alpha_err)
 
 
@@ -535,15 +520,19 @@ def figure2_experiment(lambda_stars, nt_values, n_seeds: int, n_series: int = 10
 
     For every (lambda_star, N*T, seed) triple: draw the harmonics + AR(2)
     panel, decompose at the default segment length, and record the
-    smooth-component MSE and the AR coefficient error for series 1. Seeds
-    are shared across sweep points so each trajectory sees a fixed
+    smooth-component MSE and the AR coefficient error for series 1 (of the
+    fitted AR(p) against the true AR(2), the shorter padded with zeros).
+    Seeds are shared across sweep points so each trajectory sees a fixed
     generator as N*T grows. Slopes are least-squares fits of
     log(median est_err) against log(N*T).
 
-    Each point is one job of :func:`_run_jobs`, so its rows, sorted, and
-    its errors are a serial sweep's at any number of workers.
+    SpecError unless every count is an integer >= 1 and ``base_seed`` one
+    >= 0. Each point is one job of :func:`_run_jobs`, so its rows, sorted,
+    and its errors are a serial sweep's at any number of workers.
     """
-    points = itertools.product(lambda_stars, nt_values, range(base_seed, base_seed + n_seeds))
+    n_series = _integer(n_series, "series count", 1, SpecError)
+    nt_values = [_integer(nt, "N*T", 1, SpecError) for nt in nt_values]
+    points = itertools.product(lambda_stars, nt_values, _seeds(n_seeds, base_seed))
     jobs = [lambda stop, point=point: _fig2_point(*point, n_series, rank, p, sigma2)
             for point in points]
     rows = tuple(sorted(_run_jobs(jobs), key=lambda r: (r.lambda_star, r.nt, r.seed)))
@@ -563,19 +552,25 @@ def ar_identification_experiment(lambda_star: float, t_values, n_seeds: int,
     """Coefficient recovery on clean AR data as the sample grows.
 
     Returns (T, seed, squared error) rows and the slope of
-    log(median error^2) against log T.
+    log(median error^2) against log T. SpecError unless every count is an
+    integer >= 1 and ``base_seed`` one >= 0; MetricError for fewer than two
+    distinct T values.
     """
+    seeds = _seeds(n_seeds, base_seed)
+    t_values = [_integer(t_len, "T", 1, SpecError) for t_len in t_values]
+    if len(set(t_values)) < 2:
+        raise MetricError(f"need at least two distinct T values for a slope, got {t_values}")
     rows = []
     for t_len in t_values:
-        for s in range(n_seeds):
+        for seed in seeds:
             spec = GeneratorSpec(
-                kind="pure_ar", n_series=1, length=int(t_len), ar_order=p,
-                lambda_star=lambda_star, sigma2=sigma2, seed=base_seed + s,
+                kind="pure_ar", n_series=1, length=t_len, ar_order=p,
+                lambda_star=lambda_star, sigma2=sigma2, seed=seed,
             )
             result = generate(spec)
             model = fit_ar(result.x.values[0], p)
             err2 = float(np.sum((model.alpha - result.alphas[0]) ** 2))
-            rows.append((int(t_len), base_seed + s, err2))
+            rows.append((t_len, seed, err2))
     return rows, _loglog_slope(_medians((t_len, err2) for t_len, _, err2 in rows))
 
 

@@ -121,9 +121,10 @@ class TimePanel:
     def values_at(self, lo: int, hi: int, what: str, needs: str) -> np.ndarray:
         """The values at absolute times t = lo..hi-1, as a read-only view.
 
-        ShapeError unless the panel covers them, naming both ranges as
-        "<what> covers t=..., <needs> needs t=...".
+        ShapeError unless both bounds are integers and the panel covers them,
+        naming both ranges as "<what> covers t=..., <needs> needs t=...".
         """
+        lo, hi = (_integer(bound, "time bound", error=ShapeError) for bound in (lo, hi))
         end = self.t0 + self.length
         if not self.t0 <= lo <= hi <= end:
             raise ShapeError(f"{what} covers t={self.t0}..{end - 1}, "

@@ -5,12 +5,14 @@ Page matrix, then a lag regression for the smooth component and one AR fit
 per series on the residuals. Stage 1 (the decomposition and the lag
 regression) depends only on the panel and L, so it is computed once per
 (panel, L) and shared by every candidate AR order, and a p-grid fit may run
-the whole panel's stage 1 on a worker beside its order selection. Stage 2
-(``_assemble``) reads nothing of stage 1 but the decomposition and the lag
-model, so it may run on another thread than the caller's: the grid scorer
-runs each Page matrix's stage 1 and stage 2 as one job on a pool of workers
-(``evaluation._score_each``). The fitted model carries
-its forecast state as two blocks, one most-recent-first row per series: the
+the whole panel's stage 1 on a worker beside its order selection. The fit
+and the grid scorer read stage 1 only through
+:class:`~samossa.ssa_estimator.Stage1`. Stage 2 (``_assemble``) reads
+nothing of stage 1 but the decomposition and the lag model, so it may run
+on another thread than the caller's: the grid scorer runs each Page
+matrix's stage 1 and stage 2 as one job, which keeps its Stage1, on a pool
+of workers (``evaluation._score_each``). The fitted model carries its
+forecast state as two blocks, one most-recent-first row per series: the
 last L-1 observations (N x (L-1)) and the last residuals (N x max p, where
 series n uses its first p_n columns and the rest stay exactly 0).
 ``forecast_step`` (pure) predicts a series' next time index; ``observe``

@@ -66,16 +66,16 @@ class Stage1:
     the same panel at the same L. The Page matrix is stacked on construction;
     which factorisation of it serves a rule or the lag model (its Gram
     spectrum, its dense SVD or a top-k head), and when each is taken,
-    is :class:`~samossa.lowrank.PageSvds`' to decide. The grid scorer builds
-    one per L in one worker job (``evaluation._score_each``), which makes
-    each distinct (spectrum, k_hat) decomposition once: twin configs share
-    it, and a p grid's order selection is one job.
+    is :class:`~samossa.lowrank.PageSvds`' to decide; :meth:`decompose` alone
+    makes a :class:`Decomposition`. The grid scorer keeps one per L for a
+    whole worker job (``evaluation._score_L``): twin configs share a
+    decomposition, and a p grid's order selection is one job.
     """
 
     def __init__(self, panel: TimePanel, L: int):
         self.panel = panel
-        self.L = L
         self.page = stack(panel, L)
+        self.L = self.page.data.shape[0]
         self.svds = PageSvds(self.page.data)
 
     def spectrum(self, rule: RankRule) -> SvdResult:
@@ -88,7 +88,19 @@ class Stage1:
 
     def decompose(self, rule: RankRule) -> Decomposition:
         """The smooth component and residuals at the rank ``rule`` selects."""
-        return _truncate(self.panel, self.page.origin, self.spectrum(rule), self.rank(rule))
+        spectrum, k_hat, origin = self.spectrum(rule), self.rank(rule), self.page.origin
+        s = spectrum.singular_values
+        f_hat = unstack(spectrum.truncate(k_hat), self.panel.n_series)
+        return Decomposition(
+            f_hat=f_hat,
+            x_hat=self.panel.values[:, origin:] - f_hat,
+            L=self.L,
+            k_hat=k_hat,
+            origin=origin,
+            t0=self.panel.t0 + origin,
+            singular_values=s,
+            balance=float(s[k_hat - 1] * np.sqrt(k_hat) / np.sqrt(f_hat.size)),
+        )
 
     def beta(self, k_hat: int) -> BetaModel:
         """The lag model regressing the last Page row on the top L-1 rows at rank k_hat."""
@@ -96,28 +108,6 @@ class Stage1:
             raise ShapeError(f"need L >= 2 to regress the last row on the rest, got L={self.L}")
         k_hat = _integer(k_hat, "k_hat", 0, RankError)  # before it slices the SVD
         return solve_beta(self.page.data, self.svds.top_rows(k_hat), k_hat)
-
-
-def _truncate(panel: TimePanel, origin: int, spectrum: SvdResult, k_hat: int) -> Decomposition:
-    """The decomposition of ``panel`` at rank ``k_hat`` of ``spectrum``, with no Stage1.
-
-    ``spectrum`` is a factorisation (every value, or a head of at least
-    k_hat) of the stacked Page matrix of ``panel`` after its first ``origin`` values;
-    L is its number of rows.
-    """
-    s = spectrum.singular_values
-    f_hat = unstack(spectrum.truncate(k_hat), panel.n_series)
-    n, t_eff = f_hat.shape
-    return Decomposition(
-        f_hat=f_hat,
-        x_hat=panel.values[:, origin:] - f_hat,
-        L=spectrum.left_vectors.shape[0],
-        k_hat=k_hat,
-        origin=origin,
-        t0=panel.t0 + origin,
-        singular_values=s,
-        balance=float(s[k_hat - 1] * np.sqrt(k_hat) / np.sqrt(n * t_eff)),
-    )
 
 
 def decompose(panel: TimePanel, L: int, rule: RankRule) -> Decomposition:

@@ -744,6 +744,18 @@ class TestFig2:
         summary = json.loads((out / "fig2.json").read_text())
         assert "0.3" in summary["median_est_err"]
 
+    @pytest.mark.parametrize("p", ["1", "3"])
+    def test_fitted_order_other_than_the_truths(self, capsys, tmp_path, p):
+        # The truth is an AR(2); alpha_err compares the fitted AR(p) padded with zeros.
+        out = tmp_path / "fig2"
+        assert run("fig2", "--p", p, "--nt", "300,6000", "--seeds", "2", "--lambda-stars", "0.3",
+                   "-o", str(out)) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = (out / "fig2.csv").read_text().strip().splitlines()[1:]
+        expected = samossa.evaluation.figure2_experiment([0.3], [300, 6000], n_seeds=2,
+                                                         p=int(p)).rows
+        assert [float(row.split(",")[-1]) for row in rows] == [r.alpha_err for r in expected]
+
     def test_failed_check(self, capsys, tmp_path):
         # Two small points near the unit circle: the error grows with N*T.
         out = tmp_path / "fig2"

@@ -42,7 +42,7 @@ _GOOD = {
     "ratio": ("1", "3"), "r": ("1", "2"), "rank": ("energy:0.9", "fixed:2", "universal"),
     "ranks": ("universal,fixed:2", "energy:0.9"), "train_end": ("10", "20", "25"),
     "valid_end": ("30", "35"), "test_end": ("35", "40"), "valid_len": ("2", "5"),
-    "p": ("1", "2"), "ps": ("0,1", "2"), "ratios": ("1,3", "1"), "steps": ("1", "3"),
+    "p": ("1", "2", "3"), "ps": ("0,1", "2"), "ratios": ("1,3", "1"), "steps": ("1", "3"),
     "seed": ("0", "1"), "min_r2": ("0.5", "-0.5"), "preset": ("fig2", "forecast"),
     "kind": ("harmonics", "harmonics_trend", "pure_ar"), "n": ("1", "3"), "t": ("3", "40"),
     "nt": ("300", "40,300"), "seeds": ("1", "2"),

@@ -13,15 +13,20 @@ from samossa import (
     SamossaConfig,
     SearchError,
     ShapeError,
+    SpecError,
     StateError,
     TimePanel,
+    decompose,
+    default_L,
     evaluation,
+    fit_ar,
 )
 from samossa.evaluation import (
     Fig2Row,
     GeneratorTruth,
     _fig2_point,
     _r2_rows,
+    ar_identification_experiment,
     default_grid,
     figure2_experiment,
     for_err,
@@ -31,7 +36,7 @@ from samossa.evaluation import (
 )
 from samossa.panel import load_csv
 from samossa.pipeline import fit, roll
-from samossa.synth import forecasting_spec, generate
+from samossa.synth import estimation_spec, forecasting_spec, generate
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"
 
@@ -516,3 +521,49 @@ class TestFigure2Driver:
             figure2_experiment([0.3], [300, 600, 900], n_seeds=2)
         if workers == 1:  # no point starts after the error
             assert started == [(300, 0), (300, 1)]
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    def test_alpha_err_pads_the_shorter_order(self, p):
+        # The truth is an AR(2): a fitted AR(p) is compared as an AR(max(p, 2)).
+        report = figure2_experiment([0.3], [300], n_seeds=2, p=p)
+        for row in report.rows:
+            result = generate(replace(estimation_spec(0.3, n_series=10, length=30, seed=row.seed),
+                                      sigma2=0.2))
+            decomp = decompose(result.y, default_L(10, 30), RankRule.fixed(6))
+            fitted, truth = fit_ar(decomp.x_hat[0], p).alpha.tolist(), result.alphas[0].tolist()
+            assert len(truth) == 2
+            gaps = [(fitted[i] if i < p else 0.0) - (truth[i] if i < 2 else 0.0)
+                    for i in range(max(p, 2))]
+            assert row.alpha_err == pytest.approx(sum(g * g for g in gaps) ** 0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"n_seeds": 1.5}, "seed count"), ({"n_seeds": 0}, "seed count"),
+        ({"nt_values": ["300"]}, r"N\*T"), ({"nt_values": [300.5]}, r"N\*T"),
+        ({"nt_values": [0]}, r"N\*T"), ({"n_series": 0}, "series count"),
+        ({"n_series": 2.0}, "series count"), ({"base_seed": 0.5}, "base seed"),
+        ({"base_seed": -1}, "base seed")])
+    def test_counts_are_integers(self, bad, match):
+        args = {"lambda_stars": [0.3], "nt_values": [300], "n_seeds": 1, **bad}
+        with pytest.raises(SpecError, match=f"{match} must be an integer"):
+            figure2_experiment(**args)
+
+
+class TestArIdentificationDriver:
+    def test_rows_and_slope(self):
+        rows, slope = ar_identification_experiment(0.3, [200, 400], n_seeds=2, base_seed=3)
+        assert [(t, seed) for t, seed, _ in rows] == [(200, 3), (200, 4), (400, 3), (400, 4)]
+        assert all(type(t) is int for t, _, _ in rows) and np.isfinite(slope)
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"n_seeds": 1.5}, "seed count"), ({"n_seeds": 0}, "seed count"),
+        ({"t_values": [100.5, 200]}, "T"), ({"t_values": ["100", 200]}, "T"),
+        ({"t_values": [0, 200]}, "T"), ({"base_seed": 0.5}, "base seed")])
+    def test_counts_are_integers(self, bad, match):
+        args = {"lambda_star": 0.3, "t_values": [100, 200], "n_seeds": 1, **bad}
+        with pytest.raises(SpecError, match=f"^{match} must be an integer"):
+            ar_identification_experiment(**args)
+
+    @pytest.mark.parametrize("t_values", [[100], [100, 100], []])
+    def test_fewer_than_two_lengths_have_no_slope(self, t_values):
+        with pytest.raises(MetricError, match="two distinct T values"):
+            ar_identification_experiment(0.3, t_values, n_seeds=1)

@@ -577,6 +577,20 @@ class TestWindow:
         with pytest.raises(ShapeError, match="window bound must be an integer"):
             self.panel.window(lo, hi)
 
+    def test_values_at_reads_absolute_times(self):
+        np.testing.assert_array_equal(self.panel.values_at(8, 12, "panel", "test"),
+                                      self.panel.values[:, 3:7])
+
+    @pytest.mark.parametrize("lo, hi", [(4, 8), (5, 16), (9, 8)])
+    def test_values_at_out_of_range_raises(self, lo, hi):
+        with pytest.raises(ShapeError, match=f"panel covers t=5..14, test needs t={lo}..{hi - 1}"):
+            self.panel.values_at(lo, hi, "panel", "test")
+
+    @pytest.mark.parametrize("lo, hi", [(1.5, 8), (5, 8.0), ("5", 8), (True, 8), (5, None)])
+    def test_values_at_bounds_must_be_integers(self, lo, hi):
+        with pytest.raises(ShapeError, match="time bound must be an integer"):
+            self.panel.values_at(lo, hi, "panel", "test")
+
 
 class TestWriteRows:
     def test_cells(self, tmp_path):

@@ -73,12 +73,14 @@ class TestGridSearchOracle:
     @staticmethod
     def live_stage1s(monkeypatch, workers):
         # Resolved L: 42, 30, 42 (explicit, equal to the ratio config's), an
-        # unstackable 10**9, 24, 30. The groups interleave in grid order.
+        # unstackable 10**9, 24, 30, 10**9 again. The groups interleave in
+        # grid order; each job tries to build its Stage1 once.
         train, valid = split_panel()
         rule = RankRule.fixed(5)
         grid = [SamossaConfig(rank=rule, p=1, shape_ratio=1), SamossaConfig(L=30, rank=rule, p=1),
                 SamossaConfig(L=42, rank=rule, p=1), SamossaConfig(L=10**9, rank=rule, p=1),
-                SamossaConfig(rank=rule, p=1, shape_ratio=3), SamossaConfig(L=30, rank=rule, p=1)]
+                SamossaConfig(rank=rule, p=1, shape_ratio=3), SamossaConfig(L=30, rank=rule, p=1),
+                SamossaConfig(L=10**9, rank=rule, p=2)]
         built, alive_at_build = [], []
 
         class Tracked(Stage1):
@@ -90,13 +92,13 @@ class TestGridSearchOracle:
         monkeypatch.setattr(evaluation, "Stage1", Tracked)
         set_workers(monkeypatch, workers)
         _, entries = grid_search(train, valid, grid)
-        assert [e.config for e in entries] == grid[:3] + grid[4:]
+        assert [e.config for e in entries] == grid[:3] + grid[4:6]
         return [L for _, L in built], alive_at_build
 
     def test_one_live_stage1_per_L_in_first_seen_order(self, monkeypatch):
         built, alive_at_build = self.live_stage1s(monkeypatch, workers=1)
         assert built == [42, 30, 24]
-        assert alive_at_build == [0, 0, 0, 0]  # L = 10**9 is tried once, and fails alone
+        assert alive_at_build == [0, 0, 0, 0]  # L = 10**9 is tried once for both its configs
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_at_most_one_live_stage1_per_worker(self, monkeypatch, workers):
