@@ -27,7 +27,6 @@ from typing import Callable
 from . import evaluation, pipeline, synth
 from .errors import ParseError, RankError, SamossaError
 from .lowrank import RankRule
-from .pagemat import default_L
 from .panel import SplitSpec, TimePanel, load_csv, save_csv, split, write_json, write_rows
 from .pipeline import SamossaConfig
 from .ssa_estimator import decompose
@@ -46,6 +45,14 @@ class _UsageError(Exception):
 
 def _log(message: str) -> None:
     print(f"samossa: {message}", file=sys.stderr)
+
+
+def _log_capped(rule: RankRule, k_hat: int) -> None:
+    """Say so when ``fixed:K`` kept fewer than K values, as ``select_rank`` caps K at the
+    number of positive singular values."""
+    if rule.kind == "fixed" and k_hat < rule.k:
+        _log(f"rank {rule} capped at k_hat={k_hat}: the Page matrix has no more positive "
+             f"singular values")
 
 
 def _fail_line(kind: str, detail) -> None:
@@ -292,10 +299,12 @@ def _cmd_synth(opts: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(opts: argparse.Namespace) -> int:
+    config = SamossaConfig(L=opts.L, rank=opts.rank, shape_ratio=opts.ratio)
     panel = load_csv(opts.input, layout=opts.layout)
-    L = opts.L or default_L(panel.n_series, panel.length, ratio=opts.ratio)
+    L = config.resolved_L(panel.n_series, panel.length)
     _log(f"decomposing {panel.n_series} series x {panel.length} steps at L={L}")
     decomp = decompose(panel, L, opts.rank)
+    _log_capped(opts.rank, decomp.k_hat)
     os.makedirs(opts.out, exist_ok=True)
     for name, data in (("f_hat", decomp.f_hat), ("x_hat", decomp.x_hat)):
         save_csv(TimePanel(panel.series_names, data, t0=decomp.t0),
@@ -316,6 +325,7 @@ def _cmd_fit(opts: argparse.Namespace) -> int:
     panel = load_csv(opts.input, layout=opts.layout)
     _log(f"fitting on {panel.n_series} series x {panel.length} steps")
     model = pipeline.fit(panel, _pipeline_config(opts))
+    _log_capped(opts.rank, model.k_hat)
     pipeline.save_model(model, opts.out)
     _log(f"L={model.L}, k_hat={model.k_hat}, p={model.p_used[0]}; wrote {opts.out}")
     return EXIT_OK
@@ -391,6 +401,7 @@ def _cmd_eval(opts: argparse.Namespace) -> int:
     fit_window = panel.window(0, spec.valid_end)
     _log(f"fitting on [1, {spec.valid_end}], evaluating on ({spec.valid_end}, {spec.test_end}]")
     model = pipeline.fit(fit_window, config)
+    _log_capped(opts.rank, model.k_hat)
     report = evaluation.rolling_eval(model, test, truth=truth)
     fitted = {"L": model.L, "k_hat": model.k_hat, "rank": str(config.rank),
               "p": list(model.p_used), "shape_ratio": config.shape_ratio}
@@ -421,6 +432,9 @@ def _cmd_grid(opts: argparse.Namespace) -> int:
 
 
 def _cmd_fig2(opts: argparse.Namespace) -> int:
+    if opts.check and len(set(opts.nt)) < 2:
+        raise _UsageError(f"--check fits a slope, so it needs two distinct --nt values, "
+                          f"got {','.join(map(str, opts.nt))}")
     report = evaluation.figure2_experiment(
         lambda_stars=opts.lambda_stars,
         nt_values=opts.nt,

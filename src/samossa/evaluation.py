@@ -335,11 +335,13 @@ def _score_L(panel: TimePanel, L: int, configs, members, window: TimePanel, catc
     and rolls each distinct AR order once over ``window``, and drops the
     decomposition. Returns {config index: GridEntry or the error in ``catch``
     that stopped it}, or None once ``stop`` is set: it starts no group after that.
+    A caught error is kept without its traceback, whose frames would keep
+    the job's Stage1 and the group's decomposition alive.
     """
     try:
         stage = Stage1(panel, L)
     except catch as exc:
-        return dict.fromkeys(members, exc)
+        return dict.fromkeys(members, exc.with_traceback(None))
     results: dict = {}
     twins: dict[tuple[int, int], list[int]] = {}  # (spectrum id, k_hat) -> config indices
     for idx in members:
@@ -347,14 +349,14 @@ def _score_L(panel: TimePanel, L: int, configs, members, window: TimePanel, catc
         try:
             twins.setdefault((id(stage.spectrum(rule)), stage.rank(rule)), []).append(idx)
         except catch as exc:
-            results[idx] = exc
+            results[idx] = exc.with_traceback(None)
     for (_, k_hat), twin in twins.items():
         if stop.is_set():
             return None
         try:
             beta_model = stage.beta(k_hat)
         except catch as exc:
-            results.update(dict.fromkeys(twin, exc))
+            results.update(dict.fromkeys(twin, exc.with_traceback(None)))
             continue
         decomp = stage.decompose(configs[twin[0]].rank)
         scores: dict = {}  # p -> mean R^2 or caught error
@@ -365,7 +367,7 @@ def _score_L(panel: TimePanel, L: int, configs, members, window: TimePanel, catc
                     model = _assemble(panel, configs[idx], p, decomp, beta_model)
                     scores[p] = rolling_eval(model, window).mean_r2
                 except catch as exc:
-                    scores[p] = exc
+                    scores[p] = exc.with_traceback(None)
             results[idx] = (scores[p] if isinstance(scores[p], Exception) else
                             GridEntry(config=configs[idx], mean_r2=scores[p], k_hat=k_hat))
         del decomp  # at most one decomposition alive per worker: none outlives its group
@@ -387,11 +389,11 @@ def _score_each(panel: TimePanel, configs, window: TimePanel,
     :func:`_run_jobs`, which sizes the pool. Each job (``_score_L``) keeps
     its L's Stage1 until its last group is scored, and makes and drops one
     group's decomposition at a time (the factorisations release the GIL).
-    So at most one Stage1 and one decomposition are alive per worker. Twin
-    configs, such as two rules that pick the same k_hat off one spectrum,
-    share its scores and errors. Each step does the arithmetic of a serial
-    fit, so every score is bit-identical to ``rolling_eval(fit(...))``,
-    whatever the number of workers.
+    So at most one Stage1 and one decomposition are alive per worker, failed
+    configs or not. Twin configs, such as two rules that pick the same k_hat
+    off one spectrum, share its scores and errors. Each step does the
+    arithmetic of a serial fit, so every score is bit-identical to
+    ``rolling_eval(fit(...))``, whatever the number of workers.
     """
     results: dict = {}  # config index -> GridEntry or caught error
     groups: dict[int, list[int]] = {}  # L -> config indices

@@ -557,9 +557,10 @@ def select_rank(singular_values, rule: RankRule, shape: tuple[int, int]) -> int:
     """Number of singular values to retain under ``rule``.
 
     ``shape`` is the (rows, cols) of the matrix the spectrum came from; only
-    the universal-threshold rule uses it. Threshold-based rules never split
-    a tied group of singular values. The energy rule sums the squares of
-    s / 2^e, with e the exponent of s_1: the power of two is exact, so k
+    the universal-threshold rule uses it. ``fixed:K`` keeps K values, or
+    every positive one where there are fewer. Threshold-based rules never
+    split a tied group of singular values. The energy rule sums the squares
+    of s / 2^e, with e the exponent of s_1: the power of two is exact, so k
     does not depend on the spectrum's scale, and no square overflows.
     Raises RankError when the spectrum is all zero or not finite.
     """

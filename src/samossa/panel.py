@@ -331,7 +331,9 @@ def load_csv(path, layout: str = "wide") -> TimePanel:
     or ``"long"`` ((series, t, value) triples; every series must cover the
     full time range; gaps are rejected, imputation is out of scope). Any
     other layout raises ConfigError; a file that cannot be opened, is not
-    UTF-8 or that the csv module rejects raises IngestError.
+    UTF-8 or that the csv module rejects raises IngestError. One leading
+    byte-order mark, as spreadsheet exports write, is dropped, so it reaches
+    neither the first series name nor, in a headerless file, the first value.
 
     A wide file that is UTF-8 with no quote character, no blank line, every
     row as wide as the first and every value finite (what ``save_csv`` writes

@@ -251,6 +251,39 @@ class TestFitForecast:
         assert not out.exists()
 
 
+class TestCappedRank:
+    # synth --n 2 --t 60 --seed 3 stacks a 10-row Page matrix at every L the
+    # commands resolve, so fixed:100 keeps its 10 positive values and fixed:3 three.
+    ARGV = {
+        "fit": ["--p", "1", "-o", "m.json"],
+        "decompose": ["-o", "decomp"],
+        "eval": ["--train-end", "40", "--valid-end", "50", "--test-end", "60", "--p", "1",
+                 "-o", "report"],
+    }
+
+    def stderr(self, capsys, tmp_path, command, rank):
+        data = tmp_path / "data"
+        assert run("synth", "--n", "2", "--t", "60", "--seed", "3", "-o", str(data)) == 0
+        *flags, out = self.ARGV[command]
+        capsys.readouterr()
+        assert run(command, "--input", str(data / "y.csv"), "--rank", rank, *flags,
+                   str(tmp_path / out)) == 0
+        return capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_capped_fixed_rank_says_so(self, capsys, tmp_path, command):
+        err = self.stderr(capsys, tmp_path, command, "fixed:100")
+        assert [line for line in err if line.startswith("samossa: rank ")] == [
+            "samossa: rank fixed:100 capped at k_hat=10: the Page matrix has no more positive "
+            "singular values"]
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_uncapped_fixed_rank_logs_nothing_new(self, capsys, tmp_path, command):
+        err = self.stderr(capsys, tmp_path, command, "fixed:3")
+        assert not [line for line in err if line.startswith("samossa: rank ")]
+        assert len(err) == 2  # the command's own two progress lines
+
+
 class TestObserveForecast:
     def test_rolling_outputs(self, tmp_path):
         data = tmp_path / "data"
@@ -638,6 +671,13 @@ class TestBadInputs:
         assert_usage_error(capsys, *argv, "-o", str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
 
+    def test_decompose_L_1_is_a_config_error(self, capsys, synth_dir, tmp_path):
+        # decompose resolves L through SamossaConfig, as fit and eval do.
+        out = tmp_path / "decomp"
+        assert_fails(capsys, 2, "ConfigError", "decompose", "--input", str(synth_dir / "y.csv"),
+                     "--L", "1", "-o", str(out))
+        assert not out.exists()
+
     def test_grid_split_out_of_range(self, capsys, tmp_path):
         # The golden panel has 430 steps; grid cuts it as eval does.
         assert_fails(capsys, 2, "SplitError", "grid", "--input", str(GOLDEN / "y.csv"),
@@ -768,6 +808,16 @@ class TestFig2:
         assert "est_err did not decay for lambda_star=0.95" in err[-1]
         assert "outside [-0.75, -0.25] for lambda_star=0.95" in err[-1]
         assert (out / "fig2.csv").exists() and (out / "fig2.json").exists()
+
+    @pytest.mark.parametrize("nt", ["300", "300,300"])
+    def test_check_needs_two_distinct_sizes(self, capsys, tmp_path, nt):
+        # One N*T has no slope, so --check would pass having checked nothing.
+        out = tmp_path / "fig2"
+        assert_usage_error(capsys, "fig2", "--lambda-stars", "0.95", "--nt", nt, "--seeds", "1",
+                           "--check", "-o", str(out))
+        assert not out.exists()
+        assert run("fig2", "--lambda-stars", "0.95", "--nt", nt, "--seeds", "1",
+                   "-o", str(out)) == 0
 
     def test_no_threads_option(self, capsys, tmp_path):
         # The sweep sizes its pool like the grid scorer; neither a flag nor a

@@ -324,7 +324,10 @@ class TestPipelinedScoring:
 
     @staticmethod
     def live_decompositions(monkeypatch, workers, ratios):
-        """Alive Decompositions and Stage1s at each Decomposition and Stage1 build."""
+        """Alive Decompositions and Stage1s at each Decomposition and Stage1 build.
+
+        The first config fails in stage 2 (an AR(300) on 600 values): its caught
+        error must not keep its job's Stage1 or decomposition alive."""
         train, valid = split_panel()
         original = pipeline.fit_ar_rows
 
@@ -334,8 +337,9 @@ class TestPipelinedScoring:
 
         monkeypatch.setattr(pipeline, "fit_ar_rows", slow)
         set_workers(monkeypatch, workers)
-        grid = [SamossaConfig(rank=RankRule.fixed(k), p=p, shape_ratio=ratio)
-                for ratio in ratios for k in (2, 3, 4, 5) for p in (1, 2)]
+        grid = [SamossaConfig(L=30, rank=RankRule.fixed(5), p=300)]
+        grid += [SamossaConfig(rank=RankRule.fixed(k), p=p, shape_ratio=ratio)
+                 for ratio in ratios for k in (2, 3, 4, 5) for p in (1, 2)]
         alive_at_build = {Decomposition: [], Stage1: []}
 
         def tracked(cls, module):
@@ -352,8 +356,9 @@ class TestPipelinedScoring:
         tracked(Decomposition, ssa_estimator)
         tracked(Stage1, evaluation)
         _, entries = grid_search(train, valid, grid)
-        assert len(entries) == 8 * len(ratios) and len(alive_at_build[Stage1]) == len(ratios)
-        assert len(alive_at_build[Decomposition]) == 4 * len(ratios)
+        assert [e.config for e in entries] == grid[1:]
+        assert len(alive_at_build[Stage1]) == len(ratios) + 1
+        assert len(alive_at_build[Decomposition]) == 4 * len(ratios) + 1
         return alive_at_build
 
     def test_no_other_decomposition_alive_when_one_is_built(self, monkeypatch):
