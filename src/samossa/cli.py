@@ -217,21 +217,26 @@ def _read_config(path: str) -> dict:
 def _resolve(ns: argparse.Namespace) -> argparse.Namespace:
     """Typed values of the command's options: flag > config file entry > default.
 
-    Every value is converted here, before the command reads any file, and a
-    value its option rejects ends as one usage error naming the flag. A
-    config entry of null counts as absent. ``given`` names the options set
-    by a flag or the config file.
+    Every value is converted here, before the command reads any file. A
+    required option that neither a flag nor the file gives, or a value its
+    option rejects, ends as one usage error naming the flags. A config
+    entry of null counts as absent. ``given`` names the options set by a
+    flag or the config file.
     """
     file_values = _read_config(ns.config) if ns.config is not None else {}
-    opts = argparse.Namespace(given=set())
-    for option in COMMANDS[ns.command].options:
+    options = COMMANDS[ns.command].options
+    given = {}
+    for option in options:
         value = getattr(ns, option.dest)
-        if value is None:
-            value = file_values.get(option.dest)
-        if value is None:
-            value = option.default
-        else:
-            opts.given.add(option.dest)
+        value = file_values.get(option.dest) if value is None else value
+        if value is not None:
+            given[option.dest] = value
+    missing = ["/".join(o.flags) for o in options if o.required and o.dest not in given]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    opts = argparse.Namespace(given=set(given))
+    for option in options:
+        value = given.get(option.dest, option.default)
         try:
             setattr(opts, option.dest, None if value is None else option.convert(value))
         except ValueError as exc:
@@ -565,11 +570,12 @@ COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose own errors (an unknown flag, a missing
-    required flag, a bad subcommand) end as one usage-error line, not a
-    usage block; its subcommand parsers are of the same class. A float or
-    a comma list of floats is a value, never a flag (no flag looks like a
-    number); argparse alone would read ``--min-r2 -1e9`` as a flag.
+    """An argument parser whose own errors (an unknown flag, a prefix of a
+    flag, a bad subcommand) end as one usage-error line, not a usage block;
+    its subcommand parsers are of the same class. A float or a comma list of
+    floats is a value, never a flag (no flag looks like a number); argparse
+    alone would read ``--min-r2 -1e9`` as a flag. ``_resolve``, not the
+    parser, checks that each required option is given.
     """
 
     def error(self, message):
@@ -588,14 +594,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="samossa",
         description="Two-stage decomposition and forecasting for multivariate time series.",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        sub = subs.add_parser(name, help=command.help)
+        sub = subs.add_parser(name, help=command.help, allow_abbrev=False)
         for option in command.options:
             switch = {"action": "store_const", "const": True} if option.convert is _switch else {}
-            sub.add_argument(*option.flags, dest=option.dest, required=option.required,
-                             help=option.help, **switch)
+            sub.add_argument(*option.flags, dest=option.dest, help=option.help, **switch)
     return parser
 
 

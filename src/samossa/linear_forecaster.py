@@ -7,12 +7,8 @@ lagged raw observations to forecast one step ahead.
 
 The regression is the minimum-norm solve on the top k_hat singular triplets
 of the top L-1 rows (Golub & Van Loan 5.5), read in closed form by
-:func:`solve_beta` from any factorisation of those rows that holds them, as
-:meth:`~samossa.lowrank.PageSvds.top_rows` picks: the head of the rank-one
-downdate of the whole Page matrix's Gram spectrum, read off the top roots
-of its secular equation, where that head is certified at k_hat; else an SVD
-(dense, or a top-k head) of the top rows themselves. Right vectors are
-computed on request.
+:func:`solve_beta` from any factorisation of those rows that holds them;
+:meth:`~samossa.ssa_estimator.Stage1.beta` picks which one serves.
 """
 
 from __future__ import annotations
@@ -91,9 +87,10 @@ def solve_beta(page: np.ndarray, sub: SvdResult, k_hat: int) -> BetaModel:
     """Regress the raw last row b of an L-row Page matrix on its top rows at rank k_hat.
 
     ``sub`` is an SVD of ``page[:L-1]`` holding at least its top k_hat
-    triplets, or every one it has; it gives the right vectors of the k kept. With U_k S_k V_k^T the triplets kept (the
-    top k_hat whose values exceed ``_LSTSQ_RCOND`` * s_1), the minimum-norm
-    coefficients are U_k S_k^-1 V_k^T b and the fitted row is V_k V_k^T b.
+    triplets, or every one it has; it gives the right vectors of the k kept.
+    With U_k S_k V_k^T the triplets kept (the top k_hat whose values exceed
+    ``_LSTSQ_RCOND`` * s_1), the minimum-norm coefficients are
+    U_k S_k^-1 V_k^T b and the fitted row is V_k V_k^T b.
     FitError for an all-zero ``page[:L-1]`` or a residual RMS that is not
     finite.
     """

@@ -1,16 +1,14 @@
 """SVD, hard singular value thresholding, and data-driven rank selection.
 
-:class:`PageSvds` alone decides which factorisation of a Page matrix serves
-stage 1: the spectrum a rank rule reads, and the top-row triplets the lag
-model's beta is solved on. Every Page matrix is served by its certified
-Gram, else by the dense SVD (the oracle), and beta by the Gram's downdate
-head, else by an SVD of the top rows. The Gram factorisation is one
-symmetric eigendecomposition of the scaled Gram matrix, of a tall matrix's
-R factor after a QR; it serves a rule only where a certificate shows that
-every comparison the rule makes clears its rounding error. Right vectors
-are computed on request, for the columns asked for. :func:`svd` and
-:func:`hsvt` are the dense oracle, save a certified top-k head of a large
-matrix.
+Stateless numerics: which factorisation of a Page matrix serves stage 1 is
+:class:`~samossa.ssa_estimator.Stage1`'s to decide. This module gives the
+factorisations and the certificates that say where each may serve: the Gram
+factorisation (:func:`_gram_svd`, one symmetric eigendecomposition of the
+scaled Gram matrix, of a tall matrix's R factor after a QR) where every
+comparison a rule makes clears its rounding error (:func:`_gram_answers`),
+and its downdate head (:func:`_downdate_head`) for beta. Right vectors are
+computed on request. :func:`svd` and :func:`hsvt` are the dense oracle, save
+a certified top-k head of a large matrix (:func:`_krylov`).
 """
 
 from __future__ import annotations
@@ -21,9 +19,7 @@ import numpy as np
 
 from .errors import RankError, _float_array, _integer, _is_real
 
-__all__ = [
-    "SvdResult", "RankRule", "PageSvds", "svd", "takes_topk", "hsvt", "select_rank",
-]
+__all__ = ["SvdResult", "RankRule", "svd", "takes_topk", "hsvt", "select_rank"]
 
 # Singular values below this relative floor count as zero.
 _ZERO_REL = 1e-14
@@ -185,97 +181,41 @@ def _gram_svd(matrix: np.ndarray) -> SvdResult | None:
                      left_vectors=u if q is None else q @ u, matrix=matrix)
 
 
-class PageSvds:
-    """The factorisations stage 1 takes of one Page matrix A, each computed once, on first use.
+def _downdate_head(gram: SvdResult | None, k: int) -> SvdResult | None:
+    """The top k triplets of A[:-1] off A's Gram spectrum, or None if not clear of rounding.
 
-    :meth:`for_rule` gives the spectrum of A that serves a rank rule: a
-    K-head for ``fixed:K`` where :func:`takes_topk` allows; else A's Gram
-    spectrum where :func:`_gram_answers` certifies it for the rule; else the
-    one dense SVD. :meth:`top_rows` gives the top k triplets of A[:-1], for
-    the lag regression. The answer depends only on A and the request, never
-    on the order of calls. Every factorisation taken is kept (a head is only
-    K vectors per side, and the Gram spectrum holds r left vectors of A, for
-    r = min(rows, cols), and a reference to A), with the one that serves
-    each rule asked for, and nothing else: a downdate head is worked out on
-    each request, in O(k r) time and memory, plus the products that give its
-    vectors.
+    The Gram spectrum gives A = U S V^T (U with r = min(rows, cols)
+    orthonormal columns), so A' = A[:-1] = U[:-1] S V^T, and A'^T A' =
+    V (S^2 - z z^T) V^T with z = S U[-1], a rank-one downdate (Bunch,
+    Nielsen & Sorensen 1978; Gu & Eisenstat 1995). With S^2 - z z^T =
+    W diag(lambda) W^T in descending order, the top k values of A' are
+    sqrt(lambda_k), its left vectors U[:-1] S W_k / sqrt(lambda_k), and its
+    right vectors, on request, A'^T U'_k / s'_k. The top k + 1 eigenvalues
+    and the top k eigenvectors are :func:`_secular_head`'s roots of the
+    downdate's secular equation, in O(k r). S is first scaled by a power of
+    two so that s_1 is in [1/2, 1), which is exact and keeps S^2 in range.
+    None when ``gram`` is None (A zero or not finite), a truncation of it at
+    k is not clear of its rounding (:func:`_clears_floor`; k < 1 never is),
+    the secular form cannot certify the head, or the k-th eigenvalue is at
+    or below eps / ``_GRAM_BETA`` or the gap below it at or below eps /
+    ``_GRAM_ANGLE`` (a zero or tied k-th value).
     """
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-        # k of a top-k head, None for every triplet -> SVD of A; "gram" -> Gram spectrum
-        self._svds: dict[int | str | None, SvdResult | None] = {}
-        self._rules: dict[RankRule, SvdResult] = {}  # rule -> the spectrum that serves it
-
-    def _svd(self, k: int | None) -> SvdResult:
-        key = k if takes_topk(self.matrix.shape, k) else None
-        if key not in self._svds:
-            self._svds[key] = svd(self.matrix, k=key)
-        return self._svds[key]
-
-    def _gram(self) -> SvdResult | None:
-        """The Gram spectrum of A, or None where A is zero or not finite."""
-        if "gram" not in self._svds:
-            self._svds["gram"] = _gram_svd(self.matrix)
-        return self._svds["gram"]
-
-    def for_rule(self, rule: RankRule) -> SvdResult:
-        """The spectrum of A that serves ``rule``, one object per factorisation."""
-        if rule not in self._rules:
-            if rule.kind == "fixed" and takes_topk(self.matrix.shape, rule.k):
-                self._rules[rule] = self._svd(rule.k)
-            else:
-                gram = self._gram()
-                certified = (gram is not None
-                             and _gram_answers(gram.singular_values, rule, self.matrix.shape))
-                self._rules[rule] = gram if certified else self._svd(None)
-        return self._rules[rule]
-
-    def top_rows(self, k: int) -> SvdResult:
-        """The top k >= 0 triplets of A[:-1] (at least one): a block Krylov head where
-        :func:`takes_topk` allows, else the downdate head of A's Gram spectrum, unless
-        it declines, else :func:`svd` of A[:-1]."""
-        top = self.matrix[:-1]
-        head = None if takes_topk(top.shape, k) else self._downdate_head(k)
-        return head or svd(top, max(k, 1))
-
-    def _downdate_head(self, k: int) -> SvdResult | None:
-        """The top k triplets of A[:-1] off A's Gram spectrum, or None if not clear of rounding.
-
-        The Gram spectrum gives A = U S V^T (U with r = min(rows, cols)
-        orthonormal columns), so A' = A[:-1] = U[:-1] S V^T, and A'^T A' =
-        V (S^2 - z z^T) V^T with z = S U[-1], a rank-one downdate (Bunch,
-        Nielsen & Sorensen 1978; Gu & Eisenstat 1995). With S^2 - z z^T =
-        W diag(lambda) W^T in descending order, the top k values of A' are
-        sqrt(lambda_k), its left vectors U[:-1] S W_k / sqrt(lambda_k), and
-        its right vectors, on request, A'^T U'_k / s'_k. The top k + 1
-        eigenvalues and the top k eigenvectors are :func:`_secular_head`'s
-        roots of the downdate's secular equation, in O(k r). S is first
-        scaled by a power of two so that s_1 is in [1/2, 1), which is exact
-        and keeps S^2 in range. None when k < 1, A has no Gram spectrum, a
-        truncation of it at k is not clear of its rounding
-        (:func:`_clears_floor`), the secular form cannot certify the head,
-        or the k-th eigenvalue is at or below eps / ``_GRAM_BETA`` or the
-        gap below it at or below eps / ``_GRAM_ANGLE`` (a zero or tied k-th
-        value).
-        """
-        gram = None if k < 1 else self._gram()
-        if gram is None or not _clears_floor(gram.singular_values, k, min(self.matrix.shape)):
-            return None
-        s = gram.singular_values
-        scale = int(np.frexp(s[0])[1])
-        s = np.ldexp(s, -scale)
-        head = _secular_head(s * s, s * gram.left_vectors[-1], k)
-        if head is None:
-            return None
-        lam, w = head
-        eps = np.finfo(np.float64).eps
-        if not (lam[k - 1] > eps / _GRAM_BETA and lam[k - 1] - lam[k] > eps / _GRAM_ANGLE):
-            return None
-        root = np.sqrt(lam[:k])
-        return SvdResult(singular_values=np.ldexp(root, scale),
-                         left_vectors=gram.left_vectors[:-1] @ (s[:, None] * w) / root,
-                         matrix=self.matrix[:-1])
+    if gram is None or not _clears_floor(gram.singular_values, k, min(gram.matrix.shape)):
+        return None
+    s = gram.singular_values
+    scale = int(np.frexp(s[0])[1])
+    s = np.ldexp(s, -scale)
+    head = _secular_head(s * s, s * gram.left_vectors[-1], k)
+    if head is None:
+        return None
+    lam, w = head
+    eps = np.finfo(np.float64).eps
+    if not (lam[k - 1] > eps / _GRAM_BETA and lam[k - 1] - lam[k] > eps / _GRAM_ANGLE):
+        return None
+    root = np.sqrt(lam[:k])
+    return SvdResult(singular_values=np.ldexp(root, scale),
+                     left_vectors=gram.left_vectors[:-1] @ (s[:, None] * w) / root,
+                     matrix=gram.matrix[:-1])
 
 
 def _gram_error(r: int) -> float:

@@ -506,8 +506,8 @@ def _model_from_doc(doc: dict) -> SamossaModel:
     pending_f = {}
     for key, value in state_doc["pending_f"].items():
         n = int(key)
-        if not 0 <= n < N:
-            raise ValueError(f"pending forecast for series {n} of {N}")
+        if key != str(n) or not 0 <= n < N:  # save_model writes str(n): no "01", "+0" or "١"
+            raise ValueError(f"pending forecast for series {key!r} of {N}")
         pending_f[n] = _real(value, f"pending_f[{key}]")
     obs_lags, resid_lags = np.zeros((N, L - 1)), np.zeros((N, max(p_used, default=0)))
     for n, a in enumerate(_entries(state_doc["obs_lags"], N, "obs_lags")):
@@ -519,12 +519,17 @@ def _model_from_doc(doc: dict) -> SamossaModel:
         next_t=[_integer(t, "next_t entry") for t in _entries(state_doc["next_t"], N, "next_t")],
         pending_f=pending_f,
     )
-    config = doc["config"]
+    raw = doc["config"]
+    config = SamossaConfig(L=raw["L"], rank=RankRule.parse(raw["rank"]), p=raw["p"],
+                           shape_ratio=raw["shape_ratio"], valid_len=raw["valid_len"])
+    if config.L not in (None, L):
+        raise ValueError(f"config.L = {config.L} but L = {L}")
+    if not set(p_used) <= set(config.p if isinstance(config.p, tuple) else (config.p,)):
+        raise ValueError(f"p_used = {list(p_used)} but config.p = {config.p}")
     return SamossaModel(
         beta_model=beta_model,
         ar_models=tuple(ar_models),
-        config=SamossaConfig(L=config["L"], rank=RankRule.parse(config["rank"]), p=config["p"],
-                             shape_ratio=config["shape_ratio"], valid_len=config["valid_len"]),
+        config=config,
         series_names=names,
         state=state,
     )
@@ -536,8 +541,10 @@ def load_model(path) -> SamossaModel:
     Raises PersistError for an unsupported version and ParseError for a
     malformed, truncated or inconsistent file: a missing field, a
     non-finite number (``NaN``/``Infinity`` tokens included), a list with
-    the wrong number of series, or a lag buffer whose length is not L-1
-    (observations) or the series' AR order (residuals).
+    the wrong number of series, a lag buffer whose length is not L-1
+    (observations) or the series' AR order (residuals), a pending forecast
+    not keyed ``str(n)``, or a ``config`` whose L or p contradicts L or
+    ``p_used``.
     """
     try:
         with open(path, encoding="utf-8") as fh:

@@ -2,9 +2,7 @@
 
 Builds the stacked Page matrix of the observations, truncates it to the
 selected rank, and reads the smooth component and the residuals back out of
-the matrix cells. :class:`Stage1` holds everything stage 1 computes for one
-(panel, L), so that every rank rule and AR order fitted on that panel shares
-one stacking and one factorisation of each matrix.
+the matrix cells; :class:`Stage1` holds all of it for one (panel, L).
 """
 
 from __future__ import annotations
@@ -15,7 +13,8 @@ import numpy as np
 
 from .errors import MetricError, RankError, ShapeError, _integer, _mean_square
 from .linear_forecaster import BetaModel, solve_beta
-from .lowrank import PageSvds, RankRule, SvdResult, select_rank
+from .lowrank import (RankRule, SvdResult, _downdate_head, _gram_answers, _gram_svd,
+                      select_rank, svd, takes_topk)
 from .pagemat import stack, unstack
 from .panel import TimePanel
 
@@ -32,12 +31,10 @@ class Decomposition:
     diagnostic s_khat * sqrt(khat) / sqrt(N * T_eff) (reported only; no
     guarantee is gated on it). ``singular_values`` is the spectrum stage 1
     computed: every value, or under ``fixed:K`` on a large Page matrix only
-    the top K. Where the Page matrix's Gram spectrum served the rule (see
-    :class:`~samossa.lowrank.PageSvds`), its values below about
-    sqrt(4 r eps) s_1, for r the Page matrix's smaller side, are rounding
-    noise of the Gram and not the matrix's; the certificate that let it
-    serve puts s_khat and the value after it above that floor, so
-    ``balance`` reads a certified value.
+    the top K. Where the Gram spectrum served the rule, its values below
+    about sqrt(4 r eps) s_1 (r the Page matrix's smaller side) are the
+    Gram's rounding noise; its certificate puts s_khat and the value after
+    it above that floor, so ``balance`` reads a certified value.
     """
 
     f_hat: np.ndarray
@@ -59,28 +56,46 @@ class Decomposition:
 
 
 class Stage1:
-    """Stage 1 of one (panel, L): the stacked Page matrix and its factorisations, computed once.
+    """Stage 1 of one (panel, L): the stacked Page matrix A and its factorisations, computed once.
 
     Nothing in stage 1 depends on the AR order, and the rank rule only picks
     k off one spectrum, so one instance serves every configuration fitted on
-    the same panel at the same L. The Page matrix is stacked on construction;
-    which factorisation of it serves a rule or the lag model (its Gram
-    spectrum, its dense SVD or a top-k head), and when each is taken,
-    is :class:`~samossa.lowrank.PageSvds`' to decide; :meth:`decompose` alone
-    makes a :class:`Decomposition`. The grid scorer keeps one per L for a
-    whole worker job (``evaluation._score_L``): twin configs share a
-    decomposition, and a p grid's order selection is one job.
+    the same panel at the same L. This class alone decides which
+    factorisation of A serves (:meth:`spectrum`, :meth:`beta`), whatever the
+    order of calls, and :meth:`decompose` alone makes a :class:`Decomposition`.
     """
 
     def __init__(self, panel: TimePanel, L: int):
         self.panel = panel
         self.page = stack(panel, L)
         self.L = self.page.data.shape[0]
-        self.svds = PageSvds(self.page.data)
+        # A rule -> the spectrum that serves it; "gram" -> A's Gram spectrum (None
+        # for a zero or non-finite A); an int k -> A's top-k head; None -> its SVD.
+        self._memo: dict[RankRule | int | str | None, SvdResult | None] = {}
+
+    def _factor(self, key: int | str | None) -> SvdResult | None:
+        if key not in self._memo:
+            a = self.page.data
+            self._memo[key] = _gram_svd(a) if key == "gram" else svd(a, k=key)
+        return self._memo[key]
 
     def spectrum(self, rule: RankRule) -> SvdResult:
-        """The spectrum of the whole Page matrix that serves ``rule``, one object per factorisation."""
-        return self.svds.for_rule(rule)
+        """The spectrum of A that serves ``rule``, each factorisation taken once and kept.
+
+        A K-head for ``fixed:K`` where :func:`~samossa.lowrank.takes_topk`
+        allows; else A's Gram spectrum where it is certified for the rule
+        (:func:`~samossa.lowrank._gram_answers`); else the one dense SVD.
+        """
+        if rule not in self._memo:
+            shape = self.page.data.shape
+            if rule.kind == "fixed" and takes_topk(shape, rule.k):
+                key = rule.k
+            else:
+                gram = self._factor("gram")
+                certified = gram is not None and _gram_answers(gram.singular_values, rule, shape)
+                key = "gram" if certified else None
+            self._memo[rule] = self._factor(key)
+        return self._memo[rule]
 
     def rank(self, rule: RankRule) -> int:
         """k_hat under ``rule``, read off the Page matrix's spectrum."""
@@ -103,11 +118,19 @@ class Stage1:
         )
 
     def beta(self, k_hat: int) -> BetaModel:
-        """The lag model regressing the last Page row on the top L-1 rows at rank k_hat."""
+        """The lag model regressing the last Page row on the top L-1 rows at rank k_hat.
+
+        It is solved on A[:-1]'s top k_hat triplets (at least one): a top-k
+        head where :func:`~samossa.lowrank.takes_topk` allows, else the
+        downdate head of A's Gram spectrum unless it declines, else an SVD.
+        """
         if self.L < 2:
             raise ShapeError(f"need L >= 2 to regress the last row on the rest, got L={self.L}")
         k_hat = _integer(k_hat, "k_hat", 0, RankError)  # before it slices the SVD
-        return solve_beta(self.page.data, self.svds.top_rows(k_hat), k_hat)
+        top = self.page.data[:-1]
+        head = (None if k_hat < 1 or takes_topk(top.shape, k_hat)
+                else _downdate_head(self._factor("gram"), k_hat))
+        return solve_beta(self.page.data, head or svd(top, max(k_hat, 1)), k_hat)
 
 
 def decompose(panel: TimePanel, L: int, rule: RankRule) -> Decomposition:

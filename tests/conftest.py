@@ -43,8 +43,8 @@ class Census:
     the matrix): ``"gram"`` for a Gram eigendecomposition
     (``lowrank._gram_svd``), ``"svd"`` for a dense ``lowrank.svd`` and
     ``"topk"`` for one that a block Krylov head answered. ``heads`` lists each
-    ``PageSvds._downdate_head`` request as (shape of the Page matrix, whether
-    the head answered).
+    ``lowrank._downdate_head`` request as (shape of the Page matrix, whether
+    the head answered); the shape is None where the matrix had no Gram spectrum.
     """
 
     def __init__(self):
@@ -56,14 +56,14 @@ class Census:
 
 @pytest.fixture()
 def census(monkeypatch):
-    """Record stage 1's routes in a :class:`Census`, wrapping ``lowrank.svd`` in every
-    samossa module that holds it, and ``lowrank._gram_svd``, ``lowrank._krylov`` and
-    ``PageSvds._downdate_head`` in place."""
+    """Record stage 1's routes in a :class:`Census`, wrapping ``lowrank.svd``,
+    ``lowrank._gram_svd`` and ``lowrank._downdate_head`` in every samossa module that
+    holds them, and ``lowrank._krylov`` in place."""
     from samossa import lowrank
 
     record, answered = Census(), threading.local()
     svd, gram, krylov, head = (lowrank.svd, lowrank._gram_svd, lowrank._krylov,
-                               lowrank.PageSvds._downdate_head)
+                               lowrank._downdate_head)
 
     def counted_krylov(a, k):
         answered.head = krylov(a, k)
@@ -81,17 +81,18 @@ def census(monkeypatch):
             record.taken.append(("gram", np.shape(matrix)))
         return result
 
-    def counted_head(self, k):
-        sub = head(self, k)
-        record.heads.append((self.matrix.shape, sub is not None))
+    def counted_head(spectrum, k):
+        sub = head(spectrum, k)
+        record.heads.append((None if spectrum is None else spectrum.matrix.shape,
+                             sub is not None))
         return sub
 
+    wrappers = ((svd, counted_svd), (gram, counted_gram), (head, counted_head))
     for name, module in list(sys.modules.items()):
         if name == "samossa" or name.startswith("samossa."):
             for attr, value in list(vars(module).items()):
-                if value is svd:
-                    monkeypatch.setattr(module, attr, counted_svd)
-    monkeypatch.setattr(lowrank, "_gram_svd", counted_gram)
+                for original, wrapper in wrappers:
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
     monkeypatch.setattr(lowrank, "_krylov", counted_krylov)
-    monkeypatch.setattr(lowrank.PageSvds, "_downdate_head", counted_head)
     return record

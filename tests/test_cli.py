@@ -843,6 +843,24 @@ class TestConfigFile:
         assert truth["spec"]["length"] == 300       # file beats default
         assert truth["spec"]["lambda_star"] == 0.6
 
+    def test_file_gives_required_options(self, tmp_path):
+        cfg, flags, filed = tmp_path / "conf.json", tmp_path / "flags.json", tmp_path / "m.json"
+        cfg.write_text(json.dumps({"input": str(GOLDEN / "y.csv"), "out": str(filed)}))
+        assert run("fit", "--p", "1", "--config", str(cfg)) == 0
+        assert run("fit", "--p", "1", "--input", str(GOLDEN / "y.csv"), "-o", str(flags)) == 0
+        assert filed.read_bytes() == flags.read_bytes()
+
+    def test_missing_required_options_are_each_named(self, capsys, tmp_path):
+        # A null config entry counts as absent.
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "m.json"), "input": None}))
+        required = "samossa: error: UsageError: the following arguments are required: "
+        for extra, missing in (([], "--input, --train-end, --test-end, -o/--out"),
+                               (["--config", str(cfg)], "--input, --train-end, --test-end")):
+            capsys.readouterr()
+            assert run("eval", "--valid-end", "415", *extra) == 1
+            assert capsys.readouterr().err == required + missing + "\n"
+
     def test_unreadable_config(self, tmp_path):
         code = run("synth", "--preset", "fig2", "--config",
                    str(tmp_path / "none.json"), "-o", str(tmp_path / "o"))
@@ -959,7 +977,8 @@ class TestHelp:
     def test_options_unchanged(self):
         # options.json was written from the parser before the options were
         # declared once each: every subcommand keeps its flags, required
-        # flags, defaults and help, in --help order.
+        # flags, defaults and help, in --help order. The built parser marks
+        # no flag required: a config file may give a required option.
         declared = {
             name: [{"flags": list(option.flags), "required": option.required,
                     "default": option.default, "help": option.help}
@@ -970,7 +989,7 @@ class TestHelp:
         (subparsers,) = [a for a in _build_parser()._actions if a.dest == "command"]
         for name, sub in subparsers.choices.items():
             built = [(a.option_strings, a.required, a.help) for a in sub._actions[1:]]
-            assert built == [(o["flags"], o["required"], o["help"]) for o in declared[name]]
+            assert built == [(o["flags"], False, o["help"]) for o in declared[name]]
 
     def test_bare_options_resolve_to_the_library_defaults(self):
         # The default lattice and the fit defaults are stated once, in the library.
@@ -998,6 +1017,15 @@ class TestHelp:
             "no-subcommand"])
     def test_argparse_errors_are_one_line(self, capsys, argv):
         assert_usage_error(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--inp", str(GOLDEN / "y.csv"), "--rat", "3", "--p", "1"],
+        ["fig2", "--lambda-star", "0.3", "--nt", "300", "--seeds", "1"],
+    ], ids=["fit", "fig2"])
+    def test_flag_prefix_is_a_usage_error(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        assert_usage_error(capsys, *argv, "-o", str(out))
+        assert not out.exists()
 
     def test_no_command_usage_error(self):
         assert run() == 1

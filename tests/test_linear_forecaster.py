@@ -7,7 +7,7 @@ from samossa import BetaModel, FitError, RankError, RankRule, ShapeError, TimePa
 from samossa import evaluation, lowrank, pipeline
 from samossa.ar import fit_ar_rows
 from samossa.linear_forecaster import fit_beta, forecast_f, solve_beta
-from samossa.lowrank import PageSvds, svd, takes_topk
+from samossa.lowrank import _downdate_head, _gram_svd, svd, takes_topk
 from samossa.pagemat import stack
 from samossa.ssa_estimator import Stage1
 from samossa.synth import forecasting_spec, generate
@@ -193,7 +193,7 @@ class TestDowndate:
         page = stage.page.data  # its memory layout, which LAPACK's rounding follows
         got = outcome(stage.beta, k_hat)
         # Stage1 solves on the downdate where it answers, else on the top rows' own SVD.
-        sub = PageSvds(page)._downdate_head(k_hat)
+        sub = _downdate_head(_gram_svd(page), k_hat)
         assert same_outcome(got, outcome(solve_beta, page, sub or svd(page[:-1], k_hat), k_hat))
         reference = outcome(lstsq_beta, page, k_hat)
         if isinstance(reference, FitError):
@@ -239,9 +239,7 @@ class TestDowndate:
 
         head = lowrank._secular_head(d, z, k)
         # The same spectrum served as a Gram spectrum (its matrix only gives the shape).
-        svds = PageSvds(np.zeros((r + 1, r)))
-        svds._svds["gram"] = lowrank.SvdResult(s, left, matrix=svds.matrix)
-        sub = svds._downdate_head(k)
+        sub = _downdate_head(lowrank.SvdResult(s, left, matrix=np.zeros((r + 1, r))), k)
         if head is None:
             assert sub is None
             return
@@ -285,7 +283,7 @@ class TestDowndate:
     def test_split_tie_declines(self):
         # The period-3 sawtooth at L = 4 has s_2 = s_3: rank 2 splits the tie.
         panel = TimePanel(("a",), np.tile([1.0, 2.0, 3.0], 20)[None, :])
-        assert PageSvds(stack(panel, 4).data)._downdate_head(2) is None
+        assert _downdate_head(_gram_svd(stack(panel, 4).data), 2) is None
         model = Stage1(panel, 4).beta(2)
         assert forecast_f(model, [3.0, 2.0, 1.0]) == pytest.approx(1.0, abs=1e-8)
 
@@ -295,9 +293,9 @@ class TestDowndate:
         # clears the floor, and beta reads an SVD of the top rows.
         rng = np.random.default_rng(0)
         page = rng.normal(size=(12, 2)) @ rng.normal(size=(2, 30))
-        svds = PageSvds(page)
-        assert not lowrank._clears_floor(svds._gram().singular_values, 2, 12)
-        assert svds._downdate_head(2) is None and svds._downdate_head(3) is None
+        gram = _gram_svd(page)
+        assert not lowrank._clears_floor(gram.singular_values, 2, 12)
+        assert _downdate_head(gram, 2) is None and _downdate_head(gram, 3) is None
         model = Stage1(page_panel(page), 12).beta(3)
         assert same_outcome(model, solve_beta(page, svd(page[:-1]), 3))
         assert_near_reference(model, page, 3)
@@ -308,7 +306,7 @@ class TestDowndate:
 
     def test_zero_rank_declines(self):
         page = np.random.default_rng(1).normal(size=(5, 8))
-        assert PageSvds(page)._downdate_head(0) is None
+        assert _downdate_head(_gram_svd(page), 0) is None
         model = Stage1(page_panel(page), 5).beta(0)
         assert np.array_equal(model.beta, np.zeros(4)) and model.k_hat == 0
         assert model.resid_rms == np.sqrt(np.mean(page[-1] ** 2))
@@ -316,7 +314,7 @@ class TestDowndate:
     def test_all_zero_features_stay_a_fit_error(self):
         # s(t) = 1 at every fourth step: at L = 4 only the last Page row is non-zero.
         panel = TimePanel(("a",), (np.arange(48) % 4 == 3).astype(float)[None, :])
-        assert PageSvds(stack(panel, 4).data)._downdate_head(1) is None
+        assert _downdate_head(_gram_svd(stack(panel, 4).data), 1) is None
         for k_hat in (0, 1):
             with pytest.raises(FitError, match="^all-zero feature matrix$"):
                 Stage1(panel, 4).beta(k_hat)
@@ -349,7 +347,7 @@ class TestDowndate:
         y = generate(forecasting_spec(n_series=3, length=400, seed=0)).y
         stage = Stage1(y, 40)
         k_hat = stage.rank(rule)
-        assert stage.svds._downdate_head(k_hat) is not None
+        assert _downdate_head(_gram_svd(stage.page.data), k_hat) is not None
         model = stage.beta(k_hat)
         scaled = Stage1(TimePanel(y.series_names, np.ldexp(y.values, k)), 40).beta(k_hat)
         assert np.array_equal(scaled.beta, model.beta)

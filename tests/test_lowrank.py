@@ -4,10 +4,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from samossa import RankError, RankRule, lowrank
-from samossa.lowrank import PageSvds, hsvt, select_rank, svd
+from samossa.lowrank import hsvt, select_rank, svd
 from samossa.pagemat import stack
 from samossa.ssa_estimator import Stage1
 from samossa.synth import forecasting_spec, generate
+from test_linear_forecaster import page_panel
 
 RULES = (RankRule.fixed(5), RankRule.energy(0.9), RankRule.universal())
 
@@ -251,10 +252,11 @@ class TestGramCertificate:
         s = np.sort(np.append(planted, noise * rng.uniform(size=r - rank)))[::-1]
         u = np.linalg.qr(rng.normal(size=(rows, r)))[0]
         v = np.linalg.qr(rng.normal(size=(cols, r)))[0]
-        a = np.ldexp((u * s) @ v.T, exponent)
-        svds, dense = PageSvds(a), svd(a)
+        stage = Stage1(page_panel(np.ldexp((u * s) @ v.T, exponent)), rows)
+        a = stage.page.data  # its memory layout, which LAPACK's rounding follows
+        dense = svd(a)
         for rule in (RankRule.fixed(k), RankRule.energy(fraction), RankRule.universal()):
-            served, k_hat = svds.for_rule(rule), select_rank(dense.singular_values, rule, a.shape)
+            served, k_hat = stage.spectrum(rule), select_rank(dense.singular_values, rule, a.shape)
             assert select_rank(served.singular_values, rule, a.shape) == k_hat
             if served.matrix is not None:  # the Gram spectrum answered
                 want = dense.truncate(k_hat)
@@ -278,10 +280,9 @@ class TestGramCertificate:
 
     def test_gram_serves_a_noisy_panel(self):
         # A 20 x 60 Page matrix of a forecasting panel: every rule reads the Gram spectrum.
-        svds = PageSvds(stack(generate(forecasting_spec(n_series=3, length=400, seed=3)).y,
-                              20).data)
+        stage = Stage1(generate(forecasting_spec(n_series=3, length=400, seed=3)).y, 20)
         for rule in RULES:
-            assert svds.for_rule(rule).matrix is not None
+            assert stage.spectrum(rule).matrix is not None
 
     def test_noiseless_panel_declines(self):
         # Two noiseless series of 4 000 harmonics plus trends at L = 63: a 63 x 126

@@ -225,6 +225,30 @@ class TestNamedCases:
         with pytest.raises(ParseError, match=message):
             load_model(path)
 
+    # save_model writes the pending forecasts keyed by str(n), the config's L
+    # as the fitted L where it is fixed, and config.p as the order every
+    # series uses or a grid that holds each one.
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["state"].update(pending_f={"01": 0.5}), r"series '01' of 3"),
+        (lambda d: d["state"]["pending_f"].update({"01": 0.5}), r"series '01' of 3"),
+        (lambda d: d["state"].update(pending_f={"+0": 0.5}), r"series '\+0' of 3"),
+        (lambda d: d["state"].update(pending_f={"\u0661": 0.5}), r"series '\u0661' of 3"),
+        (lambda d: d["config"].update(L=40), r"config.L = 40 but L = 5"),
+        (lambda d: d["config"].update(p=3), r"p_used = \[0, 2, 3\] but config.p = 3"),
+        (lambda d: d["config"].update(p=[0, 2]), r"p_used = \[0, 2, 3\] but config.p = \(0, 2\)"),
+    ], ids=["leading-zero", "leading-zero-beside-canonical", "plus-sign", "arabic-indic-digit",
+            "config-L", "fixed-p", "p-grid"])
+    def test_contradicting_facts(self, tmp_path, edit, message):
+        doc = copy.deepcopy(BASE)
+        edit(doc)
+        with pytest.raises(ParseError, match=message):
+            load_model(self.write(tmp_path, doc))
+
+    def test_config_grid_may_hold_more_orders(self, tmp_path):
+        doc = copy.deepcopy(BASE)
+        doc["config"].update(p=[0, 1, 2, 3])
+        assert load_model(self.write(tmp_path, doc)).config.p == (0, 1, 2, 3)
+
     def test_golden_model_config(self):
         model = load_model(Path(__file__).parent / "data" / "cli_golden" / "model.json")
         assert (model.config.L, model.config.p, model.config.valid_len) == (None, (0, 1, 2, 3), 25)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import samossa
-from samossa import MetricError, RankRule, ShapeError, TimePanel, default_L
+from samossa import MetricError, RankRule, ShapeError, TimePanel, default_L, lowrank
 from samossa.ssa_estimator import decompose, est_err
 from samossa.synth import estimation_spec, generate
 
@@ -22,20 +22,26 @@ def harmonic_panel(n_series=4, length=512, n_fund=2, seed=0):
 
 
 def test_lowrank_owns_every_svd():
-    # Which SVD serves stage 1 is decided in lowrank alone: only lowrank.py
-    # takes an SVD or an eigensystem, and ssa_estimator.py names no SVD routine.
+    # Only lowrank.py takes an SVD or an eigensystem.
     package = Path(samossa.__file__).parent
     pattern = re.compile(r"\blinalg\.(svd|eigh)\b|\blinalg import\b|\bsvds\(")
     owners = sorted(p.name for p in package.glob("*.py")
                     if pattern.search(p.read_text(encoding="utf-8")))
     assert owners == ["lowrank.py"]
-    tree = ast.parse((package / "ssa_estimator.py").read_text(encoding="utf-8"))
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-              for alias in node.names}
-    assert not {"svd", "takes_topk"} & names
-    assert not [name for name in names if "downdate" in name.lower()]
+
+
+def test_stage1_owns_the_factorisation_policy():
+    # Which factorisation of a Page matrix serves is Stage1's to decide: outside
+    # lowrank.py only ssa_estimator.py calls lowrank's private routes, and
+    # lowrank keeps no state, defining no class but its two frozen records.
+    pattern = re.compile(r"\b(_gram_svd|_krylov|_downdate_head)\(")
+    callers = sorted(p.name for p in Path(samossa.__file__).parent.glob("*.py")
+                     if p.name != "lowrank.py" and pattern.search(p.read_text(encoding="utf-8")))
+    assert callers == ["ssa_estimator.py"]
+    classes = [value for value in vars(lowrank).values()
+               if isinstance(value, type) and value.__module__ == lowrank.__name__]
+    assert sorted(cls.__name__ for cls in classes) == ["RankRule", "SvdResult"]
+    assert all(cls.__dataclass_params__.frozen for cls in classes)
 
 
 def test_threads_start_in_one_pool_helper():
